@@ -1,22 +1,24 @@
 """Seeded inputs, closed-loop runners and oracles for the three workloads.
 
 Every workload runs in one thread and waits on each call before making the
-next (a closed loop with one caller).  Inputs are generated before any
-timing starts; the timed region holds only the call into splitconf, and
-outputs are checked against their oracle after the loop.
+next (a closed loop with one caller).  Inputs come from an endless seeded
+stream; each point is drawn before its timing starts, the timed region
+holds only the calls into splitconf, and outputs are checked against
+their oracle after each block of the loop.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
-import time
 from array import array
 from fractions import Fraction
 
 import numpy as np
+from probe import CLOCK, PROBE_SECONDS, probe
 
 from splitconf import cli, conformal
 from splitconf.clifford import COORDS, metric_form
@@ -32,23 +34,16 @@ from splitconf.conformal import (
 )
 from splitconf.group import PLANES, TRANSLATION_NAMES, so6_step
 
-CLOCK = time.perf_counter
-
 # Every step name `splitconf transform` accepts: 15 planes, ax..at, bx..bt.
 STEP_NAMES = PLANES + TRANSLATION_NAMES
 WORD_LEN = 5
 # 23 words of 5 steps hold each of the 23 step names exactly 5 times.
 FLOAT_POOL = len(STEP_NAMES)
-FLOAT_POINTS = 174 * FLOAT_POOL
-EXACT_POINTS = 1500
 # Float outputs must match their oracle to this share of the output scale.
 FLOAT_TOL = 1e-12
 # Step call times kept per run (the latest ones), and loop time per block.
 TIME_SLOTS = 1 << 16
 BLOCK_SECONDS = 1.0
-# The machine-speed probe: iterations (about 1.5 ms) and loop time between probes.
-PROBE_LOOPS = 20000
-PROBE_SECONDS = 0.1
 # Points whose words are traced, per traced unit of work.
 TRACED_POINTS = {"transform-float": 2 * FLOAT_POOL, "exact-rational": 20}
 # A verify pass at this seed gives the byte-identity digest (ROADMAP gate).
@@ -143,30 +138,33 @@ def _well_conditioned(v0, word):
     return True
 
 
-def float_inputs(seed):
-    """(start vector, word) per point, words taken in turn from a pool of FLOAT_POOL.
+def _rng(seed, stream):
+    """The random source of one input stream; the warm-up and the timed
+    loop draw from different streams, so they share no point."""
+    return random.Random("%d/%s" % (seed, stream))
+
+
+def float_inputs(seed, stream):
+    """Endless (start vector, word) points, words taken in turn from a pool of FLOAT_POOL.
 
     The pool holds every step name equally often, and points take the
     words in turn, so any whole number of passes over the pool has the
-    same step mix, which sets the latency quantiles.
+    same step mix, which sets the latency quantiles.  Every point is new.
     """
-    rng = random.Random(seed)
+    rng = _rng(seed, stream)
     names = list(STEP_NAMES) * WORD_LEN
     rng.shuffle(names)
     pool = [
         tuple((name, rng.uniform(-0.6, 0.6)) for name in names[i:i + WORD_LEN])
         for i in range(0, len(names), WORD_LEN)
     ]
-    items = []
-    while len(items) < FLOAT_POINTS:
-        word = pool[len(items) % FLOAT_POOL]
+    for word in itertools.cycle(pool):
         while True:
             pt = MinkowskiPoint(*(rng.uniform(-0.9, 0.9) for _ in POINT_COORDS))
             v = embed_point(pt).v
             if _well_conditioned(v.as_tuple(), word):
                 break
-        items.append((v, word))
-    return items
+        yield v, word
 
 
 def _tenth(rng, lo, hi):
@@ -176,19 +174,17 @@ def _tenth(rng, lo, hi):
     return Fraction(k, 10)
 
 
-def exact_inputs(seed):
-    """(start vector, word) per point; a fresh word of ax..bt per point."""
-    rng = random.Random(seed)
-    items = []
-    while len(items) < EXACT_POINTS:
+def exact_inputs(seed, stream):
+    """Endless (start vector, word) points; a fresh word of ax..bt per point."""
+    rng = _rng(seed, stream)
+    while True:
         pt = MinkowskiPoint(*(Fraction(rng.randint(-9, 9), 10) for _ in POINT_COORDS))
         word = tuple(
             (rng.choice(TRANSLATION_NAMES), _tenth(rng, -6, 6)) for _ in range(WORD_LEN)
         )
         v = embed_point(pt).v
         if _well_conditioned(v.as_tuple(), word):
-            items.append((v, word))
-    return items
+            yield v, word
 
 
 def repeat_share(keys):
@@ -198,19 +194,6 @@ def repeat_share(keys):
 
 
 # ---------------------------------------------------------------- runners
-
-
-def probe():
-    """Seconds a fixed pure-Python loop takes: how fast the shared machine runs now.
-
-    It runs between points, outside the timed loop, and does the same work
-    whatever splitconf does, so it ranks blocks by machine speed alone.
-    """
-    t0 = CLOCK()
-    acc = 0
-    for i in range(PROBE_LOOPS):
-        acc += i * i % 7
-    return CLOCK() - t0
 
 
 class StepStats:
@@ -262,28 +245,29 @@ class StepStats:
                 self.failed += not dev <= FLOAT_TOL
 
 
-def run_steps(items, stats, seconds=None, points=None, defer_check=False, cycle=1):
-    """Push points through their words until `seconds` of loop time or `points` points.
+def run_steps(source, stats, seconds=None, points=None, defer_check=False, cycle=1,
+              between=None):
+    """Push points from `source` through their words until `seconds` of loop time or `points` points.
 
-    Only the loop is timed.  It runs in blocks of about BLOCK_SECONDS that
+    Each point is drawn from the input stream before its timing starts,
+    and only the calls are timed.  It runs in blocks of about BLOCK_SECONDS that
     end on a multiple of `cycle` points (a whole number of passes over a
     word pool); the machine-speed probe runs every PROBE_SECONDS of loop
     time, between points, and each block is checked after it ends.  With
     defer_check the records are returned unchecked instead (a traced run
     checks them once tracing is off).  A step that raises ends its word.
-    Inputs are reused from the start when a long run exhausts them.
+    between(), when given, runs after each block, untimed.
     """
     # Looked up per run, so a traced run calls the wrapped step_vector.
     step_vector = conformal.step_vector
     times, slots = stats.times, len(stats.times)
     pending = []
-    last_probe = probe()
     while True:
-        records, probes = [], [last_probe]
+        records, probes = [], [probe()]
         first, busy, since_probe = stats.timed, 0.0, 0.0
         while True:
+            v, word = next(source)
             t_point = CLOCK()
-            v, word = items[stats.points % len(items)]
             stats.points += 1
             for name, theta in word:
                 t0 = CLOCK()
@@ -305,8 +289,7 @@ def run_steps(items, stats, seconds=None, points=None, defer_check=False, cycle=
             if since_probe >= PROBE_SECONDS:
                 probes.append(probe())
                 since_probe = 0.0
-        last_probe = probe()
-        probes.append(last_probe)
+        probes.append(probe())
         stats.busy += busy
         stats.blocks.append((first, stats.timed - first, busy, sum(probes) / len(probes)))
         if defer_check:
@@ -315,6 +298,19 @@ def run_steps(items, stats, seconds=None, points=None, defer_check=False, cycle=
             stats.check(records)
         if done or (seconds is not None and stats.busy >= seconds):
             return pending
+        if between is not None:
+            between()
+
+
+def pass_seeds(seed):
+    """Endless distinct verify seeds for the passes of one run, never MD5_SEED."""
+    rng = _rng(seed, "passes")
+    seen = {MD5_SEED}
+    while True:
+        s = rng.randrange(1, 10 ** 6)
+        if s not in seen:
+            seen.add(s)
+            yield s
 
 
 def verify_argv(seed):
