@@ -1,28 +1,49 @@
-"""The machine-speed probe every timed loop of the benchmark ranks its samples by.
+"""The machine-speed probe every timed loop of the benchmark measures its operations against.
 
 The shared machine's speed drifts by a quarter or more over spells of
-seconds.  ``probe()`` times a fixed pure-Python loop whose work never
-changes, so its time says how fast the machine ran at that moment,
-whatever splitconf does.  It imports nothing from splitconf, so a fresh
-interpreter can run it before timing ``import splitconf``.
+seconds and over minutes.  ``probe()`` times a fixed piece of work that
+never changes, so its time says how fast the machine ran at that
+moment, whatever splitconf does.  The work mixes what splitconf spends
+its time on: pure-Python ``Fraction`` arithmetic, float arithmetic,
+dict and call traffic, and small numpy products.  It imports nothing
+from splitconf, so a fresh interpreter can run it before timing
+``import splitconf``, and a change to splitconf never changes it.
+numpy is imported at the first probe, not here, so that a fresh
+interpreter's timed ``import splitconf`` still pays for it.
 """
 
+import functools
 import signal
 import statistics
 import time
+from fractions import Fraction
 
 CLOCK = time.perf_counter
-# Iterations (about 1.5 ms) and the time between probes inside a timed loop.
-PROBE_LOOPS = 20000
-PROBE_SECONDS = 0.1
+# Work per probe (about 1 ms) and the time between probes inside a timed loop.
+PROBE_FRACTIONS = 120
+PROBE_MATMULS = 40
+PROBE_SECONDS = 0.05
+
+
+@functools.lru_cache(maxsize=None)
+def _matrix():
+    import numpy as np
+
+    return np.arange(16, dtype=float).reshape(4, 4) / 7
 
 
 def probe():
-    """Seconds the fixed loop takes now: lower is a faster, quieter machine."""
+    """Seconds the fixed work takes now: lower is a faster, quieter machine."""
+    m0 = _matrix()
     t0 = CLOCK()
-    acc = 0
-    for i in range(PROBE_LOOPS):
-        acc += i * i % 7
+    acc, f, m = Fraction(0), 0.0, m0
+    for i in range(1, PROBE_FRACTIONS + 1):
+        acc = acc + Fraction(i % 7, i + 3) * Fraction(3, i + 1)
+        f = f * 0.5 + (i * 1.000001) ** 0.5
+        d = {"a": i, "b": f}
+        f += d["b"] * 1e-9
+    for _ in range(PROBE_MATMULS):
+        m = (m @ m0) / 31.0
     return CLOCK() - t0
 
 

@@ -43,9 +43,9 @@ WARMUP_SECONDS = 1.0
 
 END_TO_END_UNITS = {
     "setup_s": "s",
-    "op_p50_ms": "ms",
-    "op_p95_ms": "ms",
-    "ops_per_s": "1/s",
+    "op_p50_probes": "probe",
+    "op_p95_probes": "probe",
+    "ops_per_probe": "1/probe",
     "peak_rss_mb": "MB",
 }
 
@@ -143,26 +143,35 @@ def quantile95(values):
     return statistics.quantiles(values, n=20, method="inclusive")[18]
 
 
-def quiet_stats(blocks):
-    """(p50, p95, calls per second) over the run's quietest quarter of blocks.
+def block_stats(blocks, relative):
+    """(p50, p95, calls per unit of time) of the operations of every block.
 
-    A block is (calls, loop seconds, call times, machine speed), the last
-    the mean time of the probe (probe.py) around and during the block, or
-    the block's own time where every block does the same work from a
-    fresh start: lower is quieter.  The shared machine's speed drifts in
-    spells of seconds, so the blocks are ranked by it and the quietest
-    quarter, at least one block, is kept.  The probe's work never
-    changes, so the ranking does not favour blocks whose work happens to
-    be cheap.
+    A block is (calls, loop seconds, call times, probe seconds), the last
+    the mean time of the probe (probe.py) taken around and during the
+    block.  With relative, each time is divided by its block's probe
+    time, so it is in units of the probe's time: a ratio of two times
+    measured side by side, which the shared machine's drift in speed
+    moves much less than either time (see perfbench/README.md).
     """
-    ranked = sorted(blocks, key=lambda b: b[3])
-    quiet = ranked[: max(1, -(-len(ranked) // 4))]
-    times = [t for b in quiet for t in b[2]]
+    def unit(block):
+        return block[3] if relative else 1.0
+
+    times = [t / unit(b) for b in blocks for t in b[2]]
     return (
         statistics.median(times),
         quantile95(times),
-        sum(b[0] for b in quiet) / sum(b[1] for b in quiet),
+        sum(b[0] for b in blocks) / sum(b[1] / unit(b) for b in blocks),
     )
+
+
+def op_metrics(blocks):
+    p50, p95, rate = block_stats(blocks, relative=True)
+    return {"op_p50_probes": p50, "op_p95_probes": p95, "ops_per_probe": rate}
+
+
+def fastest_quarter(samples):
+    """Median of the fastest quarter of samples of the same work, at least one."""
+    return statistics.median(sorted(samples)[: max(1, -(-len(samples) // 4))])
 
 
 def peak_rss_mb():
@@ -284,15 +293,14 @@ def verify_workload(args, W, sample_setup):
     params.update({"pass_seeds": pass_seeds, "pass_s": walls,
                    "pass_machine_s": [b[3] for b in blocks], "pass_probes": probes,
                    "failed_passes": errors})
-    p50, p95, rate = quiet_stats(blocks)
+    p50, p95, rate = block_stats(blocks, relative=False)
     summary = {
         "verify_s": (p50, "s"),
         "verify_p95_s": (p95, "s"),
         "passes_per_s": (rate, "1/s"),
-        "verify_all_median_s": (statistics.median(walls), "s"),
     }
-    metrics = {"op_p50_ms": p50 * 1e3, "op_p95_ms": p95 * 1e3, "ops_per_s": rate,
-               "peak_rss_mb": max(rss)}
+    metrics = op_metrics(blocks)
+    metrics["peak_rss_mb"] = max(rss)
     return len(blocks) + 1, failed, metrics, summary, params
 
 
@@ -357,18 +365,15 @@ def transform_workload(args, W, sample_setup):
         "worst_relative_dev": None if exact else stats.worst,
         "blocks": len(blocks),
     })
-    p50, p95, rate = quiet_stats(blocks)
-    all_times = [t for b in blocks for t in b[2]]
+    p50, p95, rate = block_stats(blocks, relative=False)
     summary = {
         "step_p50_us": (p50 * 1e6, "us"),
         "step_p95_us": (p95 * 1e6, "us"),
         "steps_per_s": (rate, "1/s"),
         "steps_timed": (stats.timed, "count"),
-        "step_all_p50_us": (statistics.median(all_times) * 1e6, "us"),
-        "steps_all_per_s": (stats.timed / stats.busy, "1/s"),
     }
-    metrics = {"op_p50_ms": p50 * 1e3, "op_p95_ms": p95 * 1e3, "ops_per_s": rate,
-               "peak_rss_mb": peak}
+    metrics = op_metrics(blocks)
+    metrics["peak_rss_mb"] = peak
     return stats.attempted, stats.failed, metrics, summary, params
 
 
@@ -546,11 +551,11 @@ def main(argv=None):
 
     if not args.trace:
         # Every sample is the same work in a fresh interpreter, so the
-        # quietest samples are the fastest.  The probe does not rank them:
-        # an import is file and memory traffic, which the probe's loop
-        # does not see (samples taken at the quietest probe readings have
-        # taken 1.7 to 1.9 times the run's fastest).
-        metrics["setup_s"] = quiet_stats([(1, s, [s], s) for s in setup])[0]
+        # quietest samples are the fastest.  setup_s stays a time in
+        # seconds: an import is file and memory traffic, which the probe
+        # does not track (samples taken at the quietest probe readings
+        # have taken 1.7 to 1.9 times the run's fastest).
+        metrics["setup_s"] = fastest_quarter(setup)
         params["setup_samples_s"] = setup
         units = END_TO_END_UNITS
     else:
