@@ -1,7 +1,8 @@
 """Command-line surface: verification suites, word transforms, matrix dumps.
 
 Exit codes: 0 when nothing failed (documented discrepancies do not
-fail a run), 1 when at least one check failed, 2 for usage errors.
+fail a run), 1 when at least one check failed, 2 for usage errors,
+which include non-finite numbers and angles whose matrices overflow.
 The json format is deterministic: the same configuration produces
 byte-identical output.
 """
@@ -9,8 +10,11 @@ byte-identical output.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from .algebra import BASIS
 from .clifford import COORDS, Vector6, sigma, gamma, verify_clifford
@@ -166,6 +170,8 @@ def _parse_word(text):
             angle = float(parts[1])
         except ValueError:
             raise UsageError("bad angle in %r" % (item,))
+        if not math.isfinite(angle):
+            raise UsageError("angle in %r must be finite" % (item,))
         word.append((name, angle))
     return word
 
@@ -175,6 +181,8 @@ def _parse_point(text):
         comps = [float(c) for c in text.split(",")]
     except ValueError:
         raise UsageError("point components must be numbers")
+    if not all(math.isfinite(c) for c in comps):
+        raise UsageError("point components must be finite")
     if len(comps) == 4:
         return MinkowskiPoint(*comps)
     if len(comps) == 6:
@@ -211,11 +219,21 @@ def cmd_transform(args, config, out):
     word = _parse_word(args.word)
     parsed = _parse_point(args.point)
     as_point = isinstance(parsed, MinkowskiPoint)
-    vec = embed_point(parsed).v if as_point else parsed
+    try:
+        vec = embed_point(parsed).v if as_point else parsed
+    except (ValueError, OverflowError) as exc:
+        raise UsageError("cannot embed the point: %s" % (exc,))
 
     states = [_encode_state(vec, as_point)]
-    for name, angle in word:
-        vec = step_vector(name, angle, vec)
+    for i, (name, angle) in enumerate(word, 1):
+        try:
+            vec = step_vector(name, angle, vec)
+            if not all(math.isfinite(c) for c in vec.as_tuple()):
+                raise OverflowError("coordinates are not finite")
+        except (ValueError, OverflowError) as exc:
+            raise UsageError(
+                "step %d %s:%s failed: %s" % (i, name, _num(angle), exc)
+            )
         states.append(_encode_state(vec, as_point))
 
     if config.fmt == "json":
@@ -296,10 +314,20 @@ def cmd_show(args, config, out):
             canonical_plane(ident)
         except ValueError:
             raise UsageError("unknown plane %r" % (ident,))
+        if not math.isfinite(args.angle):
+            raise UsageError("--angle must be finite")
         if kind == "generator":
-            _show_tensor(generator(ident, args.angle), config, out)
+            make, show = generator, _show_tensor
         else:
-            _show_real(exp_real_generator(ident, args.angle), config, out)
+            make, show = exp_real_generator, _show_real
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                mat = make(ident, args.angle)
+        except (OverflowError, FloatingPointError):
+            raise UsageError(
+                "--angle %s overflows the matrix entries" % _num(args.angle)
+            )
+        show(mat, config, out)
         return 0
     raise UsageError("unknown object %r" % (kind,))
 

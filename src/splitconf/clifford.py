@@ -44,6 +44,7 @@ _SIGMA = {
 
 _sigma_cache = {}
 _gamma_cache = {}
+_slot_cache = {}
 
 
 def sigma(m):
@@ -68,7 +69,7 @@ def gamma(m):
     return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vector6:
     """Coordinates of a Clifford vector, in the fixed (x,y,z,t,p,q) order."""
 
@@ -124,14 +125,45 @@ def build_X(v):
     return acc
 
 
+def _slots(m):
+    """The (row, col, basis index, sign) of each nonzero coefficient of gamma(m).
+
+    Every coefficient of a gamma is 0 or +-1, and no two gammas share a
+    nonzero (row, col, basis index) slot, so the slots of the six
+    coordinates together place each coefficient of P exactly once.
+    """
+    slots = _slot_cache.get(m)
+    if slots is None:
+        slots = tuple(
+            (i, j, k, c)
+            for i, row in enumerate(gamma(m).rows)
+            for j, e in enumerate(row)
+            for k, c in enumerate(e.coeffs)
+            if c
+        )
+        _slot_cache[m] = slots
+    return slots
+
+
 def build_P(v):
-    """The 4x4 combination [[0, X], [tilde(X), 0]]."""
-    acc = TensorMatrix.zeros(4)
-    for m in COORDS:
-        c = v.component(m)
+    """The 4x4 combination [[0, X], [tilde(X), 0]], i.e. sum of v_m gamma(m).
+
+    Written straight from the slot table of each gamma (see _slots):
+    the coefficient in a slot of coordinate m is +v_m or -v_m, the
+    value the dense sum of scaled gammas gives there, and every other
+    coefficient is 0.
+    """
+    cells = [[None] * 4 for _ in range(4)]
+    for m, c in zip(COORDS, v.as_tuple()):
         if c:
-            acc = acc + gamma(m).scale(c)
-    return acc
+            for i, j, k, sign in _slots(m):
+                cell = cells[i][j]
+                if cell is None:
+                    cell = cells[i][j] = [0] * 8
+                cell[k] = c if sign > 0 else -c
+    return TensorMatrix(
+        tuple(tuple(ZERO if e is None else TensorScalar(e) for e in r) for r in cells)
+    )
 
 
 def _eighth(value):
@@ -147,9 +179,7 @@ def inner_product(a, b, tol=1e-9):
     within tol, which signals inputs outside the span of the gammas.
     """
     sym = trace_product(a, b) + trace_product(b, a)
-    exact = all(
-        is_exact(c) for mat in (a, b) for r in mat.rows for e in r for c in e.coeffs
-    )
+    exact = a.is_exact() and b.is_exact()
     use_tol = 0 if exact else tol * max(1, sym.max_abs())
     if not sym.is_real_scalar(use_tol):
         raise ValueError("inner product is not real: %s" % (sym,))
@@ -162,7 +192,10 @@ def extract_coords(p, tol=1e-9):
     Components come from the metric-weighted inner products with the
     six gammas; the reconstruction residual is then checked, and a
     residual above tol (relative to the matrix scale) raises
-    ValueError because p lies outside the span of the gammas.
+    ValueError because p lies outside the span of the gammas.  Exact
+    matrices are held to a zero residual; whether p is exact is read
+    from its cached regime flag (TensorMatrix.is_exact), which the six
+    inner products and the residual check share.
     """
     comps = {}
     for m in COORDS:
@@ -171,8 +204,7 @@ def extract_coords(p, tol=1e-9):
         comps[m] = val if g == 1 else -val
     v = Vector6.from_mapping(comps)
     residual = (p - build_P(v)).max_abs()
-    exact = all(is_exact(c) for r in p.rows for e in r for c in e.coeffs)
-    limit = 0 if exact else tol * max(1, p.max_abs())
+    limit = 0 if p.is_exact() else tol * max(1, p.max_abs())
     if residual > limit:
         raise ValueError(
             "matrix lies outside the span of the gammas (residual %s)" % (residual,)

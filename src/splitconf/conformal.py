@@ -30,7 +30,7 @@ from .clifford import (
     gamma,
     metric_form,
 )
-from .group import PLANES, act_on_P, act_on_vector, canonical_plane, so6_step
+from .group import PLANES, act_on_vector, canonical_plane, so6_step
 from .matrices import exp_nilpotent
 from .report import Report
 
@@ -272,8 +272,7 @@ def apply_dilation(theta, n):
     """Scale the point by e^{-theta} via the pq plane; p + q scales by e^{+theta}."""
     if not isinstance(n, NullVector):
         n = NullVector(n)
-    img = act_on_P([("pq", theta)], build_P(n.v))
-    return NullVector(extract_coords(img))
+    return NullVector(act_on_vector([("pq", theta)], n.v))
 
 
 def step_vector(name, theta, v):

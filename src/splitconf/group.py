@@ -157,16 +157,21 @@ def _step_factors(plane, theta):
     return left, right
 
 
+def _conjugate(word, p):
+    for plane, theta in word:
+        m = generator(plane, theta)
+        m_inv = generator(plane, -theta)
+        p = (m @ p) @ m_inv
+    return p
+
+
 def act_on_P(word, p, tol=1e-9):
     """Conjugate p by each (plane, angle) entry in sequence.
 
     The result must stay inside the span of the gammas; a residual
     beyond tol (relative to the matrix scale) raises ValueError.
     """
-    for plane, theta in word:
-        m = generator(plane, theta)
-        m_inv = generator(plane, -theta)
-        p = (m @ p) @ m_inv
+    p = _conjugate(word, p)
     extract_coords(p, tol=tol)
     return p
 
@@ -186,8 +191,12 @@ def act_on_X(word, x, tol=1e-9):
 
 
 def act_on_vector(word, v, tol=1e-9):
-    """Coordinates of the conjugated embedding of v."""
-    return extract_coords(act_on_P(word, build_P(v), tol=tol), tol=tol)
+    """Coordinates of the conjugated embedding of v.
+
+    The single extraction doubles as the span check of act_on_P: a
+    result outside the span of the gammas raises ValueError.
+    """
+    return extract_coords(_conjugate(word, build_P(v)), tol=tol)
 
 
 def so6_matrix(word, tol=1e-9):

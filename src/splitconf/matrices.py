@@ -2,10 +2,14 @@
 
 Entries are :class:`~splitconf.algebra.TensorScalar` values; the
 matrix product inlines the eight-coefficient scalar product so the hot
-loops stay flat.  Exponentials are only provided for the two shapes
-that close in this algebra, generators squaring to a multiple of the
-identity and nilpotent generators squaring to zero, both checked
-exactly before use.
+loops stay flat.  Products, sums and scalings skip zero entries by
+their ``nonzero`` flag: the product never multiplies them, and sums,
+differences and scalings by a number pass them through untouched.
+Whether a matrix is exact (all coefficients ``int``/``Fraction``) is
+decided once per matrix, on first use, by :meth:`TensorMatrix.is_exact`.
+Exponentials are only provided for the two shapes that close in this
+algebra, generators squaring to a multiple of the identity and
+nilpotent generators squaring to zero, both checked exactly before use.
 """
 
 from fractions import Fraction
@@ -18,20 +22,19 @@ __all__ = [
     "exp_nilpotent",
     "trace_product",
     "quadratic_form",
-    "kron",
 ]
-
-_Z8 = (0,) * 8
-
 
 class TensorMatrix:
     """A square matrix with TensorScalar entries.
 
     Immutable by convention: methods return new matrices.  ``rows`` is
-    a tuple of tuples of TensorScalar.
+    a tuple of tuples of TensorScalar.  The numeric regime is stored in
+    ``_exact`` the first time :meth:`is_exact` is asked, and never
+    rescanned.  Scaling by a number, ``+`` and ``-`` pass a zero entry
+    (``nonzero`` false) through as it is instead of computing with it.
     """
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("rows", "n", "_exact")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -41,6 +44,16 @@ class TensorMatrix:
                 raise ValueError("matrix must be square")
         self.rows = rows
         self.n = n
+        self._exact = None
+
+    def is_exact(self):
+        """True when every coefficient is an int or Fraction; cached."""
+        exact = self._exact
+        if exact is None:
+            exact = self._exact = all(
+                is_exact(c) for r in self.rows for a in r for c in a.coeffs
+            )
+        return exact
 
     @classmethod
     def identity(cls, n):
@@ -87,7 +100,10 @@ class TensorMatrix:
             return NotImplemented
         return TensorMatrix(
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
+                tuple(
+                    (a + b if b.nonzero else a) if a.nonzero else b
+                    for a, b in zip(ra, rb)
+                )
                 for ra, rb in zip(self.rows, other.rows)
             )
         )
@@ -97,7 +113,10 @@ class TensorMatrix:
             return NotImplemented
         return TensorMatrix(
             tuple(
-                tuple(a - b for a, b in zip(ra, rb))
+                tuple(
+                    (a - b if a.nonzero else -b) if b.nonzero else a
+                    for a, b in zip(ra, rb)
+                )
                 for ra, rb in zip(self.rows, other.rows)
             )
         )
@@ -158,7 +177,9 @@ class TensorMatrix:
             return TensorMatrix(
                 tuple(tuple(s * a for a in r) for r in self.rows)
             )
-        return TensorMatrix(tuple(tuple(a * s for a in r) for r in self.rows))
+        return TensorMatrix(
+            tuple(tuple(a * s if a.nonzero else a for a in r) for r in self.rows)
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, Fraction)):
@@ -327,13 +348,6 @@ def exp_nilpotent(gen, theta):
     return TensorMatrix.identity(gen.n) + gen.scale(theta)
 
 
-def kron(a, b):
-    """Kronecker product of real matrices, row-major block convention."""
-    import numpy as np
-
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def quadratic_form(x, tol=1e-9):
     """The scalar s with x @ x.trace_reversed() == s * I, for 2x2 x.
 
@@ -344,7 +358,7 @@ def quadratic_form(x, tol=1e-9):
         raise ValueError("expected a 2x2 matrix")
     prod = x @ x.trace_reversed()
     s = prod.rows[0][0]
-    use_tol = 0 if all(is_exact(c) for r in x.rows for a in r for c in a.coeffs) else tol
+    use_tol = 0 if x.is_exact() else tol
     if not s.is_real_scalar(use_tol):
         raise ValueError("product is not a real scalar: %s" % (s,))
     ok, _ = prod.is_scalar_multiple(use_tol)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -79,6 +80,16 @@ class TestVerifyCommand:
     def test_bad_samples_is_a_usage_error(self, capsys):
         code, _, err = run(["verify", "--samples", "0"], capsys)
         assert code == 2
+
+    def test_default_json_is_byte_identical(self, capsys):
+        # The byte-identity gate for refactors: the md5 of the default
+        # `splitconf verify --format json` output.  A change that alters
+        # the output on purpose updates this digest and names the check
+        # ids it changed in CHANGES.md.
+        code, out, _ = run(["verify", "--format", "json"], capsys)
+        assert code == 0
+        digest = hashlib.md5(out.encode("utf-8")).hexdigest()
+        assert digest == "0fc610d9dabc2ab08223065a667334b9"
 
 
 class TestTransformCommand:
@@ -177,6 +188,32 @@ class TestTransformCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "point, word",
+        [
+            ("nan,0,0,0", "ax:1"),
+            ("0,inf,0,0", "ax:1"),
+            ("0,0,0,0", "ax:inf"),
+            ("0,0,0,0", "xy:nan"),
+            ("0,1,0,0", "pq:1000"),
+            ("1e200,0,0,0", "ax:1"),
+            ("0,1.79e308,0,0,0,0", "ax:0.3"),
+        ],
+        ids=["nan-point", "inf-point", "inf-angle", "nan-angle",
+             "overflowing-dilation", "overflowing-embedding",
+             "infinite-image"],
+    )
+    def test_non_finite_input_or_result_is_a_usage_error(
+        self, capsys, point, word
+    ):
+        code, out, err = run(
+            ["transform", "--point", point, "--word", word], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestShowCommand:
     def test_gamma_grid(self, capsys):
@@ -208,6 +245,17 @@ class TestShowCommand:
     def test_unknown_plane_is_a_usage_error(self, capsys):
         code, _, err = run(["show", "generator", "ww"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("obj", ["generator", "real-generator"])
+    @pytest.mark.parametrize("angle", ["nan", "inf", "2000"])
+    def test_non_finite_or_overflowing_angle_is_a_usage_error(
+        self, capsys, obj, angle
+    ):
+        code, out, err = run(["show", obj, "tx", "--angle", angle], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 class TestEntryPoint:

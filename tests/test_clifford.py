@@ -179,6 +179,42 @@ class TestVectors:
         assert build_X(v).is_c_hermitian(1e-15)
 
 
+def dense_P(v):
+    """The reference embedding: every gamma scaled by its coordinate, summed."""
+    acc = TensorMatrix.zeros(4)
+    for m in COORDS:
+        acc = acc + gamma(m).scale(v.component(m))
+    return acc
+
+
+class TestSparseEmbedding:
+    def test_each_nonzero_gamma_slot_has_one_owner(self):
+        owners = {}
+        for m in COORDS:
+            for i, row in enumerate(gamma(m).rows):
+                for j, e in enumerate(row):
+                    for k, c in enumerate(e.coeffs):
+                        if c:
+                            assert c in (1, -1)
+                            owners.setdefault((i, j, k), []).append(m)
+        assert len(owners) == 24
+        assert all(len(ms) == 1 for ms in owners.values())
+
+    @given(exact_vectors)
+    def test_matches_the_dense_sum_exactly(self, v):
+        assert build_P(v) == dense_P(v)
+
+    @given(float_vectors)
+    def test_matches_the_dense_sum_bitwise(self, v):
+        got, ref = build_P(v), dense_P(v)
+        for got_row, ref_row in zip(got.rows, ref.rows):
+            for g, r in zip(got_row, ref_row):
+                for gc, rc in zip(g.coeffs, r.coeffs):
+                    assert gc == rc
+                    if rc:
+                        assert float.hex(gc) == float.hex(rc)
+
+
 class TestInnerProduct:
     def test_gamma_orthogonality(self):
         for m in COORDS:

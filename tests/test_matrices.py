@@ -182,6 +182,35 @@ class TestExponentials:
             exp_nilpotent(TensorMatrix.identity(2), 1)
 
 
+class TestExactness:
+    @pytest.mark.parametrize(
+        "entry, exact",
+        [
+            (TensorScalar((1, -2, 0, 0, 3, 0, 0, 0)), True),
+            (TensorScalar((Fraction(1, 3), 0, 0, 0, 0, 0, 0, Fraction(-2, 5))), True),
+            (TensorScalar((Fraction(1, 2), 2, 0, 0, 0, 0, 0, 0)), True),
+            (TensorScalar((0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)), False),
+            (TensorScalar((1, 0, 0, 0, 0, 0, 0, 0.25)), False),
+            (TensorScalar((Fraction(1, 2), 0, 0, 0, 0, 0, 0.0, 0)), False),
+        ],
+        ids=["int", "fraction", "int-and-fraction", "float", "int-and-float",
+             "fraction-and-float-zero"],
+    )
+    def test_regime_follows_every_coefficient(self, entry, exact):
+        m = TensorMatrix(((ONE, ZERO), (ZERO, entry)))
+        assert m.is_exact() is exact
+        # The second call reads the flag cached by the first.
+        assert m.is_exact() is exact
+
+    def test_identity_and_zeros_are_exact(self):
+        assert TensorMatrix.identity(4).is_exact()
+        assert TensorMatrix.zeros(3).is_exact()
+
+    def test_float_scaling_leaves_the_exact_regime(self):
+        assert not TensorMatrix.identity(2).scale(0.5).is_exact()
+        assert TensorMatrix.identity(2).scale(Fraction(1, 2)).is_exact()
+
+
 class TestQuadraticForm:
     def test_symmetric_off_diagonal(self):
         x = TensorMatrix(((ZERO, ONE), (ONE, ZERO)))
