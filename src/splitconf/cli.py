@@ -39,9 +39,12 @@ from .group import (
 from .realrep import real_gamma, exp_real_generator, verify_realrep
 from .report import Report
 
-__all__ = ["Report", "RunConfig", "SUITES", "main"]
+__all__ = ["Report", "RunConfig", "SUITES", "MAX_SAMPLES", "main"]
 
 FORMATS = ("json", "text", "csv")
+
+# Largest --samples accepted; the suites' run time grows linearly with it.
+MAX_SAMPLES = 1_000_000
 
 SUITES = (
     ("clifford", verify_clifford),
@@ -63,6 +66,8 @@ class RunConfig:
             raise UsageError("tolerance must be positive")
         if samples < 1:
             raise UsageError("samples must be at least 1")
+        if samples > MAX_SAMPLES:
+            raise UsageError("samples must be at most %d" % MAX_SAMPLES)
         if fmt not in FORMATS:
             raise UsageError("unknown format %r" % (fmt,))
         self.tolerance = tolerance

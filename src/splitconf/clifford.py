@@ -6,12 +6,21 @@ matrix (a generalized Pauli matrix) and a 4x4 block off-diagonal
 gamma matrix; the gammas anticommute to twice the metric.  A Vector6
 embeds as either the 2x2 combination X or the 4x4 combination P, and
 coordinates can be recovered from P through the trace inner product.
+
+Both directions read fixed tables built once from the gammas.  P is
+written from the 24 nonzero gamma slots (``_slots``).  Coordinates are
+read off P through a gather table (``_gather``): each gamma has four
+nonzero entries, each a single +-1 unit, so every component of the
+symmetric trace trace(gamma P) + trace(P gamma) is a short signed sum
+of coefficients of P.  The table lists those coefficients in the order
+``trace_product`` adds them, which keeps float results bit for bit
+those of the generic ``inner_product``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ELL, K, KL, L, ONE, TensorScalar, ZERO, is_exact
+from .algebra import _MUL, ELL, K, KL, L, ONE, TensorScalar, ZERO, is_exact
 from .matrices import TensorMatrix, trace_product
 from .report import Report
 
@@ -45,6 +54,7 @@ _SIGMA = {
 _sigma_cache = {}
 _gamma_cache = {}
 _slot_cache = {}
+_gather_cache = {}
 
 
 def sigma(m):
@@ -111,8 +121,12 @@ class Vector6:
 
 
 def metric_form(v):
-    """The metric square x^2+y^2+z^2+q^2-t^2-p^2 of a Vector6."""
-    return sum(METRIC[m] * v.component(m) ** 2 for m in COORDS)
+    """The metric square x^2+y^2+z^2+q^2-t^2-p^2 of a Vector6.
+
+    Squares by multiplication, so a float form too large to represent
+    is inf (or nan from inf - inf) instead of an OverflowError.
+    """
+    return sum(METRIC[m] * (c * c) for m, c in zip(COORDS, v.as_tuple()))
 
 
 def build_X(v):
@@ -145,31 +159,84 @@ def _slots(m):
     return slots
 
 
-def build_P(v):
-    """The 4x4 combination [[0, X], [tilde(X), 0]], i.e. sum of v_m gamma(m).
+def _cells(coords):
+    """The coefficients of sum(c_m gamma(m)) as a 4x4 grid of 8-lists.
 
-    Written straight from the slot table of each gamma (see _slots):
-    the coefficient in a slot of coordinate m is +v_m or -v_m, the
-    value the dense sum of scaled gammas gives there, and every other
-    coefficient is 0.
+    A slot of coordinate m holds +c_m or -c_m, the value the dense sum
+    of scaled gammas gives there; an entry no nonzero coordinate
+    touches is None.
     """
     cells = [[None] * 4 for _ in range(4)]
-    for m, c in zip(COORDS, v.as_tuple()):
+    for m, c in zip(COORDS, coords):
         if c:
             for i, j, k, sign in _slots(m):
                 cell = cells[i][j]
                 if cell is None:
                     cell = cells[i][j] = [0] * 8
                 cell[k] = c if sign > 0 else -c
+    return cells
+
+
+def build_P(v):
+    """The 4x4 combination [[0, X], [tilde(X), 0]], i.e. sum of v_m gamma(m).
+
+    Written straight from the slot table of each gamma (see _slots and
+    _cells); every coefficient outside the slots is 0.
+    """
     return TensorMatrix(
-        tuple(tuple(ZERO if e is None else TensorScalar(e) for e in r) for r in cells)
+        tuple(
+            tuple(ZERO if e is None else TensorScalar(e) for e in r)
+            for r in _cells(v.as_tuple())
+        )
     )
 
 
-def _eighth(value):
-    if is_exact(value):
+def _gather(m):
+    """Per component t, the terms of trace(gamma(m) P) and trace(P gamma(m)).
+
+    Eight pairs (left, right), one per BASIS index t.  Each term is
+    (flat index 32*row + 8*col + basis of a coefficient c of P, sign),
+    and the component is the signed sum of those c.  Every gamma
+    coefficient is 0 or +-1, so the product trace_product forms for a
+    term is +-c exactly.  The terms are listed in the order
+    trace_product visits them, and the two traces are summed apart and
+    then added, as inner_product does, so float sums round the same way.
+    """
+    table = _gather_cache.get(m)
+    if table is None:
+        g = gamma(m).rows
+        left = [[] for _ in range(8)]
+        right = [[] for _ in range(8)]
+        for i in range(4):
+            for k in range(4):
+                # trace(gamma P): gamma[i][k] times P[k][i]
+                for a, x in enumerate(g[i][k].coeffs):
+                    if x:
+                        for b in range(8):
+                            t, sgn = _MUL[a][b]
+                            left[t].append((32 * k + 8 * i + b, sgn * x))
+        for i in range(4):
+            for k in range(4):
+                # trace(P gamma): P[i][k] times gamma[k][i]
+                for a in range(8):
+                    for b, y in enumerate(g[k][i].coeffs):
+                        if y:
+                            t, sgn = _MUL[a][b]
+                            right[t].append((32 * i + 8 * k + a, sgn * y))
+        table = tuple(zip(map(tuple, left), map(tuple, right)))
+        _gather_cache[m] = table
+    return table
+
+
+def _eighth(value, exact):
+    """value / 8 in the numeric regime of the matrices it was read from.
+
+    Exact gives a Fraction.  Float gives a float, and a zero is 0.0
+    (never -0.0 or an exact zero left over from an empty sum).
+    """
+    if exact:
         return Fraction(value, 8) if isinstance(value, int) else value * Fraction(1, 8)
-    return value / 8
+    return value / 8 or 0.0
 
 
 def inner_product(a, b, tol=1e-9):
@@ -183,33 +250,72 @@ def inner_product(a, b, tol=1e-9):
     use_tol = 0 if exact else tol * max(1, sym.max_abs())
     if not sym.is_real_scalar(use_tol):
         raise ValueError("inner product is not real: %s" % (sym,))
-    return _eighth(sym.scalar_part())
+    return _eighth(sym.scalar_part(), exact)
+
+
+def _residual(p, coords):
+    """(p - build_P(Vector6(*coords))).max_abs(), without building either matrix."""
+    residual = 0
+    for row, cells in zip(p.rows, _cells(coords)):
+        for a, b in zip(row, cells):
+            if b is None:
+                if not a.nonzero:
+                    continue
+                diff = a.coeffs
+            elif a.nonzero:
+                diff = [x - y for x, y in zip(a.coeffs, b)]
+            else:
+                diff = [-y for y in b]
+            d = max(map(abs, diff))
+            if d > residual:
+                residual = d
+    return residual
 
 
 def extract_coords(p, tol=1e-9):
     """Recover the Vector6 with build_P(result) == p.
 
-    Components come from the metric-weighted inner products with the
-    six gammas; the reconstruction residual is then checked, and a
-    residual above tol (relative to the matrix scale) raises
-    ValueError because p lies outside the span of the gammas.  Exact
-    matrices are held to a zero residual; whether p is exact is read
-    from its cached regime flag (TensorMatrix.is_exact), which the six
-    inner products and the residual check share.
+    Component m is the metric-signed inner_product(gamma(m), p), read
+    through the gather table (see _gather): the same sums in the same
+    order, so the same value, bit for bit, in the regime of p (a float
+    p gives float coordinates, an exact p Fractions).  Both checks are
+    those of inner_product and build_P: a symmetric trace that is not
+    a real scalar within tol (relative to its scale), or a
+    reconstruction residual above tol (relative to the matrix scale),
+    raises ValueError because p lies outside the span of the gammas.
+    Exact matrices are held to zero, by the cached regime flag
+    (TensorMatrix.is_exact).  The residual is read from the slot table
+    instead of building P back and subtracting.
     """
-    comps = {}
+    exact = p.is_exact()
+    flat = [c for row in p.rows for e in row for c in e.coeffs]
+    coords = []
     for m in COORDS:
-        val = inner_product(gamma(m), p, tol=tol)
-        g = METRIC[m]
-        comps[m] = val if g == 1 else -val
-    v = Vector6.from_mapping(comps)
-    residual = (p - build_P(v)).max_abs()
-    limit = 0 if p.is_exact() else tol * max(1, p.max_abs())
+        sym = []
+        for left, right in _gather(m):
+            a = 0
+            for idx, sign in left:
+                c = flat[idx]
+                if c:
+                    a = a + c if sign > 0 else a - c
+            b = 0
+            for idx, sign in right:
+                c = flat[idx]
+                if c:
+                    b = b + c if sign > 0 else b - c
+            sym.append(a + b)
+        use_tol = 0 if exact else tol * max(1, max(map(abs, sym)))
+        if not all(abs(c) <= use_tol for c in sym[1:]):
+            raise ValueError("inner product is not real: %s" % (TensorScalar(sym),))
+        s = sym[0]
+        coords.append(_eighth(s if METRIC[m] > 0 else -s, exact))
+    residual = _residual(p, coords)
+    limit = 0 if exact else tol * max(1, p.max_abs())
     if residual > limit:
         raise ValueError(
             "matrix lies outside the span of the gammas (residual %s)" % (residual,)
         )
-    return v
+    return Vector6(*coords)
 
 
 def verify_clifford(config=None):

@@ -132,6 +132,14 @@ def _cs(kind, alpha):
     return math.cos(alpha), math.sin(alpha)
 
 
+def _half_angle_terms(plane, theta):
+    """(c(theta/2) I, gamma product, s(theta/2)) for a plane."""
+    name, orient = canonical_plane(plane)
+    gp, kind, _, _ = _plane_data(name)
+    c, s = _cs(kind, orient * theta / 2)
+    return TensorMatrix.identity(4).scale(c), gp, s
+
+
 def generator(plane, theta):
     """The 4x4 group element for the plane at angle theta.
 
@@ -139,10 +147,8 @@ def generator(plane, theta):
     cos/sin for rotation planes and cosh/sinh for boost planes.
     theta = 0 gives the identity; a = b is rejected.
     """
-    name, orient = canonical_plane(plane)
-    gp, kind, _, _ = _plane_data(name)
-    c, s = _cs(kind, orient * theta / 2)
-    return TensorMatrix.identity(4).scale(c) + gp.scale(s)
+    c_ident, gp, s = _half_angle_terms(plane, theta)
+    return c_ident + gp.scale(s)
 
 
 def _step_factors(plane, theta):
@@ -158,10 +164,15 @@ def _step_factors(plane, theta):
 
 
 def _conjugate(word, p):
+    """M p M^-1 for each step, M = generator(plane, theta).
+
+    M^-1 = generator(plane, -theta) = c I - s G from the same (c, s):
+    libm's cos and cosh are even and sin and sinh odd, so this is bit
+    for bit the matrix generator(plane, -theta) builds.
+    """
     for plane, theta in word:
-        m = generator(plane, theta)
-        m_inv = generator(plane, -theta)
-        p = (m @ p) @ m_inv
+        c_ident, gp, s = _half_angle_terms(plane, theta)
+        p = ((c_ident + gp.scale(s)) @ p) @ (c_ident + gp.scale(-s))
     return p
 
 

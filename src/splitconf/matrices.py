@@ -10,6 +10,9 @@ decided once per matrix, on first use, by :meth:`TensorMatrix.is_exact`.
 Exponentials are only provided for the two shapes that close in this
 algebra, generators squaring to a multiple of the identity and
 nilpotent generators squaring to zero, both checked exactly before use.
+The nilpotency proof is also made once per matrix and cached
+(:meth:`TensorMatrix.squares_to_zero`), so a cached generator
+exponentiated on every step is squared only once.
 """
 
 from fractions import Fraction
@@ -30,11 +33,12 @@ class TensorMatrix:
     Immutable by convention: methods return new matrices.  ``rows`` is
     a tuple of tuples of TensorScalar.  The numeric regime is stored in
     ``_exact`` the first time :meth:`is_exact` is asked, and never
-    rescanned.  Scaling by a number, ``+`` and ``-`` pass a zero entry
+    rescanned; whether the square is exactly zero is stored in
+    ``_nilpotent`` the same way by :meth:`squares_to_zero`.  Scaling by a number, ``+`` and ``-`` pass a zero entry
     (``nonzero`` false) through as it is instead of computing with it.
     """
 
-    __slots__ = ("rows", "n", "_exact")
+    __slots__ = ("rows", "n", "_exact", "_nilpotent")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -45,6 +49,7 @@ class TensorMatrix:
         self.rows = rows
         self.n = n
         self._exact = None
+        self._nilpotent = None
 
     def is_exact(self):
         """True when every coefficient is an int or Fraction; cached."""
@@ -54,6 +59,13 @@ class TensorMatrix:
                 is_exact(c) for r in self.rows for a in r for c in a.coeffs
             )
         return exact
+
+    def squares_to_zero(self):
+        """True when self @ self is exactly the zero matrix; cached."""
+        nilpotent = self._nilpotent
+        if nilpotent is None:
+            nilpotent = self._nilpotent = (self @ self).is_zero()
+        return nilpotent
 
     @classmethod
     def identity(cls, n):
@@ -342,8 +354,8 @@ def exp_involutory(gen, theta):
 
 
 def exp_nilpotent(gen, theta):
-    """exp(gen * theta) for gen with gen @ gen == 0 (checked exactly)."""
-    if not (gen @ gen).is_zero():
+    """exp(gen * theta) for gen with gen @ gen == 0 (checked exactly, once per gen)."""
+    if not gen.squares_to_zero():
         raise ValueError("generator must square to zero exactly")
     return TensorMatrix.identity(gen.n) + gen.scale(theta)
 

@@ -81,6 +81,19 @@ class TestVerifyCommand:
         code, _, err = run(["verify", "--samples", "0"], capsys)
         assert code == 2
 
+    def test_samples_above_the_cap_are_refused_before_any_suite_runs(
+        self, capsys, monkeypatch
+    ):
+        def must_not_run(config=None):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "SUITES", (("guard", must_not_run),))
+        assert cli.RunConfig(samples=cli.MAX_SAMPLES).samples == cli.MAX_SAMPLES
+        code, out, err = run(["verify", "--samples", "100000000000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: samples must be at most %d\n" % cli.MAX_SAMPLES
+
     def test_default_json_is_byte_identical(self, capsys):
         # The byte-identity gate for refactors: the md5 of the default
         # `splitconf verify --format json` output.  A change that alters
@@ -213,6 +226,17 @@ class TestTransformCommand:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    def test_an_overflowing_embedding_names_its_cause(self, capsys):
+        code, out, err = run(
+            ["transform", "--point", "1e200,0,0,0", "--word", "ax:1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: cannot embed the point: the Minkowski square of the "
+            "point is not finite (-inf)\n"
+        )
 
 
 class TestShowCommand:

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,8 @@ from splitconf.clifford import (
     sigma,
     verify_clifford,
 )
+from splitconf.conformal import _nilpotent_conjugate, _nilpotent_generator
+from splitconf.group import PLANES, _conjugate
 from splitconf.matrices import TensorMatrix, quadratic_form
 
 SYMBOL = {
@@ -256,6 +260,146 @@ class TestExtractErrors:
             extract_coords(p, tol=1e-9)
         got = extract_coords(p, tol=1e-3)
         assert got.approx_eq(Vector6(x=1.0), 1e-5)
+
+
+def reference_extract(p, tol=1e-9):
+    """extract_coords the long way: six inner products and a dense residual.
+
+    A float zero coordinate is normalised to 0.0, the regime rule of
+    extract_coords; every other coordinate is the inner product as is.
+    """
+    exact = p.is_exact()
+    coords = []
+    for m in COORDS:
+        val = inner_product(gamma(m), p, tol=tol)
+        val = val if METRIC[m] == 1 else -val
+        coords.append(val if exact else val or 0.0)
+    v = Vector6(*coords)
+    residual = (p - build_P(v)).max_abs()
+    limit = 0 if exact else tol * max(1, p.max_abs())
+    if residual > limit:
+        raise ValueError(
+            "matrix lies outside the span of the gammas (residual %s)" % (residual,)
+        )
+    return v
+
+
+def outcome(extract, p, tol=1e-9):
+    """The coordinates' reprs and types, or the error message."""
+    try:
+        v = extract(p, tol=tol)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", tuple((type(c).__name__, repr(c)) for c in v.as_tuple()))
+
+
+wide_float_vectors = st.builds(
+    Vector6,
+    *([st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)] * 6)
+)
+
+in_span = st.builds(build_P, exact_vectors | float_vectors | wide_float_vectors)
+
+nilpotent_steps = st.tuples(
+    st.sampled_from("ab"),
+    st.sampled_from("xyzt"),
+    exact_values | st.floats(-1, 1, allow_nan=False, allow_infinity=False),
+)
+
+plane_steps = st.tuples(
+    st.sampled_from(PLANES),
+    st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def stepped(draw):
+    """An in-span matrix pushed through a few plane and nilpotent steps."""
+    p = draw(in_span)
+    for step in draw(st.lists(plane_steps | nilpotent_steps, max_size=3)):
+        if len(step) == 2:
+            p = _conjugate([step], p)
+        else:
+            kind, m, theta = step
+            p = _nilpotent_conjugate(_nilpotent_generator(kind, m), theta, p)
+    return p
+
+
+@st.composite
+def perturbed(draw):
+    """A matrix moved off the span at a few coefficients."""
+    rows = [list(r) for r in draw(stepped()).rows]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j, k = (draw(st.integers(0, n)) for n in (3, 3, 7))
+        eps = draw(
+            st.sampled_from([1e-13, 1e-10, 1e-7, 1e-3, 1, Fraction(1, 7), 2])
+        )
+        coeffs = list(rows[i][j].coeffs)
+        coeffs[k] = coeffs[k] + eps
+        rows[i][j] = TensorScalar(coeffs)
+    return TensorMatrix(rows)
+
+
+class TestGatherExtraction:
+    @given(stepped() | perturbed(), st.sampled_from([1e-9, 1e-3, 0]))
+    def test_matches_the_inner_product_reference(self, p, tol):
+        assert outcome(extract_coords, p, tol) == outcome(reference_extract, p, tol)
+
+    def test_matches_the_reference_bitwise_on_a_seeded_sweep(self):
+        # On dense matrices the order of the signed sums decides the last
+        # bit of a coordinate often enough for a fixed sweep to pin the
+        # order trace_product adds in.  A loose tolerance lets these
+        # off-span matrices through to the coordinates; the strict one
+        # compares the error messages.
+        rng = random.Random(2013)
+        for _ in range(100):
+            p = TensorMatrix(
+                tuple(
+                    tuple(
+                        TensorScalar([rng.uniform(-2, 2) for _ in range(8)])
+                        for _ in range(4)
+                    )
+                    for _ in range(4)
+                )
+            )
+            for tol in (1e9, 1e-9):
+                assert outcome(extract_coords, p, tol) == outcome(
+                    reference_extract, p, tol
+                )
+
+    @pytest.mark.parametrize(
+        "p, tol",
+        [
+            (TensorMatrix.identity(4), 1e-9),
+            (build_P(Vector6(x=1.0)) + TensorMatrix.identity(4).scale(1e-6), 1e-9),
+            (build_P(Vector6(x=1.0)) + TensorMatrix.identity(4).scale(1e-6), 1e-3),
+        ]
+        + [
+            (gamma(a) @ gamma(b), 1e-9)
+            for a in COORDS
+            for b in COORDS
+            if a != b
+        ],
+    )
+    def test_out_of_span_messages_match_the_reference(self, p, tol):
+        assert outcome(extract_coords, p, tol) == outcome(reference_extract, p, tol)
+        if tol == 1e-9:
+            assert outcome(extract_coords, p, tol)[0] == "error"
+
+    def test_float_zero_coordinates_are_positive_float_zeros(self):
+        v = extract_coords(build_P(Vector6(x=1.0, t=0.5)))
+        assert v == Vector6(x=1.0, t=0.5)
+        for c in (v.y, v.z, v.p, v.q):
+            assert type(c) is float and math.copysign(1.0, c) == 1.0
+
+    def test_exact_coordinates_are_fractions(self):
+        v = extract_coords(build_P(Vector6(x=1, t=Fraction(1, 2))))
+        assert v == Vector6(x=1, t=Fraction(1, 2))
+        assert all(type(c) is Fraction for c in v.as_tuple())
+
+    def test_metric_form_overflows_to_infinity(self):
+        assert metric_form(Vector6(x=1e200)) == math.inf
+        assert metric_form(Vector6(t=1e200)) == -math.inf
 
 
 class TestVector6:

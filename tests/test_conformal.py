@@ -122,6 +122,24 @@ class TestTranslations:
             conformal_translation_generator("q")
 
 
+class TestStepRegime:
+    @pytest.mark.parametrize("name", ["xy", "pq", "ax", "bz"])
+    def test_float_steps_give_float_zeros(self, name):
+        # An untouched coordinate of a float step is +0.0, not
+        # Fraction(0, 1) (an exact zero from an empty sum) or -0.0.
+        v = step_vector(name, 0.3, Vector6(x=1.0))
+        zeros = [c for c in v.as_tuple() if c == 0]
+        assert zeros
+        for c in v.as_tuple():
+            assert type(c) is float
+        for c in zeros:
+            assert math.copysign(1.0, c) == 1.0
+
+    def test_exact_steps_stay_exact(self):
+        v = step_vector("bx", Fraction(1, 3), Vector6(x=1, p=Fraction(1, 2)))
+        assert all(type(c) is Fraction for c in v.as_tuple())
+
+
 class TestDilation:
     def test_halving_example(self):
         v = embed_point(MinkowskiPoint(0, 1, 0, 0)).v

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from splitconf.algebra import L, ONE
 from splitconf.clifford import Vector6, build_P, build_X, metric_form
 from splitconf.group import (
     PLANES,
+    _conjugate,
+    _half_angle_terms,
     act_on_P,
     act_on_X,
     act_on_vector,
@@ -108,6 +111,52 @@ class TestGenerator:
                     assert g.rows[i][j].approx_eq(want, 1e-15)
                 else:
                     assert not g.rows[i][j].nonzero
+
+
+def coefficient_reprs(mat):
+    return [[repr(e.coeffs) for e in r] for r in mat.rows]
+
+
+# Angles for the shared (c, s) checks: a grid, tiny and signed-zero
+# angles, and boost half angles up to cosh's overflow edge near 710.
+SWEEP = (
+    [k / 8 for k in range(-40, 41)]
+    + [0.77, -0.77, 0.0, -0.0, 1e-300, -5e-324, 1e-8, 1400.0, -1419.0]
+)
+
+
+class TestSharedHalfAngle:
+    def test_libm_cos_and_cosh_are_even_sin_and_sinh_odd(self):
+        # _conjugate builds generator(plane, -theta) as c I - s G from the
+        # (c, s) of +theta; that is bit for bit only while these hold.
+        rng = random.Random(2013)
+        xs = [rng.uniform(-30, 30) for _ in range(20000)]
+        xs += [rng.uniform(-710, 710) for _ in range(5000)] + SWEEP
+        for x in xs:
+            assert math.cos(-x).hex() == math.cos(x).hex()
+            assert math.sin(-x).hex() == (-math.sin(x)).hex()
+            if abs(x) < 710:
+                assert math.cosh(-x).hex() == math.cosh(x).hex()
+                assert math.sinh(-x).hex() == (-math.sinh(x)).hex()
+
+    def test_inverse_from_one_pair_is_the_generator_at_minus_theta(self):
+        for name in PLANES + ("yx", "qp"):
+            for theta in SWEEP:
+                c_ident, gp, s = _half_angle_terms(name, theta)
+                assert coefficient_reprs(c_ident + gp.scale(s)) == coefficient_reprs(
+                    generator(name, theta)
+                )
+                assert coefficient_reprs(c_ident + gp.scale(-s)) == coefficient_reprs(
+                    generator(name, -theta)
+                ), (name, theta)
+
+    def test_conjugation_matches_the_two_generators(self):
+        p = build_P(Vector6(0.3, -1.1, 0.7, 0.2, 1.9, -0.4))
+        for name in PLANES:
+            for theta in (0.37, -1.3, 2.9):
+                want = (generator(name, theta) @ p) @ generator(name, -theta)
+                got = _conjugate([(name, theta)], p)
+                assert coefficient_reprs(got) == coefficient_reprs(want)
 
 
 class TestCoordinateAction:

@@ -181,6 +181,27 @@ class TestExponentials:
         with pytest.raises(ValueError):
             exp_nilpotent(TensorMatrix.identity(2), 1)
 
+    def test_nilpotency_is_proved_once_per_matrix(self, monkeypatch):
+        products = []
+        matmul = TensorMatrix.__matmul__
+
+        def counting(a, b):
+            products.append(1)
+            return matmul(a, b)
+
+        monkeypatch.setattr(TensorMatrix, "__matmul__", counting)
+        gen = TensorMatrix(((ZERO, ONE + L), (ZERO, ZERO)))
+        for theta in (1, Fraction(-1, 3), 0.25):
+            assert exp_nilpotent(gen, theta) == (
+                TensorMatrix.identity(2) + gen.scale(theta)
+            )
+        assert len(products) == 1
+        bad = TensorMatrix(((ZERO, ONE), (ONE, ZERO)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="square to zero"):
+                exp_nilpotent(bad, 1)
+        assert len(products) == 2
+
 
 class TestExactness:
     @pytest.mark.parametrize(
