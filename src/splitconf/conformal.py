@@ -661,7 +661,7 @@ def verify_conformal(config=None):
             want = lam @ np.array(pt.as_tuple(), dtype=float)
             lorentz_dev = max(
                 lorentz_dev,
-                max(abs(a - b) for a, b in zip(out.as_tuple(), want)),
+                float(max(abs(a - b) for a, b in zip(out.as_tuple(), want))),
             )
     report.add(
         "lorentz-on-q",
