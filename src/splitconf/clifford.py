@@ -277,15 +277,14 @@ def extract_coords(p, tol=1e-9):
 
     Component m is the metric-signed inner_product(gamma(m), p), read
     through the gather table (see _gather): the same sums in the same
-    order, so the same value, bit for bit, in the regime of p (a float
-    p gives float coordinates, an exact p Fractions).  Both checks are
-    those of inner_product and build_P: a symmetric trace that is not
-    a real scalar within tol (relative to its scale), or a
-    reconstruction residual above tol (relative to the matrix scale),
-    raises ValueError because p lies outside the span of the gammas.
-    Exact matrices are held to zero, by the cached regime flag
-    (TensorMatrix.is_exact).  The residual is read from the slot table
-    instead of building P back and subtracting.
+    order, so the same bits.  Coordinates follow the regime of p
+    (TensorMatrix.is_exact, cached): Fractions for an exact p, floats
+    otherwise, a zero as 0.0.  The two checks are unchanged: a symmetric
+    trace that is not a real scalar within tol (relative to its scale),
+    or a residual p - build_P(result) above tol (relative to the matrix
+    scale), raises ValueError because p lies outside the span of the
+    gammas; exact matrices are held to zero.  The residual is read from
+    the slot table instead of building P back and subtracting.
     """
     exact = p.is_exact()
     flat = [c for row in p.rows for e in row for c in e.coeffs]

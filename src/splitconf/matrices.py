@@ -34,8 +34,9 @@ class TensorMatrix:
     a tuple of tuples of TensorScalar.  The numeric regime is stored in
     ``_exact`` the first time :meth:`is_exact` is asked, and never
     rescanned; whether the square is exactly zero is stored in
-    ``_nilpotent`` the same way by :meth:`squares_to_zero`.  Scaling by a number, ``+`` and ``-`` pass a zero entry
-    (``nonzero`` false) through as it is instead of computing with it.
+    ``_nilpotent`` the same way by :meth:`squares_to_zero`.  Scaling by
+    a number, ``+`` and ``-`` pass a zero entry (``nonzero`` false)
+    through as it is instead of computing with it.
     """
 
     __slots__ = ("rows", "n", "_exact", "_nilpotent")
