@@ -15,6 +15,14 @@ Coefficients are plain Python numbers.  Use ``int`` or
 angles enter; operations never convert on their own, so exact inputs
 give exact outputs.  All values are immutable after construction.
 
+Every product in the package goes through one kernel, :func:`mul_terms`,
+driven by the structure-constant table ``_MUL``: it adds a * b into an
+accumulator from the nonzero (basis index, coefficient) terms of the
+two factors (:func:`terms`), visiting the pairs in ascending (index of
+a, index of b) order.  Split-quaternion, tensor-scalar and 4x4 matrix
+products and ``matrices.trace_product`` all call it, so float sums
+round the same way on every route.
+
 The algebra is associative but not commutative, and it has zero
 divisors: (1 + L) * (1 - L) == 0.
 """
@@ -35,6 +43,8 @@ __all__ = [
     "ELL",
     "UNIT",
     "is_exact",
+    "terms",
+    "mul_terms",
 ]
 
 H_UNITS = ("1", "K", "KL", "L")
@@ -81,6 +91,30 @@ def _build_mul_table():
 # Combined table for the eight-dimensional algebra, same encoding as
 # _H_MUL but over BASIS.
 _MUL = _build_mul_table()
+
+
+def terms(coeffs):
+    """The nonzero (basis index, coefficient) terms of coeffs, in index order."""
+    return [(i, c) for i, c in enumerate(coeffs) if c]
+
+
+def mul_terms(acc, a, b):
+    """acc += a * b for term lists a and b (see terms), in place.
+
+    The pairs are visited in ascending (a index, b index) order, and
+    each product is added to or subtracted from acc[k] as _MUL signs
+    it, so float sums round the same way on every caller.  (Each row of
+    _MUL is a permutation, so it is the order of the a terms that fixes
+    the order of the sum into any one acc[k].)
+    """
+    for i, x in a:
+        row = _MUL[i]
+        for j, y in b:
+            k, sign = row[j]
+            if sign > 0:
+                acc[k] = acc[k] + x * y
+            else:
+                acc[k] = acc[k] - x * y
 
 
 def is_exact(x):
@@ -181,20 +215,10 @@ class SplitQuaternion:
     def __mul__(self, other):
         if not isinstance(other, SplitQuaternion):
             return NotImplemented
-        a, b = self._vec(), other._vec()
+        # The split quaternions are the first four BASIS units, where
+        # _MUL restricts to _H_MUL.
         out = [0, 0, 0, 0]
-        for i in range(4):
-            ai = a[i]
-            if ai:
-                row = _H_MUL[i]
-                for j in range(4):
-                    bj = b[j]
-                    if bj:
-                        k, sgn = row[j]
-                        if sgn > 0:
-                            out[k] = out[k] + ai * bj
-                        else:
-                            out[k] = out[k] - ai * bj
+        mul_terms(out, terms(self._vec()), terms(other._vec()))
         return SplitQuaternion(*out)
 
     def conjugate(self):
@@ -284,20 +308,8 @@ class TensorScalar:
         if isinstance(other, TensorScalar):
             if not (self.nonzero and other.nonzero):
                 return ZERO
-            a, b = self.coeffs, other.coeffs
             out = [0] * 8
-            for i in range(8):
-                ai = a[i]
-                if ai:
-                    row = _MUL[i]
-                    for j in range(8):
-                        bj = b[j]
-                        if bj:
-                            k, sgn = row[j]
-                            if sgn > 0:
-                                out[k] = out[k] + ai * bj
-                            else:
-                                out[k] = out[k] - ai * bj
+            mul_terms(out, terms(self.coeffs), terms(other.coeffs))
             return TensorScalar(out)
         if isinstance(other, (int, float, Fraction)):
             return TensorScalar(tuple(c * other for c in self.coeffs))

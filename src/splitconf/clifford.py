@@ -284,7 +284,8 @@ def extract_coords(p, tol=1e-9):
     or a residual p - build_P(result) above tol (relative to the matrix
     scale), raises ValueError because p lies outside the span of the
     gammas; exact matrices are held to zero.  The residual is read from
-    the slot table instead of building P back and subtracting.
+    the slot table instead of building P back and subtracting, and the
+    matrix scale from the flat coefficient list already read.
     """
     exact = p.is_exact()
     flat = [c for row in p.rows for e in row for c in e.coeffs]
@@ -309,7 +310,7 @@ def extract_coords(p, tol=1e-9):
         s = sym[0]
         coords.append(_eighth(s if METRIC[m] > 0 else -s, exact))
     residual = _residual(p, coords)
-    limit = 0 if exact else tol * max(1, p.max_abs())
+    limit = 0 if exact else tol * max(1, max(map(abs, flat)))
     if residual > limit:
         raise ValueError(
             "matrix lies outside the span of the gammas (residual %s)" % (residual,)

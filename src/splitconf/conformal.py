@@ -31,7 +31,7 @@ from .clifford import (
     metric_form,
 )
 from .group import PLANES, act_on_vector, canonical_plane, so6_step
-from .matrices import exp_nilpotent
+from .matrices import exp_pair
 from .report import Report
 
 __all__ = [
@@ -129,7 +129,9 @@ class NullVector:
     """A six-vector with zero metric square and p + q != 0.
 
     form tolerance is 1e-9 relative to the squared coordinate scale;
-    exact coordinates are checked exactly.
+    exact coordinates are checked exactly.  A float form that is not
+    finite (from a nan or infinite coordinate, or squares that
+    overflow) is rejected by name.
     """
 
     v: Vector6
@@ -141,8 +143,10 @@ class NullVector:
             if form != 0:
                 raise ValueError("metric square %s != 0" % (form,))
         else:
-            scale = max(1.0, float(v.max_abs()) ** 2)
-            if abs(form) > 1e-9 * scale:
+            if not math.isfinite(form):
+                raise ValueError("metric square %r is not finite" % (form,))
+            m = float(v.max_abs())
+            if abs(form) > 1e-9 * max(1.0, m * m):
                 raise ValueError("metric square %r beyond tolerance" % (form,))
         if _sum_pq_negligible(v.p + v.q, v):
             raise ValueError("p + q = 0: no finite point coordinates")
@@ -240,12 +244,13 @@ def _half(theta):
 def _nilpotent_conjugate(gen, theta, p4):
     """U p4 U^-1 with U = I + (theta/2) gen and U^-1 = I - (theta/2) gen.
 
-    exp_nilpotent proves gen @ gen == 0 once per generator (the proof
+    Both come from one exp_pair call, bit for bit exp_nilpotent(gen,
+    +-theta/2).  gen @ gen == 0 is proved once per generator (the proof
     is cached on the matrix), not once per step.
     """
-    half = _half(theta)
-    u = exp_nilpotent(gen, half)
-    u_inv = exp_nilpotent(gen, -half)
+    if not gen.squares_to_zero():
+        raise ValueError("generator must square to zero exactly")
+    u, u_inv = exp_pair(gen, 1, _half(theta))
     return (u @ p4) @ u_inv
 
 
@@ -589,11 +594,10 @@ def verify_conformal(config=None):
                     for a, b in zip(out.as_tuple(), want.as_tuple())
                 ),
             )
-        report.add(
+        report.bound(
             "translation-law[%s]" % m,
-            dev <= tol,
-            "<= %g" % tol,
-            repr(dev),
+            dev,
+            tol,
             "point coordinate shifts by theta, 25 seeded samples",
         )
 
@@ -613,11 +617,10 @@ def verify_conformal(config=None):
                 for a, b in zip(two_step.as_tuple(), one_step.as_tuple())
             ),
         )
-    report.add(
+    report.bound(
         "additivity[x]",
-        add_dev <= tol,
-        "<= %g" % tol,
-        repr(add_dev),
+        add_dev,
+        tol,
         "translate(th1) then translate(th2) vs translate(th1+th2)",
     )
 
@@ -637,11 +640,10 @@ def verify_conformal(config=None):
             dil_dev,
             max(abs(a - b) for a, b in zip(out.as_tuple(), want.as_tuple())),
         )
-    report.add(
+    report.bound(
         "dilation-law",
-        dil_dev <= tol,
-        "<= %g" % tol,
-        repr(dil_dev),
+        dil_dev,
+        tol,
         "point scales by exp(-theta); includes the x=1, theta=ln 2 case",
     )
 
@@ -663,11 +665,10 @@ def verify_conformal(config=None):
                 lorentz_dev,
                 float(max(abs(a - b) for a, b in zip(out.as_tuple(), want))),
             )
-    report.add(
+    report.bound(
         "lorentz-on-q",
-        lorentz_dev <= tol,
-        "<= %g" % tol,
-        repr(lorentz_dev),
+        lorentz_dev,
+        tol,
         "rotations and boosts fix p+q and act linearly on the point",
     )
 
@@ -701,24 +702,20 @@ def verify_conformal(config=None):
                 ),
             )
             form = metric_form(result.v)
-            null_dev = max(
-                null_dev,
-                abs(form) / max(1.0, float(result.v.max_abs()) ** 2),
-            )
+            scale = float(result.v.max_abs())
+            null_dev = max(null_dev, abs(form) / max(1.0, scale * scale))
             done += 1
-    report.add(
+    report.bound(
         "conformal-vs-mobius",
-        mob_dev <= 1e-9,
-        "<= 1e-09",
-        repr(mob_dev),
+        mob_dev,
+        1e-9,
         "conjugation route vs closed-form oracle, %d samples per direction"
         % per_m,
     )
-    report.add(
+    report.bound(
         "null-preserved",
-        null_dev <= 1e-9,
-        "<= 1e-09",
-        repr(null_dev),
+        null_dev,
+        1e-9,
         "relative metric square of every conformal image",
     )
 
@@ -739,18 +736,13 @@ def verify_conformal(config=None):
         q_img = q_from_p(moved)
         ratio2 = (moved.v.p - moved.v.q) / (moved.v.p + moved.v.q)
         ratio_dev = max(ratio_dev, abs(ratio2 - minkowski_norm2(q_img)))
-    report.add(
-        "embed-roundtrip",
-        rt_dev <= tol,
-        "<= %g" % tol,
-        repr(rt_dev),
-        "q_from_p after embed_point returns the point",
+    report.bound(
+        "embed-roundtrip", rt_dev, tol, "q_from_p after embed_point returns the point"
     )
-    report.add(
+    report.bound(
         "ratio-identity",
-        ratio_dev <= tol,
-        "<= %g" % tol,
-        repr(ratio_dev),
+        ratio_dev,
+        tol,
         "(p-q)/(p+q) equals the Minkowski square of the point",
     )
 

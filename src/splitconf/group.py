@@ -28,7 +28,7 @@ from .clifford import (
     gamma,
     metric_form,
 )
-from .matrices import TensorMatrix
+from .matrices import TensorMatrix, exp_pair
 from .report import Report
 
 __all__ = [
@@ -132,12 +132,12 @@ def _cs(kind, alpha):
     return math.cos(alpha), math.sin(alpha)
 
 
-def _half_angle_terms(plane, theta):
-    """(c(theta/2) I, gamma product, s(theta/2)) for a plane."""
+def _half_angle(plane, theta):
+    """(gamma product, c(theta/2), s(theta/2)) for a plane."""
     name, orient = canonical_plane(plane)
     gp, kind, _, _ = _plane_data(name)
     c, s = _cs(kind, orient * theta / 2)
-    return TensorMatrix.identity(4).scale(c), gp, s
+    return gp, c, s
 
 
 def generator(plane, theta):
@@ -147,32 +147,28 @@ def generator(plane, theta):
     cos/sin for rotation planes and cosh/sinh for boost planes.
     theta = 0 gives the identity; a = b is rejected.
     """
-    c_ident, gp, s = _half_angle_terms(plane, theta)
-    return c_ident + gp.scale(s)
+    return exp_pair(*_half_angle(plane, theta))[0]
 
 
 def _step_factors(plane, theta):
     """The (left, right) 2x2 factors of one conjugation step on X."""
     name, orient = canonical_plane(plane)
     _, kind, tl, br = _plane_data(name)
-    half = orient * theta / 2
-    c, s = _cs(kind, half)
-    ident = TensorMatrix.identity(2)
-    left = ident.scale(c) + tl.scale(s)
-    right = ident.scale(c) + br.scale(-s)
-    return left, right
+    c, s = _cs(kind, orient * theta / 2)
+    return exp_pair(tl, c, s)[0], exp_pair(br, c, s)[1]
 
 
 def _conjugate(word, p):
     """M p M^-1 for each step, M = generator(plane, theta).
 
-    M^-1 = generator(plane, -theta) = c I - s G from the same (c, s):
-    libm's cos and cosh are even and sin and sinh odd, so this is bit
-    for bit the matrix generator(plane, -theta) builds.
+    M and M^-1 = generator(plane, -theta) = c I - s G come from one
+    exp_pair call on the same (c, s): libm's cos and cosh are even and
+    sin and sinh odd, so this is bit for bit the matrix
+    generator(plane, -theta) builds.
     """
     for plane, theta in word:
-        c_ident, gp, s = _half_angle_terms(plane, theta)
-        p = ((c_ident + gp.scale(s)) @ p) @ (c_ident + gp.scale(-s))
+        m, m_inv = exp_pair(*_half_angle(plane, theta))
+        p = (m @ p) @ m_inv
     return p
 
 
@@ -372,11 +368,10 @@ def verify_group(config=None):
     for name in PLANES:
         prod = generator(name, 0.77) @ generator(name, -0.77)
         dev = (prod - ident4).max_abs()
-        report.add(
+        report.bound(
             "inverse[%s]" % name,
-            dev <= tol,
-            "<= %g" % tol,
-            repr(dev),
+            dev,
+            tol,
             "generator(theta) @ generator(-theta) vs identity",
         )
 
@@ -384,11 +379,10 @@ def verify_group(config=None):
         dev = float(
             np.max(np.abs(so6_step(name, 0.37) - so6_matrix([(name, 0.37)])))
         )
-        report.add(
+        report.bound(
             "step-vs-definition[%s]" % name,
-            dev <= tol,
-            "<= %g" % tol,
-            repr(dev),
+            dev,
+            tol,
             "closed-form 6x6 step vs action on basis vectors",
         )
 
@@ -399,11 +393,10 @@ def verify_group(config=None):
         lhs = so6_matrix(w1 + w2)
         rhs = so6_matrix(w2) @ so6_matrix(w1)
         comp_dev = max(comp_dev, float(np.max(np.abs(lhs - rhs))))
-    report.add(
+    report.bound(
         "composition",
-        comp_dev <= tol,
-        "<= %g" % tol,
-        repr(comp_dev),
+        comp_dev,
+        tol,
         "so6(w1 then w2) vs so6(w2) @ so6(w1), 12 seeded word pairs",
     )
 
@@ -414,11 +407,10 @@ def verify_group(config=None):
         word = _random_word(rng, 5, 0.6)
         img = act_on_vector(word, v)
         qform_dev = max(qform_dev, abs(metric_form(img) - metric_form(v)))
-    report.add(
+    report.bound(
         "invariance[qform]",
-        qform_dev <= 1e-9,
-        "<= 1e-09",
-        repr(qform_dev),
+        qform_dev,
+        1e-9,
         "metric square preserved along %d seeded conjugation words" % n_heavy,
     )
 
@@ -429,19 +421,14 @@ def verify_group(config=None):
         r = compose_so6(word)
         metric_dev = max(metric_dev, float(np.max(np.abs(r.T @ g6 @ r - g6))))
         det_dev = max(det_dev, abs(float(np.linalg.det(r)) - 1.0))
-    report.add(
+    report.bound(
         "invariance[metric]",
-        metric_dev <= tol,
-        "<= %g" % tol,
-        repr(metric_dev),
+        metric_dev,
+        tol,
         "R^T G R vs G over %d seeded words" % samples,
     )
-    report.add(
-        "invariance[det]",
-        det_dev <= tol,
-        "<= %g" % tol,
-        repr(det_dev),
-        "det R vs 1 over %d seeded words" % samples,
+    report.bound(
+        "invariance[det]", det_dev, tol, "det R vs 1 over %d seeded words" % samples
     )
 
     for m in ("p", "q"):
@@ -461,11 +448,10 @@ def verify_group(config=None):
         r6 = so6_step(name, 0.83)
         r4 = r6[np.ix_(idx4, idx4)]
         dev = float(np.max(np.abs(r4.T @ eta @ r4 - eta)))
-        report.add(
+        report.bound(
             "lorentz[%s]" % name,
-            dev <= tol,
-            "<= %g" % tol,
-            repr(dev),
+            dev,
+            tol,
             "restricted 4x4 block preserves the (+,+,+,-) form",
         )
 
@@ -473,11 +459,10 @@ def verify_group(config=None):
     for name in lorentz_planes:
         m_ab = generator(name, 0.9)
         dev = ((m_pq @ m_ab) - (m_ab @ m_pq)).max_abs()
-        report.add(
+        report.bound(
             "pq-commutes[%s]" % name,
-            dev <= tol,
-            "<= %g" % tol,
-            repr(dev),
+            dev,
+            tol,
             "dilation generator commutes with the Lorentz planes",
         )
 

@@ -1,31 +1,45 @@
 """Square matrices over the split-quaternion tensor algebra.
 
-Entries are :class:`~splitconf.algebra.TensorScalar` values; the
-matrix product inlines the eight-coefficient scalar product so the hot
-loops stay flat.  Products, sums and scalings skip zero entries by
-their ``nonzero`` flag: the product never multiplies them, and sums,
-differences and scalings by a number pass them through untouched.
-Whether a matrix is exact (all coefficients ``int``/``Fraction``) is
-decided once per matrix, on first use, by :meth:`TensorMatrix.is_exact`.
+Entries are :class:`~splitconf.algebra.TensorScalar` values.  The
+matrix product and :func:`trace_product` multiply entries through the
+one product kernel of the algebra (``algebra.mul_terms``): each entry's
+nonzero (basis index, coefficient) terms are listed once per product,
+and entry (i, j) sums a[i][k] b[k][j] over the nonzero pairs in
+ascending k, each in ascending (a index, b index) order.  Products,
+sums and scalings skip zero entries by their ``nonzero`` flag: the
+product never multiplies them, and sums, differences and scalings by a
+number pass them through untouched.  Whether a matrix is exact (all
+coefficients ``int``/``Fraction``) is decided once per matrix, on first
+use, by :meth:`TensorMatrix.is_exact`.
+
 Exponentials are only provided for the two shapes that close in this
 algebra, generators squaring to a multiple of the identity and
 nilpotent generators squaring to zero, both checked exactly before use.
-The nilpotency proof is also made once per matrix and cached
+Both are c I + s G for a pair (c, s); :func:`exp_pair` builds c I + s G
+and its inverse c I - s G together, straight from the entries of G.
+The nilpotency proof is made once per matrix and cached
 (:meth:`TensorMatrix.squares_to_zero`), so a cached generator
 exponentiated on every step is squared only once.
 """
 
 from fractions import Fraction
 
-from .algebra import _MUL, ONE, TensorScalar, ZERO, is_exact
+from .algebra import ONE, TensorScalar, ZERO, is_exact, mul_terms, terms
 
 __all__ = [
     "TensorMatrix",
+    "exp_pair",
     "exp_involutory",
     "exp_nilpotent",
     "trace_product",
     "quadratic_form",
 ]
+
+
+def _term_rows(rows):
+    """Each entry's term list (algebra.terms), None for a zero entry."""
+    return [[terms(e.coeffs) if e.nonzero else None for e in r] for r in rows]
+
 
 class TensorMatrix:
     """A square matrix with TensorScalar entries.
@@ -142,47 +156,20 @@ class TensorMatrix:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("size mismatch")
-        n = self.n
-        # Column-major view of other, as raw coefficient tuples.
-        bcols = [
-            [
-                other.rows[k][j].coeffs if other.rows[k][j].nonzero else None
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        arows = [[e.coeffs if e.nonzero else None for e in r] for r in self.rows]
+        bcols = _term_rows(zip(*other.rows))
         out_rows = []
-        for i in range(n):
-            arow = arows[i]
+        for arow in _term_rows(self.rows):
             out_row = []
-            for j in range(n):
-                bcol = bcols[j]
+            for bcol in bcols:
                 acc = None
-                for k in range(n):
-                    a = arow[k]
-                    if a is None:
-                        continue
-                    b = bcol[k]
-                    if b is None:
-                        continue
-                    for p in range(8):
-                        ap = a[p]
-                        if ap:
-                            row = _MUL[p]
-                            for q in range(8):
-                                bq = b[q]
-                                if bq:
-                                    if acc is None:
-                                        acc = [0] * 8
-                                    t, sgn = row[q]
-                                    if sgn > 0:
-                                        acc[t] = acc[t] + ap * bq
-                                    else:
-                                        acc[t] = acc[t] - ap * bq
+                for a, b in zip(arow, bcol):
+                    if a is not None and b is not None:
+                        if acc is None:
+                            acc = [0] * 8
+                        mul_terms(acc, a, b)
                 out_row.append(ZERO if acc is None else TensorScalar(acc))
-            out_rows.append(tuple(out_row))
-        return TensorMatrix(tuple(out_rows))
+            out_rows.append(out_row)
+        return TensorMatrix(out_rows)
 
     def scale(self, s):
         """Multiply every entry by s on the left (TensorScalar or number)."""
@@ -292,35 +279,21 @@ class TensorMatrix:
 
 
 def trace_product(a, b):
-    """trace(a @ b) without forming the full product."""
+    """trace(a @ b) without forming the full product.
+
+    The reference for the order clifford's gather table copies: for
+    each i, then each k, a[i][k] b[k][i] through the product kernel.
+    """
     if a.n != b.n:
         raise ValueError("size mismatch")
-    n = a.n
     acc = [0] * 8
     touched = False
-    for i in range(n):
-        arow = a.rows[i]
-        for k in range(n):
-            x = arow[k]
-            if not x.nonzero:
-                continue
+    for i, arow in enumerate(a.rows):
+        for k, x in enumerate(arow):
             y = b.rows[k][i]
-            if not y.nonzero:
-                continue
-            touched = True
-            xc, yc = x.coeffs, y.coeffs
-            for p in range(8):
-                xp = xc[p]
-                if xp:
-                    row = _MUL[p]
-                    for q in range(8):
-                        yq = yc[q]
-                        if yq:
-                            t, sgn = row[q]
-                            if sgn > 0:
-                                acc[t] = acc[t] + xp * yq
-                            else:
-                                acc[t] = acc[t] - xp * yq
+            if x.nonzero and y.nonzero:
+                touched = True
+                mul_terms(acc, terms(x.coeffs), terms(y.coeffs))
     return TensorScalar(acc) if touched else ZERO
 
 
@@ -336,6 +309,31 @@ def _sincosh(theta, hyperbolic):
     return math.cos(theta), math.sin(theta)
 
 
+def exp_pair(gen, c, s):
+    """(c I + s gen, c I - s gen), straight from the entries of gen.
+
+    These are exp(theta gen) and its inverse exp(-theta gen) for the
+    closed forms below.  Every coefficient comes from the operations
+    TensorMatrix.identity(n).scale(c) + gen.scale(+-s) performs, so
+    the matrices are those bit for bit, signed zeros included: the
+    diagonal adds ONE * c, a zero entry of gen passes through as it is,
+    and a sum with a zero term is the other term.
+    """
+    diag = ONE * c
+
+    def combine(t):
+        rows = [
+            [TensorScalar([x * t for x in g.coeffs]) if g.nonzero else g for g in r]
+            for r in gen.rows
+        ]
+        if diag.nonzero:
+            for i, r in enumerate(rows):
+                r[i] = diag + r[i] if r[i].nonzero else diag
+        return TensorMatrix(rows)
+
+    return combine(s), combine(-s)
+
+
 def exp_involutory(gen, theta):
     """exp(gen * theta) for gen with gen @ gen == +I or -I (checked exactly).
 
@@ -343,22 +341,24 @@ def exp_involutory(gen, theta):
     Squares to -I: cos(theta) I + sin(theta) gen.
     """
     sq = gen @ gen
-    n = gen.n
-    ident = TensorMatrix.identity(n)
+    ident = TensorMatrix.identity(gen.n)
     if sq == ident:
         c, s = _sincosh(theta, True)
     elif sq == -ident:
         c, s = _sincosh(theta, False)
     else:
         raise ValueError("generator must square to +I or -I exactly")
-    return ident.scale(c) + gen.scale(s)
+    return exp_pair(gen, c, s)[0]
 
 
 def exp_nilpotent(gen, theta):
-    """exp(gen * theta) for gen with gen @ gen == 0 (checked exactly, once per gen)."""
+    """exp(gen * theta) = I + theta gen for gen @ gen == 0.
+
+    Nilpotency is checked exactly, once per gen.
+    """
     if not gen.squares_to_zero():
         raise ValueError("generator must square to zero exactly")
-    return TensorMatrix.identity(gen.n) + gen.scale(theta)
+    return exp_pair(gen, 1, theta)[0]
 
 
 def quadratic_form(x, tol=1e-9):

@@ -240,11 +240,10 @@ def restrict_so31_second(gens=None, config=None):
     for name in _LORENTZ:
         other = exp_real_generator(name, 0.59)
         dev = float(np.max(np.abs(pq_exp @ other - other @ pq_exp)))
-        report.add(
+        report.bound(
             "restriction[commutes,%s]" % name,
-            dev <= tol,
-            "<= %g" % tol,
-            repr(dev),
+            dev,
+            tol,
             "exp of the pq product commutes with the Lorentz exp",
         )
 
@@ -389,11 +388,10 @@ def verify_realrep(config=None):
             word_dev,
             float(np.max(np.abs(realify_matrix(abstract) - real))),
         )
-    report.add(
+    report.bound(
         "homomorphism[word]",
-        word_dev <= tol,
-        "<= %g" % tol,
-        repr(word_dev),
+        word_dev,
+        tol,
         "realified generator words match products of real exponentials",
     )
 

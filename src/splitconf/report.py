@@ -52,6 +52,10 @@ class Report:
         self.checks.append(Check(check_id, status, str(expected), str(actual), context))
         return ok
 
+    def bound(self, check_id, dev, tol, context=""):
+        """Record a pass/fail check that a deviation is at most tol."""
+        return self.add(check_id, dev <= tol, "<= %g" % tol, repr(dev), context)
+
     def add_comparison(self, check_id, ok, expected, actual, context=""):
         """Record a reference comparison: mismatches are documented, not failed."""
         status = STATUS_PASS if ok else STATUS_DISCREPANCY

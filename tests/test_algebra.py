@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splitconf.algebra import (
+    _H_MUL,
+    _MUL,
     BASIS,
     ELL,
     H_UNITS,
@@ -28,6 +30,31 @@ scalars = st.builds(
 )
 
 units = st.sampled_from(BASIS).map(TensorScalar.unit)
+
+# Coefficients of every numeric type the kernel meets, zeros of each
+# type and both signed float zeros among them.
+mixed_values = (
+    st.sampled_from([0, 0.0, -0.0])
+    | st.integers(-6, 6)
+    | st.fractions(min_value=-4, max_value=4, max_denominator=8)
+    | st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+)
+
+
+def dense_product(a, b, table):
+    """The product loop as written before the shared kernel: every
+    coefficient pair scanned in (a index, b index) order, zeros skipped."""
+    out = [0] * len(table)
+    for i in range(len(table)):
+        if a[i]:
+            for j in range(len(table)):
+                if b[j]:
+                    k, sgn = table[i][j]
+                    if sgn > 0:
+                        out[k] = out[k] + a[i] * b[j]
+                    else:
+                        out[k] = out[k] - a[i] * b[j]
+    return out
 
 
 # K^2 = -1, L^2 = (KL)^2 = +1, and the full sign grid of the split units.
@@ -114,6 +141,24 @@ class TestRingLaws:
             for b in els:
                 for c in els:
                     assert (a * b) * c == a * (b * c)
+
+
+class TestProductKernel:
+    @given(st.tuples(*([mixed_values] * 8)), st.tuples(*([mixed_values] * 8)))
+    def test_product_equals_the_dense_loop(self, a, b):
+        got = TensorScalar(a) * TensorScalar(b)
+        want = dense_product(a, b, _MUL) if any(a) and any(b) else ZERO.coeffs
+        assert repr(got.coeffs) == repr(tuple(want))
+
+    def test_float_sums_keep_the_index_order(self):
+        # The scalar part sums 1*1, K*K and L*L in that order:
+        # (2**53 + 1) - 2**53 == 0.0, while the reverse order gives 1.0.
+        big = float(2**53)
+        a = TensorScalar((big, 1.0, 0, -big, 0, 0, 0, 0))
+        b = TensorScalar((1.0, -1.0, 0, 1.0, 0, 0, 0, 0))
+        got = (a * b).coeffs
+        assert got[0] == 0.0
+        assert repr(got) == repr(tuple(dense_product(a.coeffs, b.coeffs, _MUL)))
 
 
 class TestInvolutions:
@@ -232,6 +277,12 @@ class TestSplitQuaternion:
         q = SplitQuaternion(a, b, c, d)
         r = SplitQuaternion(e, f, g, h)
         assert (q * r).to_tensor() == q.to_tensor() * r.to_tensor()
+
+    @given(st.tuples(*([mixed_values] * 8)))
+    def test_product_equals_the_dense_loop(self, c):
+        q, r = SplitQuaternion(*c[:4]), SplitQuaternion(*c[4:])
+        want = dense_product(c[:4], c[4:], _H_MUL)
+        assert repr((q * r)._vec()) == repr(tuple(want))
 
     def test_zero_divisor_witness(self):
         q = SplitQuaternion(1, 0, 0, 1)

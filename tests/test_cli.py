@@ -3,9 +3,13 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import splitconf
 from splitconf import cli
 from splitconf.report import Report
 
@@ -112,6 +116,19 @@ class TestVerifyCommand:
         # ids it changed in CHANGES.md.
         digest = hashlib.md5(default_verify_json.encode("utf-8")).hexdigest()
         assert digest == "94880c4df0368417b49b39e86d87e9fa"
+        # More seeds sample more float angles, so a reordered float sum
+        # in the product kernel shows here too.
+        for seed, want in (
+            (1, "8e92e27c01a006108de4c49c24ccb227"),
+            (7, "30b38ebb7fa119a8cfe9f01143eec476"),
+            (1234, "73beee223d4f34db7b61214fec26e84f"),
+        ):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["verify", "--format", "json", "--seed", str(seed)])
+            assert code == 0
+            digest = hashlib.md5(out.getvalue().encode("utf-8")).hexdigest()
+            assert digest == want, seed
 
     def test_default_json_carries_no_numpy_reprs(self, default_verify_json):
         # A numpy scalar reaching a report prints as np.float64(...)
@@ -308,3 +325,34 @@ class TestEntryPoint:
         assert cli.main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "verify" in out
+
+    def test_python_dash_m_runs_the_command_line(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(splitconf.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "splitconf", "verify", "--suites", "clifford"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "21 pass, 0 fail" in done.stdout
+        bad = subprocess.run(
+            [sys.executable, "-m", "splitconf", "verify", "--suites", "bogus"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert bad.returncode == 2
+        assert "unknown suite" in bad.stderr
+
+
+class TestReportBound:
+    def test_bound_records_what_add_would(self):
+        for dev, tol in ((3e-16, 1e-12), (2e-9, 1e-9), (0.0, 1e-9), (1.5, 1)):
+            a, b = Report("s"), Report("s")
+            a.add("c", dev <= tol, "<= %g" % tol, repr(dev), "ctx")
+            assert b.bound("c", dev, tol, "ctx") == (dev <= tol)
+            assert a.checks == b.checks
+        r = Report("s")
+        r.bound("c", 1e-10, 1e-9)
+        assert r.checks[0].expected == "<= 1e-09"

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from splitconf.clifford import Vector6
+from splitconf.clifford import Vector6, build_P, gamma
 from splitconf.conformal import (
     AT_INFINITY,
     CLASSIFY_BASIS,
     MinkowskiPoint,
     NullVector,
+    _nilpotent_conjugate,
+    _nilpotent_generator,
     classify_generators,
     conformal_translation_generator,
     embed_point,
@@ -23,6 +25,8 @@ from splitconf.conformal import (
     translation_generator,
     verify_conformal,
 )
+from splitconf.group import TRANSLATION_NAMES
+from splitconf.matrices import TensorMatrix, exp_nilpotent, exp_pair
 
 coords = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
 
@@ -83,6 +87,22 @@ class TestNullVectorValidation:
         v = embed_point(MinkowskiPoint(0.1, 0.2, 0.3, 0.4)).v
         NullVector(Vector6(*(float(c) for c in v.as_tuple())))
 
+    def test_rejects_a_nan_coordinate(self):
+        with pytest.raises(ValueError, match="metric square nan is not finite"):
+            NullVector(Vector6(x=math.nan, p=1.0))
+
+    def test_rejects_infinite_coordinates_by_their_form(self):
+        # inf - inf makes the form nan; the reason is the form, not p + q.
+        inf = math.inf
+        with pytest.raises(ValueError, match="metric square nan is not finite"):
+            NullVector(Vector6(x=inf, y=inf, t=inf, p=1.0, q=1.0))
+
+    def test_rejects_squares_that_overflow(self):
+        # Squares above ~1.3e154 overflow to inf; the form inf - inf is
+        # nan, refused by name instead of an OverflowError.
+        with pytest.raises(ValueError, match="metric square nan is not finite"):
+            NullVector(Vector6(x=1e200, p=1e200, q=1.0))
+
 
 class TestTranslations:
     @given(points, st.floats(-1.5, 1.5, allow_nan=False))
@@ -120,6 +140,37 @@ class TestTranslations:
             translation_generator("p")
         with pytest.raises(ValueError):
             conformal_translation_generator("q")
+
+
+def coefficient_reprs(mat):
+    return [[repr(e.coeffs) for e in r] for r in mat.rows]
+
+
+class TestNilpotentPair:
+    HALVES = (
+        Fraction(1, 3), Fraction(-7, 4), 2, -1, 0,
+        0.3, -0.3, 0.0, -0.0, 1e-300, -5e-324, 1e8,
+    )
+
+    def test_pair_is_the_dense_exponential_at_plus_and_minus_h(self):
+        ident = TensorMatrix.identity(4)
+        for name in TRANSLATION_NAMES:
+            gen = _nilpotent_generator(name[0], name[1])
+            for h in self.HALVES:
+                u, u_inv = exp_pair(gen, 1, h)
+                want = coefficient_reprs(ident + gen.scale(h))
+                want_inv = coefficient_reprs(ident + gen.scale(-h))
+                assert coefficient_reprs(u) == want, (name, h)
+                assert coefficient_reprs(u_inv) == want_inv, (name, h)
+                assert coefficient_reprs(exp_nilpotent(gen, h)) == want
+                assert coefficient_reprs(exp_nilpotent(gen, -h)) == want_inv
+
+    def test_step_path_rejects_a_generator_that_is_not_nilpotent(self):
+        p4 = build_P(Vector6(x=1, p=1))
+        not_nilpotent = gamma("p") @ gamma("x")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="square to zero"):
+                _nilpotent_conjugate(not_nilpotent, 0.5, p4)
 
 
 class TestStepRegime:

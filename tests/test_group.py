@@ -11,7 +11,7 @@ from splitconf.clifford import Vector6, build_P, build_X, metric_form
 from splitconf.group import (
     PLANES,
     _conjugate,
-    _half_angle_terms,
+    _half_angle,
     act_on_P,
     act_on_X,
     act_on_vector,
@@ -28,7 +28,7 @@ from splitconf.group import (
     verify_group,
     verify_properties,
 )
-from splitconf.matrices import TensorMatrix, quadratic_form
+from splitconf.matrices import TensorMatrix, exp_pair, quadratic_form
 
 angles = st.floats(-1.2, 1.2, allow_nan=False, allow_infinity=False)
 
@@ -140,15 +140,20 @@ class TestSharedHalfAngle:
                 assert math.sinh(-x).hex() == (-math.sinh(x)).hex()
 
     def test_inverse_from_one_pair_is_the_generator_at_minus_theta(self):
+        # exp_pair against the dense identity.scale(c) + gp.scale(s) at
+        # +theta and at -theta, each from its own (c, s).
+        ident = TensorMatrix.identity(4)
         for name in PLANES + ("yx", "qp"):
             for theta in SWEEP:
-                c_ident, gp, s = _half_angle_terms(name, theta)
-                assert coefficient_reprs(c_ident + gp.scale(s)) == coefficient_reprs(
-                    generator(name, theta)
+                gp, c, s = _half_angle(name, theta)
+                m, m_inv = exp_pair(gp, c, s)
+                assert coefficient_reprs(m) == coefficient_reprs(
+                    ident.scale(c) + gp.scale(s)
                 )
-                assert coefficient_reprs(c_ident + gp.scale(-s)) == coefficient_reprs(
-                    generator(name, -theta)
-                ), (name, theta)
+                gp, c, s = _half_angle(name, -theta)
+                want = coefficient_reprs(ident.scale(c) + gp.scale(s))
+                assert coefficient_reprs(m_inv) == want, (name, theta)
+                assert coefficient_reprs(generator(name, -theta)) == want
 
     def test_conjugation_matches_the_two_generators(self):
         p = build_P(Vector6(0.3, -1.1, 0.7, 0.2, 1.9, -0.4))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitconf.algebra import ELL, K, L, ONE, TensorScalar, ZERO
+from splitconf.algebra import _MUL, ELL, K, L, ONE, TensorScalar, ZERO
 from splitconf.matrices import (
     TensorMatrix,
     exp_involutory,
@@ -27,6 +27,84 @@ mats2 = st.builds(
     scalars,
     scalars,
 )
+
+
+# Entries for the kernel properties: zero entries, and coefficients of
+# every numeric type with zeros of each type, both float zeros included.
+mixed_values = (
+    st.sampled_from([0, 0.0, -0.0])
+    | st.integers(-6, 6)
+    | st.fractions(min_value=-4, max_value=4, max_denominator=8)
+    | st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+)
+
+mixed_entries = st.just(ZERO) | st.builds(
+    TensorScalar, st.tuples(*([mixed_values] * 8))
+)
+
+
+def mixed_pairs(n_max=4):
+    """Two same-size square matrices of mixed entries."""
+    return st.integers(1, n_max).flatmap(
+        lambda n: st.tuples(*[
+            st.builds(
+                TensorMatrix,
+                st.lists(
+                    st.lists(mixed_entries, min_size=n, max_size=n),
+                    min_size=n,
+                    max_size=n,
+                ),
+            )
+        ] * 2)
+    )
+
+
+def dense_pair_product(acc, x, y):
+    """acc += x * y over all 8 x 8 coefficient pairs, zeros skipped."""
+    for p in range(8):
+        if x[p]:
+            for q in range(8):
+                if y[q]:
+                    t, sgn = _MUL[p][q]
+                    if sgn > 0:
+                        acc[t] = acc[t] + x[p] * y[q]
+                    else:
+                        acc[t] = acc[t] - x[p] * y[q]
+
+
+def dense_matmul(a, b):
+    """The 4x4 product as the dense loop computed it, summing over k."""
+    n = a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = None
+            for k in range(n):
+                x, y = a.rows[i][k], b.rows[k][j]
+                if x.nonzero and y.nonzero:
+                    if acc is None:
+                        acc = [0] * 8
+                    dense_pair_product(acc, x.coeffs, y.coeffs)
+            row.append(ZERO if acc is None else TensorScalar(acc))
+        rows.append(row)
+    return TensorMatrix(rows)
+
+
+def dense_trace_product(a, b):
+    acc = [0] * 8
+    touched = False
+    for i in range(a.n):
+        for k in range(a.n):
+            x, y = a.rows[i][k], b.rows[k][i]
+            if x.nonzero and y.nonzero:
+                touched = True
+                dense_pair_product(acc, x.coeffs, y.coeffs)
+    return TensorScalar(acc) if touched else ZERO
+
+
+def coefficient_reprs(mat):
+    return [[repr(e.coeffs) for e in r] for r in mat.rows]
 
 
 def diag2(a, b):
@@ -56,6 +134,30 @@ class TestMatrixRing:
     def test_rectangular_rows_rejected(self):
         with pytest.raises(ValueError):
             TensorMatrix(((ONE, ZERO), (ONE,)))
+
+
+class TestProductKernel:
+    @given(mixed_pairs())
+    def test_product_equals_the_dense_loop(self, pair):
+        a, b = pair
+        assert coefficient_reprs(a @ b) == coefficient_reprs(dense_matmul(a, b))
+
+    @given(mixed_pairs())
+    def test_trace_product_equals_the_dense_loop(self, pair):
+        a, b = pair
+        got = trace_product(a, b)
+        assert repr(got.coeffs) == repr(dense_trace_product(a, b).coeffs)
+
+    def test_float_sums_keep_the_k_order(self):
+        # Entry (0, 0) sums k = 0, 1, 2: (2**53 + 1) - 2**53 == 0.0,
+        # while summing k in reverse gives 1.0.
+        big = TensorScalar.from_real(float(2**53))
+        a = TensorMatrix(((big, ONE, -big), (ZERO,) * 3, (ZERO,) * 3))
+        b = TensorMatrix(((ONE,) * 3, (ONE,) * 3, (ONE,) * 3))
+        got = a @ b
+        assert got.rows[0][0].coeffs[0] == 0.0
+        assert coefficient_reprs(got) == coefficient_reprs(dense_matmul(a, b))
+        assert trace_product(a, b).coeffs[0] == 0.0
 
 
 class TestBlocks:
