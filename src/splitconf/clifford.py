@@ -15,10 +15,21 @@ symmetric trace trace(gamma P) + trace(P gamma) is a short signed sum
 of coefficients of P.  The table lists those coefficients in the order
 ``trace_product`` adds them, which keeps float results bit for bit
 those of the generic ``inner_product``.
+
+Both tables also drive a batched float form (``build_P_batch``,
+``extract_coords_batch``): n matrices in the span of the gammas as one
+(64, n) numpy array, row r holding coefficient ``block_rows(False)[r]``
+of the off-diagonal 2x2 blocks, where every gamma has its entries.
+The gather sums run in rounds, round r adding term r of every sum, so
+each sum is formed in the gather table's order and rounds exactly as
+the scalar sum does; a zero term adds nothing to a sum that starts at
++0.0, which the scalar route skips.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .algebra import _MUL, ELL, K, KL, L, ONE, TensorScalar, ZERO, is_exact
 from .matrices import TensorMatrix, trace_product
@@ -34,6 +45,9 @@ __all__ = [
     "build_P",
     "inner_product",
     "extract_coords",
+    "block_rows",
+    "build_P_batch",
+    "extract_coords_batch",
     "metric_form",
     "verify_clifford",
 ]
@@ -55,6 +69,7 @@ _sigma_cache = {}
 _gamma_cache = {}
 _slot_cache = {}
 _gather_cache = {}
+_batch_cache = []
 
 
 def sigma(m):
@@ -316,6 +331,93 @@ def extract_coords(p, tol=1e-9):
             "matrix lies outside the span of the gammas (residual %s)" % (residual,)
         )
     return Vector6(*coords)
+
+
+def block_rows(diagonal):
+    """Flat indices 32*row + 8*col + basis of the diagonal (or off-diagonal) 2x2 blocks."""
+    return tuple(
+        32 * i + 8 * j + t
+        for i in range(4)
+        for j in range(4)
+        if (i // 2 == j // 2) == diagonal
+        for t in range(8)
+    )
+
+
+def _batch_tables():
+    """The slot and gather tables as index arrays over the off-diagonal rows.
+
+    Built on first use from _slots and _gather, asserting that every
+    entry they name lies in the off-diagonal blocks and that all gather
+    sums have one length.  Returns ((rows, coordinate, sign) of the 24
+    slots, and per trace side (index, sign) arrays of shape (terms, 48)
+    and (terms, 48, 1), one row per round over the 6 x 8 components).
+    """
+    if not _batch_cache:
+        pos = {f: r for r, f in enumerate(block_rows(False))}
+
+        def row(f):
+            if f not in pos:
+                raise AssertionError("gamma is not block off-diagonal")
+            return pos[f]
+
+        rows, coord, sign = zip(
+            *(
+                (row(32 * i + 8 * j + k), c, s)
+                for c, m in enumerate(COORDS)
+                for i, j, k, s in _slots(m)
+            )
+        )
+        pack = (np.array(rows), np.array(coord), np.array(sign, float)[:, None])
+        sides = []
+        for side in (0, 1):
+            sums = [_gather(m)[t][side] for m in COORDS for t in range(8)]
+            if len({len(terms) for terms in sums}) != 1:
+                raise AssertionError("gather sums differ in length")
+            idx = np.array([[row(f) for f, _ in terms] for terms in sums]).T
+            sgn = np.array([[s for _, s in terms] for terms in sums], float).T
+            sides.append((idx, sgn[:, :, None]))
+        metric = np.array([[METRIC[m]] for m in COORDS], float)
+        _batch_cache.append((pack, sides, metric))
+    return _batch_cache[0]
+
+
+def build_P_batch(coords):
+    """build_P over the columns of a (6, n) float array, as a (64, n) batch.
+
+    Each slot holds c or -c as in build_P; every other coefficient is 0.
+    """
+    (rows, coord, sign), _, _ = _batch_tables()
+    p = np.zeros((64, coords.shape[1]))
+    p[rows] = sign * coords[coord]
+    return p
+
+
+def extract_coords_batch(p, tol=1e-9):
+    """extract_coords over the columns of a (64, n) float batch.
+
+    Returns (coords, ok): a (6, n) float array, a zero as 0.0, and a
+    bool array, False for a column that is not finite or that
+    extract_coords would refuse (the same realness and residual tests
+    at the same tolerances); the coordinates of such a column mean nothing.
+    """
+    _, sides, metric = _batch_tables()
+    n = p.shape[1]
+    traces = []
+    for idx, sgn in sides:
+        acc = np.zeros((idx.shape[1], n))
+        for r in range(len(idx)):
+            acc += sgn[r] * p[idx[r]]
+        traces.append(acc)
+    sym = (traces[0] + traces[1]).reshape(6, 8, n)
+    mag = np.abs(sym)
+    use_tol = tol * np.maximum(1.0, mag.max(axis=1))
+    real = (mag[:, 1:] <= use_tol[:, None]).all(axis=(0, 1))
+    coords = metric * sym[:, 0] / 8 + 0.0
+    residual = np.abs(p - build_P_batch(coords)).max(axis=0)
+    limit = tol * np.maximum(1.0, np.abs(p).max(axis=0))
+    ok = real & (residual <= limit) & np.isfinite(p).all(axis=0)
+    return coords, ok & np.isfinite(coords).all(axis=0)
 
 
 def verify_clifford(config=None):

@@ -30,7 +30,20 @@ from .clifford import (
     gamma,
     metric_form,
 )
-from .group import PLANES, act_on_vector, canonical_plane, so6_step
+from . import group
+from .group import (
+    PLANES,
+    TRANSLATION_NAMES,
+    _batchable,
+    _check_angle,
+    _elements,
+    _plane_step,
+    _run_batches,
+    _step_column,
+    act_on_vector,
+    canonical_plane,
+    so6_step,
+)
 from .matrices import exp_pair
 from .report import Report
 
@@ -50,6 +63,7 @@ __all__ = [
     "apply_conformal_translation",
     "apply_dilation",
     "step_vector",
+    "step_vectors",
     "q_or_infinity",
     "mobius_oracle",
     "CLASSIFY_BASIS",
@@ -118,10 +132,20 @@ class PointAtInfinity:
 AT_INFINITY = PointAtInfinity()
 
 
-def _sum_pq_negligible(s, v):
+def _pq_negligible(v, tol=1e-12):
+    """True when p + q of v is zero: exactly for exact coordinates, else
+    within tol relative to max(1, max |coordinate|).
+
+    A float coordinate that is not finite raises ValueError, since no
+    chart test holds for it.
+    """
+    s = v.p + v.q
     if is_exact(s):
         return s == 0
-    return abs(s) <= 1e-12 * max(1.0, float(v.max_abs()))
+    coords = v.as_tuple()
+    if any(isinstance(c, float) and not math.isfinite(c) for c in coords):
+        raise ValueError("coordinates %s are not finite" % (coords,))
+    return abs(s) <= tol * max(1.0, float(v.max_abs()))
 
 
 @dataclass(frozen=True)
@@ -148,7 +172,7 @@ class NullVector:
             m = float(v.max_abs())
             if abs(form) > 1e-9 * max(1.0, m * m):
                 raise ValueError("metric square %r beyond tolerance" % (form,))
-        if _sum_pq_negligible(v.p + v.q, v):
+        if _pq_negligible(v):
             raise ValueError("p + q = 0: no finite point coordinates")
 
     def as_point(self):
@@ -278,8 +302,13 @@ def apply_conformal_translation(m, theta, n):
     img = _nilpotent_conjugate(
         conformal_translation_generator(m), theta, build_P(n.v)
     )
-    coords = extract_coords(img)
-    if _sum_pq_negligible(coords.p + coords.q, coords):
+    return _chart(extract_coords(img))
+
+
+def _chart(coords):
+    """A conformal image as apply_conformal_translation reads it:
+    AT_INFINITY when p + q vanishes, else a NullVector."""
+    if _pq_negligible(coords):
         return AT_INFINITY
     return NullVector(coords)
 
@@ -295,9 +324,11 @@ def step_vector(name, theta, v):
     """One named step on a raw six-vector: a plane, or ax..at / bx..bt.
 
     Always returns a six-vector; interpreting it as a point is the
-    caller's concern (see q_or_infinity).
+    caller's concern (see q_or_infinity).  A float angle that is not
+    finite raises ValueError before any work.
     """
-    if name in ("ax", "ay", "az", "at", "bx", "by", "bz", "bt"):
+    _check_angle(theta)
+    if name in TRANSLATION_NAMES:
         gen = _nilpotent_generator(name[0], name[1])
         img = _nilpotent_conjugate(gen, theta, build_P(v))
         return extract_coords(img)
@@ -305,14 +336,58 @@ def step_vector(name, theta, v):
     return act_on_vector([(name, theta)], v)
 
 
+def _step_pair(name, theta):
+    """(column, c, s) of one step at a float angle, for group._elements."""
+    if name in TRANSLATION_NAMES:
+        gen = _nilpotent_generator(name[0], name[1])
+        if not gen.squares_to_zero():
+            raise ValueError("generator must square to zero exactly")
+        return _step_column(name, gen), 1.0, theta / 2
+    return _plane_step(name, theta)
+
+
+def step_vectors(names, thetas, vectors):
+    """[step_vector(n, t, v) for n, t, v in zip(...)], batched where it can be.
+
+    Steps with a finite float angle on float vectors (see
+    group._batchable) run in numpy batches, with the scalar route's
+    float operations in its order, so the results are bit for bit
+    step_vector's.  A lone such step, any other step, and any whose
+    angle overflows or whose batched result is not finite or fails the
+    span tests go through step_vector, which raises with its own
+    message.  A non-finite angle raises ValueError before any work.
+    """
+    names, thetas, vectors = list(names), list(thetas), list(vectors)
+    for theta in thetas:
+        _check_angle(theta)
+    pairs = {}
+    for i, (name, theta, v) in enumerate(zip(names, thetas, vectors)):
+        if type(theta) is float and _batchable(v):
+            try:
+                pairs[i] = _step_pair(name, theta)
+            except OverflowError:
+                pass
+
+    def steps_of(chunk):
+        cols, c, s = zip(*(pairs[i] for i in chunk))
+        return [_elements(np.hstack(cols), np.array(c), np.array(s))]
+
+    return _run_batches(
+        vectors,
+        list(pairs),
+        steps_of,
+        lambda i: step_vector(names[i], thetas[i], vectors[i]),
+    )
+
+
 def q_or_infinity(v, tol=1e-12):
-    """Point coordinates of a six-vector, or AT_INFINITY when p + q vanishes."""
-    s = v.p + v.q
-    if is_exact(s):
-        if s == 0:
-            return AT_INFINITY
-    elif abs(s) <= tol * max(1.0, float(v.max_abs())):
+    """Point coordinates of a six-vector, or AT_INFINITY when p + q vanishes.
+
+    A float coordinate that is not finite raises ValueError.
+    """
+    if _pq_negligible(v, tol):
         return AT_INFINITY
+    s = v.p + v.q
     return MinkowskiPoint(*(_div(v.component(m), s) for m in POINT_COORDS))
 
 
@@ -553,6 +628,20 @@ def _image_table_checks(report):
         )
 
 
+def _gap(a, b):
+    """The largest coordinate gap between two points."""
+    return max(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple()))
+
+
+def _null_images(names, thetas, nulls):
+    """NullVector images of null vectors, one step each (step_vectors).
+
+    Per sample this is apply_translation for a* names and
+    apply_dilation for pq.
+    """
+    return [NullVector(v) for v in step_vectors(names, thetas, [n.v for n in nulls])]
+
+
 def _random_point(rng, span=0.9):
     return MinkowskiPoint(*(rng.uniform(-span, span) for _ in range(4)))
 
@@ -581,19 +670,16 @@ def verify_conformal(config=None):
             )
 
     for m in TRANSLATABLE:
+        draws = [(_random_point(rng), rng.uniform(-0.8, 0.8)) for _ in range(25)]
+        outs = _null_images(
+            ["a" + m] * 25,
+            [theta for _, theta in draws],
+            [embed_point(pt) for pt, _ in draws],
+        )
         dev = 0.0
-        for _ in range(25):
-            pt = _random_point(rng)
-            theta = rng.uniform(-0.8, 0.8)
-            out = q_from_p(apply_translation(m, theta, embed_point(pt)))
+        for (pt, theta), out in zip(draws, outs):
             want = pt.shifted(m, theta)
-            dev = max(
-                dev,
-                max(
-                    abs(a - b)
-                    for a, b in zip(out.as_tuple(), want.as_tuple())
-                ),
-            )
+            dev = max(dev, _gap(q_from_p(out), want))
         report.bound(
             "translation-law[%s]" % m,
             dev,
@@ -601,22 +687,19 @@ def verify_conformal(config=None):
             "point coordinate shifts by theta, 25 seeded samples",
         )
 
+    draws = [
+        (_random_point(rng), rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+        for _ in range(25)
+    ]
+    starts = [embed_point(pt) for pt, _, _ in draws]
+    firsts = _null_images(["ax"] * 25, [th1 for _, th1, _ in draws], starts)
+    two_steps = _null_images(["ax"] * 25, [th2 for _, _, th2 in draws], firsts)
+    one_steps = _null_images(
+        ["ax"] * 25, [th1 + th2 for _, th1, th2 in draws], starts
+    )
     add_dev = 0.0
-    for _ in range(25):
-        pt = _random_point(rng)
-        th1, th2 = rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)
-        n = embed_point(pt)
-        two_step = q_from_p(
-            apply_translation("x", th2, apply_translation("x", th1, n))
-        )
-        one_step = q_from_p(apply_translation("x", th1 + th2, n))
-        add_dev = max(
-            add_dev,
-            max(
-                abs(a - b)
-                for a, b in zip(two_step.as_tuple(), one_step.as_tuple())
-            ),
-        )
+    for two_step, one_step in zip(two_steps, one_steps):
+        add_dev = max(add_dev, _gap(q_from_p(two_step), q_from_p(one_step)))
     report.bound(
         "additivity[x]",
         add_dev,
@@ -624,22 +707,17 @@ def verify_conformal(config=None):
         "translate(th1) then translate(th2) vs translate(th1+th2)",
     )
 
-    dil_dev = 0.0
     unit_x = MinkowskiPoint(x=1)
     half_x = q_from_p(apply_dilation(math.log(2), embed_point(unit_x)))
-    dil_dev = max(
-        abs(a - b)
-        for a, b in zip(half_x.as_tuple(), MinkowskiPoint(x=0.5).as_tuple())
+    dil_dev = _gap(half_x, MinkowskiPoint(x=0.5))
+    draws = [(_random_point(rng), rng.uniform(-0.8, 0.8)) for _ in range(20)]
+    outs = _null_images(
+        ["pq"] * 20,
+        [theta for _, theta in draws],
+        [embed_point(pt) for pt, _ in draws],
     )
-    for _ in range(20):
-        pt = _random_point(rng)
-        theta = rng.uniform(-0.8, 0.8)
-        out = q_from_p(apply_dilation(theta, embed_point(pt)))
-        want = pt.scaled(math.exp(-theta))
-        dil_dev = max(
-            dil_dev,
-            max(abs(a - b) for a, b in zip(out.as_tuple(), want.as_tuple())),
-        )
+    for (pt, theta), out in zip(draws, outs):
+        dil_dev = max(dil_dev, _gap(q_from_p(out), pt.scaled(math.exp(-theta))))
     report.bound(
         "dilation-law",
         dil_dev,
@@ -649,22 +727,24 @@ def verify_conformal(config=None):
 
     lorentz_dev = 0.0
     idx4 = [COORDS.index(m) for m in POINT_COORDS]
-    for plane in ("xy", "yz", "zx", "tx", "ty", "tz"):
-        lam = so6_step(plane, 0.7)[np.ix_(idx4, idx4)]
-        for _ in range(2):
-            pt = _random_point(rng)
-            n = embed_point(pt)
-            img6 = act_on_vector([(plane, 0.7)], n.v)
-            lorentz_dev = max(
-                lorentz_dev,
-                abs((img6.p + img6.q) - (n.v.p + n.v.q)),
-            )
-            out = q_or_infinity(img6)
-            want = lam @ np.array(pt.as_tuple(), dtype=float)
-            lorentz_dev = max(
-                lorentz_dev,
-                float(max(abs(a - b) for a, b in zip(out.as_tuple(), want))),
-            )
+    lorentz = ("xy", "yz", "zx", "tx", "ty", "tz")
+    lams = {plane: so6_step(plane, 0.7)[np.ix_(idx4, idx4)] for plane in lorentz}
+    draws = [(plane, _random_point(rng)) for plane in lorentz for _ in range(2)]
+    starts = [embed_point(pt) for _, pt in draws]
+    imgs = step_vectors(
+        [plane for plane, _ in draws], [0.7] * len(draws), [n.v for n in starts]
+    )
+    for (plane, pt), n, img6 in zip(draws, starts, imgs):
+        lorentz_dev = max(
+            lorentz_dev,
+            abs((img6.p + img6.q) - (n.v.p + n.v.q)),
+        )
+        out = q_or_infinity(img6)
+        want = lams[plane] @ np.array(pt.as_tuple(), dtype=float)
+        lorentz_dev = max(
+            lorentz_dev,
+            float(max(abs(a - b) for a, b in zip(out.as_tuple(), want))),
+        )
     report.bound(
         "lorentz-on-q",
         lorentz_dev,
@@ -674,37 +754,40 @@ def verify_conformal(config=None):
 
     mob_dev = 0.0
     null_dev = 0.0
-    ratio_dev = 0.0
     per_m = max(1, samples // len(TRANSLATABLE))
     for m in TRANSLATABLE:
         done = 0
         while done < per_m:
-            pt = _random_point(rng)
-            theta = rng.uniform(-0.6, 0.6)
-            alpha = _direction(m, theta)
-            denom = (
-                1
-                + 2 * minkowski_inner(pt, alpha)
-                + minkowski_norm2(alpha) * minkowski_norm2(pt)
+            # Draw no more candidates than could still be needed: a
+            # skipped one is refilled on the next pass, so the seeded
+            # stream is read exactly as one sample at a time reads it.
+            draws = []
+            while len(draws) < min(per_m - done, group.BATCH_SIZE):
+                pt = _random_point(rng)
+                theta = rng.uniform(-0.6, 0.6)
+                alpha = _direction(m, theta)
+                denom = (
+                    1
+                    + 2 * minkowski_inner(pt, alpha)
+                    + minkowski_norm2(alpha) * minkowski_norm2(pt)
+                )
+                if abs(denom) >= 0.2:
+                    draws.append((pt, theta, alpha))
+            imgs = step_vectors(
+                ["b" + m] * len(draws),
+                [theta for _, theta, _ in draws],
+                [embed_point(pt).v for pt, _, _ in draws],
             )
-            if abs(denom) < 0.2:
-                continue
-            result = apply_conformal_translation(m, theta, embed_point(pt))
-            if result is AT_INFINITY:
-                continue
-            want = mobius_oracle(pt, alpha)
-            got = q_from_p(result)
-            mob_dev = max(
-                mob_dev,
-                max(
-                    abs(a - b)
-                    for a, b in zip(got.as_tuple(), want.as_tuple())
-                ),
-            )
-            form = metric_form(result.v)
-            scale = float(result.v.max_abs())
-            null_dev = max(null_dev, abs(form) / max(1.0, scale * scale))
-            done += 1
+            for (pt, _, alpha), img6 in zip(draws, imgs):
+                result = _chart(img6)
+                if result is AT_INFINITY:
+                    continue
+                want = mobius_oracle(pt, alpha)
+                mob_dev = max(mob_dev, _gap(q_from_p(result), want))
+                form = metric_form(result.v)
+                scale = float(result.v.max_abs())
+                null_dev = max(null_dev, abs(form) / max(1.0, scale * scale))
+                done += 1
     report.bound(
         "conformal-vs-mobius",
         mob_dev,
@@ -720,19 +803,19 @@ def verify_conformal(config=None):
     )
 
     rt_dev = 0.0
-    for _ in range(50):
-        pt = _random_point(rng)
-        n = embed_point(pt)
-        back = q_from_p(n)
-        rt_dev = max(
-            rt_dev,
-            max(abs(a - b) for a, b in zip(back.as_tuple(), pt.as_tuple())),
-        )
+    ratio_dev = 0.0
+    draws = [
+        (_random_point(rng), rng.choice(TRANSLATABLE), rng.uniform(-0.8, 0.8))
+        for _ in range(50)
+    ]
+    starts = [embed_point(pt) for pt, _, _ in draws]
+    moves = _null_images(
+        ["a" + m for _, m, _ in draws], [theta for _, _, theta in draws], starts
+    )
+    for (pt, _, _), n, moved in zip(draws, starts, moves):
+        rt_dev = max(rt_dev, _gap(q_from_p(n), pt))
         ratio = (n.v.p - n.v.q) / (n.v.p + n.v.q)
         ratio_dev = max(ratio_dev, abs(ratio - minkowski_norm2(pt)))
-        moved = apply_translation(
-            rng.choice(TRANSLATABLE), rng.uniform(-0.8, 0.8), n
-        )
         q_img = q_from_p(moved)
         ratio2 = (moved.v.p - moved.v.q) / (moved.v.p + moved.v.q)
         ratio_dev = max(ratio_dev, abs(ratio2 - minkowski_norm2(q_img)))

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import splitconf
-from splitconf import cli
+from splitconf import cli, clifford, group
 from splitconf.report import Report
 
 
@@ -22,6 +22,23 @@ def default_verify_json():
         code = cli.main(["verify", "--format", "json"])
     assert code == 0
     return out.getvalue()
+
+
+# md5 of `splitconf verify --format json --seed S`, by seed.
+VERIFY_DIGESTS = {
+    42: "94880c4df0368417b49b39e86d87e9fa",
+    1: "8e92e27c01a006108de4c49c24ccb227",
+    7: "30b38ebb7fa119a8cfe9f01143eec476",
+    1234: "73beee223d4f34db7b61214fec26e84f",
+}
+
+
+def verify_digest(seed):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--format", "json", "--seed", str(seed)])
+    assert code == 0
+    return hashlib.md5(out.getvalue().encode("utf-8")).hexdigest()
 
 
 def run(argv, capsys):
@@ -115,20 +132,37 @@ class TestVerifyCommand:
         # the output on purpose updates this digest and names the check
         # ids it changed in CHANGES.md.
         digest = hashlib.md5(default_verify_json.encode("utf-8")).hexdigest()
-        assert digest == "94880c4df0368417b49b39e86d87e9fa"
+        assert digest == VERIFY_DIGESTS[42]
         # More seeds sample more float angles, so a reordered float sum
         # in the product kernel shows here too.
-        for seed, want in (
-            (1, "8e92e27c01a006108de4c49c24ccb227"),
-            (7, "30b38ebb7fa119a8cfe9f01143eec476"),
-            (1234, "73beee223d4f34db7b61214fec26e84f"),
-        ):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(["verify", "--format", "json", "--seed", str(seed)])
-            assert code == 0
-            digest = hashlib.md5(out.getvalue().encode("utf-8")).hexdigest()
-            assert digest == want, seed
+        for seed in (1, 7, 1234):
+            assert verify_digest(seed) == VERIFY_DIGESTS[seed], seed
+
+    def test_small_batches_give_the_same_bytes(self, monkeypatch):
+        # Seven vectors per batch: the sampled loops refill skipped
+        # samples and cross chunk boundaries many times per suite.
+        monkeypatch.setattr(group, "BATCH_SIZE", 7)
+        for seed, want in VERIFY_DIGESTS.items():
+            assert verify_digest(seed) == want, seed
+
+    def test_conformal_suite_reads_coordinates_in_batches(self, monkeypatch):
+        # The sampled loops go through the numpy batch path; a silent
+        # fallback to one scalar extraction per sample fails here.
+        original = clifford.extract_coords
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "splitconf":
+                if getattr(module, "extract_coords", None) is original:
+                    monkeypatch.setattr(module, "extract_coords", counted)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["verify", "--suites", "conformal", "--format", "json"]) == 0
+        assert 0 < len(calls) <= 200
 
     def test_default_json_carries_no_numpy_reprs(self, default_verify_json):
         # A numpy scalar reaching a report prints as np.float64(...)
