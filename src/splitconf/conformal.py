@@ -20,7 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import batch
 from .algebra import is_exact
+from .batch import batchable, check_angle, elements, run_batches, step_column
 from .clifford import (
     COORDS,
     METRIC,
@@ -30,16 +32,10 @@ from .clifford import (
     gamma,
     metric_form,
 )
-from . import group
 from .group import (
     PLANES,
     TRANSLATION_NAMES,
-    _batchable,
-    _check_angle,
-    _elements,
     _plane_step,
-    _run_batches,
-    _step_column,
     act_on_vector,
     canonical_plane,
     so6_step,
@@ -327,7 +323,7 @@ def step_vector(name, theta, v):
     caller's concern (see q_or_infinity).  A float angle that is not
     finite raises ValueError before any work.
     """
-    _check_angle(theta)
+    check_angle(theta)
     if name in TRANSLATION_NAMES:
         gen = _nilpotent_generator(name[0], name[1])
         img = _nilpotent_conjugate(gen, theta, build_P(v))
@@ -337,12 +333,12 @@ def step_vector(name, theta, v):
 
 
 def _step_pair(name, theta):
-    """(column, c, s) of one step at a float angle, for group._elements."""
+    """(column, c, s) of one step at a float angle, for batch.elements."""
     if name in TRANSLATION_NAMES:
         gen = _nilpotent_generator(name[0], name[1])
         if not gen.squares_to_zero():
             raise ValueError("generator must square to zero exactly")
-        return _step_column(name, gen), 1.0, theta / 2
+        return step_column(name, gen), 1.0, theta / 2
     return _plane_step(name, theta)
 
 
@@ -350,7 +346,7 @@ def step_vectors(names, thetas, vectors):
     """[step_vector(n, t, v) for n, t, v in zip(...)], batched where it can be.
 
     Steps with a finite float angle on float vectors (see
-    group._batchable) run in numpy batches, with the scalar route's
+    batch.batchable) run in numpy batches, with the scalar route's
     float operations in its order, so the results are bit for bit
     step_vector's.  A lone such step, any other step, and any whose
     angle overflows or whose batched result is not finite or fails the
@@ -359,10 +355,10 @@ def step_vectors(names, thetas, vectors):
     """
     names, thetas, vectors = list(names), list(thetas), list(vectors)
     for theta in thetas:
-        _check_angle(theta)
+        check_angle(theta)
     pairs = {}
     for i, (name, theta, v) in enumerate(zip(names, thetas, vectors)):
-        if type(theta) is float and _batchable(v):
+        if type(theta) is float and batchable(v):
             try:
                 pairs[i] = _step_pair(name, theta)
             except OverflowError:
@@ -370,9 +366,9 @@ def step_vectors(names, thetas, vectors):
 
     def steps_of(chunk):
         cols, c, s = zip(*(pairs[i] for i in chunk))
-        return [_elements(np.hstack(cols), np.array(c), np.array(s))]
+        return [elements(np.hstack(cols), np.array(c), np.array(s))]
 
-    return _run_batches(
+    return run_batches(
         vectors,
         list(pairs),
         steps_of,
@@ -762,7 +758,7 @@ def verify_conformal(config=None):
             # skipped one is refilled on the next pass, so the seeded
             # stream is read exactly as one sample at a time reads it.
             draws = []
-            while len(draws) < min(per_m - done, group.BATCH_SIZE):
+            while len(draws) < min(per_m - done, batch.BATCH_SIZE):
                 pt = _random_point(rng)
                 theta = rng.uniform(-0.6, 0.6)
                 alpha = _direction(m, theta)

@@ -12,15 +12,9 @@ fifteen matrices in closed form.  ``appendix_check`` diffs that table
 against recomputation and documents any transcription discrepancy
 instead of failing, so the recomputed matrices stay the ground truth.
 
-Many vectors can also be conjugated at once in numpy (``act_on_vectors``,
-and ``conformal.step_vectors``), by one order-preserving kernel: every
-group element c I + s G is block diagonal and every P block
-off-diagonal, so one product plan per side lists, for each output
-coefficient, its terms in the order ``TensorMatrix.__matmul__`` adds
-them through ``algebra.mul_terms`` (ascending k, then the index of the
-left factor, which fixes the right one).  The plan runs in rounds,
-round r adding term r of every output over a (64, n) array, so each
-sum rounds as the scalar sum does.  Plans are built on the first batch.
+``act_on_vectors`` conjugates many float vectors at once through the
+order-preserving numpy kernel of ``batch``, bit for bit as
+``act_on_vector`` does one at a time.
 """
 
 import math
@@ -28,16 +22,14 @@ import random
 
 import numpy as np
 
-from .algebra import _MUL, ONE, UNIT
+from .algebra import ONE, UNIT
+from .batch import batchable, check_angle, elements, run_batches, step_column
 from .clifford import (
     COORDS,
     METRIC,
     Vector6,
-    block_rows,
     build_P,
-    build_P_batch,
     extract_coords,
-    extract_coords_batch,
     gamma,
     metric_form,
 )
@@ -54,7 +46,6 @@ __all__ = [
     "act_on_X",
     "act_on_vector",
     "act_on_vectors",
-    "BATCH_SIZE",
     "so6_matrix",
     "so6_step",
     "metric6",
@@ -221,167 +212,31 @@ def act_on_vector(word, v, tol=1e-9):
     return extract_coords(_conjugate(word, build_P(v)), tol=tol)
 
 
-# Vectors per numpy batch: bounds the memory a batched loop holds.
-BATCH_SIZE = 256
-
-_kernel_cache = []
-_column_cache = {}
-
-
-def _check_angle(theta):
-    """Reject a float angle that is not finite, naming it."""
-    if isinstance(theta, float) and not math.isfinite(theta):
-        raise ValueError("angle %s is not finite" % (theta,))
-
-
-def _batchable(v):
-    """True when v goes on the batch path: some nonzero coordinates, all floats.
-
-    build_P writes only nonzero coordinates, so every coefficient such a
-    P touches is a float and the scalar route ends in the float regime
-    too (an all-zero P stays exact).
-    """
-    nonzero = [c for c in v.as_tuple() if c]
-    return bool(nonzero) and all(type(c) is float for c in nonzero)
-
-
-def _product_plan(left_diagonal):
-    """Round arrays (left row, right row, sign) of one block product.
-
-    Block diagonal times block off-diagonal (left_diagonal), or the
-    reverse, each factor held as the rows of its blocks.  Output row r
-    is coefficient block_rows(False)[r]; its terms are listed in the
-    order TensorMatrix.__matmul__ adds them, and every output has the
-    same number of terms, one per round.
-    """
-    diag, off = block_rows(True), block_rows(False)
-    lpos = {f: r for r, f in enumerate(diag if left_diagonal else off)}
-    rpos = {f: r for r, f in enumerate(off if left_diagonal else diag)}
-    # by_product[a][t]: the (b, sign) with BASIS[a] * BASIS[b] = sign BASIS[t]
-    by_product = [{t: (b, sign) for b, (t, sign) in enumerate(row)} for row in _MUL]
-    plan = {}
-    for f in range(128):
-        i, j, t = f // 32, f // 8 % 4, f % 8
-        plan[f] = [
-            (lpos[32 * i + 8 * k + a], rpos[32 * k + 8 * j + b], sign)
-            for k in range(4)
-            for a, (b, sign) in enumerate(row[t] for row in by_product)
-            if 32 * i + 8 * k + a in lpos and 32 * k + 8 * j + b in rpos
-        ]
-    if any(plan[f] for f in diag) or len({len(plan[f]) for f in off}) != 1:
-        raise AssertionError("block product is not block off-diagonal and uniform")
-    terms = np.array([plan[f] for f in off]).transpose(2, 1, 0)
-    return terms[0], terms[1], terms[2][:, :, None].astype(float)
-
-
-def _kernel():
-    """(left plan, right plan, unit column of I), built on the first batch."""
-    if not _kernel_cache:
-        # 0, 40, 80, 120: the unit coefficient of diagonal entry (i, i).
-        unit = [[float(f in (0, 40, 80, 120))] for f in block_rows(True)]
-        _kernel_cache.extend(
-            (_product_plan(True), _product_plan(False), np.array(unit))
-        )
-    return _kernel_cache
-
-
-def _product(plan, a, b):
-    """a @ b over the columns of two batches (a single column broadcasts)."""
-    ia, ib, sign = plan
-    acc = np.zeros((ia.shape[1], max(a.shape[1], b.shape[1])))
-    for r in range(len(ia)):
-        acc += sign[r] * a[ia[r]] * b[ib[r]]
-    return acc
-
-
-def _step_column(key, gen):
-    """The diagonal-block coefficients of gen as a (64, 1) float column.
-
-    Cached under key (a step name); raises AssertionError when gen has
-    a coefficient off the diagonal blocks.
-    """
-    col = _column_cache.get(key)
-    if col is None:
-        flat = [c for row in gen.rows for e in row for c in e.coeffs]
-        diag = block_rows(True)
-        if any(flat[f] for f in set(range(128)).difference(diag)):
-            raise AssertionError("generator %s is not block diagonal" % key)
-        col = _column_cache[key] = np.array([[float(flat[f])] for f in diag])
-    return col
-
-
 def _plane_step(plane, theta):
-    """(_step_column, c, s) of one plane step, from _half_angle."""
+    """(batch.step_column, c, s) of one plane step, from _half_angle."""
     gp, c, s = _half_angle(plane, theta)
-    return _step_column(canonical_plane(plane)[0], gp), c, s
-
-
-def _elements(columns, c, s):
-    """The batches (c I + s G, c I - s G), one column per (G, c, s).
-
-    Each coefficient is c on the diagonal unit plus G's coefficient
-    times +-s, the values matrices.exp_pair forms.
-    """
-    unit = _kernel()[2]
-    return unit * c + columns * s, unit * c + columns * -s
-
-
-def _run_batches(vectors, take, steps_of, scalar, tol=1e-9):
-    """[scalar(i) for each vector], with the vectors at indices take in numpy.
-
-    When take holds more than one index, its vectors are conjugated by
-    steps_of(chunk), a list of (M, M^-1) batches, in chunks of
-    BATCH_SIZE: each M p M^-1 is summed round by round in
-    TensorMatrix.__matmul__'s order (a zero term that the scalar route
-    skips adds a zero to a sum that is never -0.0, which changes no bit
-    of a finite result), and read back by extract_coords_batch.  Every
-    other vector, and every column that extraction refuses, is
-    scalar(i), which raises with its own message.
-    """
-    done = {}
-    if len(take) > 1:
-        # Overflow and nan are expected here: such columns are refused
-        # and recomputed on the scalar route, which reports them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            done = _batch_results(vectors, take, steps_of, tol)
-    return [done[i] if i in done else scalar(i) for i in range(len(vectors))]
-
-
-def _batch_results(vectors, take, steps_of, tol):
-    """{index: Vector6} of the batched columns that extraction accepts."""
-    left, right, _ = _kernel()
-    done = {}
-    for start in range(0, len(take), BATCH_SIZE):
-        chunk = take[start:start + BATCH_SIZE]
-        p = build_P_batch(np.array([vectors[i].as_tuple() for i in chunk]).T)
-        for m, m_inv in steps_of(chunk):
-            p = _product(right, _product(left, m, p), m_inv)
-        coords, ok = extract_coords_batch(p, tol)
-        for i, row, good in zip(chunk, coords.T.tolist(), ok.tolist()):
-            if good:
-                done[i] = Vector6(*row)
-    return done
+    return step_column(canonical_plane(plane)[0], gp), c, s
 
 
 def act_on_vectors(word, vectors, tol=1e-9):
     """[act_on_vector(word, v, tol) for v in vectors], batched where it can be.
 
     A word of finite float angles acts on float vectors (see
-    _batchable) in numpy batches, each step's M and M^-1 built once
+    batch.batchable) in numpy batches, each step's M and M^-1 built once
     for all of them.  A lone vector, any other vector, and any whose
     batched result is not finite or fails the span tests go through
     act_on_vector.  A non-finite angle raises ValueError first.
     """
     word, vectors = list(word), list(vectors)
     for _, theta in word:
-        _check_angle(theta)
+        check_angle(theta)
     take = []
     if all(type(theta) is float for _, theta in word):
-        take = [i for i, v in enumerate(vectors) if _batchable(v)]
+        take = [i for i, v in enumerate(vectors) if batchable(v)]
     steps = []
     if len(take) > 1:
-        steps = [_elements(*_plane_step(*step)) for step in word]
-    return _run_batches(
+        steps = [elements(*_plane_step(*step)) for step in word]
+    return run_batches(
         vectors,
         take,
         lambda chunk: steps,

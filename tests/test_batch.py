@@ -1,6 +1,7 @@
 """The numpy batch path against the scalar route it replaces.
 
-The batch path (group.act_on_vectors, conformal.step_vectors) runs the
+The batch path (batch's kernel, driven by group.act_on_vectors and
+conformal.step_vectors) runs the
 scalar route's float operations in its order, so every result must be
 the scalar result in coordinate repr, types and signed zeros included,
 and every failure the scalar route's exception.
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitconf import group
+from splitconf import batch
 from splitconf.algebra import ZERO, TensorScalar
+from splitconf.batch import _plans, _product
 from splitconf.clifford import (
     COORDS,
     Vector6,
@@ -29,15 +31,12 @@ from splitconf.clifford import (
 from splitconf.conformal import (
     MinkowskiPoint,
     embed_point,
-    q_or_infinity,
     step_vector,
     step_vectors,
 )
 from splitconf.group import (
     PLANES,
     TRANSLATION_NAMES,
-    _kernel,
-    _product,
     act_on_vector,
     act_on_vectors,
     so6_matrix,
@@ -132,7 +131,7 @@ class TestStepEquivalence:
             step_vectors(["tx", "tx"], [0.5, 1500.0], vecs)
 
     def test_chunks_join_in_order(self, monkeypatch):
-        monkeypatch.setattr(group, "BATCH_SIZE", 7)
+        monkeypatch.setattr(batch, "BATCH_SIZE", 7)
         rng = random.Random(3)
         steps = [
             (rng.choice(STEP_NAMES), rng.uniform(-4, 4),
@@ -203,7 +202,7 @@ class TestDenseSweep:
     # sum span 16 decades, so summing in any other order changes bits
     # (unlike in-span matrices, whose sums have few nonzero terms).
     def test_products_keep_the_scalar_order(self):
-        left, right, _ = _kernel()
+        left, right, _ = _plans()
         rng = random.Random(20)
         for _ in range(100):
             m, m_col = random_blocks(rng, True)
@@ -247,19 +246,3 @@ class TestNonFiniteAngles:
         if name in PLANES:
             with pytest.raises(ValueError, match=msg):
                 act_on_vectors([(name, theta)], [v, v])
-
-
-class TestChartOfNonFiniteVectors:
-    def test_a_nan_weight_is_refused(self):
-        with pytest.raises(ValueError, match="not finite"):
-            q_or_infinity(Vector6(p=math.nan, q=1.0))
-
-    def test_a_nan_coordinate_is_refused(self):
-        with pytest.raises(ValueError, match="not finite"):
-            q_or_infinity(Vector6(x=math.nan, p=1.0))
-
-    def test_finite_and_exact_vectors_are_unchanged(self):
-        assert q_or_infinity(Vector6(x=1.0, p=0.5, q=0.5)) == MinkowskiPoint(x=1.0)
-        assert q_or_infinity(Vector6(x=1, p=1, q=-1)) is q_or_infinity(
-            Vector6(p=1e-20, q=0.0)
-        )

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import splitconf
-from splitconf import cli, clifford, group
+from splitconf import batch, cli, clifford
 from splitconf.report import Report
 
 
@@ -141,7 +141,7 @@ class TestVerifyCommand:
     def test_small_batches_give_the_same_bytes(self, monkeypatch):
         # Seven vectors per batch: the sampled loops refill skipped
         # samples and cross chunk boundaries many times per suite.
-        monkeypatch.setattr(group, "BATCH_SIZE", 7)
+        monkeypatch.setattr(batch, "BATCH_SIZE", 7)
         for seed, want in VERIFY_DIGESTS.items():
             assert verify_digest(seed) == want, seed
 

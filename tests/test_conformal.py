@@ -104,6 +104,24 @@ class TestNullVectorValidation:
             NullVector(Vector6(x=1e200, p=1e200, q=1.0))
 
 
+class TestChartTest:
+    # One p + q test serves NullVector, conformal translations and
+    # q_or_infinity; a non-finite coordinate has no chart.
+    def test_a_nan_weight_is_refused(self):
+        with pytest.raises(ValueError, match="not finite"):
+            q_or_infinity(Vector6(p=math.nan, q=1.0))
+
+    def test_a_nan_coordinate_is_refused(self):
+        with pytest.raises(ValueError, match="not finite"):
+            q_or_infinity(Vector6(x=math.nan, p=1.0))
+
+    def test_finite_and_exact_vectors_keep_their_answers(self):
+        assert q_or_infinity(Vector6(x=1.0, p=0.5, q=0.5)) == MinkowskiPoint(x=1.0)
+        assert q_or_infinity(Vector6(x=1, p=1, q=-1)) is AT_INFINITY
+        assert q_or_infinity(Vector6(x=1.0, p=1e-20, q=0.0)) is AT_INFINITY
+        assert q_or_infinity(Vector6(x=1.0, p=1e-20, q=0.0), tol=0) is not AT_INFINITY
+
+
 class TestTranslations:
     @given(points, st.floats(-1.5, 1.5, allow_nan=False))
     def test_spatial_translation_shifts_one_coordinate(self, pt, theta):
