@@ -22,8 +22,8 @@ Both tables also drive a batched float form (``build_P_batch``,
 of the off-diagonal 2x2 blocks, where every gamma has its entries.
 The gather sums run in rounds, round r adding term r of every sum, so
 each sum is formed in the gather table's order and rounds exactly as
-the scalar sum does; a zero term adds nothing to a sum that starts at
-+0.0, which the scalar route skips.
+the scalar sum does; a zero term, which the scalar route skips, adds
+nothing to a sum that starts at +0.0.
 """
 
 from dataclasses import dataclass
