@@ -8,8 +8,9 @@ left factor (which fixes the right one, each row of ``_MUL`` being a
 permutation).  A plan runs in rounds, round r adding term r of every
 output over (64, n) arrays, so each sum rounds as the scalar sum does.
 A zero term the scalar route skips adds a zero to a sum that is never
--0.0, which changes no bit of a finite result.  ``clifford`` packs and
-reads the batches; ``group.act_on_vectors`` and
+-0.0, which changes no bit of a finite result.  Every column carries
+its own step, so a batch can step many words of one length at once.
+``clifford`` packs and reads the batches; ``group.act_on_vectors`` and
 ``conformal.step_vectors`` drive the kernel.  Plans are built on the
 first batch, not at import.
 """
@@ -121,45 +122,48 @@ def step_column(key, gen):
     return col
 
 
-def elements(columns, c, s):
-    """The batches (c I + s G, c I - s G), one column per (G, c, s).
+def elements(steps):
+    """The batches (c I + s G, c I - s G), one column per (column of G, c, s).
 
     Each coefficient is c on the diagonal unit plus G's coefficient
     times +-s, the values matrices.exp_pair forms.
     """
+    columns, c, s = zip(*steps)
+    columns, c, s = np.hstack(columns), np.array(c), np.array(s)
     unit = _plans()[2]
     return unit * c + columns * s, unit * c + columns * -s
 
 
-def run_batches(vectors, take, steps_of, scalar, tol=1e-9):
-    """[scalar(i) for each vector], with the vectors at indices take in numpy.
+def run_batches(vectors, groups, steps_of, scalar, tol=1e-9):
+    """[scalar(i) for each vector], with the vectors indexed in groups in numpy.
 
-    When take holds more than one index, its vectors are conjugated by
-    steps_of(chunk), a list of (M, M^-1) batches, in chunks of
-    BATCH_SIZE, and read back by clifford.extract_coords_batch.  Every
-    other vector, and every column that extraction refuses, is
+    When the groups hold more than one index in all, each group is cut
+    into chunks of BATCH_SIZE, conjugated by steps_of(chunk), a list of
+    (M, M^-1) batches, and read back by clifford.extract_coords_batch.
+    Every other vector, and every column that extraction refuses, is
     scalar(i), which raises with its own message.
     """
     done = {}
-    if len(take) > 1:
+    if sum(map(len, groups)) > 1:
         # Overflow and nan are expected here: such columns are refused
         # and recomputed on the scalar route, which reports them.
         with np.errstate(over="ignore", invalid="ignore"):
-            done = _conjugated(vectors, take, steps_of, tol)
+            done = _conjugated(vectors, groups, steps_of, tol)
     return [done[i] if i in done else scalar(i) for i in range(len(vectors))]
 
 
-def _conjugated(vectors, take, steps_of, tol):
+def _conjugated(vectors, groups, steps_of, tol):
     """{index: Vector6} of the batched columns that extraction accepts."""
     left, right, _ = _plans()
     done = {}
-    for start in range(0, len(take), BATCH_SIZE):
-        chunk = take[start:start + BATCH_SIZE]
-        p = build_P_batch(np.array([vectors[i].as_tuple() for i in chunk]).T)
-        for m, m_inv in steps_of(chunk):
-            p = _product(right, _product(left, m, p), m_inv)
-        coords, ok = extract_coords_batch(p, tol)
-        for i, row, good in zip(chunk, coords.T.tolist(), ok.tolist()):
-            if good:
-                done[i] = Vector6(*row)
+    for take in groups:
+        for start in range(0, len(take), BATCH_SIZE):
+            chunk = take[start:start + BATCH_SIZE]
+            p = build_P_batch(np.array([vectors[i].as_tuple() for i in chunk]).T)
+            for m, m_inv in steps_of(chunk):
+                p = _product(right, _product(left, m, p), m_inv)
+            coords, ok = extract_coords_batch(p, tol)
+            for i, row, good in zip(chunk, coords.T.tolist(), ok.tolist()):
+                if good:
+                    done[i] = Vector6(*row)
     return done

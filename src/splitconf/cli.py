@@ -64,6 +64,8 @@ class RunConfig:
     def __init__(self, tolerance=1e-12, seed=42, samples=1000, fmt="text"):
         if not tolerance > 0:
             raise UsageError("tolerance must be positive")
+        if not math.isfinite(tolerance):
+            raise UsageError("tolerance must be finite")
         if samples < 1:
             raise UsageError("samples must be at least 1")
         if samples > MAX_SAMPLES:

@@ -26,6 +26,7 @@ the scalar sum does; a zero term, which the scalar route skips, adds
 nothing to a sum that starts at +0.0.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -287,6 +288,21 @@ def _residual(p, coords):
     return residual
 
 
+def _refuse_overflow(flat, exact):
+    """Raise ValueError naming the overflow when a float coefficient is not finite.
+
+    Called only on extract_coords' error paths, so a step that succeeds
+    pays no scan.
+    """
+    if not exact:
+        bad = [c for c in flat if isinstance(c, float) and not math.isfinite(c)]
+        if bad:
+            raise ValueError(
+                "matrix coefficient %s is not finite: the step overflowed"
+                " or its input was not finite" % bad[0]
+            )
+
+
 def extract_coords(p, tol=1e-9):
     """Recover the Vector6 with build_P(result) == p.
 
@@ -298,7 +314,9 @@ def extract_coords(p, tol=1e-9):
     trace that is not a real scalar within tol (relative to its scale),
     or a residual p - build_P(result) above tol (relative to the matrix
     scale), raises ValueError because p lies outside the span of the
-    gammas; exact matrices are held to zero.  The residual is read from
+    gammas; exact matrices are held to zero.  When either check fails on
+    a float matrix with a coefficient that is not finite, the ValueError
+    names that overflow instead.  The residual is read from
     the slot table instead of building P back and subtracting, and the
     matrix scale from the flat coefficient list already read.
     """
@@ -321,12 +339,14 @@ def extract_coords(p, tol=1e-9):
             sym.append(a + b)
         use_tol = 0 if exact else tol * max(1, max(map(abs, sym)))
         if not all(abs(c) <= use_tol for c in sym[1:]):
+            _refuse_overflow(flat, exact)
             raise ValueError("inner product is not real: %s" % (TensorScalar(sym),))
         s = sym[0]
         coords.append(_eighth(s if METRIC[m] > 0 else -s, exact))
     residual = _residual(p, coords)
     limit = 0 if exact else tol * max(1, max(map(abs, flat)))
     if residual > limit:
+        _refuse_overflow(flat, exact)
         raise ValueError(
             "matrix lies outside the span of the gammas (residual %s)" % (residual,)
         )

@@ -364,14 +364,10 @@ def step_vectors(names, thetas, vectors):
             except OverflowError:
                 pass
 
-    def steps_of(chunk):
-        cols, c, s = zip(*(pairs[i] for i in chunk))
-        return [elements(np.hstack(cols), np.array(c), np.array(s))]
-
     return run_batches(
         vectors,
-        list(pairs),
-        steps_of,
+        [list(pairs)],
+        lambda chunk: [elements([pairs[i] for i in chunk])],
         lambda i: step_vector(names[i], thetas[i], vectors[i]),
     )
 
@@ -452,13 +448,14 @@ _CLASSIFY_POINTS = (
 )
 
 
-def _observed_category(name, theta=0.3, tol=1e-9):
-    """Label a generator by what it does to sample points."""
-    images = []
-    for pt in _CLASSIFY_POINTS:
-        w = embed_point(pt)
-        img6 = step_vector(name, theta, w.v)
-        images.append((pt, img6, q_or_infinity(img6)))
+def _observed_category(name, theta, img6s, tol=1e-9):
+    """Label a generator by what it does to sample points.
+
+    img6s are the images of _CLASSIFY_POINTS under the step (name, theta).
+    """
+    images = [
+        (pt, img6, q_or_infinity(img6)) for pt, img6 in zip(_CLASSIFY_POINTS, img6s)
+    ]
     if any(q is AT_INFINITY for _, _, q in images):
         return "unclassified"
 
@@ -515,10 +512,14 @@ def _observed_category(name, theta=0.3, tol=1e-9):
 def classify_generators(config=None):
     """Partition the fifteen-generator basis by observed action on points."""
     report = Report("classify", dict(config or {}))
+    theta, n = 0.3, len(_CLASSIFY_POINTS)
+    starts = [embed_point(pt).v for pt in _CLASSIFY_POINTS] * len(CLASSIFY_BASIS)
+    names = [name for name in CLASSIFY_BASIS for _ in range(n)]
+    imgs = step_vectors(names, [theta] * len(names), starts)
     tally = {}
-    for name in CLASSIFY_BASIS:
+    for k, name in enumerate(CLASSIFY_BASIS):
         expected = _EXPECTED_CATEGORY[name]
-        actual = _observed_category(name)
+        actual = _observed_category(name, theta, imgs[k * n:(k + 1) * n])
         report.add("classify[%s]" % name, actual == expected, expected, actual)
         family = actual.split("[")[0]
         tally[family] = tally.get(family, 0) + 1

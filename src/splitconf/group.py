@@ -14,7 +14,12 @@ instead of failing, so the recomputed matrices stay the ground truth.
 
 ``act_on_vectors`` conjugates many float vectors at once through the
 order-preserving numpy kernel of ``batch``, bit for bit as
-``act_on_vector`` does one at a time.
+``act_on_vector`` does one at a time.  Each vector may carry its own
+word: vectors are grouped by word length and step k of every word in
+a batch becomes one column of the same (M, M^-1) pair, so the sampled
+words of ``verify_group`` and the basis images behind ``so6_matrix``
+run as a few batches.  The 6x6 invariance checks compose their words
+as stacked (n, 6, 6) products, bit for bit as ``compose_so6``.
 """
 
 import math
@@ -22,6 +27,7 @@ import random
 
 import numpy as np
 
+from . import batch
 from .algebra import ONE, UNIT
 from .batch import batchable, check_angle, elements, run_batches, step_column
 from .clifford import (
@@ -218,46 +224,76 @@ def _plane_step(plane, theta):
     return step_column(canonical_plane(plane)[0], gp), c, s
 
 
-def act_on_vectors(word, vectors, tol=1e-9):
+def act_on_vectors(word, vectors, tol=1e-9, each=False):
     """[act_on_vector(word, v, tol) for v in vectors], batched where it can be.
 
-    A word of finite float angles acts on float vectors (see
-    batch.batchable) in numpy batches, each step's M and M^-1 built once
-    for all of them.  A lone vector, any other vector, and any whose
-    batched result is not finite or fails the span tests go through
-    act_on_vector.  A non-finite angle raises ValueError first.
+    With each=True, word holds one word per vector and vector i is acted
+    on by word[i].  A vector whose word has finite float angles and
+    whose coordinates are floats (see batch.batchable) runs in numpy,
+    the vectors grouped by word length and step k of every word in the
+    batch stacked into one (M, M^-1) pair (a shared word is planned once
+    and its single columns broadcast).  A lone vector, any other
+    vector, and any whose word overflows or whose batched result is not
+    finite or fails the span tests go through act_on_vector, which
+    raises with its own message.  A non-finite angle raises ValueError
+    first.
     """
-    word, vectors = list(word), list(vectors)
-    for _, theta in word:
-        check_angle(theta)
-    take = []
-    if all(type(theta) is float for _, theta in word):
-        take = [i for i, v in enumerate(vectors) if batchable(v)]
-    steps = []
-    if len(take) > 1:
-        steps = [elements(*_plane_step(*step)) for step in word]
+    vectors = list(vectors)
+    words = [list(w) for w in word] if each else [list(word)]
+    for w in words:
+        for _, theta in w:
+            check_angle(theta)
+    if not each:
+        words = words * len(vectors)
+    elif len(words) != len(vectors):
+        raise ValueError("%d words for %d vectors" % (len(words), len(vectors)))
+    plans, steps, groups = {}, {}, {}
+    for i, (w, v) in enumerate(zip(words, vectors)):
+        if batchable(v) and all(type(theta) is float for _, theta in w):
+            if id(w) not in plans:  # a shared word is planned once
+                try:
+                    plans[id(w)] = [_plane_step(*step) for step in w]
+                except OverflowError:
+                    plans[id(w)] = None
+            steps[i] = plans[id(w)]
+            if steps[i] is not None:
+                groups.setdefault(len(w), []).append(i)
+
+    def steps_of(chunk):
+        if all(steps[i] is steps[chunk[0]] for i in chunk):
+            chunk = chunk[:1]  # one shared word: its columns broadcast
+        return [
+            elements([steps[i][k] for i in chunk]) for k in range(len(steps[chunk[0]]))
+        ]
+
     return run_batches(
         vectors,
-        take,
-        lambda chunk: steps,
-        lambda i: act_on_vector(word, vectors[i], tol=tol),
+        list(groups.values()),
+        steps_of,
+        lambda i: act_on_vector(words[i], vectors[i], tol=tol),
         tol,
     )
 
 
-def so6_matrix(word, tol=1e-9):
-    """The real 6x6 matrix R with act_on_vector(word, v) = R v.
+def _so6_matrices(words, tol=1e-9):
+    """so6_matrix of each word, as an (n, 6, 6) array.
 
-    Computed by acting on the six coordinate basis vectors, as floats
-    in one batch: a unit coefficient multiplies and adds exactly, so
-    they give the float values the exact basis vectors give.
+    All the words act on the six coordinate basis vectors in one
+    act_on_vectors call, as floats: a unit coefficient multiplies and
+    adds exactly, so they give the float values the exact basis
+    vectors give.
     """
     basis = [Vector6(**{m: 1.0}) for m in COORDS]  # zeros stay int 0
-    cols = [
-        [float(c) for c in img.as_tuple()]
-        for img in act_on_vectors(word, basis, tol=tol)
-    ]
-    return np.array(cols, dtype=float).T
+    imgs = act_on_vectors(
+        [w for w in words for _ in COORDS], basis * len(words), tol=tol, each=True
+    )
+    cols = [[float(c) for c in img.as_tuple()] for img in imgs]
+    return np.array(cols, dtype=float).reshape(-1, 6, 6).transpose(0, 2, 1)
+
+
+def so6_matrix(word, tol=1e-9):
+    """The real 6x6 matrix R with act_on_vector(word, v) = R v."""
+    return _so6_matrices([word], tol)[0]
 
 
 def so6_step(plane, theta):
@@ -384,6 +420,27 @@ def compose_so6(word):
     return r
 
 
+def _invariance_devs(words):
+    """(max |R^T G R - G|, det R) for R = compose_so6(word), one pair per word.
+
+    R is formed for all the words at once as an (n, 6, 6) stack, with
+    the same so6_step factors in the same order.  A shorter word starts
+    with identity steps: I @ I is I exactly, so every product is one
+    compose_so6 forms, and the stacked matmul and det give the 2-D
+    results bit for bit.
+    """
+    g6, eye = metric6(), np.eye(6)
+    depth = max(map(len, words), default=0)
+    r = np.array([eye] * len(words))
+    for k in range(depth):
+        r = np.array([
+            so6_step(*w[k + len(w) - depth]) if k + len(w) >= depth else eye
+            for w in words
+        ]) @ r
+    gram = np.abs(r.transpose(0, 2, 1) @ g6 @ r - g6).max(axis=(1, 2))
+    return list(zip(gram.tolist(), np.linalg.det(r).tolist()))
+
+
 def verify_group(config=None):
     """Structural and seeded statistical checks of the group actions."""
     config = dict(config or {})
@@ -393,7 +450,6 @@ def verify_group(config=None):
     rng = random.Random(seed)
     report = Report("group", config)
     ident4 = TensorMatrix.identity(4)
-    g6 = metric6()
 
     for name in PLANES:
         a, b = name[0], name[1]
@@ -417,10 +473,9 @@ def verify_group(config=None):
             "generator(theta) @ generator(-theta) vs identity",
         )
 
-    for name in PLANES:
-        dev = float(
-            np.max(np.abs(so6_step(name, 0.37) - so6_matrix([(name, 0.37)])))
-        )
+    defined = _so6_matrices([[(name, 0.37)] for name in PLANES])
+    for name, r in zip(PLANES, defined):
+        dev = float(np.max(np.abs(so6_step(name, 0.37) - r)))
         report.bound(
             "step-vs-definition[%s]" % name,
             dev,
@@ -428,13 +483,11 @@ def verify_group(config=None):
             "closed-form 6x6 step vs action on basis vectors",
         )
 
+    pairs = [(_random_word(rng, 3, 1.0), _random_word(rng, 3, 1.0)) for _ in range(12)]
+    so6 = _so6_matrices([w for w1, w2 in pairs for w in (w1 + w2, w2, w1)])
     comp_dev = 0.0
-    for _ in range(12):
-        w1 = _random_word(rng, 3, 1.0)
-        w2 = _random_word(rng, 3, 1.0)
-        lhs = so6_matrix(w1 + w2)
-        rhs = so6_matrix(w2) @ so6_matrix(w1)
-        comp_dev = max(comp_dev, float(np.max(np.abs(lhs - rhs))))
+    for lhs, r2, r1 in zip(so6[0::3], so6[1::3], so6[2::3]):
+        comp_dev = max(comp_dev, float(np.max(np.abs(lhs - r2 @ r1))))
     report.bound(
         "composition",
         comp_dev,
@@ -442,12 +495,12 @@ def verify_group(config=None):
         "so6(w1 then w2) vs so6(w2) @ so6(w1), 12 seeded word pairs",
     )
 
-    qform_dev = 0.0
     n_heavy = max(1, samples // 20)
-    for _ in range(n_heavy):
-        v = _random_vector(rng)
-        word = _random_word(rng, 5, 0.6)
-        img = act_on_vector(word, v)
+    heavy = [(_random_vector(rng), _random_word(rng, 5, 0.6)) for _ in range(n_heavy)]
+    vs = [v for v, _ in heavy]
+    imgs = act_on_vectors([w for _, w in heavy], vs, each=True)
+    qform_dev = 0.0
+    for v, img in zip(vs, imgs):
         qform_dev = max(qform_dev, abs(metric_form(img) - metric_form(v)))
     report.bound(
         "invariance[qform]",
@@ -458,11 +511,11 @@ def verify_group(config=None):
 
     metric_dev = 0.0
     det_dev = 0.0
-    for _ in range(samples):
-        word = _random_word(rng, 5, 0.6)
-        r = compose_so6(word)
-        metric_dev = max(metric_dev, float(np.max(np.abs(r.T @ g6 @ r - g6))))
-        det_dev = max(det_dev, abs(float(np.linalg.det(r)) - 1.0))
+    words = [_random_word(rng, 5, 0.6) for _ in range(samples)]
+    for start in range(0, samples, batch.BATCH_SIZE):
+        for dev, det in _invariance_devs(words[start:start + batch.BATCH_SIZE]):
+            metric_dev = max(metric_dev, dev)
+            det_dev = max(det_dev, abs(det - 1.0))
     report.bound(
         "invariance[metric]",
         metric_dev,

@@ -317,7 +317,7 @@ def verify_realrep(config=None):
             )
 
     entries_ok = all(
-        set(np.unique(real_gamma(m))) <= {-1, 0, 1} for m in COORDS
+        set(real_gamma(m).ravel().tolist()) <= {-1, 0, 1} for m in COORDS
     )
     report.add(
         "gamma-entries",

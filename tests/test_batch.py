@@ -176,6 +176,74 @@ class TestWordEquivalence:
         assert outcome(reprs(lambda: so6_matrix(word))) == outcome(reprs(exact_route))
 
 
+# Up to two steps, so that a length group often holds several columns.
+plane_words = st.lists(st.tuples(st.sampled_from(PLANE_NAMES), angles), max_size=2)
+
+
+class TestWordPerColumn:
+    # One word per vector: the kernel stacks step k of every word of a
+    # length group into one batch, so a column paired with another
+    # column's step shows here.
+    @given(st.lists(st.tuples(plane_words, vectors), max_size=16))
+    def test_batch_equals_the_scalar_words(self, pairs):
+        words = [w for w, _ in pairs]
+        vecs = [v for _, v in pairs]
+        assert outcome(lambda: act_on_vectors(words, vecs, each=True)) == outcome(
+            lambda: [act_on_vector(w, v) for w, v in pairs]
+        )
+
+    @given(st.lists(st.tuples(st.lists(st.tuples(st.sampled_from(PLANE_NAMES),
+                                                 hostile_angles), max_size=3),
+                              hostile_vectors), min_size=2, max_size=8))
+    def test_hostile_input_gives_the_scalar_outcome(self, pairs):
+        words = [w for w, _ in pairs]
+        vecs = [v for _, v in pairs]
+        assert outcome(lambda: act_on_vectors(words, vecs, each=True)) == outcome(
+            lambda: [act_on_vector(w, v) for w, v in pairs]
+        )
+
+    def test_mixed_lengths_cross_chunks_in_order(self, monkeypatch):
+        # Lengths 0 to 6 in one call, reversed plane names, float, exact
+        # and mixed vectors, and coordinates that overflow or are not
+        # finite (each such vector alone in its call, since the scalar
+        # route raises at the first one), seven vectors per batch.
+        monkeypatch.setattr(batch, "BATCH_SIZE", 7)
+        rng = random.Random(11)
+
+        def draw_vector(kind):
+            if kind == "float":
+                return Vector6(*(rng.uniform(-1, 1) for _ in range(6)))
+            if kind == "exact":
+                return Vector6(*(Fraction(rng.randint(-4, 4), 3) for _ in range(6)))
+            if kind == "mixed":
+                return Vector6(rng.uniform(-1, 1), 0, Fraction(1, 2), 0.25, 0, 1)
+            return Vector6(rng.choice([1e300, -1.7e308, math.inf, math.nan]),
+                           0.5, 0.0, 1.0, 0.0, 1.0)
+
+        def draw_word():
+            return [(rng.choice(PLANE_NAMES), rng.uniform(-3, 3))
+                    for _ in range(rng.randint(0, 6))]
+
+        for kinds in (["float"] * 40, ["float", "exact", "mixed"] * 14):
+            pairs = [(draw_word(), draw_vector(k)) for k in kinds]
+            assert len({len(w) for w, _ in pairs}) == 7
+            words, vecs = zip(*pairs)
+            assert outcome(lambda: act_on_vectors(words, vecs, each=True)) == outcome(
+                lambda: [act_on_vector(w, v) for w, v in pairs]
+            )
+        for _ in range(20):
+            pairs = [(draw_word(), draw_vector("float")) for _ in range(9)]
+            pairs.insert(rng.randint(0, 9), (draw_word(), draw_vector("hostile")))
+            words, vecs = zip(*pairs)
+            assert outcome(lambda: act_on_vectors(words, vecs, each=True)) == outcome(
+                lambda: [act_on_vector(w, v) for w, v in pairs]
+            )
+
+    def test_a_word_count_that_differs_is_refused(self):
+        with pytest.raises(ValueError, match="2 words for 1 vectors"):
+            act_on_vectors([[], []], [Vector6(x=1.0)], each=True)
+
+
 def random_blocks(rng, diagonal):
     """A 4x4 matrix with random coefficients of mixed magnitude on its
     diagonal (or off-diagonal) 2x2 blocks, and its batch column."""

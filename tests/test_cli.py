@@ -11,6 +11,7 @@ import pytest
 
 import splitconf
 from splitconf import batch, cli, clifford
+from splitconf.matrices import TensorMatrix
 from splitconf.report import Report
 
 
@@ -109,6 +110,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("tolerance", ["inf", "nan"])
+    def test_non_finite_tolerance_is_a_usage_error(self, capsys, tolerance):
+        # An infinite tolerance would pass every bounded check vacuously.
+        code, out, err = run(["verify", "--tolerance", tolerance], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be")
+        assert err.count("\n") == 1
+
     def test_bad_samples_is_a_usage_error(self, capsys):
         code, _, err = run(["verify", "--samples", "0"], capsys)
         assert code == 2
@@ -145,24 +155,48 @@ class TestVerifyCommand:
         for seed, want in VERIFY_DIGESTS.items():
             assert verify_digest(seed) == want, seed
 
-    def test_conformal_suite_reads_coordinates_in_batches(self, monkeypatch):
-        # The sampled loops go through the numpy batch path; a silent
-        # fallback to one scalar extraction per sample fails here.
+    @staticmethod
+    def count_scalar_work(monkeypatch, suite):
+        """(scalar extract_coords calls, 4x4 products) of one verify suite."""
         original = clifford.extract_coords
-        calls = []
+        calls = {"extract": 0, "matmul": 0}
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls["extract"] += 1
             return original(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "splitconf":
                 if getattr(module, "extract_coords", None) is original:
                     monkeypatch.setattr(module, "extract_coords", counted)
+        matmul = TensorMatrix.__matmul__
+
+        def counted_matmul(self, other):
+            calls["matmul"] += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(TensorMatrix, "__matmul__", counted_matmul)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert cli.main(["verify", "--suites", "conformal", "--format", "json"]) == 0
-        assert 0 < len(calls) <= 200
+            assert cli.main(["verify", "--suites", suite, "--format", "json"]) == 0
+        return calls["extract"], calls["matmul"]
+
+    def test_conformal_suite_reads_coordinates_in_batches(self, monkeypatch):
+        # The sampled loops and the classifier go through the numpy batch
+        # path; a silent fallback to one scalar extraction per sample
+        # fails here.  What stays scalar: 18 exact image-table steps and
+        # one dilation.
+        extracted, _ = self.count_scalar_work(monkeypatch, "conformal")
+        assert 0 < extracted <= 30
+
+    def test_group_suite_steps_its_words_in_batches(self, monkeypatch):
+        # invariance[qform], step-vs-definition and composition step one
+        # word per column in numpy; only pi[gamma_p/q] extract on the
+        # scalar route, and the 4x4 products left are the generator
+        # checks and the plane-table setup.
+        extracted, products = self.count_scalar_work(monkeypatch, "group")
+        assert 0 < extracted <= 10
+        assert 0 < products <= 80
 
     def test_default_json_carries_no_numpy_reprs(self, default_verify_json):
         # A numpy scalar reaching a report prints as np.float64(...)
@@ -295,6 +329,19 @@ class TestTransformCommand:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "point, word, shown",
+        [("0,0,0,0", "pq:800", "pq:800"), ("0,1,0,0", "bx:1e308", "bx:1e+308")],
+    )
+    def test_an_overflowing_step_names_the_overflow(self, capsys, point, word, shown):
+        code, out, err = run(["transform", "--point", point, "--word", word], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: step 1 %s failed: matrix coefficient inf is not finite: the "
+            "step overflowed or its input was not finite\n" % shown
+        )
+
     def test_an_overflowing_embedding_names_its_cause(self, capsys):
         code, out, err = run(
             ["transform", "--point", "1e200,0,0,0", "--word", "ax:1"], capsys
@@ -360,12 +407,17 @@ class TestEntryPoint:
         out = capsys.readouterr().out
         assert "verify" in out
 
-    def test_python_dash_m_runs_the_command_line(self):
+    @staticmethod
+    def package_env():
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(splitconf.__file__))
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
+        return env
+
+    def test_python_dash_m_runs_the_command_line(self):
+        env = self.package_env()
         done = subprocess.run(
             [sys.executable, "-m", "splitconf", "verify", "--suites", "clifford"],
             capture_output=True, text=True, env=env, timeout=120,
@@ -378,6 +430,22 @@ class TestEntryPoint:
         )
         assert bad.returncode == 2
         assert "unknown suite" in bad.stderr
+
+    def test_a_verify_pass_leaves_numpy_ma_unimported(self):
+        # numpy.ma costs several ms to import, in every fresh process.
+        script = (
+            "import contextlib, io, sys\n"
+            "from splitconf import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', '--format', 'json']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=self.package_env(), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestReportBound:

@@ -209,6 +209,23 @@ class TestStepRegime:
         assert all(type(c) is Fraction for c in v.as_tuple())
 
 
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "name, theta, bad",
+        [("pq", 800.0, "inf"), ("bx", 1e308, "inf"), ("ax", 1e308, "-inf")],
+    )
+    def test_an_overflowing_step_names_the_overflow(self, name, theta, bad):
+        # Before, the nan left by inf - inf failed the realness test and
+        # the message blamed the inner product.
+        msg = (
+            "matrix coefficient %s is not finite: the step overflowed or its "
+            "input was not finite" % bad
+        )
+        with pytest.raises(ValueError) as err:
+            step_vector(name, theta, Vector6(x=1.0, p=1.0))
+        assert str(err.value) == msg
+
+
 class TestDilation:
     def test_halving_example(self):
         v = embed_point(MinkowskiPoint(0, 1, 0, 0)).v

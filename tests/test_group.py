@@ -12,6 +12,7 @@ from splitconf.group import (
     PLANES,
     _conjugate,
     _half_angle,
+    _invariance_devs,
     act_on_P,
     act_on_X,
     act_on_vector,
@@ -205,6 +206,28 @@ class TestCoordinateAction:
         g = metric6()
         assert np.max(np.abs(r.T @ g @ r - g)) < 1e-11
         assert abs(np.linalg.det(r) - 1) < 1e-11
+
+    def test_stacked_invariance_devs_equal_the_word_loop(self):
+        # The stacked (n, 6, 6) route of invariance[metric]/[det] against
+        # one compose_so6 per word, bit for bit, empty words included.
+        rng = random.Random(5)
+        g = metric6()
+        for span in (0.6, 3.0):
+            words = [
+                [(rng.choice(PLANES), rng.uniform(-span, span))
+                 for _ in range(rng.randint(0, 6))]
+                for _ in range(300)
+            ]
+            assert [] in words
+            want = []
+            for word in words:
+                r = compose_so6(word)
+                want.append((float(np.max(np.abs(r.T @ g @ r - g))),
+                             float(np.linalg.det(r))))
+            got = _invariance_devs(words)
+            assert [tuple(map(float.hex, d)) for d in got] == [
+                tuple(map(float.hex, d)) for d in want
+            ]
 
     def test_empty_word_is_the_identity(self):
         v = Vector6(x=0.3, t=-0.2, q=1.1)
