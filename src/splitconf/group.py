@@ -431,12 +431,10 @@ def _invariance_devs(words):
     """
     g6, eye = metric6(), np.eye(6)
     depth = max(map(len, words), default=0)
+    padded = [[None] * (depth - len(w)) + list(w) for w in words]
     r = np.array([eye] * len(words))
     for k in range(depth):
-        r = np.array([
-            so6_step(*w[k + len(w) - depth]) if k + len(w) >= depth else eye
-            for w in words
-        ]) @ r
+        r = np.array([so6_step(*w[k]) if w[k] else eye for w in padded]) @ r
     gram = np.abs(r.transpose(0, 2, 1) @ g6 @ r - g6).max(axis=(1, 2))
     return list(zip(gram.tolist(), np.linalg.det(r).tolist()))
 
