@@ -350,18 +350,16 @@ def step_vectors(names, thetas, vectors):
     float operations in its order, so the results are bit for bit
     step_vector's.  A lone such step, any other step, and any whose
     angle overflows or whose batched result is not finite or fails the
-    span tests go through step_vector, which raises with its own
-    message.  A non-finite angle raises ValueError before any work.
+    span tests go through step_vector in index order, which raises with
+    its own message (a non-finite angle raises ValueError naming it).
     """
     names, thetas, vectors = list(names), list(thetas), list(vectors)
-    for theta in thetas:
-        check_angle(theta)
     pairs = {}
     for i, (name, theta, v) in enumerate(zip(names, thetas, vectors)):
-        if type(theta) is float and batchable(v):
+        if type(theta) is float and math.isfinite(theta) and batchable(v):
             try:
                 pairs[i] = _step_pair(name, theta)
-            except OverflowError:
+            except (OverflowError, ValueError):
                 pass
 
     return run_batches(

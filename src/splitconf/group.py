@@ -224,39 +224,45 @@ def _plane_step(plane, theta):
     return step_column(canonical_plane(plane)[0], gp), c, s
 
 
-def act_on_vectors(word, vectors, tol=1e-9, each=False):
-    """[act_on_vector(word, v, tol) for v in vectors], batched where it can be.
+def _plan(word):
+    """The _plane_step of every step of word, or None when it cannot batch.
 
-    With each=True, word holds one word per vector and vector i is acted
-    on by word[i].  A vector whose word has finite float angles and
-    whose coordinates are floats (see batch.batchable) runs in numpy,
-    the vectors grouped by word length and step k of every word in the
-    batch stacked into one (M, M^-1) pair (a shared word is planned once
-    and its single columns broadcast).  A lone vector, any other
-    vector, and any whose word overflows or whose batched result is not
-    finite or fails the span tests go through act_on_vector, which
-    raises with its own message.  A non-finite angle raises ValueError
-    first.
+    A word batches when its angles are finite floats and its steps
+    neither overflow nor name an unknown plane.
     """
-    vectors = list(vectors)
-    words = [list(w) for w in word] if each else [list(word)]
-    for w in words:
-        for _, theta in w:
-            check_angle(theta)
-    if not each:
-        words = words * len(vectors)
-    elif len(words) != len(vectors):
+    if not all(type(theta) is float and math.isfinite(theta) for _, theta in word):
+        return None
+    try:
+        return [_plane_step(*step) for step in word]
+    except (OverflowError, ValueError):
+        return None
+
+
+def act_on_vectors(words, vectors, tol=1e-9):
+    """act_on_vector(words[i], vectors[i], tol) for every i, batched where it can be.
+
+    Vector i is acted on by words[i], a sequence of (plane, angle).  A
+    vector whose coordinates are floats (see batch.batchable) and whose
+    word batches (see _plan) runs in numpy: the vectors are grouped by
+    word length and step k of every word in a batch is stacked into one
+    (M, M^-1) pair.  Plans are keyed on the word objects, so a word
+    passed for many vectors ([word] * n) is planned once, and a batch
+    of one such word broadcasts its single columns.  Every other
+    vector, and any whose batched result is not finite or fails the
+    span tests, goes through act_on_vector in index order, which raises
+    with its own message; a float angle that is not finite raises
+    ValueError naming it at its vector's place.
+    """
+    words, vectors = list(words), list(vectors)
+    if len(words) != len(vectors):
         raise ValueError("%d words for %d vectors" % (len(words), len(vectors)))
     plans, steps, groups = {}, {}, {}
     for i, (w, v) in enumerate(zip(words, vectors)):
-        if batchable(v) and all(type(theta) is float for _, theta in w):
-            if id(w) not in plans:  # a shared word is planned once
-                try:
-                    plans[id(w)] = [_plane_step(*step) for step in w]
-                except OverflowError:
-                    plans[id(w)] = None
-            steps[i] = plans[id(w)]
-            if steps[i] is not None:
+        if batchable(v):
+            if id(w) not in plans:
+                plans[id(w)] = _plan(w)
+            if plans[id(w)] is not None:
+                steps[i] = plans[id(w)]
                 groups.setdefault(len(w), []).append(i)
 
     def steps_of(chunk):
@@ -266,13 +272,12 @@ def act_on_vectors(word, vectors, tol=1e-9, each=False):
             elements([steps[i][k] for i in chunk]) for k in range(len(steps[chunk[0]]))
         ]
 
-    return run_batches(
-        vectors,
-        list(groups.values()),
-        steps_of,
-        lambda i: act_on_vector(words[i], vectors[i], tol=tol),
-        tol,
-    )
+    def scalar(i):
+        for _, theta in words[i]:
+            check_angle(theta)
+        return act_on_vector(words[i], vectors[i], tol=tol)
+
+    return run_batches(vectors, list(groups.values()), steps_of, scalar, tol)
 
 
 def _so6_matrices(words, tol=1e-9):
@@ -284,9 +289,8 @@ def _so6_matrices(words, tol=1e-9):
     vectors give.
     """
     basis = [Vector6(**{m: 1.0}) for m in COORDS]  # zeros stay int 0
-    imgs = act_on_vectors(
-        [w for w in words for _ in COORDS], basis * len(words), tol=tol, each=True
-    )
+    words = [list(w) for w in words]  # each planned once for its six vectors
+    imgs = act_on_vectors([w for w in words for _ in COORDS], basis * len(words), tol)
     cols = [[float(c) for c in img.as_tuple()] for img in imgs]
     return np.array(cols, dtype=float).reshape(-1, 6, 6).transpose(0, 2, 1)
 
@@ -496,7 +500,7 @@ def verify_group(config=None):
     n_heavy = max(1, samples // 20)
     heavy = [(_random_vector(rng), _random_word(rng, 5, 0.6)) for _ in range(n_heavy)]
     vs = [v for v, _ in heavy]
-    imgs = act_on_vectors([w for _, w in heavy], vs, each=True)
+    imgs = act_on_vectors([w for _, w in heavy], vs)
     qform_dev = 0.0
     for v, img in zip(vs, imgs):
         qform_dev = max(qform_dev, abs(metric_form(img) - metric_form(v)))

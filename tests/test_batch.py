@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitconf import batch
+from splitconf import batch, group
 from splitconf.algebra import ZERO, TensorScalar
-from splitconf.batch import _plans, _product
+from splitconf.batch import _plans, _product, check_angle
 from splitconf.clifford import (
     COORDS,
     Vector6,
@@ -81,6 +81,16 @@ hostile_vectors = st.builds(
     Vector6, *([hostile_coords] * 6)
 )
 hostile_angles = st.one_of(angles, st.sampled_from([1500.0, -1500.0, 700.0]))
+nonfinite_angles = st.one_of(
+    hostile_angles, st.sampled_from([math.nan, math.inf, -math.inf])
+)
+
+
+def checked_act(word, v):
+    """act_on_vector after the angle check act_on_vectors makes first."""
+    for _, theta in word:
+        check_angle(theta)
+    return act_on_vector(word, v)
 
 
 def outcome(fn):
@@ -100,7 +110,7 @@ class TestStepEquivalence:
             lambda: [step_vector(*s) for s in steps]
         )
 
-    @given(st.lists(st.tuples(st.sampled_from(STEP_NAMES), hostile_angles,
+    @given(st.lists(st.tuples(st.sampled_from(STEP_NAMES), nonfinite_angles,
                               hostile_vectors), min_size=2, max_size=8))
     def test_hostile_input_gives_the_scalar_outcome(self, steps):
         names, thetas, vecs = (list(x) for x in zip(*steps))
@@ -148,7 +158,7 @@ class TestWordEquivalence:
     def test_batch_equals_the_scalar_word(self, word, vecs):
         # Long boost words at large angles leave the span on the scalar
         # route too; the batch must then raise the same error.
-        assert outcome(lambda: act_on_vectors(word, vecs)) == outcome(
+        assert outcome(lambda: act_on_vectors([word] * len(vecs), vecs)) == outcome(
             lambda: [act_on_vector(word, v) for v in vecs]
         )
 
@@ -156,7 +166,7 @@ class TestWordEquivalence:
                     min_size=1, max_size=3),
            st.lists(hostile_vectors, min_size=2, max_size=6))
     def test_hostile_input_gives_the_scalar_outcome(self, word, vecs):
-        assert outcome(lambda: act_on_vectors(word, vecs)) == outcome(
+        assert outcome(lambda: act_on_vectors([word] * len(vecs), vecs)) == outcome(
             lambda: [act_on_vector(word, v) for v in vecs]
         )
 
@@ -188,18 +198,20 @@ class TestWordPerColumn:
     def test_batch_equals_the_scalar_words(self, pairs):
         words = [w for w, _ in pairs]
         vecs = [v for _, v in pairs]
-        assert outcome(lambda: act_on_vectors(words, vecs, each=True)) == outcome(
+        assert outcome(lambda: act_on_vectors(words, vecs)) == outcome(
             lambda: [act_on_vector(w, v) for w, v in pairs]
         )
 
     @given(st.lists(st.tuples(st.lists(st.tuples(st.sampled_from(PLANE_NAMES),
-                                                 hostile_angles), max_size=3),
+                                                 nonfinite_angles), max_size=3),
                               hostile_vectors), min_size=2, max_size=8))
     def test_hostile_input_gives_the_scalar_outcome(self, pairs):
+        # A non-finite angle raises at its own vector's place, after any
+        # error an earlier vector raises.
         words = [w for w, _ in pairs]
         vecs = [v for _, v in pairs]
-        assert outcome(lambda: act_on_vectors(words, vecs, each=True)) == outcome(
-            lambda: [act_on_vector(w, v) for w, v in pairs]
+        assert outcome(lambda: act_on_vectors(words, vecs)) == outcome(
+            lambda: [checked_act(w, v) for w, v in pairs]
         )
 
     def test_mixed_lengths_cross_chunks_in_order(self, monkeypatch):
@@ -228,20 +240,48 @@ class TestWordPerColumn:
             pairs = [(draw_word(), draw_vector(k)) for k in kinds]
             assert len({len(w) for w, _ in pairs}) == 7
             words, vecs = zip(*pairs)
-            assert outcome(lambda: act_on_vectors(words, vecs, each=True)) == outcome(
+            assert outcome(lambda: act_on_vectors(words, vecs)) == outcome(
                 lambda: [act_on_vector(w, v) for w, v in pairs]
             )
         for _ in range(20):
             pairs = [(draw_word(), draw_vector("float")) for _ in range(9)]
             pairs.insert(rng.randint(0, 9), (draw_word(), draw_vector("hostile")))
             words, vecs = zip(*pairs)
-            assert outcome(lambda: act_on_vectors(words, vecs, each=True)) == outcome(
+            assert outcome(lambda: act_on_vectors(words, vecs)) == outcome(
                 lambda: [act_on_vector(w, v) for w, v in pairs]
             )
 
     def test_a_word_count_that_differs_is_refused(self):
         with pytest.raises(ValueError, match="2 words for 1 vectors"):
-            act_on_vectors([[], []], [Vector6(x=1.0)], each=True)
+            act_on_vectors([[], []], [Vector6(x=1.0)])
+
+    def test_a_non_finite_angle_raises_after_an_earlier_error(self):
+        vecs = [Vector6(x=1.7e308, t=1.7e308, p=1.0), Vector6(x=1.0, p=1.0)]
+        words = [[("tx", 3.0)], [("xy", math.nan)]]
+        with pytest.raises(ValueError) as scalar:
+            act_on_vector(words[0], vecs[0])
+        with pytest.raises(ValueError) as batched:
+            act_on_vectors(words, vecs)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_a_shared_word_is_planned_once(self, monkeypatch):
+        calls = []
+        plane_step = group._plane_step
+
+        def counted(plane, theta):
+            calls.append(plane)
+            return plane_step(plane, theta)
+
+        monkeypatch.setattr(group, "_plane_step", counted)
+        word = [("xy", 0.3), ("tq", -0.2), ("pz", 0.7)]
+        so6_matrix(word)
+        assert len(calls) == 3
+        del calls[:]
+        vecs = [Vector6(x=1.0, y=float(k)) for k in range(5)]
+        assert outcome(lambda: act_on_vectors([word] * 5, vecs)) == outcome(
+            lambda: [act_on_vector(word, v) for v in vecs]
+        )
+        assert len(calls) == 3
 
 
 def random_blocks(rng, diagonal):
@@ -313,4 +353,4 @@ class TestNonFiniteAngles:
             step_vectors([name, name], [0.5, theta], [v, v])
         if name in PLANES:
             with pytest.raises(ValueError, match=msg):
-                act_on_vectors([(name, theta)], [v, v])
+                act_on_vectors([[(name, theta)]] * 2, [v, v])
