@@ -41,8 +41,6 @@ from .conformal import (
     NullVector,
     PointAtInfinity,
     apply_conformal_translation,
-    apply_dilation,
-    apply_translation,
     classify_generators,
     conformal_translation_generator,
     embed_point,
@@ -105,8 +103,6 @@ __all__ = [
     "NullVector",
     "PointAtInfinity",
     "apply_conformal_translation",
-    "apply_dilation",
-    "apply_translation",
     "classify_generators",
     "conformal_translation_generator",
     "embed_point",

@@ -43,6 +43,7 @@ __all__ = [
     "ELL",
     "UNIT",
     "is_exact",
+    "exact_div",
     "terms",
     "mul_terms",
 ]
@@ -120,6 +121,13 @@ def mul_terms(acc, a, b):
 def is_exact(x):
     """True when x belongs to the exact numeric tower (int / Fraction)."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def exact_div(a, b):
+    """a / b in the regime of its operands: Fraction(a, b) for two ints."""
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b)
+    return a / b
 
 
 def _fmt_coeff(v):

@@ -10,9 +10,9 @@ output over (64, n) arrays, so each sum rounds as the scalar sum does.
 A zero term the scalar route skips adds a zero to a sum that is never
 -0.0, which changes no bit of a finite result.  Every column carries
 its own step, so a batch can step many words of one length at once.
-``clifford`` packs and reads the batches; ``group.act_on_vectors`` and
-``conformal.step_vectors`` drive the kernel.  Plans are built on the
-first batch, not at import.
+``clifford`` packs and reads the batches; ``group.act_on_vectors``
+(and ``conformal.step_vectors`` through it) drives the kernel.  Plans
+are built on the first batch, not at import.
 """
 
 import math

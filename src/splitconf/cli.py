@@ -198,17 +198,18 @@ def _parse_point(text):
 
 
 def _encode_state(vec, as_point):
+    """A state's coordinates as floats; adding 0.0 folds -0.0 to 0.0."""
     if not as_point:
         return {
             "kind": "vector",
-            **{m: float(vec.component(m)) for m in COORDS},
+            **{m: float(vec.component(m)) + 0.0 for m in COORDS},
         }
     pt = q_or_infinity(vec)
     if pt is AT_INFINITY:
         return {"kind": "at-infinity"}
     return {
         "kind": "point",
-        **{m: float(pt.component(m)) for m in POINT_COORDS},
+        **{m: float(pt.component(m)) + 0.0 for m in POINT_COORDS},
     }
 
 
@@ -373,7 +374,8 @@ def build_parser():
         "--point",
         required=True,
         help="4 components t,x,y,z (embedded automatically) or "
-        "6 components x,y,z,t,p,q",
+        "6 components x,y,z,t,p,q; a leading minus needs the = form, "
+        "as in --point=-1,0,0,0",
     )
     _add_common(p_transform)
 

@@ -28,11 +28,10 @@ nothing to a sum that starts at +0.0.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _MUL, ELL, K, KL, L, ONE, TensorScalar, ZERO, is_exact
+from .algebra import _MUL, ELL, K, KL, L, ONE, TensorScalar, ZERO, exact_div, is_exact
 from .matrices import TensorMatrix, trace_product
 from .report import Report
 
@@ -250,9 +249,7 @@ def _eighth(value, exact):
     Exact gives a Fraction.  Float gives a float, and a zero is 0.0
     (never -0.0 or an exact zero left over from an empty sum).
     """
-    if exact:
-        return Fraction(value, 8) if isinstance(value, int) else value * Fraction(1, 8)
-    return value / 8 or 0.0
+    return exact_div(value, 8) if exact else value / 8 or 0.0
 
 
 def inner_product(a, b, tol=1e-9):

@@ -3,10 +3,15 @@
 A six-vector with zero metric square and p + q != 0 projects to a
 four-coordinate point Q = (t, x, y, z)/(p + q).  Nilpotent generators
 built from the p and q gamma products act on such vectors as
-translations and conformal translations of Q; the pq plane acts as a
-dilation; the six Lorentz planes act on Q exactly as they act on
-(t, x, y, z).  A Mobius-style closed form gives an independent oracle
-for the conformal translations.
+translations (ax..at) and conformal translations (bx..bt) of Q; the pq
+plane acts as a dilation; the six Lorentz planes act on Q exactly as
+they act on (t, x, y, z).  A Mobius-style closed form gives an
+independent oracle for the conformal translations.
+
+Every step here is a step of ``group``, which resolves all 23 names in
+one place: ``step_vector`` is ``group.act_on_vector`` with a one-step
+word, and ``step_vectors`` is ``group.act_on_vectors`` with one such
+word per vector.
 
 The printed coefficient tables bundled here (PRINTED_IMAGE_TABLE) are
 diffed against exact rational recomputation; mismatches are documented
@@ -21,26 +26,24 @@ from fractions import Fraction
 import numpy as np
 
 from . import batch
-from .algebra import is_exact
-from .batch import batchable, check_angle, elements, run_batches, step_column
+from .algebra import exact_div, is_exact
+from .batch import check_angle
 from .clifford import (
     COORDS,
-    METRIC,
     Vector6,
     build_P,
     extract_coords,
-    gamma,
     metric_form,
 )
 from .group import (
-    PLANES,
+    TRANSLATABLE,
     TRANSLATION_NAMES,
-    _plane_step,
+    _conjugate,
+    _nilpotent_generator,
     act_on_vector,
-    canonical_plane,
+    act_on_vectors,
     so6_step,
 )
-from .matrices import exp_pair
 from .report import Report
 
 __all__ = [
@@ -55,9 +58,7 @@ __all__ = [
     "embed_point",
     "translation_generator",
     "conformal_translation_generator",
-    "apply_translation",
     "apply_conformal_translation",
-    "apply_dilation",
     "step_vector",
     "step_vectors",
     "q_or_infinity",
@@ -70,8 +71,6 @@ __all__ = [
 
 # Order of the four point coordinates in tuples and CLI output.
 POINT_COORDS = ("t", "x", "y", "z")
-
-TRANSLATABLE = ("x", "y", "z", "t")
 
 
 @dataclass(frozen=True)
@@ -184,12 +183,6 @@ def minkowski_inner(a, b):
     return a.x * b.x + a.y * b.y + a.z * b.z - a.t * b.t
 
 
-def _div(a, b):
-    if is_exact(a) and is_exact(b):
-        return Fraction(a, b) if isinstance(a, int) and isinstance(b, int) else Fraction(a) / Fraction(b)
-    return a / b
-
-
 def q_from_p(n):
     """The point (t, x, y, z)/(p + q) of a null vector.
 
@@ -200,7 +193,7 @@ def q_from_p(n):
         n = NullVector(n)
     v = n.v
     s = v.p + v.q
-    return MinkowskiPoint(*(_div(v.component(m), s) for m in POINT_COORDS))
+    return MinkowskiPoint(*(exact_div(v.component(m), s) for m in POINT_COORDS))
 
 
 def embed_point(pt):
@@ -229,22 +222,6 @@ def embed_point(pt):
     )
 
 
-_translation_cache = {}
-
-
-def _nilpotent_generator(kind, m):
-    if m not in TRANSLATABLE:
-        raise ValueError("no translation along %r" % (m,))
-    key = (kind, m)
-    gen = _translation_cache.get(key)
-    if gen is None:
-        pm = gamma("p") @ gamma(m)
-        qm = gamma("q") @ gamma(m)
-        gen = pm - qm if kind == "a" else pm + qm
-        _translation_cache[key] = gen
-    return gen
-
-
 def translation_generator(m):
     """Gamma_p Gamma_m - Gamma_q Gamma_m; squares to zero exactly."""
     return _nilpotent_generator("a", m)
@@ -255,50 +232,16 @@ def conformal_translation_generator(m):
     return _nilpotent_generator("b", m)
 
 
-def _half(theta):
-    if isinstance(theta, int):
-        return Fraction(theta, 2)
-    return theta / 2
-
-
-def _nilpotent_conjugate(gen, theta, p4):
-    """U p4 U^-1 with U = I + (theta/2) gen and U^-1 = I - (theta/2) gen.
-
-    Both come from one exp_pair call, bit for bit exp_nilpotent(gen,
-    +-theta/2).  gen @ gen == 0 is proved once per generator (the proof
-    is cached on the matrix), not once per step.
-    """
-    if not gen.squares_to_zero():
-        raise ValueError("generator must square to zero exactly")
-    u, u_inv = exp_pair(gen, 1, _half(theta))
-    return (u @ p4) @ u_inv
-
-
-def apply_translation(m, theta, n):
-    """Translate the point coordinate m by theta.
-
-    Conjugation by the nilpotent exponential of the a-generator;
-    p + q is left exactly fixed and the null condition is preserved.
-    """
-    if not isinstance(n, NullVector):
-        n = NullVector(n)
-    img = _nilpotent_conjugate(translation_generator(m), theta, build_P(n.v))
-    return NullVector(extract_coords(img))
-
-
 def apply_conformal_translation(m, theta, n):
     """Conformally translate along m; may land at infinity.
 
-    Conjugation by the nilpotent exponential of the b-generator.  When
-    the image has p + q = 0 the finite chart is left and AT_INFINITY
-    is returned instead of a NullVector.
+    The step "b" + m (see step_vector).  When the image has p + q = 0
+    the finite chart is left and AT_INFINITY is returned instead of a
+    NullVector.
     """
     if not isinstance(n, NullVector):
         n = NullVector(n)
-    img = _nilpotent_conjugate(
-        conformal_translation_generator(m), theta, build_P(n.v)
-    )
-    return _chart(extract_coords(img))
+    return _chart(step_vector("b" + m, theta, n.v))
 
 
 def _chart(coords):
@@ -309,13 +252,6 @@ def _chart(coords):
     return NullVector(coords)
 
 
-def apply_dilation(theta, n):
-    """Scale the point by e^{-theta} via the pq plane; p + q scales by e^{+theta}."""
-    if not isinstance(n, NullVector):
-        n = NullVector(n)
-    return NullVector(act_on_vector([("pq", theta)], n.v))
-
-
 def step_vector(name, theta, v):
     """One named step on a raw six-vector: a plane, or ax..at / bx..bt.
 
@@ -324,50 +260,16 @@ def step_vector(name, theta, v):
     finite raises ValueError before any work.
     """
     check_angle(theta)
-    if name in TRANSLATION_NAMES:
-        gen = _nilpotent_generator(name[0], name[1])
-        img = _nilpotent_conjugate(gen, theta, build_P(v))
-        return extract_coords(img)
-    canonical_plane(name)
     return act_on_vector([(name, theta)], v)
-
-
-def _step_pair(name, theta):
-    """(column, c, s) of one step at a float angle, for batch.elements."""
-    if name in TRANSLATION_NAMES:
-        gen = _nilpotent_generator(name[0], name[1])
-        if not gen.squares_to_zero():
-            raise ValueError("generator must square to zero exactly")
-        return step_column(name, gen), 1.0, theta / 2
-    return _plane_step(name, theta)
 
 
 def step_vectors(names, thetas, vectors):
     """[step_vector(n, t, v) for n, t, v in zip(...)], batched where it can be.
 
-    Steps with a finite float angle on float vectors (see
-    batch.batchable) run in numpy batches, with the scalar route's
-    float operations in its order, so the results are bit for bit
-    step_vector's.  A lone such step, any other step, and any whose
-    angle overflows or whose batched result is not finite or fails the
-    span tests go through step_vector in index order, which raises with
-    its own message (a non-finite angle raises ValueError naming it).
+    group.act_on_vectors with one one-step word per vector: its results
+    and its errors are step_vector's, in index order.
     """
-    names, thetas, vectors = list(names), list(thetas), list(vectors)
-    pairs = {}
-    for i, (name, theta, v) in enumerate(zip(names, thetas, vectors)):
-        if type(theta) is float and math.isfinite(theta) and batchable(v):
-            try:
-                pairs[i] = _step_pair(name, theta)
-            except (OverflowError, ValueError):
-                pass
-
-    return run_batches(
-        vectors,
-        [list(pairs)],
-        lambda chunk: [elements([pairs[i] for i in chunk])],
-        lambda i: step_vector(names[i], thetas[i], vectors[i]),
-    )
+    return act_on_vectors([[step] for step in zip(names, thetas)], vectors)
 
 
 def q_or_infinity(v, tol=1e-12):
@@ -378,7 +280,7 @@ def q_or_infinity(v, tol=1e-12):
     if _pq_negligible(v, tol):
         return AT_INFINITY
     s = v.p + v.q
-    return MinkowskiPoint(*(_div(v.component(m), s) for m in POINT_COORDS))
+    return MinkowskiPoint(*(exact_div(v.component(m), s) for m in POINT_COORDS))
 
 
 def _direction(m, theta):
@@ -401,7 +303,7 @@ def mobius_oracle(v, alpha, tol=1e-12):
         return AT_INFINITY
     return MinkowskiPoint(
         *(
-            _div(vc + ac * n2v, denom)
+            exact_div(vc + ac * n2v, denom)
             for vc, ac in zip(v.as_tuple(), alpha.as_tuple())
         )
     )
@@ -473,13 +375,7 @@ def _observed_category(name, theta, img6s, tol=1e-9):
     ):
         labels.append("dilation")
 
-    try:
-        canonical_plane(name)
-    except ValueError:
-        is_plane = False
-    else:
-        is_plane = True
-    if is_plane:
+    if name not in TRANSLATION_NAMES:
         r6 = so6_step(name, theta)
         idx4 = [COORDS.index(m) for m in POINT_COORDS]
         lam = r6[np.ix_(idx4, idx4)]
@@ -598,10 +494,9 @@ def _poly_str(coeffs):
 
 def _image_table_checks(report):
     for (gen_name, basis_m), printed in sorted(PRINTED_IMAGE_TABLE.items()):
-        gen = _nilpotent_generator(gen_name[0], gen_name[1])
         observed = {m: [] for m in COORDS}
         for theta in _TABLE_THETAS:
-            img = _nilpotent_conjugate(gen, theta, build_P(Vector6.basis(basis_m)))
+            img = _conjugate([(gen_name, theta)], build_P(Vector6.basis(basis_m)))
             coords = extract_coords(img, tol=0)
             for m in COORDS:
                 observed[m].append(Fraction(coords.component(m)))
@@ -629,11 +524,7 @@ def _gap(a, b):
 
 
 def _null_images(names, thetas, nulls):
-    """NullVector images of null vectors, one step each (step_vectors).
-
-    Per sample this is apply_translation for a* names and
-    apply_dilation for pq.
-    """
+    """NullVector images of null vectors, one step each (step_vectors)."""
     return [NullVector(v) for v in step_vectors(names, thetas, [n.v for n in nulls])]
 
 
@@ -703,7 +594,7 @@ def verify_conformal(config=None):
     )
 
     unit_x = MinkowskiPoint(x=1)
-    half_x = q_from_p(apply_dilation(math.log(2), embed_point(unit_x)))
+    half_x = q_from_p(step_vector("pq", math.log(2), embed_point(unit_x).v))
     dil_dev = _gap(half_x, MinkowskiPoint(x=0.5))
     draws = [(_random_point(rng), rng.uniform(-0.8, 0.8)) for _ in range(20)]
     outs = _null_images(

@@ -1,11 +1,14 @@
-"""The fifteen plane transformations and their actions.
+"""The 23 named steps of the group and their actions.
 
-Each unordered coordinate pair names a plane; exponentiating the
-corresponding gamma product with a half angle gives the 4x4 group
-element.  An element acts on P by conjugation, equivalently on X by a
-two-sided 2x2 product, and induces a real 6x6 coordinate map that
-preserves the metric.  A plane whose gamma product squares to -I
-rotates (cos/sin); one squaring to +I boosts (cosh/sinh).
+Every step is a 4x4 element c I + s G, and ``_half_angle`` is the one
+place that maps a step name to (G, c, s).  A plane (a coordinate pair)
+has its gamma product as G, with cos/sin of the half angle when G
+squares to -I (a rotation) and cosh/sinh when it squares to +I (a
+boost).  ax..at and bx..bt have the nilpotent Gamma_p Gamma_m -+
+Gamma_q Gamma_m as G, with c = 1 and s = theta/2 (see ``conformal``).
+An element acts on P by conjugation, a plane step also on X by a
+two-sided 2x2 product, and a word induces a metric-preserving real 6x6
+coordinate map.
 
 The module also carries a bundled reference transcription of all
 fifteen matrices in closed form.  ``appendix_check`` diffs that table
@@ -28,7 +31,7 @@ import random
 import numpy as np
 
 from . import batch
-from .algebra import ONE, UNIT
+from .algebra import ONE, UNIT, exact_div
 from .batch import batchable, check_angle, elements, run_batches, step_column
 from .clifford import (
     COORDS,
@@ -39,11 +42,12 @@ from .clifford import (
     gamma,
     metric_form,
 )
-from .matrices import TensorMatrix, exp_pair
+from .matrices import TensorMatrix, _sincosh, exp_pair
 from .report import Report
 
 __all__ = [
     "PLANES",
+    "TRANSLATABLE",
     "TRANSLATION_NAMES",
     "canonical_plane",
     "plane_kind",
@@ -83,8 +87,12 @@ PLANES = (
     "pq",
 )
 
-# Names accepted by transform words in addition to the planes.
-TRANSLATION_NAMES = ("ax", "ay", "az", "at", "bx", "by", "bz", "bt")
+# Point coordinates a nilpotent step moves along.
+TRANSLATABLE = ("x", "y", "z", "t")
+
+# The nilpotent step names, accepted wherever a plane is: ax..at
+# translate the point, bx..bt translate it conformally.
+TRANSLATION_NAMES = tuple(k + m for k in "ab" for m in TRANSLATABLE)
 
 _CANONICAL = {}
 for _name in PLANES:
@@ -138,54 +146,74 @@ def plane_kind(plane):
     return _plane_data(name)[1]
 
 
-def _cs(kind, alpha):
-    if kind == "boost":
-        return math.cosh(alpha), math.sinh(alpha)
-    return math.cos(alpha), math.sin(alpha)
+_nilpotent_cache = {}
 
 
-def _half_angle(plane, theta):
-    """(gamma product, c(theta/2), s(theta/2)) for a plane."""
-    name, orient = canonical_plane(plane)
+def _nilpotent_generator(kind, m):
+    """Gamma_p Gamma_m - Gamma_q Gamma_m (kind "a") or + (kind "b"); cached."""
+    if m not in TRANSLATABLE:
+        raise ValueError("no translation along %r" % (m,))
+    gen = _nilpotent_cache.get((kind, m))
+    if gen is None:
+        pm = gamma("p") @ gamma(m)
+        qm = gamma("q") @ gamma(m)
+        gen = _nilpotent_cache[kind, m] = pm - qm if kind == "a" else pm + qm
+    return gen
+
+
+def _half_angle(step, theta):
+    """(G, c, s) with c I + s G the group element of one named step.
+
+    A plane (either order) gives its gamma product with cos/sin or
+    cosh/sinh of theta/2.  A name in TRANSLATION_NAMES gives its
+    nilpotent generator with (1, theta/2), theta/2 exact for an exact
+    theta; G @ G == 0 is proved once per generator (cached on the
+    matrix), and a generator that fails it raises ValueError.
+    """
+    if step in TRANSLATION_NAMES:
+        gen = _nilpotent_generator(step[0], step[1])
+        if not gen.squares_to_zero():
+            raise ValueError("generator must square to zero exactly")
+        return gen, 1, exact_div(theta, 2)
+    name, orient = canonical_plane(step)
     gp, kind, _, _ = _plane_data(name)
-    c, s = _cs(kind, orient * theta / 2)
+    c, s = _sincosh(orient * theta / 2, kind == "boost")
     return gp, c, s
 
 
-def generator(plane, theta):
-    """The 4x4 group element for the plane at angle theta.
+def generator(step, theta):
+    """The 4x4 group element c I + s G of a named step at angle theta.
 
-    Closed form c(theta/2) I + s(theta/2) (gamma product), with
-    cos/sin for rotation planes and cosh/sinh for boost planes.
-    theta = 0 gives the identity; a = b is rejected.
+    See _half_angle: cos/sin for rotation planes, cosh/sinh for boost
+    planes, I + (theta/2) G for ax..at and bx..bt.  theta = 0 gives the
+    identity; a = b is rejected.
     """
-    return exp_pair(*_half_angle(plane, theta))[0]
+    return exp_pair(*_half_angle(step, theta))[0]
 
 
 def _step_factors(plane, theta):
     """The (left, right) 2x2 factors of one conjugation step on X."""
-    name, orient = canonical_plane(plane)
-    _, kind, tl, br = _plane_data(name)
-    c, s = _cs(kind, orient * theta / 2)
+    _, c, s = _half_angle(plane, theta)
+    _, _, tl, br = _plane_data(canonical_plane(plane)[0])
     return exp_pair(tl, c, s)[0], exp_pair(br, c, s)[1]
 
 
 def _conjugate(word, p):
-    """M p M^-1 for each step, M = generator(plane, theta).
+    """M p M^-1 for each step, M = generator(step, theta).
 
-    M and M^-1 = generator(plane, -theta) = c I - s G come from one
+    M and M^-1 = generator(step, -theta) = c I - s G come from one
     exp_pair call on the same (c, s): libm's cos and cosh are even and
-    sin and sinh odd, so this is bit for bit the matrix
-    generator(plane, -theta) builds.
+    sin and sinh odd, and s = theta/2 is odd, so this is bit for bit
+    the matrix generator(step, -theta) builds.
     """
-    for plane, theta in word:
-        m, m_inv = exp_pair(*_half_angle(plane, theta))
+    for step, theta in word:
+        m, m_inv = exp_pair(*_half_angle(step, theta))
         p = (m @ p) @ m_inv
     return p
 
 
 def act_on_P(word, p, tol=1e-9):
-    """Conjugate p by each (plane, angle) entry in sequence.
+    """Conjugate p by each (step, angle) entry in sequence.
 
     The result must stay inside the span of the gammas; a residual
     beyond tol (relative to the matrix scale) raises ValueError.
@@ -196,7 +224,7 @@ def act_on_P(word, p, tol=1e-9):
 
 
 def act_on_X(word, x, tol=1e-9):
-    """The equivalent 2x2 action: one two-sided product per word entry.
+    """The equivalent 2x2 action: one two-sided product per plane step.
 
     Hermiticity with respect to the complex unit is checked on the
     result; losing it beyond tol raises ValueError.
@@ -218,22 +246,23 @@ def act_on_vector(word, v, tol=1e-9):
     return extract_coords(_conjugate(word, build_P(v)), tol=tol)
 
 
-def _plane_step(plane, theta):
-    """(batch.step_column, c, s) of one plane step, from _half_angle."""
-    gp, c, s = _half_angle(plane, theta)
-    return step_column(canonical_plane(plane)[0], gp), c, s
+def _batch_step(step, theta):
+    """(batch.step_column, c, s) of one step, from _half_angle."""
+    gen, c, s = _half_angle(step, theta)
+    key = step if step in TRANSLATION_NAMES else canonical_plane(step)[0]
+    return step_column(key, gen), c, s
 
 
 def _plan(word):
-    """The _plane_step of every step of word, or None when it cannot batch.
+    """The _batch_step of every step of word, or None when it cannot batch.
 
     A word batches when its angles are finite floats and its steps
-    neither overflow nor name an unknown plane.
+    neither overflow nor name an unknown step.
     """
     if not all(type(theta) is float and math.isfinite(theta) for _, theta in word):
         return None
     try:
-        return [_plane_step(*step) for step in word]
+        return [_batch_step(*step) for step in word]
     except (OverflowError, ValueError):
         return None
 
@@ -241,7 +270,7 @@ def _plan(word):
 def act_on_vectors(words, vectors, tol=1e-9):
     """act_on_vector(words[i], vectors[i], tol) for every i, batched where it can be.
 
-    Vector i is acted on by words[i], a sequence of (plane, angle).  A
+    Vector i is acted on by words[i], a sequence of (step, angle).  A
     vector whose coordinates are floats (see batch.batchable) and whose
     word batches (see _plan) runs in numpy: the vectors are grouped by
     word length and step k of every word in a batch is stacked into one
@@ -309,7 +338,7 @@ def so6_step(plane, theta):
     name, orient = canonical_plane(plane)
     kind = _plane_data(name)[1]
     a, b = name[0], name[1]
-    c, s = _cs(kind, orient * theta)
+    c, s = _sincosh(orient * theta, kind == "boost")
     ia, ib = COORDS.index(a), COORDS.index(b)
     r = np.eye(6)
     r[ia, ia] = c
@@ -699,8 +728,7 @@ REFERENCE_GENERATOR_TABLE = {
 
 def build_reference(name, phi):
     """Evaluate the reference transcription of one matrix at angle phi."""
-    kind = plane_kind(name)
-    c_val, s_val = _cs(kind, phi / 2)
+    c_val, s_val = _sincosh(phi / 2, plane_kind(name) == "boost")
     rows = [[None] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(4):

@@ -22,6 +22,7 @@ The nilpotency proof is made once per matrix and cached
 exponentiated on every step is squared only once.
 """
 
+import math
 from fractions import Fraction
 
 from .algebra import ONE, TensorScalar, ZERO, is_exact, mul_terms, terms
@@ -298,14 +299,15 @@ def trace_product(a, b):
 
 
 def _sincosh(theta, hyperbolic):
-    import math
+    """(cosh, sinh) of theta when hyperbolic, else (cos, sin).
 
-    if hyperbolic:
-        if is_exact(theta) and theta == 0:
-            return 1, 0
-        return math.cosh(theta), math.sinh(theta)
-    if is_exact(theta) and theta == 0:
+    An exact zero gives the exact (1, 0).  theta == 0 is tested first,
+    so a nonzero angle makes no is_exact call.
+    """
+    if theta == 0 and is_exact(theta):
         return 1, 0
+    if hyperbolic:
+        return math.cosh(theta), math.sinh(theta)
     return math.cos(theta), math.sin(theta)
 
 

@@ -187,14 +187,14 @@ class TestWordEquivalence:
 
 
 # Up to two steps, so that a length group often holds several columns.
-plane_words = st.lists(st.tuples(st.sampled_from(PLANE_NAMES), angles), max_size=2)
+step_words = st.lists(st.tuples(st.sampled_from(STEP_NAMES), angles), max_size=2)
 
 
 class TestWordPerColumn:
     # One word per vector: the kernel stacks step k of every word of a
     # length group into one batch, so a column paired with another
     # column's step shows here.
-    @given(st.lists(st.tuples(plane_words, vectors), max_size=16))
+    @given(st.lists(st.tuples(step_words, vectors), max_size=16))
     def test_batch_equals_the_scalar_words(self, pairs):
         words = [w for w, _ in pairs]
         vecs = [v for _, v in pairs]
@@ -202,7 +202,7 @@ class TestWordPerColumn:
             lambda: [act_on_vector(w, v) for w, v in pairs]
         )
 
-    @given(st.lists(st.tuples(st.lists(st.tuples(st.sampled_from(PLANE_NAMES),
+    @given(st.lists(st.tuples(st.lists(st.tuples(st.sampled_from(STEP_NAMES),
                                                  nonfinite_angles), max_size=3),
                               hostile_vectors), min_size=2, max_size=8))
     def test_hostile_input_gives_the_scalar_outcome(self, pairs):
@@ -215,7 +215,8 @@ class TestWordPerColumn:
         )
 
     def test_mixed_lengths_cross_chunks_in_order(self, monkeypatch):
-        # Lengths 0 to 6 in one call, reversed plane names, float, exact
+        # Lengths 0 to 6 in one call, every step name (planes in both
+        # orders, ax..at and bx..bt), float, exact
         # and mixed vectors, and coordinates that overflow or are not
         # finite (each such vector alone in its call, since the scalar
         # route raises at the first one), seven vectors per batch.
@@ -233,7 +234,7 @@ class TestWordPerColumn:
                            0.5, 0.0, 1.0, 0.0, 1.0)
 
         def draw_word():
-            return [(rng.choice(PLANE_NAMES), rng.uniform(-3, 3))
+            return [(rng.choice(STEP_NAMES), rng.uniform(-3, 3))
                     for _ in range(rng.randint(0, 6))]
 
         for kinds in (["float"] * 40, ["float", "exact", "mixed"] * 14):
@@ -266,14 +267,14 @@ class TestWordPerColumn:
 
     def test_a_shared_word_is_planned_once(self, monkeypatch):
         calls = []
-        plane_step = group._plane_step
+        batch_step = group._batch_step
 
-        def counted(plane, theta):
-            calls.append(plane)
-            return plane_step(plane, theta)
+        def counted(step, theta):
+            calls.append(step)
+            return batch_step(step, theta)
 
-        monkeypatch.setattr(group, "_plane_step", counted)
-        word = [("xy", 0.3), ("tq", -0.2), ("pz", 0.7)]
+        monkeypatch.setattr(group, "_batch_step", counted)
+        word = [("xy", 0.3), ("bt", -0.2), ("pz", 0.7)]
         so6_matrix(word)
         assert len(calls) == 3
         del calls[:]
@@ -351,6 +352,5 @@ class TestNonFiniteAngles:
             step_vector(name, theta, v)
         with pytest.raises(ValueError, match=msg):
             step_vectors([name, name], [0.5, theta], [v, v])
-        if name in PLANES:
-            with pytest.raises(ValueError, match=msg):
-                act_on_vectors([[(name, theta)]] * 2, [v, v])
+        with pytest.raises(ValueError, match=msg):
+            act_on_vectors([[(name, theta)]] * 2, [v, v])

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -283,6 +284,36 @@ class TestTransformCommand:
         assert "input:" in out
         assert "step 1" in out
         assert "final:" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_negative_zeros_print_as_zero(self, capsys, fmt):
+        # ax:-1 then bx:1 leaves y and z at -0.0 before encoding.
+        code, out, _ = run(
+            ["transform", "--point", "1,0,0,0", "--word", "ax:-1,bx:1",
+             "--format", fmt],
+            capsys,
+        )
+        assert code == 0
+        if fmt == "text":
+            assert out.splitlines()[-1] == "final:  point (t, x, y, z) = (-1, 1, 0, 0)"
+        elif fmt == "json":
+            final = json.loads(out)["final"]
+            assert [math.copysign(1.0, final[m]) for m in "yz"] == [1.0, 1.0]
+            assert "-0.0" not in out
+        else:
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert [rows[-1][m] for m in "tyz"] == ["-1.0", "0.0", "0.0"]
+
+    def test_a_leading_minus_needs_the_equals_form(self, capsys):
+        code, out, _ = run(["transform", "--point=-1,0,0,0", "--word", "ax:1"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "final:  point (t, x, y, z) = (-1, 1, 0, 0)"
+        # With a space, argparse reads -1,0,0,0 as an option: a usage error.
+        code, out, err = run(["transform", "--point", "-1,0,0,0", "--word", "ax:1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--point: expected one argument" in err
+        assert "Traceback" not in err
 
     def test_unknown_step_name_is_a_usage_error(self, capsys):
         code, _, err = run(

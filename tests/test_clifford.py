@@ -20,8 +20,7 @@ from splitconf.clifford import (
     sigma,
     verify_clifford,
 )
-from splitconf.conformal import _nilpotent_conjugate, _nilpotent_generator
-from splitconf.group import PLANES, _conjugate
+from splitconf.group import PLANES, TRANSLATION_NAMES, _conjugate
 from splitconf.matrices import TensorMatrix, quadratic_form
 
 SYMBOL = {
@@ -301,8 +300,7 @@ wide_float_vectors = st.builds(
 in_span = st.builds(build_P, exact_vectors | float_vectors | wide_float_vectors)
 
 nilpotent_steps = st.tuples(
-    st.sampled_from("ab"),
-    st.sampled_from("xyzt"),
+    st.sampled_from(TRANSLATION_NAMES),
     exact_values | st.floats(-1, 1, allow_nan=False, allow_infinity=False),
 )
 
@@ -316,13 +314,7 @@ plane_steps = st.tuples(
 def stepped(draw):
     """An in-span matrix pushed through a few plane and nilpotent steps."""
     p = draw(in_span)
-    for step in draw(st.lists(plane_steps | nilpotent_steps, max_size=3)):
-        if len(step) == 2:
-            p = _conjugate([step], p)
-        else:
-            kind, m, theta = step
-            p = _nilpotent_conjugate(_nilpotent_generator(kind, m), theta, p)
-    return p
+    return _conjugate(draw(st.lists(plane_steps | nilpotent_steps, max_size=3)), p)
 
 
 @st.composite

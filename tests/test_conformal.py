@@ -5,14 +5,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from splitconf.clifford import Vector6, build_P, gamma
+from splitconf import group
+from splitconf.clifford import Vector6, gamma
 from splitconf.conformal import (
     AT_INFINITY,
     CLASSIFY_BASIS,
     MinkowskiPoint,
     NullVector,
-    _nilpotent_conjugate,
-    _nilpotent_generator,
     classify_generators,
     conformal_translation_generator,
     embed_point,
@@ -22,10 +21,11 @@ from splitconf.conformal import (
     q_from_p,
     q_or_infinity,
     step_vector,
+    step_vectors,
     translation_generator,
     verify_conformal,
 )
-from splitconf.group import TRANSLATION_NAMES
+from splitconf.group import TRANSLATION_NAMES, _half_angle, _nilpotent_generator
 from splitconf.matrices import TensorMatrix, exp_nilpotent, exp_pair
 
 coords = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
@@ -165,17 +165,22 @@ def coefficient_reprs(mat):
 
 
 class TestNilpotentPair:
-    HALVES = (
+    THETAS = (
         Fraction(1, 3), Fraction(-7, 4), 2, -1, 0,
         0.3, -0.3, 0.0, -0.0, 1e-300, -5e-324, 1e8,
     )
 
     def test_pair_is_the_dense_exponential_at_plus_and_minus_h(self):
+        # group._half_angle resolves a nilpotent name to (G, 1, theta/2),
+        # theta/2 a Fraction for an exact theta.
         ident = TensorMatrix.identity(4)
         for name in TRANSLATION_NAMES:
-            gen = _nilpotent_generator(name[0], name[1])
-            for h in self.HALVES:
-                u, u_inv = exp_pair(gen, 1, h)
+            for theta in self.THETAS:
+                gen, c, h = _half_angle(name, theta)
+                assert gen is _nilpotent_generator(name[0], name[1]) and c == 1
+                assert h == theta / 2
+                assert type(h) is (float if type(theta) is float else Fraction)
+                u, u_inv = exp_pair(gen, c, h)
                 want = coefficient_reprs(ident + gen.scale(h))
                 want_inv = coefficient_reprs(ident + gen.scale(-h))
                 assert coefficient_reprs(u) == want, (name, h)
@@ -183,12 +188,17 @@ class TestNilpotentPair:
                 assert coefficient_reprs(exp_nilpotent(gen, h)) == want
                 assert coefficient_reprs(exp_nilpotent(gen, -h)) == want_inv
 
-    def test_step_path_rejects_a_generator_that_is_not_nilpotent(self):
-        p4 = build_P(Vector6(x=1, p=1))
+    def test_step_path_rejects_a_generator_that_is_not_nilpotent(self, monkeypatch):
+        # Twice, so the cached failed proof still refuses; the batch
+        # path refuses too and leaves the step to the scalar error.
         not_nilpotent = gamma("p") @ gamma("x")
+        monkeypatch.setattr(group, "_nilpotent_generator", lambda kind, m: not_nilpotent)
+        v = Vector6(x=1.0, p=1.0)
         for _ in range(2):
             with pytest.raises(ValueError, match="square to zero"):
-                _nilpotent_conjugate(not_nilpotent, 0.5, p4)
+                step_vector("ax", 0.5, v)
+            with pytest.raises(ValueError, match="square to zero"):
+                step_vectors(["bx", "bx"], [0.5, 0.5], [v, v])
 
 
 class TestStepRegime:

@@ -10,6 +10,7 @@ from splitconf.algebra import L, ONE
 from splitconf.clifford import Vector6, build_P, build_X, metric_form
 from splitconf.group import (
     PLANES,
+    TRANSLATION_NAMES,
     _conjugate,
     _half_angle,
     _invariance_devs,
@@ -36,6 +37,11 @@ angles = st.floats(-1.2, 1.2, allow_nan=False, allow_infinity=False)
 plane_names = st.sampled_from(PLANES)
 
 words = st.lists(st.tuples(plane_names, angles), max_size=4)
+
+# Words over all 23 step names, nilpotent ones included.
+step_words = st.lists(
+    st.tuples(st.sampled_from(PLANES + TRANSLATION_NAMES), angles), max_size=4
+)
 
 float_vectors = st.builds(
     Vector6,
@@ -195,7 +201,7 @@ class TestCoordinateAction:
             rhs = so6_step(plane, theta) @ rhs
         assert np.max(np.abs(lhs - rhs)) == 0
 
-    @given(words, float_vectors)
+    @given(step_words, float_vectors)
     def test_metric_form_is_invariant(self, word, v):
         img = act_on_vector(word, v)
         assert abs(metric_form(img) - metric_form(v)) < 1e-9
