@@ -106,20 +106,21 @@ def _product(plan, a, b):
     return acc
 
 
-def step_column(key, gen):
+def step_column(gen):
     """The diagonal-block coefficients of gen as a (64, 1) float column.
 
-    Cached under key (a step name); raises AssertionError when gen has
-    a coefficient off the diagonal blocks.
+    Cached per generator object, which the cache holds so its id stays
+    its own; raises AssertionError when gen has a coefficient off the
+    diagonal blocks.
     """
-    col = _columns.get(key)
-    if col is None:
+    got = _columns.get(id(gen))
+    if got is None:
         flat = [c for row in gen.rows for e in row for c in e.coeffs]
         diag = block_rows(True)
         if any(flat[f] for f in set(range(128)).difference(diag)):
-            raise AssertionError("generator %s is not block diagonal" % key)
-        col = _columns[key] = np.array([[float(flat[f])] for f in diag])
-    return col
+            raise AssertionError("generator is not block diagonal")
+        got = _columns[id(gen)] = (gen, np.array([[float(flat[f])] for f in diag]))
+    return got[1]
 
 
 def elements(steps):

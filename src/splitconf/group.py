@@ -249,8 +249,7 @@ def act_on_vector(word, v, tol=1e-9):
 def _batch_step(step, theta):
     """(batch.step_column, c, s) of one step, from _half_angle."""
     gen, c, s = _half_angle(step, theta)
-    key = step if step in TRANSLATION_NAMES else canonical_plane(step)[0]
-    return step_column(key, gen), c, s
+    return step_column(gen), c, s
 
 
 def _plan(word):

@@ -165,28 +165,40 @@ def coefficient_reprs(mat):
 
 
 class TestNilpotentPair:
-    THETAS = (
+    HALVES = (
         Fraction(1, 3), Fraction(-7, 4), 2, -1, 0,
         0.3, -0.3, 0.0, -0.0, 1e-300, -5e-324, 1e8,
     )
 
-    def test_pair_is_the_dense_exponential_at_plus_and_minus_h(self):
-        # group._half_angle resolves a nilpotent name to (G, 1, theta/2),
-        # theta/2 a Fraction for an exact theta.
+    @staticmethod
+    def assert_dense_pair(gen, h):
         ident = TensorMatrix.identity(4)
+        u, u_inv = exp_pair(gen, 1, h)
+        want = coefficient_reprs(ident + gen.scale(h))
+        want_inv = coefficient_reprs(ident + gen.scale(-h))
+        assert coefficient_reprs(u) == want, h
+        assert coefficient_reprs(u_inv) == want_inv, h
+        assert coefficient_reprs(exp_nilpotent(gen, h)) == want
+        assert coefficient_reprs(exp_nilpotent(gen, -h)) == want_inv
+
+    def test_pair_is_the_dense_exponential_at_plus_and_minus_h(self):
         for name in TRANSLATION_NAMES:
-            for theta in self.THETAS:
+            gen = _nilpotent_generator(name[0], name[1])
+            for h in self.HALVES:
+                self.assert_dense_pair(gen, h)
+
+    def test_half_angle_gives_each_half_in_its_regime(self):
+        # group._half_angle resolves a nilpotent name to (G, 1, theta/2);
+        # at theta = 2 h it gives back each of HALVES, as a Fraction for
+        # an exact theta (doubling and halving a float are exact).
+        for name in TRANSLATION_NAMES:
+            for half in self.HALVES:
+                theta = 2 * half
                 gen, c, h = _half_angle(name, theta)
                 assert gen is _nilpotent_generator(name[0], name[1]) and c == 1
-                assert h == theta / 2
+                assert h == half and math.copysign(1, h) == math.copysign(1, half)
                 assert type(h) is (float if type(theta) is float else Fraction)
-                u, u_inv = exp_pair(gen, c, h)
-                want = coefficient_reprs(ident + gen.scale(h))
-                want_inv = coefficient_reprs(ident + gen.scale(-h))
-                assert coefficient_reprs(u) == want, (name, h)
-                assert coefficient_reprs(u_inv) == want_inv, (name, h)
-                assert coefficient_reprs(exp_nilpotent(gen, h)) == want
-                assert coefficient_reprs(exp_nilpotent(gen, -h)) == want_inv
+                self.assert_dense_pair(gen, h)
 
     def test_step_path_rejects_a_generator_that_is_not_nilpotent(self, monkeypatch):
         # Twice, so the cached failed proof still refuses; the batch

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,8 +96,17 @@ class TestPlaneNames:
 
 class TestGenerator:
     def test_identity_at_zero(self):
+        # An exact zero angle takes the exact (c, s) = (1, 0) into
+        # exp_pair, in either order of the plane: the identity stays
+        # exact, and so6_step has +0.0 off the diagonal, never -0.0.
+        ident = TensorMatrix.identity(4)
         for name in PLANES:
-            assert generator(name, 0) == TensorMatrix.identity(4)
+            assert generator(name, 0) == ident
+            for step in (name, name[::-1]):
+                g = generator(step, Fraction(0))
+                assert g == ident and g.is_exact()
+                r = so6_step(step, 0)
+                assert (r == np.eye(6)).all() and not np.signbit(r).any()
 
     @given(plane_names, angles, angles)
     def test_one_parameter_group_law(self, name, t1, t2):

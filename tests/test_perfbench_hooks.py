@@ -6,6 +6,7 @@ side would otherwise show only when the benchmark runs; here it fails
 the test suite instead.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,15 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 @pytest.fixture
 def perfbench(monkeypatch):
+    # The benchmark's modules have generic names; they leave sys.modules
+    # with the test.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import run
     import tracing
 
-    return run, tracing
+    yield run, tracing
+    for name in ("run", "tracing", "probe", "workloads"):
+        sys.modules.pop(name, None)
 
 
 def test_the_tracer_installs_and_uninstalls(perfbench):
@@ -29,8 +34,10 @@ def test_the_tracer_installs_and_uninstalls(perfbench):
     originals = (conformal.step_vector, conformal.apply_conformal_translation,
                  group.generator)
     tracer = tracing.install(tracing.Tracer())
-    assert conformal.step_vector is not originals[0]
-    tracer.uninstall()
+    try:
+        assert conformal.step_vector is not originals[0]
+    finally:
+        tracer.uninstall()
     assert (conformal.step_vector, conformal.apply_conformal_translation,
             group.generator) == originals
 
