@@ -69,17 +69,23 @@ from .matrices import (
     exp_nilpotent,
     quadratic_form,
 )
-from .realrep import (
-    real_gamma,
-    real_generators,
-    realify_matrix,
-    realify_scalar,
-    restrict_so31_second,
-    verify_realrep,
-)
 from .report import Check, Report
 
 __version__ = "1.0.0"
+
+# Served by __getattr__, so that importing the package loads neither
+# realrep nor numpy.
+_REALREP_NAMES = (
+    "real_gamma", "real_generators", "realify_matrix", "realify_scalar",
+    "restrict_so31_second", "verify_realrep",
+)
+
+
+def __getattr__(name):
+    if name in _REALREP_NAMES:
+        from . import realrep
+        return getattr(realrep, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "BASIS",

@@ -4,7 +4,9 @@ Exit codes: 0 when nothing failed (documented discrepancies do not
 fail a run), 1 when at least one check failed, 2 for usage errors,
 which include non-finite numbers and angles whose matrices overflow.
 The json format is deterministic: the same configuration produces
-byte-identical output.
+byte-identical output.  numpy and ``realrep`` load only when the
+realrep suite or a ``show real-*`` command runs; ``transform`` never
+loads them.
 """
 
 import argparse
@@ -13,8 +15,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from .algebra import BASIS
 from .clifford import COORDS, Vector6, sigma, gamma, verify_clifford
@@ -36,7 +36,6 @@ from .group import (
     verify_group,
     verify_properties,
 )
-from .realrep import real_gamma, exp_real_generator, verify_realrep
 from .report import Report
 
 __all__ = ["Report", "RunConfig", "SUITES", "MAX_SAMPLES", "main"]
@@ -45,6 +44,13 @@ FORMATS = ("json", "text", "csv")
 
 # Largest --samples accepted; the suites' run time grows linearly with it.
 MAX_SAMPLES = 1_000_000
+
+
+def verify_realrep(config=None):
+    """realrep.verify_realrep, imported on first use."""
+    from .realrep import verify_realrep
+    return verify_realrep(config)
+
 
 SUITES = (
     ("clifford", verify_clifford),
@@ -305,6 +311,14 @@ def _show_real(arr, config, out):
             out.write(" ".join("%6s" % _num(v) for v in row) + "\n")
 
 
+def _exp_real_generator(plane, angle):
+    """realrep.exp_real_generator, with numpy overflow raised, not warned."""
+    import numpy as np
+    from .realrep import exp_real_generator
+    with np.errstate(over="raise", invalid="raise"):
+        return exp_real_generator(plane, angle)
+
+
 def cmd_show(args, config, out):
     kind, ident = args.object, args.id
     if kind in ("sigma", "gamma", "real-gamma"):
@@ -315,6 +329,7 @@ def cmd_show(args, config, out):
         elif kind == "gamma":
             _show_tensor(gamma(ident), config, out)
         else:
+            from .realrep import real_gamma
             _show_real(real_gamma(ident), config, out)
         return 0
     if kind in ("generator", "real-generator"):
@@ -327,10 +342,9 @@ def cmd_show(args, config, out):
         if kind == "generator":
             make, show = generator, _show_tensor
         else:
-            make, show = exp_real_generator, _show_real
+            make, show = _exp_real_generator, _show_real
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                mat = make(ident, args.angle)
+            mat = make(ident, args.angle)
         except (OverflowError, FloatingPointError):
             raise UsageError(
                 "--angle %s overflows the matrix entries" % _num(args.angle)

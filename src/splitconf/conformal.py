@@ -23,11 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import batch
 from .algebra import exact_div, is_exact
-from .batch import check_angle
 from .clifford import (
     COORDS,
     Vector6,
@@ -42,6 +38,7 @@ from .group import (
     _nilpotent_generator,
     act_on_vector,
     act_on_vectors,
+    check_angle,
     so6_step,
 )
 from .report import Report
@@ -353,6 +350,7 @@ def _observed_category(name, theta, img6s, tol=1e-9):
 
     img6s are the images of _CLASSIFY_POINTS under the step (name, theta).
     """
+    import numpy as np
     images = [
         (pt, img6, q_or_infinity(img6)) for pt, img6 in zip(_CLASSIFY_POINTS, img6s)
     ]
@@ -534,6 +532,8 @@ def _random_point(rng, span=0.9):
 
 def verify_conformal(config=None):
     """Oracle comparisons and structural checks of the conformal actions."""
+    import numpy as np
+    from .batch import BATCH_SIZE
     config = dict(config or {})
     tol = config.get("tolerance", 1e-12)
     seed = config.get("seed", 42)
@@ -648,7 +648,7 @@ def verify_conformal(config=None):
             # skipped one is refilled on the next pass, so the seeded
             # stream is read exactly as one sample at a time reads it.
             draws = []
-            while len(draws) < min(per_m - done, batch.BATCH_SIZE):
+            while len(draws) < min(per_m - done, BATCH_SIZE):
                 pt = _random_point(rng)
                 theta = rng.uniform(-0.6, 0.6)
                 alpha = _direction(m, theta)

@@ -22,17 +22,15 @@ word: vectors are grouped by word length and step k of every word in
 a batch becomes one column of the same (M, M^-1) pair, so the sampled
 words of ``verify_group`` and the basis images behind ``so6_matrix``
 run as a few batches.  The 6x6 invariance checks compose their words
-as stacked (n, 6, 6) products, bit for bit as ``compose_so6``.
+as stacked (n, 6, 6) products, bit for bit as ``compose_so6``.  numpy
+and ``batch`` are imported by the functions that use them, so the
+scalar step route loads neither.
 """
 
 import math
 import random
 
-import numpy as np
-
-from . import batch
 from .algebra import ONE, UNIT, exact_div
-from .batch import batchable, check_angle, elements, run_batches, step_column
 from .clifford import (
     COORDS,
     METRIC,
@@ -56,6 +54,7 @@ __all__ = [
     "act_on_X",
     "act_on_vector",
     "act_on_vectors",
+    "check_angle",
     "so6_matrix",
     "so6_step",
     "metric6",
@@ -181,6 +180,12 @@ def _half_angle(step, theta):
     return gp, c, s
 
 
+def check_angle(theta):
+    """Reject a float angle that is not finite, naming it."""
+    if isinstance(theta, float) and not math.isfinite(theta):
+        raise ValueError("angle %s is not finite" % (theta,))
+
+
 def generator(step, theta):
     """The 4x4 group element c I + s G of a named step at angle theta.
 
@@ -248,6 +253,7 @@ def act_on_vector(word, v, tol=1e-9):
 
 def _batch_step(step, theta):
     """(batch.step_column, c, s) of one step, from _half_angle."""
+    from .batch import step_column
     gen, c, s = _half_angle(step, theta)
     return step_column(gen), c, s
 
@@ -281,6 +287,7 @@ def act_on_vectors(words, vectors, tol=1e-9):
     with its own message; a float angle that is not finite raises
     ValueError naming it at its vector's place.
     """
+    from .batch import batchable, elements, run_batches
     words, vectors = list(words), list(vectors)
     if len(words) != len(vectors):
         raise ValueError("%d words for %d vectors" % (len(words), len(vectors)))
@@ -316,6 +323,7 @@ def _so6_matrices(words, tol=1e-9):
     adds exactly, so they give the float values the exact basis
     vectors give.
     """
+    import numpy as np
     basis = [Vector6(**{m: 1.0}) for m in COORDS]  # zeros stay int 0
     words = [list(w) for w in words]  # each planned once for its six vectors
     imgs = act_on_vectors([w for w in words for _ in COORDS], basis * len(words), tol)
@@ -328,27 +336,40 @@ def so6_matrix(word, tol=1e-9):
     return _so6_matrices([word], tol)[0]
 
 
+def _so6_stack(steps):
+    """so6_step of each (plane, theta) in steps as an (n, 6, 6) array; None gives I.
+
+    c and +-s of every step are scattered into a stack of identities
+    in one assignment.
+    """
+    import numpy as np
+    rows, cols, values = [], [], []
+    for n, step in enumerate(steps):
+        if step is None:
+            continue
+        name, orient = canonical_plane(step[0])
+        c, s = _sincosh(orient * step[1], _plane_data(name)[1] == "boost")
+        a, b = COORDS.index(name[0]), COORDS.index(name[1])
+        rows += (n, n, n, n)
+        cols += (7 * a, 6 * a + b, 7 * b, 6 * b + a)
+        values += (c, s * METRIC[name[1]], c, -s * METRIC[name[0]])
+    r = np.tile(np.eye(6), (len(steps), 1, 1))
+    r.reshape(-1, 36)[rows, cols] = values
+    return r
+
+
 def so6_step(plane, theta):
     """Closed-form 6x6 matrix of a single plane transformation.
 
     Equals so6_matrix([(plane, theta)]); kept separate so long words
     can be composed without rebuilding the conjugation each time.
     """
-    name, orient = canonical_plane(plane)
-    kind = _plane_data(name)[1]
-    a, b = name[0], name[1]
-    c, s = _sincosh(orient * theta, kind == "boost")
-    ia, ib = COORDS.index(a), COORDS.index(b)
-    r = np.eye(6)
-    r[ia, ia] = c
-    r[ia, ib] = s * METRIC[b]
-    r[ib, ib] = c
-    r[ib, ia] = -s * METRIC[a]
-    return r
+    return _so6_stack([(plane, theta)])[0]
 
 
 def metric6():
     """diag of the metric in coordinate order."""
+    import numpy as np
     return np.diag([float(METRIC[m]) for m in COORDS])
 
 
@@ -446,6 +467,7 @@ def _random_vector(rng, span=1.0):
 
 def compose_so6(word):
     """Product of single-step 6x6 matrices, later steps applied on the left."""
+    import numpy as np
     r = np.eye(6)
     for plane, theta in word:
         r = so6_step(plane, theta) @ r
@@ -455,24 +477,27 @@ def compose_so6(word):
 def _invariance_devs(words):
     """(max |R^T G R - G|, det R) for R = compose_so6(word), one pair per word.
 
-    R is formed for all the words at once as an (n, 6, 6) stack, with
-    the same so6_step factors in the same order.  A shorter word starts
-    with identity steps: I @ I is I exactly, so every product is one
-    compose_so6 forms, and the stacked matmul and det give the 2-D
-    results bit for bit.
+    R is formed for all the words at once as an (n, 6, 6) stack, step k
+    of every word in one _so6_stack, with the same so6_step factors in
+    the same order.  A shorter word starts with identity steps: I @ I
+    is I exactly, so every product is one compose_so6 forms, and the
+    stacked matmul and det give the 2-D results bit for bit.
     """
-    g6, eye = metric6(), np.eye(6)
+    import numpy as np
+    g6 = metric6()
     depth = max(map(len, words), default=0)
     padded = [[None] * (depth - len(w)) + list(w) for w in words]
-    r = np.array([eye] * len(words))
+    r = _so6_stack([None] * len(words))
     for k in range(depth):
-        r = np.array([so6_step(*w[k]) if w[k] else eye for w in padded]) @ r
+        r = _so6_stack([w[k] for w in padded]) @ r
     gram = np.abs(r.transpose(0, 2, 1) @ g6 @ r - g6).max(axis=(1, 2))
     return list(zip(gram.tolist(), np.linalg.det(r).tolist()))
 
 
 def verify_group(config=None):
     """Structural and seeded statistical checks of the group actions."""
+    import numpy as np
+    from .batch import BATCH_SIZE
     config = dict(config or {})
     tol = config.get("tolerance", 1e-12)
     seed = config.get("seed", 42)
@@ -542,8 +567,8 @@ def verify_group(config=None):
     metric_dev = 0.0
     det_dev = 0.0
     words = [_random_word(rng, 5, 0.6) for _ in range(samples)]
-    for start in range(0, samples, batch.BATCH_SIZE):
-        for dev, det in _invariance_devs(words[start:start + batch.BATCH_SIZE]):
+    for start in range(0, samples, BATCH_SIZE):
+        for dev, det in _invariance_devs(words[start:start + BATCH_SIZE]):
             metric_dev = max(metric_dev, dev)
             det_dev = max(det_dev, abs(det - 1.0))
     report.bound(

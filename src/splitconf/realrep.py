@@ -64,13 +64,22 @@ def _kron_all(names):
     return out
 
 
+_unit_blocks = []
+
+
 def realify_scalar(s):
     """The real 4x4 matrix of a scalar: split image kron complex image.
 
     Integer coefficients give an int64 matrix, floats give float64,
     and exact rationals give an object matrix of Fractions; in every
-    case the map is an exact ring homomorphism on exact inputs.
+    case the map is an exact ring homomorphism on exact inputs.  The
+    eight unit images are built on first use.
     """
+    if not _unit_blocks:
+        _unit_blocks.extend(
+            np.kron(SPLIT_IMAGE[H_UNITS[i % 4]], COMPLEX_IMAGE["l" if i >= 4 else "1"])
+            for i in range(8)
+        )
     coeffs = s.coeffs
     if any(isinstance(c, float) for c in coeffs):
         dtype = np.float64
@@ -79,13 +88,9 @@ def realify_scalar(s):
     else:
         dtype = np.int64
     out = np.zeros((4, 4), dtype=dtype)
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        h = H_UNITS[i % 4]
-        cu = "l" if i >= 4 else "1"
-        block = np.kron(SPLIT_IMAGE[h], COMPLEX_IMAGE[cu])
-        out = out + block * c
+    for c, block in zip(coeffs, _unit_blocks):
+        if c != 0:
+            out = out + block * c
     return out
 
 

@@ -18,16 +18,14 @@ from hypothesis import strategies as st
 
 from splitconf import batch, group
 from splitconf.algebra import ZERO, TensorScalar
-from splitconf.batch import _plans, _product, check_angle
-from splitconf.clifford import (
-    COORDS,
-    Vector6,
+from splitconf.batch import (
+    _plans,
+    _product,
     block_rows,
-    build_P,
     build_P_batch,
-    extract_coords,
     extract_coords_batch,
 )
+from splitconf.clifford import COORDS, Vector6, build_P, extract_coords
 from splitconf.conformal import (
     MinkowskiPoint,
     embed_point,
@@ -39,6 +37,7 @@ from splitconf.group import (
     TRANSLATION_NAMES,
     act_on_vector,
     act_on_vectors,
+    check_angle,
     so6_matrix,
 )
 from splitconf.matrices import TensorMatrix

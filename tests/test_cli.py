@@ -478,6 +478,65 @@ class TestEntryPoint:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
 
+    LAZY = ("numpy", "splitconf.batch", "splitconf.realrep")
+
+    def run_script(self, script):
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=self.package_env(), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "import splitconf\n",
+            "import splitconf.cli\n",
+            "import contextlib, io\n"
+            "from splitconf import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['transform', '--point', '0.1,0.2,0.3,0.4',\n"
+            "                     '--word', 'xy:0.3,ax:0.5,bt:-0.2']) == 0\n",
+        ],
+        ids=["package", "cli", "transform"],
+    )
+    def test_numpy_stays_off_the_import_path(self, body):
+        # numpy is most of a fresh process's import time, and the exact
+        # 4x4 route of transform needs neither it, realrep nor batch.
+        script = "import sys\n%sprint([m for m in %r if m in sys.modules])\n" % (
+            body, self.LAZY,
+        )
+        assert self.run_script(script) == "[]\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--suites", "realrep"], ["show", "real-generator", "tx"]],
+        ids=["verify-realrep", "show-real-generator"],
+    )
+    def test_the_numpy_routes_load_it_on_first_use(self, argv):
+        script = (
+            "import contextlib, io, sys\n"
+            "from splitconf import cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = cli.main(%r)\n"
+            "print(code, bool(out.getvalue()), [m in sys.modules for m in %r])\n"
+        ) % (argv, self.LAZY[::2])
+        assert self.run_script(script) == "0 True [True, True]\n"
+
+    def test_every_public_name_resolves_in_a_fresh_process(self):
+        script = (
+            "import splitconf\n"
+            "got = {n: getattr(splitconf, n) for n in splitconf.__all__}\n"
+            "from splitconf import realrep\n"
+            "lazy = [n for n in realrep.__all__ if n in got]\n"
+            "print([n for n in got if got[n] is None],\n"
+            "      all(got[n] is getattr(realrep, n) for n in lazy), len(lazy),\n"
+            "      hasattr(splitconf, 'no_such_name'))\n"
+        )
+        assert self.run_script(script) == "[] True 6 False\n"
+
 
 class TestReportBound:
     def test_bound_records_what_add_would(self):
