@@ -87,6 +87,11 @@ def __getattr__(name):
         return getattr(realrep, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
+
+def __dir__():
+    return sorted(set(globals()) | set(_REALREP_NAMES))
+
+
 __all__ = [
     "BASIS",
     "H_UNITS",

@@ -4,9 +4,9 @@ Exit codes: 0 when nothing failed (documented discrepancies do not
 fail a run), 1 when at least one check failed, 2 for usage errors,
 which include non-finite numbers and angles whose matrices overflow.
 The json format is deterministic: the same configuration produces
-byte-identical output.  numpy and ``realrep`` load only when the
-realrep suite or a ``show real-*`` command runs; ``transform`` never
-loads them.
+byte-identical output.  numpy loads when ``verify`` or a ``show real-*``
+command runs, ``realrep`` only for its suite and ``show real-*``;
+``transform`` loads neither.
 """
 
 import argparse

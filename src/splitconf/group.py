@@ -337,11 +337,7 @@ def so6_matrix(word, tol=1e-9):
 
 
 def _so6_stack(steps):
-    """so6_step of each (plane, theta) in steps as an (n, 6, 6) array; None gives I.
-
-    c and +-s of every step are scattered into a stack of identities
-    in one assignment.
-    """
+    """so6_step of each (plane, theta) in steps as an (n, 6, 6) array; None gives I."""
     import numpy as np
     rows, cols, values = [], [], []
     for n, step in enumerate(steps):

@@ -533,9 +533,9 @@ class TestEntryPoint:
             "lazy = [n for n in realrep.__all__ if n in got]\n"
             "print([n for n in got if got[n] is None],\n"
             "      all(got[n] is getattr(realrep, n) for n in lazy), len(lazy),\n"
-            "      hasattr(splitconf, 'no_such_name'))\n"
+            "      hasattr(splitconf, 'no_such_name'), set(got) <= set(dir(splitconf)))\n"
         )
-        assert self.run_script(script) == "[] True 6 False\n"
+        assert self.run_script(script) == "[] True 6 False True\n"
 
 
 class TestReportBound:
