@@ -15,13 +15,7 @@ recomputed values are always the ground truth, and table mismatches
 are documented in reports rather than failing them.
 """
 
-from .algebra import (
-    BASIS,
-    H_UNITS,
-    Complex,
-    SplitQuaternion,
-    TensorScalar,
-)
+from .algebra import BASIS, H_UNITS, TensorScalar
 from .clifford import (
     COORDS,
     METRIC,
@@ -65,7 +59,6 @@ from .group import (
 )
 from .matrices import (
     TensorMatrix,
-    exp_involutory,
     exp_nilpotent,
     quadratic_form,
 )
@@ -95,8 +88,6 @@ def __dir__():
 __all__ = [
     "BASIS",
     "H_UNITS",
-    "Complex",
-    "SplitQuaternion",
     "TensorScalar",
     "COORDS",
     "METRIC",
@@ -134,7 +125,6 @@ __all__ = [
     "verify_group",
     "verify_properties",
     "TensorMatrix",
-    "exp_involutory",
     "exp_nilpotent",
     "quadratic_form",
     "real_gamma",

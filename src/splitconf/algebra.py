@@ -1,14 +1,13 @@
 """Arithmetic in the split-quaternion tensor algebra.
 
-Three scalar layers:
-
-* ``Complex`` -- x + y*l with l**2 = -1.
-* ``SplitQuaternion`` -- s + k*K + kl*KL + t*L where K**2 = -1,
-  L**2 = (KL)**2 = +1, distinct imaginary units anticommute, and
-  K*L = KL, L*KL = -K, KL*K = L.
-* ``TensorScalar`` -- the eight-dimensional algebra spanned by
-  {1, K, KL, L} x {1, l}.  The complex unit l commutes with all of
-  K, KL, L; the two factors only interact through their coefficients.
+``TensorScalar`` is the eight-dimensional algebra spanned by
+{1, K, KL, L} x {1, l}, the split quaternions tensored with the complex
+numbers.  K**2 = -1, L**2 = (KL)**2 = +1, distinct split units
+anticommute, and K*L = KL, L*KL = -K, KL*K = L; the complex unit l
+squares to -1 and commutes with all of K, KL, L, so the two factors
+only interact through their coefficients.  The split quaternions are
+the span of the first four BASIS units, the complex numbers the span
+of {1, l}.
 
 Coefficients are plain Python numbers.  Use ``int`` or
 ``fractions.Fraction`` for exact work and ``float`` once transcendental
@@ -19,9 +18,9 @@ Every product in the package goes through one kernel, :func:`mul_terms`,
 driven by the structure-constant table ``_MUL``: it adds a * b into an
 accumulator from the nonzero (basis index, coefficient) terms of the
 two factors (:func:`terms`), visiting the pairs in ascending (index of
-a, index of b) order.  Split-quaternion, tensor-scalar and 4x4 matrix
-products and ``matrices.trace_product`` all call it, so float sums
-round the same way on every route.
+a, index of b) order.  Scalar and 4x4 matrix products and
+``matrices.trace_product`` all call it, so float sums round the same
+way on every route.
 
 The algebra is associative but not commutative, and it has zero
 divisors: (1 + L) * (1 - L) == 0.
@@ -32,8 +31,6 @@ from fractions import Fraction
 __all__ = [
     "BASIS",
     "H_UNITS",
-    "Complex",
-    "SplitQuaternion",
     "TensorScalar",
     "ZERO",
     "ONE",
@@ -136,122 +133,6 @@ def _fmt_coeff(v):
     return str(v)
 
 
-class Complex:
-    """A complex number x + y*l with plain-number parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other):
-        if not isinstance(other, Complex):
-            return NotImplemented
-        return Complex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        if not isinstance(other, Complex):
-            return NotImplemented
-        return Complex(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return Complex(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if not isinstance(other, Complex):
-            return NotImplemented
-        return Complex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self):
-        """Negate the l part."""
-        return Complex(self.re, -self.im)
-
-    def to_tensor(self):
-        return TensorScalar((self.re, 0, 0, 0, self.im, 0, 0, 0))
-
-    def __eq__(self, other):
-        if not isinstance(other, Complex):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return "Complex(%r, %r)" % (self.re, self.im)
-
-
-class SplitQuaternion:
-    """A split quaternion s + k*K + kl*KL + t*L.
-
-    The slot names follow the coefficient roles: ``s`` is the scalar
-    part and ``k``, ``kl``, ``l`` multiply K, KL and L.
-    """
-
-    __slots__ = ("s", "k", "kl", "l")
-
-    def __init__(self, s=0, k=0, kl=0, l=0):
-        self.s = s
-        self.k = k
-        self.kl = kl
-        self.l = l
-
-    def _vec(self):
-        return (self.s, self.k, self.kl, self.l)
-
-    def __add__(self, other):
-        if not isinstance(other, SplitQuaternion):
-            return NotImplemented
-        return SplitQuaternion(
-            self.s + other.s, self.k + other.k, self.kl + other.kl, self.l + other.l
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, SplitQuaternion):
-            return NotImplemented
-        return SplitQuaternion(
-            self.s - other.s, self.k - other.k, self.kl - other.kl, self.l - other.l
-        )
-
-    def __neg__(self):
-        return SplitQuaternion(-self.s, -self.k, -self.kl, -self.l)
-
-    def __mul__(self, other):
-        if not isinstance(other, SplitQuaternion):
-            return NotImplemented
-        # The split quaternions are the first four BASIS units, where
-        # _MUL restricts to _H_MUL.
-        out = [0, 0, 0, 0]
-        mul_terms(out, terms(self._vec()), terms(other._vec()))
-        return SplitQuaternion(*out)
-
-    def conjugate(self):
-        """Negate K, KL and L; this is an anti-automorphism."""
-        return SplitQuaternion(self.s, -self.k, -self.kl, -self.l)
-
-    def norm(self):
-        """Scalar of self * self.conjugate(); indefinite (s^2 + k^2 - kl^2 - l^2)."""
-        return self.s * self.s + self.k * self.k - self.kl * self.kl - self.l * self.l
-
-    def to_tensor(self):
-        return TensorScalar((self.s, self.k, self.kl, self.l, 0, 0, 0, 0))
-
-    def __eq__(self, other):
-        if not isinstance(other, SplitQuaternion):
-            return NotImplemented
-        return self._vec() == other._vec()
-
-    def __hash__(self):
-        return hash(self._vec())
-
-    def __repr__(self):
-        return "SplitQuaternion(%r, %r, %r, %r)" % self._vec()
-
-
 class TensorScalar:
     """An element of the eight-dimensional split-quaternion tensor algebra.
 
@@ -286,16 +167,6 @@ class TensorScalar:
         c = [0] * 8
         c[idx] = 1
         return cls(c)
-
-    @classmethod
-    def from_parts(cls, c1, cK, cKL, cL):
-        """Build from four Complex coefficients over {1, K, KL, L}."""
-        return cls((c1.re, cK.re, cKL.re, cL.re, c1.im, cK.im, cKL.im, cL.im))
-
-    def component(self, h_unit):
-        """The Complex coefficient sitting on one of the H_UNITS."""
-        h = H_UNITS.index(h_unit)
-        return Complex(self.coeffs[h], self.coeffs[h + 4])
 
     def __add__(self, other):
         if not isinstance(other, TensorScalar):

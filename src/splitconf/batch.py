@@ -16,25 +16,28 @@ its own step, so a batch can step many words of one length at once.
 holding coefficient ``block_rows(False)[r]`` of the off-diagonal 2x2
 blocks, where every gamma has its entries.  They read the same slot
 and gather tables, and the gather sums run in rounds too.
-``group.act_on_vectors`` (and ``conformal.step_vectors`` through it)
-imports this module and drives it; plans and tables are built on the
+
+:func:`conjugate` is the whole kernel as one call, arrays in and arrays
+out.  Which vectors go on it, in what chunks, and what a refused
+column falls back to is decided by ``group.act_on_vectors``, which
+imports this module on first use; plans and tables are built on the
 first batch, not at import.
 """
+
+import functools
 
 import numpy as np
 
 from .algebra import _MUL
-from .clifford import COORDS, METRIC, Vector6, _gather, _slots
+from .clifford import COORDS, METRIC, _gather, _slots
 
 __all__ = [
     "BATCH_SIZE",
     "block_rows",
     "build_P_batch",
     "extract_coords_batch",
-    "batchable",
     "step_column",
-    "elements",
-    "run_batches",
+    "conjugate",
 ]
 
 # Vectors per numpy batch: bounds the memory a batched loop holds.  At
@@ -42,8 +45,6 @@ __all__ = [
 # the arrays.
 BATCH_SIZE = 128
 
-_plan_cache = []
-_table_cache = []
 _columns = {}
 
 
@@ -58,6 +59,7 @@ def block_rows(diagonal):
     )
 
 
+@functools.cache
 def _batch_tables():
     """The slot and gather tables as index arrays over the off-diagonal rows.
 
@@ -67,33 +69,31 @@ def _batch_tables():
     slots, and per trace side (index, sign) arrays of shape (terms, 48)
     and (terms, 48, 1), one row per round over the 6 x 8 components).
     """
-    if not _table_cache:
-        pos = {f: r for r, f in enumerate(block_rows(False))}
+    pos = {f: r for r, f in enumerate(block_rows(False))}
 
-        def row(f):
-            if f not in pos:
-                raise AssertionError("gamma is not block off-diagonal")
-            return pos[f]
+    def row(f):
+        if f not in pos:
+            raise AssertionError("gamma is not block off-diagonal")
+        return pos[f]
 
-        rows, coord, sign = zip(
-            *(
-                (row(32 * i + 8 * j + k), c, s)
-                for c, m in enumerate(COORDS)
-                for i, j, k, s in _slots(m)
-            )
+    rows, coord, sign = zip(
+        *(
+            (row(32 * i + 8 * j + k), c, s)
+            for c, m in enumerate(COORDS)
+            for i, j, k, s in _slots(m)
         )
-        pack = (np.array(rows), np.array(coord), np.array(sign, float)[:, None])
-        sides = []
-        for side in (0, 1):
-            sums = [_gather(m)[t][side] for m in COORDS for t in range(8)]
-            if len({len(terms) for terms in sums}) != 1:
-                raise AssertionError("gather sums differ in length")
-            idx = np.array([[row(f) for f, _ in terms] for terms in sums]).T
-            sgn = np.array([[s for _, s in terms] for terms in sums], float).T
-            sides.append((idx, sgn[:, :, None]))
-        metric = np.array([[METRIC[m]] for m in COORDS], float)
-        _table_cache.append((pack, sides, metric))
-    return _table_cache[0]
+    )
+    pack = (np.array(rows), np.array(coord), np.array(sign, float)[:, None])
+    sides = []
+    for side in (0, 1):
+        sums = [_gather(m)[t][side] for m in COORDS for t in range(8)]
+        if len({len(terms) for terms in sums}) != 1:
+            raise AssertionError("gather sums differ in length")
+        idx = np.array([[row(f) for f, _ in terms] for terms in sums]).T
+        sgn = np.array([[s for _, s in terms] for terms in sums], float).T
+        sides.append((idx, sgn[:, :, None]))
+    metric = np.array([[METRIC[m]] for m in COORDS], float)
+    return pack, sides, metric
 
 
 def build_P_batch(coords):
@@ -134,17 +134,6 @@ def extract_coords_batch(p, tol=1e-9):
     return coords, ok & np.isfinite(coords).all(axis=0)
 
 
-def batchable(v):
-    """True when v goes on the batch path: some nonzero coordinates, all floats.
-
-    build_P writes only nonzero coordinates, so every coefficient such a
-    P touches is a float and the scalar route ends in the float regime
-    too (an all-zero P stays exact).
-    """
-    nonzero = [c for c in v.as_tuple() if c]
-    return bool(nonzero) and all(type(c) is float for c in nonzero)
-
-
 def _product_plan(left_diagonal):
     """Round arrays (left row, right row, sign) of one block product.
 
@@ -174,21 +163,18 @@ def _product_plan(left_diagonal):
     return terms[0], terms[1], terms[2][:, :, None].astype(float)
 
 
+@functools.cache
 def _plans():
     """(left plan, right plan, unit column of I), built on the first batch."""
-    if not _plan_cache:
-        # 0, 40, 80, 120: the unit coefficient of diagonal entry (i, i).
-        unit = [[float(f in (0, 40, 80, 120))] for f in block_rows(True)]
-        _plan_cache.extend(
-            (_product_plan(True), _product_plan(False), np.array(unit))
-        )
-    return _plan_cache
+    # 0, 40, 80, 120: the unit coefficient of diagonal entry (i, i).
+    unit = [[float(f in (0, 40, 80, 120))] for f in block_rows(True)]
+    return _product_plan(True), _product_plan(False), np.array(unit)
 
 
 def _product(plan, a, b):
-    """a @ b over the columns of two batches (a single column broadcasts)."""
+    """a @ b over the columns of two batches of one width."""
     ia, ib, sign = plan
-    acc = np.zeros((ia.shape[1], max(a.shape[1], b.shape[1])))
+    acc = np.zeros((ia.shape[1], a.shape[1]))
     for r in range(len(ia)):
         acc += sign[r] * a[ia[r]] * b[ib[r]]
     return acc
@@ -211,48 +197,25 @@ def step_column(gen):
     return got[1]
 
 
-def elements(steps):
-    """The batches (c I + s G, c I - s G), one column per (column of G, c, s).
+def conjugate(coords, steps):
+    """Conjugate each vector of a batch through its own word, step by step.
 
-    Each coefficient is c on the diagonal unit plus G's coefficient
-    times +-s, the values matrices.exp_pair forms.
+    coords holds one row of six float coordinates per vector, n rows.
+    steps holds one (columns, c, s) per step of the words, each three
+    sequences of n entries: vector j is conjugated by M = c[j] I +
+    s[j] G and M^-1 = c[j] I - s[j] G, where G is the generator whose
+    step_column is columns[j]; each coefficient is c on the diagonal
+    unit plus G's coefficient times +-s, the values matrices.exp_pair
+    forms.  Returns (coords, ok) of extract_coords_batch, with coords
+    as n rows again; a row whose ok is False means nothing.
     """
-    columns, c, s = zip(*steps)
-    columns, c, s = np.hstack(columns), np.array(c), np.array(s)
-    unit = _plans()[2]
-    return unit * c + columns * s, unit * c + columns * -s
-
-
-def run_batches(vectors, groups, steps_of, scalar, tol=1e-9):
-    """[scalar(i) for each vector], with the vectors indexed in groups in numpy.
-
-    When the groups hold more than one index in all, each group is cut
-    into chunks of BATCH_SIZE, conjugated by steps_of(chunk), a list of
-    (M, M^-1) batches, and read back by clifford.extract_coords_batch.
-    Every other vector, and every column that extraction refuses, is
-    scalar(i), which raises with its own message.
-    """
-    done = {}
-    if sum(map(len, groups)) > 1:
-        # Overflow and nan are expected here: such columns are refused
-        # and recomputed on the scalar route, which reports them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            done = _conjugated(vectors, groups, steps_of, tol)
-    return [done[i] if i in done else scalar(i) for i in range(len(vectors))]
-
-
-def _conjugated(vectors, groups, steps_of, tol):
-    """{index: Vector6} of the batched columns that extraction accepts."""
-    left, right, _ = _plans()
-    done = {}
-    for take in groups:
-        for start in range(0, len(take), BATCH_SIZE):
-            chunk = take[start:start + BATCH_SIZE]
-            p = build_P_batch(np.array([vectors[i].as_tuple() for i in chunk]).T)
-            for m, m_inv in steps_of(chunk):
-                p = _product(right, _product(left, m, p), m_inv)
-            coords, ok = extract_coords_batch(p, tol)
-            for i, row, good in zip(chunk, coords.T.tolist(), ok.tolist()):
-                if good:
-                    done[i] = Vector6(*row)
-    return done
+    left, right, unit = _plans()
+    # Overflow and nan are expected here: extraction refuses such columns.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = build_P_batch(np.array(coords, dtype=float).T)
+        for columns, c, s in steps:
+            g, c, s = np.hstack(columns), np.array(c), np.array(s)
+            m, m_inv = unit * c + g * s, unit * c + g * -s
+            p = _product(right, _product(left, m, p), m_inv)
+        coords, ok = extract_coords_batch(p)
+    return coords.T, ok

@@ -18,6 +18,7 @@ those of the generic ``inner_product``.  Both tables also drive the
 batched float forms of ``batch``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,32 +53,20 @@ _SIGMA = {
     "p": ((KL, ZERO), (ZERO, KL)),
 }
 
-_sigma_cache = {}
-_gamma_cache = {}
-_slot_cache = {}
-_gather_cache = {}
-
-
+@functools.cache
 def sigma(m):
     """The 2x2 generator matrix for coordinate m."""
-    mat = _sigma_cache.get(m)
-    if mat is None:
-        if m not in METRIC:
-            raise KeyError("unknown coordinate %r" % (m,))
-        mat = TensorMatrix(_SIGMA[m])
-        _sigma_cache[m] = mat
-    return mat
+    if m not in METRIC:
+        raise KeyError("unknown coordinate %r" % (m,))
+    return TensorMatrix(_SIGMA[m])
 
 
+@functools.cache
 def gamma(m):
     """The 4x4 generator [[0, sigma(m)], [tilde(sigma(m)), 0]]."""
-    mat = _gamma_cache.get(m)
-    if mat is None:
-        s = sigma(m)
-        z2 = TensorMatrix.zeros(2)
-        mat = TensorMatrix.from_blocks(z2, s, s.trace_reversed(), z2)
-        _gamma_cache[m] = mat
-    return mat
+    s = sigma(m)
+    z2 = TensorMatrix.zeros(2)
+    return TensorMatrix.from_blocks(z2, s, s.trace_reversed(), z2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,6 +129,7 @@ def build_X(v):
     return acc
 
 
+@functools.cache
 def _slots(m):
     """The (row, col, basis index, sign) of each nonzero coefficient of gamma(m).
 
@@ -147,17 +137,13 @@ def _slots(m):
     nonzero (row, col, basis index) slot, so the slots of the six
     coordinates together place each coefficient of P exactly once.
     """
-    slots = _slot_cache.get(m)
-    if slots is None:
-        slots = tuple(
-            (i, j, k, c)
-            for i, row in enumerate(gamma(m).rows)
-            for j, e in enumerate(row)
-            for k, c in enumerate(e.coeffs)
-            if c
-        )
-        _slot_cache[m] = slots
-    return slots
+    return tuple(
+        (i, j, k, c)
+        for i, row in enumerate(gamma(m).rows)
+        for j, e in enumerate(row)
+        for k, c in enumerate(e.coeffs)
+        if c
+    )
 
 
 def _cells(coords):
@@ -192,6 +178,7 @@ def build_P(v):
     )
 
 
+@functools.cache
 def _gather(m):
     """Per component t, the terms of trace(gamma(m) P) and trace(P gamma(m)).
 
@@ -203,30 +190,26 @@ def _gather(m):
     trace_product visits them, and the two traces are summed apart and
     then added, as inner_product does, so float sums round the same way.
     """
-    table = _gather_cache.get(m)
-    if table is None:
-        g = gamma(m).rows
-        left = [[] for _ in range(8)]
-        right = [[] for _ in range(8)]
-        for i in range(4):
-            for k in range(4):
-                # trace(gamma P): gamma[i][k] times P[k][i]
-                for a, x in enumerate(g[i][k].coeffs):
-                    if x:
-                        for b in range(8):
-                            t, sgn = _MUL[a][b]
-                            left[t].append((32 * k + 8 * i + b, sgn * x))
-        for i in range(4):
-            for k in range(4):
-                # trace(P gamma): P[i][k] times gamma[k][i]
-                for a in range(8):
-                    for b, y in enumerate(g[k][i].coeffs):
-                        if y:
-                            t, sgn = _MUL[a][b]
-                            right[t].append((32 * i + 8 * k + a, sgn * y))
-        table = tuple(zip(map(tuple, left), map(tuple, right)))
-        _gather_cache[m] = table
-    return table
+    g = gamma(m).rows
+    left = [[] for _ in range(8)]
+    right = [[] for _ in range(8)]
+    for i in range(4):
+        for k in range(4):
+            # trace(gamma P): gamma[i][k] times P[k][i]
+            for a, x in enumerate(g[i][k].coeffs):
+                if x:
+                    for b in range(8):
+                        t, sgn = _MUL[a][b]
+                        left[t].append((32 * k + 8 * i + b, sgn * x))
+    for i in range(4):
+        for k in range(4):
+            # trace(P gamma): P[i][k] times gamma[k][i]
+            for a in range(8):
+                for b, y in enumerate(g[k][i].coeffs):
+                    if y:
+                        t, sgn = _MUL[a][b]
+                        right[t].append((32 * i + 8 * k + a, sgn * y))
+    return tuple(zip(map(tuple, left), map(tuple, right)))
 
 
 def _eighth(value, exact):

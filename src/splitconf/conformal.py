@@ -24,17 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import exact_div, is_exact
-from .clifford import (
-    COORDS,
-    Vector6,
-    build_P,
-    extract_coords,
-    metric_form,
-)
+from .clifford import COORDS, Vector6, metric_form
 from .group import (
     TRANSLATABLE,
     TRANSLATION_NAMES,
-    _conjugate,
     _nilpotent_generator,
     act_on_vector,
     act_on_vectors,
@@ -494,8 +487,7 @@ def _image_table_checks(report):
     for (gen_name, basis_m), printed in sorted(PRINTED_IMAGE_TABLE.items()):
         observed = {m: [] for m in COORDS}
         for theta in _TABLE_THETAS:
-            img = _conjugate([(gen_name, theta)], build_P(Vector6.basis(basis_m)))
-            coords = extract_coords(img, tol=0)
+            coords = act_on_vector([(gen_name, theta)], Vector6.basis(basis_m))
             for m in COORDS:
                 observed[m].append(Fraction(coords.component(m)))
         mismatches = []

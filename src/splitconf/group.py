@@ -15,18 +15,20 @@ fifteen matrices in closed form.  ``appendix_check`` diffs that table
 against recomputation and documents any transcription discrepancy
 instead of failing, so the recomputed matrices stay the ground truth.
 
-``act_on_vectors`` conjugates many float vectors at once through the
-order-preserving numpy kernel of ``batch``, bit for bit as
-``act_on_vector`` does one at a time.  Each vector may carry its own
-word: vectors are grouped by word length and step k of every word in
-a batch becomes one column of the same (M, M^-1) pair, so the sampled
-words of ``verify_group`` and the basis images behind ``so6_matrix``
-run as a few batches.  The 6x6 invariance checks compose their words
+``act_on_vectors`` conjugates many float vectors at once through
+``batch.conjugate``, the order-preserving numpy kernel, bit for bit as
+``act_on_vector`` does one at a time.  It owns the routing: which
+vectors go on the kernel, grouped by word length and cut into chunks
+of ``batch.BATCH_SIZE``, and the scalar route for the rest.  Each
+vector may carry its own word, so the sampled words of
+``verify_group`` and the basis images behind ``so6_matrix`` run as a
+few batches.  The 6x6 invariance checks compose their words
 as stacked (n, 6, 6) products, bit for bit as ``compose_so6``.  numpy
 and ``batch`` are imported by the functions that use them, so the
 scalar step route loads neither.
 """
 
+import functools
 import math
 import random
 
@@ -114,29 +116,22 @@ def canonical_plane(plane):
     return got
 
 
-_plane_cache = {}
-
-
+@functools.cache
 def _plane_data(name):
     """(gamma product, kind, upper 2x2 block, lower 2x2 block) for a canonical name."""
-    data = _plane_cache.get(name)
-    if data is None:
-        a, b = name[0], name[1]
-        gp = gamma(a) @ gamma(b)
-        sq = gp @ gp
-        ident = TensorMatrix.identity(4)
-        if sq == ident:
-            kind = "boost"
-        elif sq == -ident:
-            kind = "rotation"
-        else:
-            raise AssertionError("gamma product square is not +I or -I")
-        tl, tr, bl, br = gp.blocks()
-        if not (tr.is_zero() and bl.is_zero()):
-            raise AssertionError("gamma product is not block diagonal")
-        data = (gp, kind, tl, br)
-        _plane_cache[name] = data
-    return data
+    gp = gamma(name[0]) @ gamma(name[1])
+    sq = gp @ gp
+    ident = TensorMatrix.identity(4)
+    if sq == ident:
+        kind = "boost"
+    elif sq == -ident:
+        kind = "rotation"
+    else:
+        raise AssertionError("gamma product square is not +I or -I")
+    tl, tr, bl, br = gp.blocks()
+    if not (tr.is_zero() and bl.is_zero()):
+        raise AssertionError("gamma product is not block diagonal")
+    return gp, kind, tl, br
 
 
 def plane_kind(plane):
@@ -145,19 +140,14 @@ def plane_kind(plane):
     return _plane_data(name)[1]
 
 
-_nilpotent_cache = {}
-
-
+@functools.cache
 def _nilpotent_generator(kind, m):
     """Gamma_p Gamma_m - Gamma_q Gamma_m (kind "a") or + (kind "b"); cached."""
     if m not in TRANSLATABLE:
         raise ValueError("no translation along %r" % (m,))
-    gen = _nilpotent_cache.get((kind, m))
-    if gen is None:
-        pm = gamma("p") @ gamma(m)
-        qm = gamma("q") @ gamma(m)
-        gen = _nilpotent_cache[kind, m] = pm - qm if kind == "a" else pm + qm
-    return gen
+    pm = gamma("p") @ gamma(m)
+    qm = gamma("q") @ gamma(m)
+    return pm - qm if kind == "a" else pm + qm
 
 
 def _half_angle(step, theta):
@@ -217,38 +207,39 @@ def _conjugate(word, p):
     return p
 
 
-def act_on_P(word, p, tol=1e-9):
+def act_on_P(word, p):
     """Conjugate p by each (step, angle) entry in sequence.
 
     The result must stay inside the span of the gammas; a residual
-    beyond tol (relative to the matrix scale) raises ValueError.
+    beyond extract_coords' tolerance raises ValueError.
     """
     p = _conjugate(word, p)
-    extract_coords(p, tol=tol)
+    extract_coords(p)
     return p
 
 
-def act_on_X(word, x, tol=1e-9):
+def act_on_X(word, x):
     """The equivalent 2x2 action: one two-sided product per plane step.
 
     Hermiticity with respect to the complex unit is checked on the
-    result; losing it beyond tol raises ValueError.
+    result; losing it beyond 1e-9 (relative to the matrix scale) raises
+    ValueError.
     """
     for plane, theta in word:
         left, right = _step_factors(plane, theta)
         x = (left @ x) @ right
-    if not x.is_c_hermitian(tol * max(1, x.max_abs())):
+    if not x.is_c_hermitian(1e-9 * max(1, x.max_abs())):
         raise ValueError("2x2 action lost Hermiticity beyond tolerance")
     return x
 
 
-def act_on_vector(word, v, tol=1e-9):
+def act_on_vector(word, v):
     """Coordinates of the conjugated embedding of v.
 
     The single extraction doubles as the span check of act_on_P: a
     result outside the span of the gammas raises ValueError.
     """
-    return extract_coords(_conjugate(word, build_P(v)), tol=tol)
+    return extract_coords(_conjugate(word, build_P(v)))
 
 
 def _batch_step(step, theta):
@@ -272,50 +263,63 @@ def _plan(word):
         return None
 
 
-def act_on_vectors(words, vectors, tol=1e-9):
-    """act_on_vector(words[i], vectors[i], tol) for every i, batched where it can be.
+def _batchable(v):
+    """True when v can go on the batch path: some nonzero coordinates, all floats.
+
+    build_P writes only nonzero coordinates, so every coefficient such a
+    P touches is a float and the scalar route ends in the float regime
+    too (an all-zero P stays exact).
+    """
+    nonzero = [c for c in v.as_tuple() if c]
+    return bool(nonzero) and all(type(c) is float for c in nonzero)
+
+
+def act_on_vectors(words, vectors):
+    """act_on_vector(words[i], vectors[i]) for every i, batched where it can be.
 
     Vector i is acted on by words[i], a sequence of (step, angle).  A
-    vector whose coordinates are floats (see batch.batchable) and whose
-    word batches (see _plan) runs in numpy: the vectors are grouped by
-    word length and step k of every word in a batch is stacked into one
-    (M, M^-1) pair.  Plans are keyed on the word objects, so a word
-    passed for many vectors ([word] * n) is planned once, and a batch
-    of one such word broadcasts its single columns.  Every other
-    vector, and any whose batched result is not finite or fails the
-    span tests, goes through act_on_vector in index order, which raises
-    with its own message; a float angle that is not finite raises
-    ValueError naming it at its vector's place.
+    vector whose coordinates are floats (see _batchable) and whose word
+    batches (see _plan) runs on batch.conjugate: the vectors are grouped
+    by word length, each group is cut into chunks of batch.BATCH_SIZE,
+    and step k of every word in a chunk is one (M, M^-1) pair.  Plans
+    are keyed on the word objects, so a word passed for many vectors
+    ([word] * n) is planned once.  Every other vector, and any whose
+    batched result is not finite or fails the span tests, goes through
+    act_on_vector in index order, which raises with its own message; a
+    float angle that is not finite raises ValueError naming it at its
+    vector's place.
     """
-    from .batch import batchable, elements, run_batches
+    from . import batch
     words, vectors = list(words), list(vectors)
     if len(words) != len(vectors):
         raise ValueError("%d words for %d vectors" % (len(words), len(vectors)))
-    plans, steps, groups = {}, {}, {}
+    plans, groups = {}, {}
     for i, (w, v) in enumerate(zip(words, vectors)):
-        if batchable(v):
+        if _batchable(v):
             if id(w) not in plans:
                 plans[id(w)] = _plan(w)
             if plans[id(w)] is not None:
-                steps[i] = plans[id(w)]
                 groups.setdefault(len(w), []).append(i)
+    done = {}
+    for length, take in groups.items():
+        for start in range(0, len(take), batch.BATCH_SIZE):
+            chunk = take[start:start + batch.BATCH_SIZE]
+            steps = [
+                zip(*(plans[id(words[i])][k] for i in chunk)) for k in range(length)
+            ]
+            coords, ok = batch.conjugate([vectors[i].as_tuple() for i in chunk], steps)
+            for i, row, good in zip(chunk, coords.tolist(), ok.tolist()):
+                if good:
+                    done[i] = Vector6(*row)
+    for i, (w, v) in enumerate(zip(words, vectors)):
+        if i not in done:
+            for _, theta in w:
+                check_angle(theta)
+            done[i] = act_on_vector(w, v)
+    return [done[i] for i in range(len(vectors))]
 
-    def steps_of(chunk):
-        if all(steps[i] is steps[chunk[0]] for i in chunk):
-            chunk = chunk[:1]  # one shared word: its columns broadcast
-        return [
-            elements([steps[i][k] for i in chunk]) for k in range(len(steps[chunk[0]]))
-        ]
 
-    def scalar(i):
-        for _, theta in words[i]:
-            check_angle(theta)
-        return act_on_vector(words[i], vectors[i], tol=tol)
-
-    return run_batches(vectors, list(groups.values()), steps_of, scalar, tol)
-
-
-def _so6_matrices(words, tol=1e-9):
+def _so6_matrices(words):
     """so6_matrix of each word, as an (n, 6, 6) array.
 
     All the words act on the six coordinate basis vectors in one
@@ -326,14 +330,14 @@ def _so6_matrices(words, tol=1e-9):
     import numpy as np
     basis = [Vector6(**{m: 1.0}) for m in COORDS]  # zeros stay int 0
     words = [list(w) for w in words]  # each planned once for its six vectors
-    imgs = act_on_vectors([w for w in words for _ in COORDS], basis * len(words), tol)
+    imgs = act_on_vectors([w for w in words for _ in COORDS], basis * len(words))
     cols = [[float(c) for c in img.as_tuple()] for img in imgs]
     return np.array(cols, dtype=float).reshape(-1, 6, 6).transpose(0, 2, 1)
 
 
-def so6_matrix(word, tol=1e-9):
+def so6_matrix(word):
     """The real 6x6 matrix R with act_on_vector(word, v) = R v."""
-    return _so6_matrices([word], tol)[0]
+    return _so6_matrices([word])[0]
 
 
 def _so6_stack(steps):
@@ -374,9 +378,9 @@ def project_vector(v):
     return Vector6(x=v.x, y=v.y, z=v.z, t=v.t)
 
 
-def pi_project(p, tol=1e-9):
+def pi_project(p):
     """Drop the p and q components of a matrix in the span of the gammas."""
-    return build_P(project_vector(extract_coords(p, tol=tol)))
+    return build_P(project_vector(extract_coords(p)))
 
 
 def verify_properties(config=None):
@@ -761,10 +765,6 @@ def build_reference(name, phi):
     return TensorMatrix(rows)
 
 
-def _cell_str(entry):
-    return str(entry)
-
-
 def appendix_check(config=None, angles=(0.3, 1.0, -0.7)):
     """Diff the bundled reference table against recomputation.
 
@@ -798,7 +798,7 @@ def appendix_check(config=None, angles=(0.3, 1.0, -0.7)):
         else:
             details = "; ".join(
                 "(%d,%d) reference=%s recomputed=%s"
-                % (i, j, _cell_str(ref), _cell_str(rec))
+                % (i, j, ref, rec)
                 for (i, j), (ref, rec) in sorted(bad_cells.items())
             )
             report.add_comparison(

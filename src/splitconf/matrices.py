@@ -12,13 +12,14 @@ number pass them through untouched.  Whether a matrix is exact (all
 coefficients ``int``/``Fraction``) is decided once per matrix, on first
 use, by :meth:`TensorMatrix.is_exact`.
 
-Exponentials are only provided for the two shapes that close in this
-algebra, generators squaring to a multiple of the identity and
-nilpotent generators squaring to zero, both checked exactly before use.
-Both are c I + s G for a pair (c, s); :func:`exp_pair` builds c I + s G
-and its inverse c I - s G together, straight from the entries of G.
-The nilpotency proof is made once per matrix and cached
-(:meth:`TensorMatrix.squares_to_zero`), so a cached generator
+Exponentials close in this algebra for two shapes of generator: one
+squaring to +I or -I (cosh/sinh or cos/sin of the angle, from
+:func:`_sincosh`) and one squaring to zero (1 and the angle).  Both are
+c I + s G for a pair (c, s); :func:`exp_pair` builds c I + s G and its
+inverse c I - s G together, straight from the entries of G.
+``group._half_angle`` picks (c, s) for every named step after checking
+the square exactly.  The nilpotency proof is made once per matrix and
+cached (:meth:`TensorMatrix.squares_to_zero`), so a cached generator
 exponentiated on every step is squared only once.
 """
 
@@ -30,7 +31,6 @@ from .algebra import ONE, TensorScalar, ZERO, is_exact, mul_terms, terms
 __all__ = [
     "TensorMatrix",
     "exp_pair",
-    "exp_involutory",
     "exp_nilpotent",
     "trace_product",
     "quadratic_form",
@@ -315,8 +315,9 @@ def exp_pair(gen, c, s):
     """(c I + s gen, c I - s gen), straight from the entries of gen.
 
     These are exp(theta gen) and its inverse exp(-theta gen) for the
-    closed forms below.  Every coefficient comes from the operations
-    TensorMatrix.identity(n).scale(c) + gen.scale(+-s) performs, so
+    closed forms of the module docstring.  Every coefficient comes from
+    the operations TensorMatrix.identity(n).scale(c) + gen.scale(+-s)
+    performs, so
     the matrices are those bit for bit, signed zeros included: the
     diagonal adds ONE * c, a zero entry of gen passes through as it is,
     and a sum with a zero term is the other term.
@@ -334,23 +335,6 @@ def exp_pair(gen, c, s):
         return TensorMatrix(rows)
 
     return combine(s), combine(-s)
-
-
-def exp_involutory(gen, theta):
-    """exp(gen * theta) for gen with gen @ gen == +I or -I (checked exactly).
-
-    Squares to +I: cosh(theta) I + sinh(theta) gen.
-    Squares to -I: cos(theta) I + sin(theta) gen.
-    """
-    sq = gen @ gen
-    ident = TensorMatrix.identity(gen.n)
-    if sq == ident:
-        c, s = _sincosh(theta, True)
-    elif sq == -ident:
-        c, s = _sincosh(theta, False)
-    else:
-        raise ValueError("generator must square to +I or -I exactly")
-    return exp_pair(gen, c, s)[0]
 
 
 def exp_nilpotent(gen, theta):

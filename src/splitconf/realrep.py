@@ -13,6 +13,7 @@ the bundled mapping table, so that inconsistency is documented by
 ``restrict_so31_second`` rather than silently resolved.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -64,7 +65,13 @@ def _kron_all(names):
     return out
 
 
-_unit_blocks = []
+@functools.cache
+def _unit_blocks():
+    """The real 4x4 images of the eight BASIS units, in BASIS order."""
+    return [
+        np.kron(SPLIT_IMAGE[H_UNITS[i % 4]], COMPLEX_IMAGE["l" if i >= 4 else "1"])
+        for i in range(8)
+    ]
 
 
 def realify_scalar(s):
@@ -75,11 +82,6 @@ def realify_scalar(s):
     case the map is an exact ring homomorphism on exact inputs.  The
     eight unit images are built on first use.
     """
-    if not _unit_blocks:
-        _unit_blocks.extend(
-            np.kron(SPLIT_IMAGE[H_UNITS[i % 4]], COMPLEX_IMAGE["l" if i >= 4 else "1"])
-            for i in range(8)
-        )
     coeffs = s.coeffs
     if any(isinstance(c, float) for c in coeffs):
         dtype = np.float64
@@ -88,7 +90,7 @@ def realify_scalar(s):
     else:
         dtype = np.int64
     out = np.zeros((4, 4), dtype=dtype)
-    for c, block in zip(coeffs, _unit_blocks):
+    for c, block in zip(coeffs, _unit_blocks()):
         if c != 0:
             out = out + block * c
     return out
@@ -112,17 +114,11 @@ GAMMA_REAL_DATA = {
     "p": (1, ("Y", "I", "sx", "I")),
 }
 
-_real_gamma_cache = {}
-
-
+@functools.cache
 def real_gamma(m):
     """The 16x16 integer matrix of gamma(m), entries in {0, +-1}."""
-    got = _real_gamma_cache.get(m)
-    if got is None:
-        sign, names = GAMMA_REAL_DATA[m]
-        got = sign * _kron_all(names)
-        _real_gamma_cache[m] = got
-    return got
+    sign, names = GAMMA_REAL_DATA[m]
+    return sign * _kron_all(names)
 
 
 # Reference transcription of the fifteen plane products in Kronecker
@@ -145,17 +141,10 @@ REFERENCE_REAL_GENERATORS = {
     "pq": (-1, ("I", "I", "sz", "I")),
 }
 
-_real_gen_cache = {}
-
-
+@functools.cache
 def real_generator_matrix(name):
     """real_gamma(a) @ real_gamma(b) for a canonical plane name."""
-    got = _real_gen_cache.get(name)
-    if got is None:
-        a, b = name[0], name[1]
-        got = real_gamma(a) @ real_gamma(b)
-        _real_gen_cache[name] = got
-    return got
+    return real_gamma(name[0]) @ real_gamma(name[1])
 
 
 def real_generators():
@@ -206,7 +195,7 @@ def surviving_planes():
 _LORENTZ = ("xy", "yz", "zx", "tx", "ty", "tz")
 
 
-def restrict_so31_second(gens=None, config=None):
+def restrict_so31_second(config=None):
     """Which plane products survive restriction to split content {1, L}.
 
     The expected outcome: the six Lorentz planes plus pq, whose
@@ -219,8 +208,6 @@ def restrict_so31_second(gens=None, config=None):
     config = dict(config or {})
     tol = config.get("tolerance", 1e-12)
     report = Report("restriction", config)
-    if gens is None:
-        gens = real_generators()
 
     survivors = surviving_planes()
     expected = ("xy", "yz", "zx", "tx", "ty", "tz", "pq")

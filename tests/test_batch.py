@@ -284,6 +284,23 @@ class TestWordPerColumn:
         assert len(calls) == 3
 
 
+class TestKernel:
+    def test_conjugate_takes_and_gives_arrays(self):
+        # Two columns of one word length under different words; the
+        # second overflows and is refused, the first is the scalar step.
+        words = [[("xy", 0.3)], [("tx", 3.0)]]
+        vecs = [Vector6(x=0.5, p=1.0), Vector6(x=1.7e308, t=1.7e308, p=1.0)]
+        plans = [[group._batch_step(*step) for step in w] for w in words]
+        coords, ok = batch.conjugate(
+            np.array([v.as_tuple() for v in vecs]), [zip(*(p[0] for p in plans))]
+        )
+        assert coords.shape == (2, 6)
+        assert ok.tolist() == [True, False]
+        assert repr(Vector6(*coords[0].tolist())) == repr(
+            act_on_vector(words[0], vecs[0])
+        )
+
+
 def random_blocks(rng, diagonal):
     """A 4x4 matrix with random coefficients of mixed magnitude on its
     diagonal (or off-diagonal) 2x2 blocks, and its batch column."""

@@ -6,10 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splitconf.algebra import _MUL, ELL, K, L, ONE, TensorScalar, ZERO
+from splitconf.clifford import gamma
+from splitconf.group import PLANES, TRANSLATION_NAMES, generator
 from splitconf.matrices import (
     TensorMatrix,
-    exp_involutory,
+    _sincosh,
     exp_nilpotent,
+    exp_pair,
     quadratic_form,
     trace_product,
 )
@@ -233,37 +236,32 @@ def taylor_exp(gen, theta, terms=24):
 
 
 class TestExponentials:
+    # A plane step is exp((theta/2) gamma(a) gamma(b)); the closed form
+    # must agree with the Taylor series.
     def test_rotation_exponential_matches_taylor(self):
-        gen = diag2(K, K)  # squares to -I
-        got = exp_involutory(gen, 0.7)
-        want = taylor_exp(gen, 0.7)
-        assert got.approx_eq(want, 1e-12)
+        gen = gamma("x") @ gamma("y")  # squares to -I
+        got = generator("xy", 1.4)
+        assert got.approx_eq(taylor_exp(gen, 0.7), 1e-12)
         assert got.rows[0][0].approx_eq(
-            ONE * math.cos(0.7) + K * math.sin(0.7), 1e-12
+            ONE * math.cos(0.7) + ELL * math.sin(0.7), 1e-12
         )
 
     def test_boost_exponential_matches_taylor(self):
-        gen = diag2(L, L)  # squares to +I
-        got = exp_involutory(gen, -0.9)
-        want = taylor_exp(gen, -0.9)
-        assert got.approx_eq(want, 1e-12)
-        assert got.rows[0][0].approx_eq(
-            ONE * math.cosh(0.9) - L * math.sinh(0.9), 1e-12
-        )
+        gen = gamma("t") @ gamma("x")  # squares to +I
+        got = generator("tx", -1.8)
+        assert got.approx_eq(taylor_exp(gen, -0.9), 1e-12)
+        assert got.rows[0][0].approx_eq(ONE * math.cosh(0.9), 1e-12)
+        assert got.rows[0][1].approx_eq(L * -math.sinh(0.9), 1e-12)
 
     def test_off_diagonal_involutory_generator(self):
-        gen = TensorMatrix(((ZERO, ONE), (ONE, ZERO)))
-        got = exp_involutory(gen, 0.3)
+        gen = TensorMatrix(((ZERO, ONE), (ONE, ZERO)))  # squares to +I
+        got, inverse = exp_pair(gen, *_sincosh(0.3, True))
         assert got.approx_eq(taylor_exp(gen, 0.3), 1e-12)
+        assert inverse.approx_eq(taylor_exp(gen, -0.3), 1e-12)
 
     def test_exp_at_zero_is_the_identity(self):
-        gen = diag2(K, K)
-        assert exp_involutory(gen, 0) == TensorMatrix.identity(2)
-
-    def test_involutory_requires_square_pm_identity(self):
-        gen = diag2(ONE + L, ZERO)
-        with pytest.raises(ValueError):
-            exp_involutory(gen, 0.5)
+        for name in PLANES + TRANSLATION_NAMES:
+            assert generator(name, 0) == TensorMatrix.identity(4)
 
     def test_nilpotent_exponential_is_affine(self):
         zero_div = ONE + L
