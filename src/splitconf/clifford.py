@@ -111,12 +111,14 @@ class Vector6:
 
 
 def metric_form(v):
-    """The metric square x^2+y^2+z^2+q^2-t^2-p^2 of a Vector6.
+    """The metric square x^2+y^2+z^2-t^2-p^2+q^2 of a Vector6, added left to right.
 
     Squares by multiplication, so a float form too large to represent
-    is inf (or nan from inf - inf) instead of an OverflowError.
+    is inf (or nan from inf - inf) instead of an OverflowError.  A plain
+    chain, not sum(), which compensates float rounding from Python 3.12:
+    numbers and numpy array columns give the same bits.
     """
-    return sum(METRIC[m] * (c * c) for m, c in zip(COORDS, v.as_tuple()))
+    return v.x * v.x + v.y * v.y + v.z * v.z - v.t * v.t - v.p * v.p + v.q * v.q
 
 
 def build_X(v):

@@ -29,6 +29,7 @@ from .group import (
     TRANSLATABLE,
     TRANSLATION_NAMES,
     _nilpotent_generator,
+    act_on_coords,
     act_on_vector,
     act_on_vectors,
     check_angle,
@@ -181,7 +182,11 @@ def q_from_p(n):
     """
     if not isinstance(n, NullVector):
         n = NullVector(n)
-    v = n.v
+    return _point(n.v)
+
+
+def _point(v):
+    """(t, x, y, z)/(p + q) of a six-vector whose coordinates are numbers or arrays."""
     s = v.p + v.q
     return MinkowskiPoint(*(exact_div(v.component(m), s) for m in POINT_COORDS))
 
@@ -234,12 +239,16 @@ def apply_conformal_translation(m, theta, n):
     return _chart(step_vector("b" + m, theta, n.v))
 
 
-def _chart(coords):
+def _chart(v):
     """A conformal image as apply_conformal_translation reads it:
-    AT_INFINITY when p + q vanishes, else a NullVector."""
-    if _pq_negligible(coords):
-        return AT_INFINITY
-    return NullVector(coords)
+    AT_INFINITY when p + q vanishes, else a NullVector.  p + q is tested
+    again only for an image NullVector refuses."""
+    try:
+        return NullVector(v)
+    except ValueError:
+        if _pq_negligible(v):
+            return AT_INFINITY
+        raise
 
 
 def step_vector(name, theta, v):
@@ -269,8 +278,7 @@ def q_or_infinity(v, tol=1e-12):
     """
     if _pq_negligible(v, tol):
         return AT_INFINITY
-    s = v.p + v.q
-    return MinkowskiPoint(*(exact_div(v.component(m), s) for m in POINT_COORDS))
+    return _point(v)
 
 
 def _direction(m, theta):
@@ -284,19 +292,21 @@ def mobius_oracle(v, alpha, tol=1e-12):
     (+,+,+,-) inner product on (x, y, z, t).  A vanishing denominator
     is the defined degeneracy and returns AT_INFINITY.
     """
-    n2v = minkowski_norm2(v)
-    denom = 1 + 2 * minkowski_inner(v, alpha) + minkowski_norm2(alpha) * n2v
+    num, denom = _mobius(v, alpha)
     if is_exact(denom):
         if denom == 0:
             return AT_INFINITY
     elif abs(denom) <= tol:
         return AT_INFINITY
-    return MinkowskiPoint(
-        *(
-            exact_div(vc + ac * n2v, denom)
-            for vc, ac in zip(v.as_tuple(), alpha.as_tuple())
-        )
-    )
+    return MinkowskiPoint(*(exact_div(c, denom) for c in num.as_tuple()))
+
+
+def _mobius(v, alpha):
+    """(numerator point, denominator) of mobius_oracle, on numbers or arrays."""
+    n2v = minkowski_norm2(v)
+    denom = 1 + 2 * minkowski_inner(v, alpha) + minkowski_norm2(alpha) * n2v
+    num = (vc + ac * n2v for vc, ac in zip(v.as_tuple(), alpha.as_tuple()))
+    return MinkowskiPoint(*num), denom
 
 
 # The fifteen-generator basis of the action on points.
@@ -508,18 +518,51 @@ def _image_table_checks(report):
         )
 
 
-def _gap(a, b):
-    """The largest coordinate gap between two points."""
-    return max(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple()))
+def _dev(a, b):
+    """The largest coordinate gap between two points of numbers or arrays, or 0.0."""
+    import numpy as np
+    pairs = zip(a.as_tuple(), b.as_tuple())
+    return float(max(np.max(np.abs(x - y), initial=0.0) for x, y in pairs))
 
 
-def _null_images(names, thetas, nulls):
-    """NullVector images of null vectors, one step each (step_vectors)."""
-    return [NullVector(v) for v in step_vectors(names, thetas, [n.v for n in nulls])]
+def _null_rows(coords, chart=False):
+    """NullVector's float tests (with chart, _chart's) on all rows of an (n, 6) array.
+
+    Returns the rows in the finite chart and their mask; with chart, a
+    finite row with p + q negligible is at infinity and left out.  The
+    first failing row goes through NullVector (or _chart) to raise."""
+    import numpy as np
+    v = Vector6(*coords.T)
+    form, m = metric_form(v), np.abs(coords).max(axis=1)
+    null = np.isfinite(form) & (np.abs(form) <= 1e-9 * np.maximum(1.0, m * m))
+    negligible = np.abs(v.p + v.q) <= 1e-12 * np.maximum(1.0, m)
+    at_infinity = np.isfinite(coords).all(axis=1) & negligible
+    bad = ~(null | at_infinity) if chart else ~null | at_infinity
+    if bad.any():
+        (_chart if chart else NullVector)(Vector6(*coords[bad.argmax()].tolist()))
+        raise AssertionError("a row the array tests refuse passed the scalar ones")
+    return coords[~at_infinity], ~at_infinity
 
 
-def _random_point(rng, span=0.9):
-    return MinkowskiPoint(*(rng.uniform(-span, span) for _ in range(4)))
+def _embed_rows(pts):
+    """embed_point of every (t, x, y, z) row of an (n, 4) float array, as (n, 6) rows."""
+    import numpy as np
+    pt = MinkowskiPoint(*pts.T)
+    n2 = minkowski_norm2(pt)
+    coords = np.column_stack((pt.x, pt.y, pt.z, pt.t, (1 + n2) * 0.5, (1 - n2) * 0.5))
+    return _null_rows(coords)[0]
+
+
+def _image_rows(names, thetas, coords):
+    """The image of each row of coords under its step, after NullVector's tests."""
+    return _null_rows(act_on_coords([[step] for step in zip(names, thetas)], coords))[0]
+
+
+def _draws(rng, n, *spans):
+    """n > 0 seeded rows: a point (t, x, y, z) drawn from rng.uniform(-0.9, 0.9),
+    then rng.uniform(-s, s) per span, read from rng one row at a time."""
+    import numpy as np
+    return np.array([[rng.uniform(-s, s) for s in (0.9,) * 4 + spans] for _ in range(n)])
 
 
 def verify_conformal(config=None):
@@ -548,57 +591,39 @@ def verify_conformal(config=None):
             )
 
     for m in TRANSLATABLE:
-        draws = [(_random_point(rng), rng.uniform(-0.8, 0.8)) for _ in range(25)]
-        outs = _null_images(
-            ["a" + m] * 25,
-            [theta for _, theta in draws],
-            [embed_point(pt) for pt, _ in draws],
-        )
-        dev = 0.0
-        for (pt, theta), out in zip(draws, outs):
-            want = pt.shifted(m, theta)
-            dev = max(dev, _gap(q_from_p(out), want))
+        draws = _draws(rng, 25, 0.8)
+        starts = _embed_rows(draws[:, :4])
+        outs = _image_rows(["a" + m] * 25, draws[:, 4].tolist(), starts)
+        want = MinkowskiPoint(*draws[:, :4].T).shifted(m, draws[:, 4])
         report.bound(
             "translation-law[%s]" % m,
-            dev,
+            _dev(_point(Vector6(*outs.T)), want),
             tol,
             "point coordinate shifts by theta, 25 seeded samples",
         )
 
-    draws = [
-        (_random_point(rng), rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-        for _ in range(25)
-    ]
-    starts = [embed_point(pt) for pt, _, _ in draws]
-    firsts = _null_images(["ax"] * 25, [th1 for _, th1, _ in draws], starts)
-    two_steps = _null_images(["ax"] * 25, [th2 for _, _, th2 in draws], firsts)
-    one_steps = _null_images(
-        ["ax"] * 25, [th1 + th2 for _, th1, th2 in draws], starts
-    )
-    add_dev = 0.0
-    for two_step, one_step in zip(two_steps, one_steps):
-        add_dev = max(add_dev, _gap(q_from_p(two_step), q_from_p(one_step)))
+    draws = _draws(rng, 25, 0.7, 0.7)
+    starts = _embed_rows(draws[:, :4])
+    firsts = _image_rows(["ax"] * 25, draws[:, 4].tolist(), starts)
+    two_steps = _image_rows(["ax"] * 25, draws[:, 5].tolist(), firsts)
+    one_steps = _image_rows(["ax"] * 25, (draws[:, 4] + draws[:, 5]).tolist(), starts)
     report.bound(
         "additivity[x]",
-        add_dev,
+        _dev(_point(Vector6(*two_steps.T)), _point(Vector6(*one_steps.T))),
         tol,
         "translate(th1) then translate(th2) vs translate(th1+th2)",
     )
 
     unit_x = MinkowskiPoint(x=1)
     half_x = q_from_p(step_vector("pq", math.log(2), embed_point(unit_x).v))
-    dil_dev = _gap(half_x, MinkowskiPoint(x=0.5))
-    draws = [(_random_point(rng), rng.uniform(-0.8, 0.8)) for _ in range(20)]
-    outs = _null_images(
-        ["pq"] * 20,
-        [theta for _, theta in draws],
-        [embed_point(pt) for pt, _ in draws],
-    )
-    for (pt, theta), out in zip(draws, outs):
-        dil_dev = max(dil_dev, _gap(q_from_p(out), pt.scaled(math.exp(-theta))))
+    draws = _draws(rng, 20, 0.8)
+    thetas = draws[:, 4].tolist()
+    outs = _image_rows(["pq"] * 20, thetas, _embed_rows(draws[:, :4]))
+    factor = np.array([math.exp(-theta) for theta in thetas])
+    want = MinkowskiPoint(*draws[:, :4].T).scaled(factor)
     report.bound(
         "dilation-law",
-        dil_dev,
+        max(_dev(half_x, MinkowskiPoint(x=0.5)), _dev(_point(Vector6(*outs.T)), want)),
         tol,
         "point scales by exp(-theta); includes the x=1, theta=ln 2 case",
     )
@@ -607,20 +632,18 @@ def verify_conformal(config=None):
     idx4 = [COORDS.index(m) for m in POINT_COORDS]
     lorentz = ("xy", "yz", "zx", "tx", "ty", "tz")
     lams = {plane: so6_step(plane, 0.7)[np.ix_(idx4, idx4)] for plane in lorentz}
-    draws = [(plane, _random_point(rng)) for plane in lorentz for _ in range(2)]
+    planes = [plane for plane in lorentz for _ in range(2)]
+    draws = list(zip(planes, (MinkowskiPoint(*pt) for pt in _draws(rng, 12).tolist())))
     starts = [embed_point(pt) for _, pt in draws]
     imgs = step_vectors(
         [plane for plane, _ in draws], [0.7] * len(draws), [n.v for n in starts]
     )
     for (plane, pt), n, img6 in zip(draws, starts, imgs):
-        lorentz_dev = max(
-            lorentz_dev,
-            abs((img6.p + img6.q) - (n.v.p + n.v.q)),
-        )
         out = q_or_infinity(img6)
         want = lams[plane] @ np.array(pt.as_tuple(), dtype=float)
         lorentz_dev = max(
             lorentz_dev,
+            abs((img6.p + img6.q) - (n.v.p + n.v.q)),
             float(max(abs(a - b) for a, b in zip(out.as_tuple(), want))),
         )
     report.bound(
@@ -630,8 +653,7 @@ def verify_conformal(config=None):
         "rotations and boosts fix p+q and act linearly on the point",
     )
 
-    mob_dev = 0.0
-    null_dev = 0.0
+    mob_dev = null_dev = 0.0
     per_m = max(1, samples // len(TRANSLATABLE))
     for m in TRANSLATABLE:
         done = 0
@@ -639,33 +661,24 @@ def verify_conformal(config=None):
             # Draw no more candidates than could still be needed: a
             # skipped one is refilled on the next pass, so the seeded
             # stream is read exactly as one sample at a time reads it.
-            draws = []
-            while len(draws) < min(per_m - done, BATCH_SIZE):
-                pt = _random_point(rng)
-                theta = rng.uniform(-0.6, 0.6)
-                alpha = _direction(m, theta)
-                denom = (
-                    1
-                    + 2 * minkowski_inner(pt, alpha)
-                    + minkowski_norm2(alpha) * minkowski_norm2(pt)
-                )
-                if abs(denom) >= 0.2:
-                    draws.append((pt, theta, alpha))
-            imgs = step_vectors(
-                ["b" + m] * len(draws),
-                [theta for _, theta, _ in draws],
-                [embed_point(pt).v for pt, _, _ in draws],
-            )
-            for (pt, _, alpha), img6 in zip(draws, imgs):
-                result = _chart(img6)
-                if result is AT_INFINITY:
-                    continue
-                want = mobius_oracle(pt, alpha)
-                mob_dev = max(mob_dev, _gap(q_from_p(result), want))
-                form = metric_form(result.v)
-                scale = float(result.v.max_abs())
-                null_dev = max(null_dev, abs(form) / max(1.0, scale * scale))
-                done += 1
+            need, draws = min(per_m - done, BATCH_SIZE), np.empty((0, 5))
+            while len(draws) < need:
+                more = _draws(rng, need - len(draws), 0.6)
+                pt, alpha = MinkowskiPoint(*more[:, :4].T), _direction(m, more[:, 4])
+                denom = _mobius(pt, alpha)[1]
+                draws = np.concatenate((draws, more[np.abs(denom) >= 0.2]))
+            words = [[("b" + m, theta)] for theta in draws[:, 4].tolist()]
+            imgs = act_on_coords(words, _embed_rows(draws[:, :4]))
+            imgs, inside = _null_rows(imgs, chart=True)
+            draws = draws[inside]
+            pt, alpha = MinkowskiPoint(*draws[:, :4].T), _direction(m, draws[:, 4])
+            num, denom = _mobius(pt, alpha)
+            want = MinkowskiPoint(*(exact_div(c, denom) for c in num.as_tuple()))
+            mob_dev = max(mob_dev, _dev(_point(Vector6(*imgs.T)), want))
+            scale = np.abs(imgs).max(axis=1)
+            rel = np.abs(metric_form(Vector6(*imgs.T))) / np.maximum(1.0, scale * scale)
+            null_dev = max(null_dev, float(np.max(rel, initial=0.0)))
+            done += len(imgs)
     report.bound(
         "conformal-vs-mobius",
         mob_dev,
@@ -680,23 +693,21 @@ def verify_conformal(config=None):
         "relative metric square of every conformal image",
     )
 
-    rt_dev = 0.0
-    ratio_dev = 0.0
     draws = [
-        (_random_point(rng), rng.choice(TRANSLATABLE), rng.uniform(-0.8, 0.8))
+        (_draws(rng, 1)[0], rng.choice(TRANSLATABLE), rng.uniform(-0.8, 0.8))
         for _ in range(50)
     ]
-    starts = [embed_point(pt) for pt, _, _ in draws]
-    moves = _null_images(
+    pts = np.array([pt for pt, _, _ in draws])
+    starts = _embed_rows(pts)
+    moves = _image_rows(
         ["a" + m for _, m, _ in draws], [theta for _, _, theta in draws], starts
     )
-    for (pt, _, _), n, moved in zip(draws, starts, moves):
-        rt_dev = max(rt_dev, _gap(q_from_p(n), pt))
-        ratio = (n.v.p - n.v.q) / (n.v.p + n.v.q)
-        ratio_dev = max(ratio_dev, abs(ratio - minkowski_norm2(pt)))
-        q_img = q_from_p(moved)
-        ratio2 = (moved.v.p - moved.v.q) / (moved.v.p + moved.v.q)
-        ratio_dev = max(ratio_dev, abs(ratio2 - minkowski_norm2(q_img)))
+    start_v, moved_v = Vector6(*starts.T), Vector6(*moves.T)
+    ratio_dev = 0.0
+    for v, pt in ((start_v, MinkowskiPoint(*pts.T)), (moved_v, _point(moved_v))):
+        gaps = np.abs((v.p - v.q) / (v.p + v.q) - minkowski_norm2(pt))
+        ratio_dev = max(ratio_dev, float(np.max(gaps, initial=0.0)))
+    rt_dev = _dev(_point(start_v), MinkowskiPoint(*pts.T))
     report.bound(
         "embed-roundtrip", rt_dev, tol, "q_from_p after embed_point returns the point"
     )
@@ -707,17 +718,13 @@ def verify_conformal(config=None):
         "(p-q)/(p+q) equals the Minkowski square of the point",
     )
 
-    scale_dev = 0.0
-    for lam in (2, Fraction(-1, 2), 3):
-        base = Vector6(x=Fraction(3, 5), z=Fraction(4, 5), p=1, q=0)
-        a = q_from_p(NullVector(base))
-        b = q_from_p(NullVector(base.scale(lam)))
-        scale_dev = max(
-            scale_dev,
-            max(
-                abs(u - w) for u, w in zip(a.as_tuple(), b.as_tuple())
-            ),
-        )
+    base = Vector6(x=Fraction(3, 5), z=Fraction(4, 5), p=1, q=0)
+    a = q_from_p(NullVector(base)).as_tuple()
+    scale_dev = max([0.0] + [
+        abs(u - w)
+        for lam in (2, Fraction(-1, 2), 3)
+        for u, w in zip(a, q_from_p(NullVector(base.scale(lam))).as_tuple())
+    ])
     report.add(
         "scale-invariance",
         scale_dev == 0,

@@ -15,17 +15,17 @@ fifteen matrices in closed form.  ``appendix_check`` diffs that table
 against recomputation and documents any transcription discrepancy
 instead of failing, so the recomputed matrices stay the ground truth.
 
-``act_on_vectors`` conjugates many float vectors at once through
+``act_on_coords`` conjugates the rows of an (n, 6) float array through
 ``batch.conjugate``, the order-preserving numpy kernel, bit for bit as
-``act_on_vector`` does one at a time.  It owns the routing: which
-vectors go on the kernel, grouped by word length and cut into chunks
-of ``batch.BATCH_SIZE``, and the scalar route for the rest.  Each
-vector may carry its own word, so the sampled words of
-``verify_group`` and the basis images behind ``so6_matrix`` run as a
-few batches.  The 6x6 invariance checks compose their words
-as stacked (n, 6, 6) products, bit for bit as ``compose_so6``.  numpy
-and ``batch`` are imported by the functions that use them, so the
-scalar step route loads neither.
+``act_on_vector`` does one at a time.  It owns the routing: which rows
+go on the kernel, grouped by word length and cut into chunks of
+``batch.BATCH_SIZE``, and the scalar route for the rest;
+``act_on_vectors`` runs on it.  Each row may carry its own word, so
+the sampled words of ``verify_group``, ``verify_conformal`` and
+``so6_matrix`` run as a few batches.  The 6x6 invariance checks
+compose their words as stacked (n, 6, 6) products, bit for bit as
+``compose_so6``.  numpy and ``batch`` are imported by the functions
+that use them, so the scalar step route loads neither.
 """
 
 import functools
@@ -55,6 +55,7 @@ __all__ = [
     "act_on_P",
     "act_on_X",
     "act_on_vector",
+    "act_on_coords",
     "act_on_vectors",
     "check_angle",
     "so6_matrix",
@@ -166,7 +167,7 @@ def _half_angle(step, theta):
         return gen, 1, exact_div(theta, 2)
     name, orient = canonical_plane(step)
     gp, kind, _, _ = _plane_data(name)
-    c, s = _sincosh(orient * theta / 2, kind == "boost")
+    c, s = _sincosh(exact_div(orient * theta, 2), kind == "boost")
     return gp, c, s
 
 
@@ -274,65 +275,83 @@ def _batchable(v):
     return bool(nonzero) and all(type(c) is float for c in nonzero)
 
 
-def act_on_vectors(words, vectors):
-    """act_on_vector(words[i], vectors[i]) for every i, batched where it can be.
+def _checked_act(word, v):
+    """act_on_vector after naming a float angle that is not finite."""
+    for _, theta in word:
+        check_angle(theta)
+    return act_on_vector(word, v)
 
-    Vector i is acted on by words[i], a sequence of (step, angle).  A
-    vector whose coordinates are floats (see _batchable) and whose word
-    batches (see _plan) runs on batch.conjugate: the vectors are grouped
-    by word length, each group is cut into chunks of batch.BATCH_SIZE,
-    and step k of every word in a chunk is one (M, M^-1) pair.  Plans
-    are keyed on the word objects, so a word passed for many vectors
-    ([word] * n) is planned once.  Every other vector, and any whose
-    batched result is not finite or fails the span tests, goes through
-    act_on_vector in index order, which raises with its own message; a
-    float angle that is not finite raises ValueError naming it at its
-    vector's place.
+
+def act_on_coords(words, coords):
+    """act_on_vector(words[i], Vector6(*coords[i])) for each of n float rows, as (n, 6).
+
+    A row whose word batches (see _plan) runs on batch.conjugate,
+    grouped by word length and cut into chunks of batch.BATCH_SIZE, step
+    k of every word in a chunk as one (M, M^-1) pair; each word object
+    is planned once.  Every other row, and any the kernel refuses, goes
+    through act_on_vector in index order, which raises with its own
+    message, a non-finite float angle raising ValueError naming it.
     """
+    import numpy as np
     from . import batch
-    words, vectors = list(words), list(vectors)
-    if len(words) != len(vectors):
-        raise ValueError("%d words for %d vectors" % (len(words), len(vectors)))
+    words, coords = list(words), np.array(coords, dtype=float).reshape(-1, 6)
+    if len(words) != len(coords):
+        raise ValueError("%d words for %d vectors" % (len(words), len(coords)))
     plans, groups = {}, {}
-    for i, (w, v) in enumerate(zip(words, vectors)):
-        if _batchable(v):
-            if id(w) not in plans:
-                plans[id(w)] = _plan(w)
-            if plans[id(w)] is not None:
-                groups.setdefault(len(w), []).append(i)
-    done = {}
+    for i, w in enumerate(words):
+        if id(w) not in plans:
+            plans[id(w)] = _plan(w)
+        if plans[id(w)] is not None:
+            groups.setdefault(len(w), []).append(i)
+    out, done = np.empty_like(coords), np.zeros(len(words), dtype=bool)
     for length, take in groups.items():
         for start in range(0, len(take), batch.BATCH_SIZE):
             chunk = take[start:start + batch.BATCH_SIZE]
             steps = [
                 zip(*(plans[id(words[i])][k] for i in chunk)) for k in range(length)
             ]
-            coords, ok = batch.conjugate([vectors[i].as_tuple() for i in chunk], steps)
-            for i, row, good in zip(chunk, coords.tolist(), ok.tolist()):
-                if good:
-                    done[i] = Vector6(*row)
-    for i, (w, v) in enumerate(zip(words, vectors)):
-        if i not in done:
-            for _, theta in w:
-                check_angle(theta)
-            done[i] = act_on_vector(w, v)
-    return [done[i] for i in range(len(vectors))]
+            out[chunk], done[chunk] = batch.conjugate(coords[chunk], steps)
+    for i in np.flatnonzero(~done).tolist():
+        out[i] = _checked_act(words[i], Vector6(*coords[i].tolist())).as_tuple()
+    return out
+
+
+def act_on_vectors(words, vectors):
+    """act_on_vector(words[i], vectors[i]) for every i, batched where it can be.
+
+    Float vectors (see _batchable) go through act_on_coords, the rest
+    through act_on_vector; when act_on_coords raises, all of them do,
+    in index order, so the first error is the scalar loop's.
+    """
+    words, vectors = list(words), list(vectors)
+    if len(words) != len(vectors):
+        raise ValueError("%d words for %d vectors" % (len(words), len(vectors)))
+    take = [i for i, v in enumerate(vectors) if _batchable(v)]
+    try:
+        rows = act_on_coords(
+            [words[i] for i in take], [vectors[i].as_tuple() for i in take]
+        ).tolist()
+    except (ArithmeticError, ValueError):
+        take = rows = ()
+    done = {i: Vector6(*row) for i, row in zip(take, rows)}
+    return [
+        done[i] if i in done else _checked_act(w, v)
+        for i, (w, v) in enumerate(zip(words, vectors))
+    ]
 
 
 def _so6_matrices(words):
     """so6_matrix of each word, as an (n, 6, 6) array.
 
-    All the words act on the six coordinate basis vectors in one
-    act_on_vectors call, as floats: a unit coefficient multiplies and
-    adds exactly, so they give the float values the exact basis
-    vectors give.
+    All the words act on the six float basis rows in one act_on_coords
+    call: a unit coefficient multiplies and adds exactly, so they give
+    the float values the exact basis vectors give.
     """
     import numpy as np
-    basis = [Vector6(**{m: 1.0}) for m in COORDS]  # zeros stay int 0
     words = [list(w) for w in words]  # each planned once for its six vectors
-    imgs = act_on_vectors([w for w in words for _ in COORDS], basis * len(words))
-    cols = [[float(c) for c in img.as_tuple()] for img in imgs]
-    return np.array(cols, dtype=float).reshape(-1, 6, 6).transpose(0, 2, 1)
+    basis = np.tile(np.eye(6), (len(words), 1))
+    imgs = act_on_coords([w for w in words for _ in COORDS], basis)
+    return imgs.reshape(-1, 6, 6).transpose(0, 2, 1)
 
 
 def so6_matrix(word):

@@ -35,6 +35,7 @@ from splitconf.conformal import (
 from splitconf.group import (
     PLANES,
     TRANSLATION_NAMES,
+    act_on_coords,
     act_on_vector,
     act_on_vectors,
     check_angle,
@@ -250,6 +251,21 @@ class TestWordPerColumn:
             assert outcome(lambda: act_on_vectors(words, vecs)) == outcome(
                 lambda: [act_on_vector(w, v) for w, v in pairs]
             )
+
+    @given(st.lists(st.tuples(step_words, st.lists(float_coords, min_size=6,
+                                                   max_size=6)), max_size=16))
+    def test_rows_equal_the_scalar_words(self, pairs):
+        # act_on_coords, under act_on_vectors: float rows in, float rows out.
+        def scalar():
+            return [[float(c) for c in act_on_vector(w, Vector6(*r)).as_tuple()]
+                    for w, r in pairs]
+
+        def batched():
+            got = act_on_coords([w for w, _ in pairs], [r for _, r in pairs])
+            assert got.shape == (len(pairs), 6)
+            return got.tolist()
+
+        assert outcome(batched) == outcome(scalar)
 
     def test_a_word_count_that_differs_is_refused(self):
         with pytest.raises(ValueError, match="2 words for 1 vectors"):

@@ -181,6 +181,36 @@ class TestSharedHalfAngle:
                 assert coefficient_reprs(got) == coefficient_reprs(want)
 
 
+class TestExactZeroAngle:
+    # An int angle is halved exactly, so an int 0 keeps the element exact.
+    PLANE_NAMES = PLANES + tuple(name[::-1] for name in PLANES)
+
+    def test_every_plane_at_int_zero_is_the_exact_identity(self):
+        ident = TensorMatrix.identity(4)
+        for name in self.PLANE_NAMES:
+            m = generator(name, 0)
+            assert m.is_exact(), name
+            assert m == ident, name
+
+    def test_a_fraction_vector_stays_exact_under_an_int_zero_angle(self):
+        v = Vector6(x=Fraction(1, 3), t=Fraction(-2, 7), p=2, q=Fraction(5, 3))
+        for name in self.PLANE_NAMES:
+            out = act_on_vector([(name, 0)], v)
+            assert out == v, name
+            assert all(type(c) is Fraction for c in out.as_tuple()), name
+
+    def test_an_int_angle_gives_the_bits_of_its_float_twin(self):
+        v = Vector6(0.3, -1.1, 0.7, 0.2, 1.9, -0.4)
+        for name in self.PLANE_NAMES:
+            for k in (1, -2, 3, 7):
+                assert coefficient_reprs(generator(name, k)) == coefficient_reprs(
+                    generator(name, float(k))
+                ), (name, k)
+                assert repr(act_on_vector([(name, k)], v)) == repr(
+                    act_on_vector([(name, float(k))], v)
+                ), (name, k)
+
+
 class TestCoordinateAction:
     def test_boost_moves_time_toward_z(self):
         img = act_on_vector([("tz", 0.8)], Vector6(t=1))
