@@ -1,15 +1,21 @@
 """The order-preserving numpy kernel behind the batched conjugation steps.
 
-Every group element c I + s G is block diagonal and every P block
-off-diagonal, so one product plan per side lists, for each output
-coefficient, its terms in the order ``TensorMatrix.__matmul__`` adds
-them through ``algebra.mul_terms``: ascending k, then the index of the
-left factor (which fixes the right one, each row of ``_MUL`` being a
-permutation).  A plan runs in rounds, round r adding term r of every
-output over (64, n) arrays, so each sum rounds as the scalar sum does.
-A zero term the scalar route skips adds a zero to a sum that is never
--0.0, which changes no bit of a finite result.  Every column carries
-its own step, so a batch can step many words of one length at once.
+Every group element M = c I + s G is block diagonal and every P block
+off-diagonal.  M's only coefficients that can be nonzero are c on the
+unit of each diagonal entry and G's own terms (8 of 64 for a plane, 12
+for a nilpotent step), so each generator has one compact plan per side
+of M P M^-1 (``step_plan``, built on first use and cached per
+generator).  For each output coefficient a plan lists the terms whose M
+coefficient can be nonzero, in the order ``TensorMatrix.__matmul__``
+adds them through ``algebra.mul_terms``: ascending k, then the index of
+the left factor (which fixes the right one, each row of ``_MUL`` being a
+permutation).  Every output has the same number of terms, 2 for a plane
+and 3 for a nilpotent step, and a plan runs in rounds, round r adding
+term r of every output over (64, n) arrays, so each sum rounds as the
+scalar sum does.  A term the plan drops, or a zero term the scalar route
+skips, adds a zero to a sum that is never -0.0, which changes no bit of
+a finite result.  Every column carries its own step, and the columns of
+one step that share a generator run on its plan together.
 
 ``build_P_batch`` and ``extract_coords_batch`` are the float forms of
 ``clifford.build_P`` and ``extract_coords`` over (64, n) arrays, row r
@@ -19,7 +25,7 @@ and gather tables, and the gather sums run in rounds too.
 
 :func:`conjugate` is the whole kernel as one call, arrays in and arrays
 out.  Which vectors go on it, in what chunks, and what a refused
-column falls back to is decided by ``group.act_on_vectors``, which
+column falls back to is decided by ``group.act_on_coords``, which
 imports this module on first use; plans and tables are built on the
 first batch, not at import.
 """
@@ -36,7 +42,7 @@ __all__ = [
     "block_rows",
     "build_P_batch",
     "extract_coords_batch",
-    "step_column",
+    "step_plan",
     "conjugate",
 ]
 
@@ -45,9 +51,10 @@ __all__ = [
 # the arrays.
 BATCH_SIZE = 128
 
-_columns = {}
+_step_plans = {}
 
 
+@functools.cache
 def block_rows(diagonal):
     """Flat indices 32*row + 8*col + basis of the diagonal (or off-diagonal) 2x2 blocks."""
     return tuple(
@@ -134,41 +141,56 @@ def extract_coords_batch(p, tol=1e-9):
     return coords, ok & np.isfinite(coords).all(axis=0)
 
 
-def _product_plan(left_diagonal):
-    """Round arrays (left row, right row, sign) of one block product.
+def _coefficients(flat):
+    """(entry row, entry column, basis index, row) of each listed flat index.
 
-    Block diagonal times block off-diagonal (left_diagonal), or the
-    reverse, each factor held as the rows of its blocks.  Output row r
-    is coefficient block_rows(False)[r]; its terms are listed in the
-    order TensorMatrix.__matmul__ adds them, and every output has the
-    same number of terms, one per round.
+    Listed in ascending flat index, that is in (row, column, basis) order.
     """
-    diag, off = block_rows(True), block_rows(False)
-    lpos = {f: r for r, f in enumerate(diag if left_diagonal else off)}
-    rpos = {f: r for r, f in enumerate(off if left_diagonal else diag)}
-    # by_product[a][t]: the (b, sign) with BASIS[a] * BASIS[b] = sign BASIS[t]
-    by_product = [{t: (b, sign) for b, (t, sign) in enumerate(row)} for row in _MUL]
-    plan = {}
-    for f in range(128):
-        i, j, t = f // 32, f // 8 % 4, f % 8
-        plan[f] = [
-            (lpos[32 * i + 8 * k + a], rpos[32 * k + 8 * j + b], sign)
-            for k in range(4)
-            for a, (b, sign) in enumerate(row[t] for row in by_product)
-            if 32 * i + 8 * k + a in lpos and 32 * k + 8 * j + b in rpos
-        ]
-    if any(plan[f] for f in diag) or len({len(plan[f]) for f in off}) != 1:
+    return [(f // 32, f // 8 % 4, f % 8, r) for r, f in enumerate(flat)]
+
+
+def _round_plan(left, right):
+    """Round arrays (left row, right row, sign) of the block product of two
+    factors, given as the _coefficients of each that can be nonzero.
+
+    Output row r is coefficient block_rows(False)[r]; its terms are in
+    mul_terms' order (ascending k, then the left basis index), and every
+    output has the same number of terms, one per round.
+    """
+    by_row = [[] for _ in range(4)]
+    for k, j, b, rb in right:
+        by_row[k].append((j, b, rb))
+    sums = [[] for _ in range(128)]
+    for i, k, a, ra in left:
+        mul = _MUL[a]
+        for j, b, rb in by_row[k]:
+            t, sign = mul[b]
+            sums[32 * i + 8 * j + t].append((ra, rb, sign))
+    outs = [sums[f] for f in block_rows(False)]
+    if any(sums[f] for f in block_rows(True)) or len(set(map(len, outs))) != 1:
         raise AssertionError("block product is not block off-diagonal and uniform")
-    terms = np.array([plan[f] for f in off]).transpose(2, 1, 0)
-    return terms[0], terms[1], terms[2][:, :, None].astype(float)
+    terms = [x for r in range(len(outs[0])) for out in outs for x in out[r]]
+    ia, ib, sign = np.array(terms).reshape(-1, 64, 3).transpose(2, 0, 1)
+    return ia, ib, sign[:, :, None].astype(float)
 
 
-@functools.cache
-def _plans():
-    """(left plan, right plan, unit column of I), built on the first batch."""
+def _compact_plan(gen):
+    """(unit, g, left, right): the plans of M P M^-1 for M = c I + s G, G = gen.
+
+    unit and g are (live, 1) columns over the coefficients of M that can
+    be nonzero: 1 on a diagonal unit (c), and gen's coefficient (+-s).
+    left and right are the _round_plan of M @ P and (M P) @ M^-1.
+    Raises AssertionError when gen is not block diagonal.
+    """
+    flat = [c for row in gen.rows for e in row for c in e.coeffs]
+    if any(flat[f] for f in block_rows(False)):
+        raise AssertionError("generator is not block diagonal")
     # 0, 40, 80, 120: the unit coefficient of diagonal entry (i, i).
-    unit = [[float(f in (0, 40, 80, 120))] for f in block_rows(True)]
-    return _product_plan(True), _product_plan(False), np.array(unit)
+    live = [f for f in block_rows(True) if f % 40 == 0 or flat[f]]
+    unit = np.array([[float(f % 40 == 0)] for f in live])
+    g = np.array([[float(flat[f])] for f in live])
+    m, p = _coefficients(live), _coefficients(block_rows(False))
+    return unit, g, _round_plan(m, p), _round_plan(p, m)
 
 
 def _product(plan, a, b):
@@ -180,42 +202,45 @@ def _product(plan, a, b):
     return acc
 
 
-def step_column(gen):
-    """The diagonal-block coefficients of gen as a (64, 1) float column.
-
-    Cached per generator object, which the cache holds so its id stays
-    its own; raises AssertionError when gen has a coefficient off the
-    diagonal blocks.
-    """
-    got = _columns.get(id(gen))
+def step_plan(gen):
+    """The _compact_plan of gen, cached per generator object (held, so its id stays)."""
+    got = _step_plans.get(id(gen))
     if got is None:
-        flat = [c for row in gen.rows for e in row for c in e.coeffs]
-        diag = block_rows(True)
-        if any(flat[f] for f in set(range(128)).difference(diag)):
-            raise AssertionError("generator is not block diagonal")
-        got = _columns[id(gen)] = (gen, np.array([[float(flat[f])] for f in diag]))
+        got = _step_plans[id(gen)] = (gen, _compact_plan(gen))
     return got[1]
+
+
+def _conjugate_step(plan, p, c, s):
+    """M p M^-1 over the columns of p, M = c I + s G for the generator of plan."""
+    unit, g, left, right = plan
+    m, m_inv = unit * c + g * s, unit * c + g * -s
+    return _product(right, _product(left, m, p), m_inv)
 
 
 def conjugate(coords, steps):
     """Conjugate each vector of a batch through its own word, step by step.
 
     coords holds one row of six float coordinates per vector, n rows.
-    steps holds one (columns, c, s) per step of the words, each three
+    steps holds one (plans, c, s) per step of the words, each three
     sequences of n entries: vector j is conjugated by M = c[j] I +
     s[j] G and M^-1 = c[j] I - s[j] G, where G is the generator whose
-    step_column is columns[j]; each coefficient is c on the diagonal
-    unit plus G's coefficient times +-s, the values matrices.exp_pair
-    forms.  Returns (coords, ok) of extract_coords_batch, with coords
+    step_plan is plans[j]; each coefficient is c on the diagonal unit
+    plus G's coefficient times +-s, the values matrices.exp_pair forms.
+    The columns of one step that share a generator run as one group on
+    its plan.  Returns (coords, ok) of extract_coords_batch, with coords
     as n rows again; a row whose ok is False means nothing.
     """
-    left, right, unit = _plans()
     # Overflow and nan are expected here: extraction refuses such columns.
     with np.errstate(over="ignore", invalid="ignore"):
         p = build_P_batch(np.array(coords, dtype=float).T)
-        for columns, c, s in steps:
-            g, c, s = np.hstack(columns), np.array(c), np.array(s)
-            m, m_inv = unit * c + g * s, unit * c + g * -s
-            p = _product(right, _product(left, m, p), m_inv)
+        for plans, c, s in steps:
+            c, s, groups = np.array(c), np.array(s), {}
+            for j, plan in enumerate(plans):
+                groups.setdefault(id(plan), (plan, []))[1].append(j)
+            if len(groups) == 1:
+                p = _conjugate_step(plans[0], p, c, s)
+            else:
+                for plan, cols in groups.values():
+                    p[:, cols] = _conjugate_step(plan, p[:, cols], c[cols], s[cols])
         coords, ok = extract_coords_batch(p)
     return coords.T, ok

@@ -243,25 +243,17 @@ def act_on_vector(word, v):
     return extract_coords(_conjugate(word, build_P(v)))
 
 
-def _batch_step(step, theta):
-    """(batch.step_column, c, s) of one step, from _half_angle."""
-    from .batch import step_column
-    gen, c, s = _half_angle(step, theta)
-    return step_column(gen), c, s
-
-
-def _plan(word):
-    """The _batch_step of every step of word, or None when it cannot batch.
-
-    A word batches when its angles are finite floats and its steps
-    neither overflow nor name an unknown step.
-    """
+def _plan(word, step_plan):
+    """(step_plan(G), c, s) from _half_angle for each step of word, or None
+    when it cannot batch: an angle that is not a finite float, or a step
+    that overflows or names no step."""
     if not all(type(theta) is float and math.isfinite(theta) for _, theta in word):
         return None
     try:
-        return [_batch_step(*step) for step in word]
+        steps = [_half_angle(*step) for step in word]
     except (OverflowError, ValueError):
         return None
+    return [(step_plan(gen), c, s) for gen, c, s in steps]
 
 
 def _batchable(v):
@@ -287,8 +279,9 @@ def act_on_coords(words, coords):
 
     A row whose word batches (see _plan) runs on batch.conjugate,
     grouped by word length and cut into chunks of batch.BATCH_SIZE, step
-    k of every word in a chunk as one (M, M^-1) pair; each word object
-    is planned once.  Every other row, and any the kernel refuses, goes
+    k of every word in a chunk as one kernel step; each word object is
+    planned once, on the plans batch.step_plan caches per generator.
+    Every other row, and any the kernel refuses, goes
     through act_on_vector in index order, which raises with its own
     message, a non-finite float angle raising ValueError naming it.
     """
@@ -300,7 +293,7 @@ def act_on_coords(words, coords):
     plans, groups = {}, {}
     for i, w in enumerate(words):
         if id(w) not in plans:
-            plans[id(w)] = _plan(w)
+            plans[id(w)] = _plan(w, batch.step_plan)
         if plans[id(w)] is not None:
             groups.setdefault(len(w), []).append(i)
     out, done = np.empty_like(coords), np.zeros(len(words), dtype=bool)
@@ -413,14 +406,8 @@ def verify_properties(config=None):
                 prods[(a, b)] = gamma(a) @ gamma(b)
 
     for a in COORDS:
-        sq = gamma(a) @ gamma(a)
-        expected = ident.scale(METRIC[a])
-        report.add(
-            "prop1[%s]" % a,
-            sq == expected,
-            "(%+d)*I" % METRIC[a],
-            "match" if sq == expected else "mismatch",
-        )
+        ok = gamma(a) @ gamma(a) == ident.scale(METRIC[a])
+        report.match("prop1[%s]" % a, ok, "(%+d)*I" % METRIC[a])
 
     for a in COORDS:
         for b in COORDS:
@@ -428,47 +415,28 @@ def verify_properties(config=None):
                 continue
             ab = prods[(a, b)]
             for c in COORDS:
-                if c == a or c == b:
-                    continue
-                lhs = ab @ gamma(c)
-                rhs = gamma(c) @ ab
-                report.add(
-                    "prop2[%s,%s,%s]" % (a, b, c),
-                    lhs == rhs,
-                    "commute",
-                    "match" if lhs == rhs else "mismatch",
-                )
+                if c != a and c != b:
+                    ok = ab @ gamma(c) == gamma(c) @ ab
+                    report.match("prop2[%s,%s,%s]" % (a, b, c), ok, "commute")
 
     for a in COORDS:
         for b in COORDS:
             if b == a:
                 continue
             ab = prods[(a, b)]
-            lhs3 = ab @ gamma(b)
-            rhs3 = gamma(a).scale(METRIC[b])
-            report.add(
+            report.match(
                 "prop3[%s,%s]" % (a, b),
-                lhs3 == rhs3,
+                ab @ gamma(b) == gamma(a).scale(METRIC[b]),
                 "(%+d)*gamma(%s)" % (METRIC[b], a),
-                "match" if lhs3 == rhs3 else "mismatch",
             )
-            lhs4 = ab @ gamma(a)
-            rhs4 = gamma(b).scale(-METRIC[a])
-            report.add(
+            report.match(
                 "prop4[%s,%s]" % (a, b),
-                lhs4 == rhs4,
+                ab @ gamma(a) == gamma(b).scale(-METRIC[a]),
                 "(%+d)*gamma(%s)" % (-METRIC[a], b),
-                "match" if lhs4 == rhs4 else "mismatch",
             )
-            lhs5 = ab @ ab
             sign5 = -METRIC[a] * METRIC[b]
-            rhs5 = ident.scale(sign5)
-            report.add(
-                "prop5[%s,%s]" % (a, b),
-                lhs5 == rhs5,
-                "(%+d)*I" % sign5,
-                "match" if lhs5 == rhs5 else "mismatch",
-            )
+            ok = ab @ ab == ident.scale(sign5)
+            report.match("prop5[%s,%s]" % (a, b), ok, "(%+d)*I" % sign5)
     return report
 
 

@@ -14,6 +14,7 @@ the bundled mapping table, so that inconsistency is documented by
 """
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -101,6 +102,13 @@ def realify_matrix(m):
     return np.block(
         [[realify_scalar(e) for e in row] for row in m.rows]
     )
+
+
+def _integral(m):
+    """m as an int64 array, or None when an entry of m is not an integer."""
+    if not all(x == int(x) for x in m.flat):
+        return None
+    return m.astype(np.int64)
 
 
 # Closed Kronecker forms of the six gammas: sign and the four factors
@@ -273,12 +281,8 @@ def verify_realrep(config=None):
                 if c != 0:
                     want = want + c * COMPLEX_IMAGE["l" if i >= 4 else "1"]
             got = COMPLEX_IMAGE[u] @ COMPLEX_IMAGE[v]
-            report.add(
-                "image-mul[c:%s,%s]" % (u, v),
-                np.array_equal(got, want),
-                "image of the product",
-                "match" if np.array_equal(got, want) else "mismatch",
-            )
+            ok = np.array_equal(got, want)
+            report.match("image-mul[c:%s,%s]" % (u, v), ok, "image of the product")
 
     for u in H_UNITS:
         for v in H_UNITS:
@@ -288,12 +292,8 @@ def verify_realrep(config=None):
                 if c != 0:
                     want = want + c * SPLIT_IMAGE[H_UNITS[i % 4]]
             got = SPLIT_IMAGE[u] @ SPLIT_IMAGE[v]
-            report.add(
-                "image-mul[h:%s,%s]" % (u, v),
-                np.array_equal(got, want),
-                "image of the product",
-                "match" if np.array_equal(got, want) else "mismatch",
-            )
+            ok = np.array_equal(got, want)
+            report.match("image-mul[h:%s,%s]" % (u, v), ok, "image of the product")
 
     for eu in BASIS:
         for ev in BASIS:
@@ -301,11 +301,10 @@ def verify_realrep(config=None):
             b = TensorScalar.unit(ev)
             lhs = realify_scalar(a) @ realify_scalar(b)
             rhs = realify_scalar(a * b)
-            report.add(
+            report.match(
                 "homomorphism[%s,%s]" % (eu, ev),
                 np.array_equal(lhs, rhs),
                 "realify(a)@realify(b) == realify(a*b)",
-                "match" if np.array_equal(lhs, rhs) else "mismatch",
             )
 
     entries_ok = all(
@@ -323,20 +322,15 @@ def verify_realrep(config=None):
             anti = real_gamma(m) @ real_gamma(n) + real_gamma(n) @ real_gamma(m)
             g = METRIC[m] if m == n else 0
             want = 2 * g * _I16
-            report.add(
-                "anticommutator[%s,%s]" % (m, n),
-                np.array_equal(anti, want),
-                "2*(%+d)*I" % g,
-                "match" if np.array_equal(anti, want) else "mismatch",
-            )
+            ok = np.array_equal(anti, want)
+            report.match("anticommutator[%s,%s]" % (m, n), ok, "2*(%+d)*I" % g)
 
     for m in COORDS:
         same = np.array_equal(realify_matrix(gamma(m)), real_gamma(m))
-        report.add(
+        report.match(
             "gamma-realify[%s]" % m,
             same,
             "blockwise realification equals the Kronecker form",
-            "match" if same else "mismatch",
         )
 
     for name in PLANES:
@@ -354,14 +348,17 @@ def verify_realrep(config=None):
 
     a = gamma("x").scale(Fraction(1, 2)) + gamma("p") @ gamma("q")
     b = (gamma("t") @ gamma("x")) - TensorMatrix.identity(4).scale(3)
-    lhs = realify_matrix(a) @ realify_matrix(b)
-    rhs = realify_matrix(a @ b)
-    exact_ok = lhs.shape == rhs.shape and bool(np.all(lhs == rhs))
-    report.add(
+    # Scaled by the common denominator of A, both sides are integer
+    # matrices, compared exactly as int64.
+    coeffs = [c for r in a.rows for e in r for c in e.coeffs]
+    d = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    lhs, rhs = _integral(d * realify_matrix(a)), _integral(d * realify_matrix(a @ b))
+    exact_ok = lhs is not None and rhs is not None
+    exact_ok = exact_ok and np.array_equal(lhs @ realify_matrix(b), rhs)
+    report.match(
         "homomorphism[exact-matrix]",
         exact_ok,
         "realify(A)@realify(B) == realify(A@B)",
-        "match" if exact_ok else "mismatch",
         "exact rational entries",
     )
 

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from splitconf import batch, group
 from splitconf.algebra import ZERO, TensorScalar
 from splitconf.batch import (
-    _plans,
     _product,
     block_rows,
     build_P_batch,
     extract_coords_batch,
+    step_plan,
 )
 from splitconf.clifford import COORDS, Vector6, build_P, extract_coords
 from splitconf.conformal import (
@@ -31,6 +31,7 @@ from splitconf.conformal import (
     embed_point,
     step_vector,
     step_vectors,
+    verify_conformal,
 )
 from splitconf.group import (
     PLANES,
@@ -41,7 +42,7 @@ from splitconf.group import (
     check_angle,
     so6_matrix,
 )
-from splitconf.matrices import TensorMatrix
+from splitconf.matrices import TensorMatrix, exp_pair
 
 PLANE_NAMES = PLANES + tuple(p[::-1] for p in PLANES)
 STEP_NAMES = PLANE_NAMES + TRANSLATION_NAMES
@@ -282,33 +283,73 @@ class TestWordPerColumn:
 
     def test_a_shared_word_is_planned_once(self, monkeypatch):
         calls = []
-        batch_step = group._batch_step
+        half_angle = group._half_angle
 
         def counted(step, theta):
             calls.append(step)
-            return batch_step(step, theta)
+            return half_angle(step, theta)
 
-        monkeypatch.setattr(group, "_batch_step", counted)
+        monkeypatch.setattr(group, "_half_angle", counted)
         word = [("xy", 0.3), ("bt", -0.2), ("pz", 0.7)]
         so6_matrix(word)
         assert len(calls) == 3
         del calls[:]
         vecs = [Vector6(x=1.0, y=float(k)) for k in range(5)]
-        assert outcome(lambda: act_on_vectors([word] * 5, vecs)) == outcome(
-            lambda: [act_on_vector(word, v) for v in vecs]
-        )
+        batched = outcome(lambda: act_on_vectors([word] * 5, vecs))
         assert len(calls) == 3
+        assert batched == outcome(lambda: [act_on_vector(word, v) for v in vecs])
+
+
+def counted_plan_builds(monkeypatch):
+    """The generators whose compact plan is built from now on, starting
+    from an empty plan cache."""
+    built = []
+    compact_plan = batch._compact_plan
+
+    def counted(gen):
+        built.append(gen)
+        return compact_plan(gen)
+
+    monkeypatch.setattr(batch, "_step_plans", {})
+    monkeypatch.setattr(batch, "_compact_plan", counted)
+    return built
+
+
+class TestPlanCache:
+    def test_a_verify_pass_builds_a_plan_per_generator_at_most(self, monkeypatch):
+        built = counted_plan_builds(monkeypatch)
+        verify_conformal()
+        assert 0 < len(built) <= len(PLANES) + len(TRANSLATION_NAMES)
+        assert len({id(gen) for gen in built}) == len(built)
+
+    def test_one_step_words_share_one_plan(self, monkeypatch):
+        built = counted_plan_builds(monkeypatch)
+        rng = random.Random(5)
+        words = [[("bx", rng.uniform(-0.5, 0.5))] for _ in range(1000)]
+        rows = [[rng.uniform(-1, 1) for _ in range(6)] for _ in range(1000)]
+        act_on_coords(words, rows)
+        assert len(built) <= 1
+
+    @pytest.mark.parametrize("name", STEP_NAMES)
+    def test_rounds_per_output(self, name):
+        # c on the diagonal unit and the generator's own terms: two live
+        # terms per output for a plane, three for a nilpotent step.
+        unit, g, left, right = step_plan(group._half_angle(name, 0.5)[0])
+        rounds = 3 if name in TRANSLATION_NAMES else 2
+        assert len(unit) == len(g) == 4 * rounds
+        assert left[0].shape == right[0].shape == (rounds, 64)
 
 
 class TestKernel:
     def test_conjugate_takes_and_gives_arrays(self):
-        # Two columns of one word length under different words; the
+        # Two columns of one step under different generators; the
         # second overflows and is refused, the first is the scalar step.
         words = [[("xy", 0.3)], [("tx", 3.0)]]
         vecs = [Vector6(x=0.5, p=1.0), Vector6(x=1.7e308, t=1.7e308, p=1.0)]
-        plans = [[group._batch_step(*step) for step in w] for w in words]
+        steps = [group._half_angle(*w[0]) for w in words]
         coords, ok = batch.conjugate(
-            np.array([v.as_tuple() for v in vecs]), [zip(*(p[0] for p in plans))]
+            np.array([v.as_tuple() for v in vecs]),
+            [zip(*((step_plan(gen), c, s) for gen, c, s in steps))],
         )
         assert coords.shape == (2, 6)
         assert ok.tolist() == [True, False]
@@ -317,19 +358,19 @@ class TestKernel:
         )
 
 
-def random_blocks(rng, diagonal):
+def random_blocks(rng):
     """A 4x4 matrix with random coefficients of mixed magnitude on its
-    diagonal (or off-diagonal) 2x2 blocks, and its batch column."""
+    off-diagonal 2x2 blocks, and its batch column."""
     rows = [[ZERO] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(4):
-            if (i // 2 == j // 2) == diagonal:
+            if i // 2 != j // 2:
                 rows[i][j] = TensorScalar(
                     [rng.uniform(-1, 1) * 10 ** rng.uniform(-8, 8) for _ in range(8)]
                 )
     mat = TensorMatrix(rows)
     flat = [c for r in mat.rows for e in r for c in e.coeffs]
-    return mat, np.array([[flat[f]] for f in block_rows(diagonal)])
+    return mat, np.array([[flat[f]] for f in block_rows(False)])
 
 
 def off_diagonal_reprs(mat):
@@ -343,22 +384,28 @@ class TestDenseSweep:
     # sum span 16 decades, so summing in any other order changes bits
     # (unlike in-span matrices, whose sums have few nonzero terms).
     def test_products_keep_the_scalar_order(self):
-        left, right, _ = _plans()
+        # Every step name's compact plans against exp_pair and @, with c
+        # and s spread over 16 decades too.
         rng = random.Random(20)
-        for _ in range(100):
-            m, m_col = random_blocks(rng, True)
-            p, p_col = random_blocks(rng, False)
-            mp = _product(left, m_col, p_col)
+        for name in STEP_NAMES * 5:
+            gen = group._half_angle(name, 0.5)[0]
+            unit, g, left, right = step_plan(gen)
+            c, s = (rng.uniform(-1, 1) * 10 ** rng.uniform(-8, 8) for _ in range(2))
+            m, m_inv = exp_pair(gen, c, s)
+            p, p_col = random_blocks(rng)
+            mp = _product(left, unit * c + g * s, p_col)
             assert [repr(x) for x in mp[:, 0].tolist()] == off_diagonal_reprs(m @ p)
-            pm = _product(right, p_col, m_col)
-            assert [repr(x) for x in pm[:, 0].tolist()] == off_diagonal_reprs(p @ m)
+            mpm = _product(right, mp, unit * c + g * -s)
+            assert [repr(x) for x in mpm[:, 0].tolist()] == off_diagonal_reprs(
+                (m @ p) @ m_inv
+            )
 
     def test_extraction_keeps_the_gather_order(self):
         # A tolerance this loose accepts any matrix on both routes, so
         # the coordinates are the raw gather sums.
         rng = random.Random(21)
         for _ in range(100):
-            p, p_col = random_blocks(rng, False)
+            p, p_col = random_blocks(rng)
             coords, ok = extract_coords_batch(p_col, tol=1e6)
             assert ok.tolist() == [True]
             assert repr(Vector6(*coords[:, 0].tolist())) == repr(

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from splitconf.algebra import BASIS, TensorScalar
 from splitconf.clifford import COORDS, METRIC, gamma
+from splitconf import realrep
 from splitconf.group import PLANES, generator
 from splitconf.realrep import (
     COMPLEX_IMAGE,
@@ -166,3 +169,14 @@ class TestRealrepSuite:
         assert counts["fail"] == 0
         assert counts["discrepancy-documented"] == 1
         assert len(rep.checks) == 138
+
+    @pytest.mark.parametrize("factor", [2, Fraction(1, 3)])
+    def test_a_corrupted_unit_block_is_a_mismatch(self, monkeypatch, factor):
+        # The unit 1 block scaled by 2 keeps every scaled entry an
+        # integer; scaled by 1/3 it does not.
+        blocks = list(realrep._unit_blocks())
+        blocks[0] = blocks[0] * factor
+        monkeypatch.setattr(realrep, "_unit_blocks", lambda: blocks)
+        rep = verify_realrep({"seed": 5, "tolerance": 1e-12})
+        got = {c.check_id: c for c in rep.checks}["homomorphism[exact-matrix]"]
+        assert (got.status, got.actual) == ("fail", "mismatch")
