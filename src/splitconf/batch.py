@@ -210,13 +210,6 @@ def step_plan(gen):
     return got[1]
 
 
-def _conjugate_step(plan, p, c, s):
-    """M p M^-1 over the columns of p, M = c I + s G for the generator of plan."""
-    unit, g, left, right = plan
-    m, m_inv = unit * c + g * s, unit * c + g * -s
-    return _product(right, _product(left, m, p), m_inv)
-
-
 def conjugate(coords, steps):
     """Conjugate each vector of a batch through its own word, step by step.
 
@@ -237,10 +230,9 @@ def conjugate(coords, steps):
             c, s, groups = np.array(c), np.array(s), {}
             for j, plan in enumerate(plans):
                 groups.setdefault(id(plan), (plan, []))[1].append(j)
-            if len(groups) == 1:
-                p = _conjugate_step(plans[0], p, c, s)
-            else:
-                for plan, cols in groups.values():
-                    p[:, cols] = _conjugate_step(plan, p[:, cols], c[cols], s[cols])
+            for (unit, g, left, right), cols in groups.values():
+                cj, sj = c[cols], s[cols]
+                mp = _product(left, unit * cj + g * sj, p[:, cols])
+                p[:, cols] = _product(right, mp, unit * cj + g * -sj)
         coords, ok = extract_coords_batch(p)
     return coords.T, ok

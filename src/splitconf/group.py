@@ -243,17 +243,16 @@ def act_on_vector(word, v):
     return extract_coords(_conjugate(word, build_P(v)))
 
 
-def _plan(word, step_plan):
-    """(step_plan(G), c, s) from _half_angle for each step of word, or None
-    when it cannot batch: an angle that is not a finite float, or a step
-    that overflows or names no step."""
+def _plan(word):
+    """The _half_angle (G, c, s) of every step of word, or None when it
+    cannot batch: an angle that is not a finite float, or a step that
+    overflows or names no step."""
     if not all(type(theta) is float and math.isfinite(theta) for _, theta in word):
         return None
     try:
-        steps = [_half_angle(*step) for step in word]
+        return [_half_angle(*step) for step in word]
     except (OverflowError, ValueError):
         return None
-    return [(step_plan(gen), c, s) for gen, c, s in steps]
 
 
 def _batchable(v):
@@ -293,7 +292,10 @@ def act_on_coords(words, coords):
     plans, groups = {}, {}
     for i, w in enumerate(words):
         if id(w) not in plans:
-            plans[id(w)] = _plan(w, batch.step_plan)
+            steps = _plan(w)
+            plans[id(w)] = None if steps is None else [
+                (batch.step_plan(gen), c, s) for gen, c, s in steps
+            ]
         if plans[id(w)] is not None:
             groups.setdefault(len(w), []).append(i)
     out, done = np.empty_like(coords), np.zeros(len(words), dtype=bool)
@@ -406,8 +408,14 @@ def verify_properties(config=None):
                 prods[(a, b)] = gamma(a) @ gamma(b)
 
     for a in COORDS:
-        ok = gamma(a) @ gamma(a) == ident.scale(METRIC[a])
-        report.match("prop1[%s]" % a, ok, "(%+d)*I" % METRIC[a])
+        sq = gamma(a) @ gamma(a)
+        expected = ident.scale(METRIC[a])
+        report.add(
+            "prop1[%s]" % a,
+            sq == expected,
+            "(%+d)*I" % METRIC[a],
+            "match" if sq == expected else "mismatch",
+        )
 
     for a in COORDS:
         for b in COORDS:
@@ -415,28 +423,47 @@ def verify_properties(config=None):
                 continue
             ab = prods[(a, b)]
             for c in COORDS:
-                if c != a and c != b:
-                    ok = ab @ gamma(c) == gamma(c) @ ab
-                    report.match("prop2[%s,%s,%s]" % (a, b, c), ok, "commute")
+                if c == a or c == b:
+                    continue
+                lhs = ab @ gamma(c)
+                rhs = gamma(c) @ ab
+                report.add(
+                    "prop2[%s,%s,%s]" % (a, b, c),
+                    lhs == rhs,
+                    "commute",
+                    "match" if lhs == rhs else "mismatch",
+                )
 
     for a in COORDS:
         for b in COORDS:
             if b == a:
                 continue
             ab = prods[(a, b)]
-            report.match(
+            lhs3 = ab @ gamma(b)
+            rhs3 = gamma(a).scale(METRIC[b])
+            report.add(
                 "prop3[%s,%s]" % (a, b),
-                ab @ gamma(b) == gamma(a).scale(METRIC[b]),
+                lhs3 == rhs3,
                 "(%+d)*gamma(%s)" % (METRIC[b], a),
+                "match" if lhs3 == rhs3 else "mismatch",
             )
-            report.match(
+            lhs4 = ab @ gamma(a)
+            rhs4 = gamma(b).scale(-METRIC[a])
+            report.add(
                 "prop4[%s,%s]" % (a, b),
-                ab @ gamma(a) == gamma(b).scale(-METRIC[a]),
+                lhs4 == rhs4,
                 "(%+d)*gamma(%s)" % (-METRIC[a], b),
+                "match" if lhs4 == rhs4 else "mismatch",
             )
+            lhs5 = ab @ ab
             sign5 = -METRIC[a] * METRIC[b]
-            ok = ab @ ab == ident.scale(sign5)
-            report.match("prop5[%s,%s]" % (a, b), ok, "(%+d)*I" % sign5)
+            rhs5 = ident.scale(sign5)
+            report.add(
+                "prop5[%s,%s]" % (a, b),
+                lhs5 == rhs5,
+                "(%+d)*I" % sign5,
+                "match" if lhs5 == rhs5 else "mismatch",
+            )
     return report
 
 

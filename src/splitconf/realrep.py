@@ -104,13 +104,6 @@ def realify_matrix(m):
     )
 
 
-def _integral(m):
-    """m as an int64 array, or None when an entry of m is not an integer."""
-    if not all(x == int(x) for x in m.flat):
-        return None
-    return m.astype(np.int64)
-
-
 # Closed Kronecker forms of the six gammas: sign and the four factors
 # (block structure, sigma content, split image, complex image).
 GAMMA_REAL_DATA = {
@@ -281,8 +274,12 @@ def verify_realrep(config=None):
                 if c != 0:
                     want = want + c * COMPLEX_IMAGE["l" if i >= 4 else "1"]
             got = COMPLEX_IMAGE[u] @ COMPLEX_IMAGE[v]
-            ok = np.array_equal(got, want)
-            report.match("image-mul[c:%s,%s]" % (u, v), ok, "image of the product")
+            report.add(
+                "image-mul[c:%s,%s]" % (u, v),
+                np.array_equal(got, want),
+                "image of the product",
+                "match" if np.array_equal(got, want) else "mismatch",
+            )
 
     for u in H_UNITS:
         for v in H_UNITS:
@@ -292,8 +289,12 @@ def verify_realrep(config=None):
                 if c != 0:
                     want = want + c * SPLIT_IMAGE[H_UNITS[i % 4]]
             got = SPLIT_IMAGE[u] @ SPLIT_IMAGE[v]
-            ok = np.array_equal(got, want)
-            report.match("image-mul[h:%s,%s]" % (u, v), ok, "image of the product")
+            report.add(
+                "image-mul[h:%s,%s]" % (u, v),
+                np.array_equal(got, want),
+                "image of the product",
+                "match" if np.array_equal(got, want) else "mismatch",
+            )
 
     for eu in BASIS:
         for ev in BASIS:
@@ -301,10 +302,11 @@ def verify_realrep(config=None):
             b = TensorScalar.unit(ev)
             lhs = realify_scalar(a) @ realify_scalar(b)
             rhs = realify_scalar(a * b)
-            report.match(
+            report.add(
                 "homomorphism[%s,%s]" % (eu, ev),
                 np.array_equal(lhs, rhs),
                 "realify(a)@realify(b) == realify(a*b)",
+                "match" if np.array_equal(lhs, rhs) else "mismatch",
             )
 
     entries_ok = all(
@@ -322,15 +324,20 @@ def verify_realrep(config=None):
             anti = real_gamma(m) @ real_gamma(n) + real_gamma(n) @ real_gamma(m)
             g = METRIC[m] if m == n else 0
             want = 2 * g * _I16
-            ok = np.array_equal(anti, want)
-            report.match("anticommutator[%s,%s]" % (m, n), ok, "2*(%+d)*I" % g)
+            report.add(
+                "anticommutator[%s,%s]" % (m, n),
+                np.array_equal(anti, want),
+                "2*(%+d)*I" % g,
+                "match" if np.array_equal(anti, want) else "mismatch",
+            )
 
     for m in COORDS:
         same = np.array_equal(realify_matrix(gamma(m)), real_gamma(m))
-        report.match(
+        report.add(
             "gamma-realify[%s]" % m,
             same,
             "blockwise realification equals the Kronecker form",
+            "match" if same else "mismatch",
         )
 
     for name in PLANES:
@@ -352,13 +359,16 @@ def verify_realrep(config=None):
     # matrices, compared exactly as int64.
     coeffs = [c for r in a.rows for e in r for c in e.coeffs]
     d = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    lhs, rhs = _integral(d * realify_matrix(a)), _integral(d * realify_matrix(a @ b))
-    exact_ok = lhs is not None and rhs is not None
-    exact_ok = exact_ok and np.array_equal(lhs @ realify_matrix(b), rhs)
-    report.match(
+    lhs, rhs = d * realify_matrix(a), d * realify_matrix(a @ b)
+    integral = all(x == int(x) for x in [*lhs.flat, *rhs.flat])
+    exact_ok = integral and np.array_equal(
+        lhs.astype(np.int64) @ realify_matrix(b), rhs.astype(np.int64)
+    )
+    report.add(
         "homomorphism[exact-matrix]",
         exact_ok,
         "realify(A)@realify(B) == realify(A@B)",
+        "match" if exact_ok else "mismatch",
         "exact rational entries",
     )
 

@@ -52,10 +52,6 @@ class Report:
         self.checks.append(Check(check_id, status, str(expected), str(actual), context))
         return ok
 
-    def match(self, check_id, ok, expected, context=""):
-        """Record a pass/fail check whose actual value is "match" or "mismatch"."""
-        return self.add(check_id, ok, expected, "match" if ok else "mismatch", context)
-
     def bound(self, check_id, dev, tol, context=""):
         """Record a pass/fail check that a deviation is at most tol."""
         return self.add(check_id, dev <= tol, "<= %g" % tol, repr(dev), context)

@@ -19,16 +19,7 @@ from splitconf.algebra import (
     is_exact,
 )
 
-
-def fractions_within(bound, max_denominator):
-    """Every Fraction n/d in [-bound, bound] with d <= max_denominator:
-    the values of st.fractions with those limits, drawn faster."""
-    return st.sampled_from(sorted({
-        Fraction(n, d)
-        for d in range(1, max_denominator + 1)
-        for n in range(-bound * d, bound * d + 1)
-    }))
-
+from strategies import fractions_within
 
 exact_values = st.integers(-6, 6) | fractions_within(4, 8)
 
