@@ -14,13 +14,16 @@ nonzero entries, each a single +-1 unit, so every component of the
 symmetric trace trace(gamma P) + trace(P gamma) is a short signed sum
 of coefficients of P.  The table lists those coefficients in the order
 ``trace_product`` adds them, which keeps float results bit for bit
-those of the generic ``inner_product``.  Both tables also drive the
-batched float forms of ``batch``.
+those of the generic ``inner_product``.  An exact P is read in integers
+instead: its coefficients are scaled to one common denominator, and
+exact sums need no order.  Both tables also drive the batched float
+forms of ``batch``.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import _MUL, ELL, K, KL, L, ONE, TensorScalar, ZERO, exact_div, is_exact
 from .matrices import TensorMatrix, trace_product
@@ -170,13 +173,16 @@ def build_P(v):
     """The 4x4 combination [[0, X], [tilde(X), 0]], i.e. sum of v_m gamma(m).
 
     Written straight from the slot table of each gamma (see _slots and
-    _cells); every coefficient outside the slots is 0.
+    _cells); every coefficient outside the slots is 0, so P is exact
+    when every nonzero coordinate is.
     """
+    coords = v.as_tuple()
     return TensorMatrix(
         tuple(
             tuple(ZERO if e is None else TensorScalar(e) for e in r)
-            for r in _cells(v.as_tuple())
-        )
+            for r in _cells(coords)
+        ),
+        all(is_exact(c) for c in coords if c),
     )
 
 
@@ -212,6 +218,60 @@ def _gather(m):
                         t, sgn = _MUL[a][b]
                         right[t].append((32 * i + 8 * k + a, sgn * y))
     return tuple(zip(map(tuple, left), map(tuple, right)))
+
+
+@functools.cache
+def _exact_gather(m):
+    """_gather(m) for exact sums: per component, the flat indices added
+    and those subtracted, both traces together (an exact sum needs no
+    order)."""
+    return tuple(
+        (
+            tuple(i for i, sign in left + right if sign > 0),
+            tuple(i for i, sign in left + right if sign < 0),
+        )
+        for left, right in _gather(m)
+    )
+
+
+def _extract_exact(p):
+    """extract_coords for an exact p, in integers over one common denominator.
+
+    Every coefficient c is scaled to the integer c * d, d the lcm of the
+    denominators; the gather sums over those integers are d times the
+    symmetric trace, so coordinate m is Fraction(+-sym0, 8 d).  Realness
+    is sum == 0 on components 1..7, and the residual test is 8 c d ==
+    the slot's signed sym0 on each slot and 0 off them.  The errors
+    divide the sums and the residual back by d, so they read as the
+    inner products and the matrix difference would.
+    """
+    flat = [c for row in p.rows for e in row for c in e.coeffs]
+    d = math.lcm(*(c.denominator for c in flat if c))
+    z = [c.numerator * (d // c.denominator) if c else 0 for c in flat]
+    want = [0] * 128
+    coords = []
+    for m in COORDS:
+        sym = [
+            sum(map(z.__getitem__, plus)) - sum(map(z.__getitem__, minus))
+            for plus, minus in _exact_gather(m)
+        ]
+        if any(sym[1:]):
+            raise ValueError(
+                "inner product is not real: %s"
+                % (TensorScalar([Fraction(x, d) for x in sym]),)
+            )
+        s = sym[0] if METRIC[m] > 0 else -sym[0]
+        for i, j, k, sign in _slots(m):
+            want[32 * i + 8 * j + k] = s if sign > 0 else -s
+        coords.append(Fraction(s, 8 * d))
+    got = [8 * x for x in z]
+    if got != want:
+        residual = max(abs(x - y) for x, y in zip(got, want))
+        raise ValueError(
+            "matrix lies outside the span of the gammas (residual %s)"
+            % (Fraction(residual, 8 * d),)
+        )
+    return Vector6(*coords)
 
 
 def _eighth(value, exact):
@@ -256,39 +316,40 @@ def _residual(p, coords):
     return residual
 
 
-def _refuse_overflow(flat, exact):
+def _refuse_overflow(flat):
     """Raise ValueError naming the overflow when a float coefficient is not finite.
 
-    Called only on extract_coords' error paths, so a step that succeeds
-    pays no scan.
+    Called only on extract_coords' float error paths, so a step that
+    succeeds pays no scan.
     """
-    if not exact:
-        bad = [c for c in flat if isinstance(c, float) and not math.isfinite(c)]
-        if bad:
-            raise ValueError(
-                "matrix coefficient %s is not finite: the step overflowed"
-                " or its input was not finite" % bad[0]
-            )
+    bad = [c for c in flat if isinstance(c, float) and not math.isfinite(c)]
+    if bad:
+        raise ValueError(
+            "matrix coefficient %s is not finite: the step overflowed"
+            " or its input was not finite" % bad[0]
+        )
 
 
 def extract_coords(p, tol=1e-9):
     """Recover the Vector6 with build_P(result) == p.
 
     Component m is the metric-signed inner_product(gamma(m), p), read
-    through the gather table (see _gather): the same sums in the same
-    order, so the same bits.  Coordinates follow the regime of p
-    (TensorMatrix.is_exact, cached): Fractions for an exact p, floats
-    otherwise, a zero as 0.0.  The two checks are unchanged: a symmetric
-    trace that is not a real scalar within tol (relative to its scale),
-    or a residual p - build_P(result) above tol (relative to the matrix
-    scale), raises ValueError because p lies outside the span of the
-    gammas; exact matrices are held to zero.  When either check fails on
-    a float matrix with a coefficient that is not finite, the ValueError
-    names that overflow instead.  The residual is read from
-    the slot table instead of building P back and subtracting, and the
-    matrix scale from the flat coefficient list already read.
+    through the gather table (see _gather).  Coordinates follow the
+    regime of p (TensorMatrix.is_exact, cached).  An exact p gives
+    Fractions, read in integers (see _extract_exact) and held to zero
+    in both checks.  A float p gives floats, a zero as 0.0, from the
+    same sums in the same order as inner_product, so the same bits.  A
+    symmetric trace that is not a real scalar within tol (relative to
+    its scale), or a residual p - build_P(result) above tol (relative
+    to the matrix scale), raises ValueError because p lies outside the
+    span of the gammas.  When either check fails on a float matrix with
+    a coefficient that is not finite, the ValueError names that
+    overflow instead.  The residual is read from the slot table instead
+    of building P back and subtracting, and the matrix scale from the
+    flat coefficient list already read.
     """
-    exact = p.is_exact()
+    if p.is_exact():
+        return _extract_exact(p)
     flat = [c for row in p.rows for e in row for c in e.coeffs]
     coords = []
     for m in COORDS:
@@ -305,16 +366,15 @@ def extract_coords(p, tol=1e-9):
                 if c:
                     b = b + c if sign > 0 else b - c
             sym.append(a + b)
-        use_tol = 0 if exact else tol * max(1, max(map(abs, sym)))
+        use_tol = tol * max(1, max(map(abs, sym)))
         if not all(abs(c) <= use_tol for c in sym[1:]):
-            _refuse_overflow(flat, exact)
+            _refuse_overflow(flat)
             raise ValueError("inner product is not real: %s" % (TensorScalar(sym),))
         s = sym[0]
-        coords.append(_eighth(s if METRIC[m] > 0 else -s, exact))
+        coords.append(_eighth(s if METRIC[m] > 0 else -s, False))
     residual = _residual(p, coords)
-    limit = 0 if exact else tol * max(1, max(map(abs, flat)))
-    if residual > limit:
-        _refuse_overflow(flat, exact)
+    if residual > tol * max(1, max(map(abs, flat))):
+        _refuse_overflow(flat)
         raise ValueError(
             "matrix lies outside the span of the gammas (residual %s)" % (residual,)
         )

@@ -10,7 +10,9 @@ sums and scalings skip zero entries by their ``nonzero`` flag: the
 product never multiplies them, and sums, differences and scalings by a
 number pass them through untouched.  Whether a matrix is exact (all
 coefficients ``int``/``Fraction``) is decided once per matrix, on first
-use, by :meth:`TensorMatrix.is_exact`.
+use, by :meth:`TensorMatrix.is_exact`, unless it is already known: a
+product of two matrices known to be exact is exact, and so is
+:func:`exp_pair` of an exact generator at an exact (c, s).
 
 Exponentials close in this algebra for two shapes of generator: one
 squaring to +I or -I (cosh/sinh or cos/sin of the angle, from
@@ -47,8 +49,9 @@ class TensorMatrix:
 
     Immutable by convention: methods return new matrices.  ``rows`` is
     a tuple of tuples of TensorScalar.  The numeric regime is stored in
-    ``_exact`` the first time :meth:`is_exact` is asked, and never
-    rescanned; whether the square is exactly zero is stored in
+    ``_exact``: given as ``exact`` by a caller that knows it, else
+    decided the first time :meth:`is_exact` is asked; never rescanned.
+    Whether the square is exactly zero is stored in
     ``_nilpotent`` the same way by :meth:`squares_to_zero`.  Scaling by
     a number, ``+`` and ``-`` pass a zero entry (``nonzero`` false)
     through as it is instead of computing with it.
@@ -56,7 +59,7 @@ class TensorMatrix:
 
     __slots__ = ("rows", "n", "_exact", "_nilpotent")
 
-    def __init__(self, rows):
+    def __init__(self, rows, exact=None):
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         for r in rows:
@@ -64,7 +67,7 @@ class TensorMatrix:
                 raise ValueError("matrix must be square")
         self.rows = rows
         self.n = n
-        self._exact = None
+        self._exact = exact
         self._nilpotent = None
 
     def is_exact(self):
@@ -170,7 +173,8 @@ class TensorMatrix:
                         mul_terms(acc, a, b)
                 out_row.append(ZERO if acc is None else TensorScalar(acc))
             out_rows.append(out_row)
-        return TensorMatrix(out_rows)
+        # exact times exact is exact; otherwise is_exact decides later
+        return TensorMatrix(out_rows, self._exact and other._exact or None)
 
     def scale(self, s):
         """Multiply every entry by s on the left (TensorScalar or number)."""
@@ -320,9 +324,11 @@ def exp_pair(gen, c, s):
     performs, so
     the matrices are those bit for bit, signed zeros included: the
     diagonal adds ONE * c, a zero entry of gen passes through as it is,
-    and a sum with a zero term is the other term.
+    and a sum with a zero term is the other term.  An exact c and s on an
+    exact gen give matrices known to be exact.
     """
     diag = ONE * c
+    exact = is_exact(s) and is_exact(c) and gen.is_exact() or None
 
     def combine(t):
         rows = [
@@ -332,7 +338,7 @@ def exp_pair(gen, c, s):
         if diag.nonzero:
             for i, r in enumerate(rows):
                 r[i] = diag + r[i] if r[i].nonzero else diag
-        return TensorMatrix(rows)
+        return TensorMatrix(rows, exact)
 
     return combine(s), combine(-s)
 

@@ -20,7 +20,8 @@ from splitconf.clifford import (
     sigma,
     verify_clifford,
 )
-from splitconf.group import PLANES, TRANSLATION_NAMES, _conjugate
+from splitconf.conformal import _TABLE_THETAS, PRINTED_IMAGE_TABLE
+from splitconf.group import PLANES, TRANSLATION_NAMES, _conjugate, act_on_vector
 from splitconf.matrices import TensorMatrix, quadratic_form
 
 SYMBOL = {
@@ -371,6 +372,14 @@ class TestGatherExtraction:
             for a in COORDS
             for b in COORDS
             if a != b
+        ]
+        + [
+            (build_P(Vector6(x=Fraction(1, 3), t=Fraction(2, 7))).scale(ELL), 1e-9),
+            (
+                build_P(Vector6(x=Fraction(1, 3), t=Fraction(2, 7)))
+                + TensorMatrix.identity(4).scale(Fraction(1, 5)),
+                1e-9,
+            ),
         ],
     )
     def test_out_of_span_messages_match_the_reference(self, p, tol):
@@ -392,6 +401,89 @@ class TestGatherExtraction:
     def test_metric_form_overflows_to_infinity(self):
         assert metric_form(Vector6(x=1e200)) == math.inf
         assert metric_form(Vector6(t=1e200)) == -math.inf
+
+
+# Large primes, so that the denominators of one matrix are coprime and
+# their lcm is large.
+PRIMES = (9973, 10007, 65537, 104729, 1000003, 2**31 - 1)
+
+big_fractions = st.builds(
+    Fraction, st.integers(-10**9, 10**9), st.sampled_from(PRIMES)
+)
+
+big_exact_vectors = st.builds(Vector6, *([st.just(0) | big_fractions] * 6))
+
+exact_nilpotent_steps = st.tuples(st.sampled_from(TRANSLATION_NAMES), big_fractions)
+
+zero_plane_steps = st.tuples(st.sampled_from(PLANES), st.just(0))
+
+exact_fixed = [TensorMatrix.identity(4)] + [
+    gamma(a) @ gamma(b) for a in COORDS for b in COORDS
+]
+
+
+@st.composite
+def exact_stepped(draw):
+    """An exact in-span matrix pushed through nilpotent and int-0 plane steps."""
+    word = draw(st.lists(exact_nilpotent_steps | zero_plane_steps, max_size=3))
+    return _conjugate(word, build_P(draw(big_exact_vectors)))
+
+
+@st.composite
+def exact_perturbed(draw):
+    """An exact matrix moved off the span by Fraction amounts at a few coefficients."""
+    rows = [list(r) for r in draw(exact_stepped()).rows]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j, k = (draw(st.integers(0, n)) for n in (3, 3, 7))
+        coeffs = list(rows[i][j].coeffs)
+        coeffs[k] = coeffs[k] + draw(big_fractions.filter(bool) | st.just(Fraction(1, 7)))
+        rows[i][j] = TensorScalar(coeffs)
+    return TensorMatrix(rows)
+
+
+def null_points(rng):
+    """Endless exact null six-vectors: embedded points with prime denominators."""
+    while True:
+        x, y, z, t = (Fraction(rng.randint(-99, 99), rng.choice(PRIMES)) for _ in range(4))
+        n2 = x * x + y * y + z * z - t * t
+        yield Vector6(x, y, z, t, (1 + n2) / 2, (1 - n2) / 2)
+
+
+def exact_steps():
+    """Seeded (name, theta, v) steps: five per ax..bt name, then the image table's 18."""
+    rng = random.Random(1968)
+    points = null_points(rng)
+    steps = [
+        (name, Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.choice(PRIMES)),
+         next(points))
+        for name in TRANSLATION_NAMES
+        for _ in range(5)
+    ]
+    steps += [
+        (name, theta, Vector6.basis(m))
+        for name, m in sorted(PRINTED_IMAGE_TABLE)
+        for theta in _TABLE_THETAS
+    ]
+    return steps
+
+
+class TestExactReadout:
+    @given(exact_stepped() | exact_perturbed() | st.sampled_from(exact_fixed))
+    def test_matches_the_inner_product_reference(self, p):
+        assert p.is_exact()
+        assert outcome(extract_coords, p) == outcome(reference_extract, p)
+
+    def test_steps_match_the_reference_route(self):
+        assert len(TRANSLATION_NAMES) == 8
+        steps = exact_steps()
+        assert len(steps) == 8 * 5 + 18
+        for name, theta, v in steps:
+            out = act_on_vector([(name, theta)], v)
+            want = reference_extract(_conjugate([(name, theta)], build_P(v)))
+            assert [repr(c) for c in out.as_tuple()] == [repr(c) for c in want.as_tuple()]
+            assert all(type(c) is Fraction for c in out.as_tuple())
+            # 0 for the null points, +-1 for the image table's basis vectors
+            assert metric_form(out) == metric_form(v)
 
 
 class TestVector6:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from splitconf import group
+from splitconf import algebra, clifford, conformal, group, matrices
+from splitconf.algebra import is_exact
 from splitconf.clifford import Vector6, gamma
 from splitconf.conformal import (
     AT_INFINITY,
@@ -229,6 +230,28 @@ class TestStepRegime:
     def test_exact_steps_stay_exact(self):
         v = step_vector("bx", Fraction(1, 3), Vector6(x=1, p=Fraction(1, 2)))
         assert all(type(c) is Fraction for c in v.as_tuple())
+
+    def test_an_exact_step_scans_no_matrix(self, monkeypatch):
+        # build_P knows P's regime from the point, exp_pair M's from
+        # (c, s) and the generator (scanned once, cached), and the
+        # products keep it, so the read-out scans none of 128
+        # coefficients: the calls are the four nonzero coordinates,
+        # then s and c.
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return is_exact(x)
+
+        for mod in (algebra, matrices, clifford, group, conformal):
+            if getattr(mod, "is_exact", None) is is_exact:
+                monkeypatch.setattr(mod, "is_exact", counted)
+        v = Vector6(x=Fraction(1, 3), t=Fraction(2, 7), p=Fraction(5, 11), q=Fraction(-3, 13))
+        step_vector("bt", Fraction(1, 5), v)
+        del seen[:]
+        out = step_vector("bt", Fraction(1, 5), v)
+        assert all(type(c) is Fraction for c in out.as_tuple())
+        assert len(seen) == 6
 
 
 class TestOverflow:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitconf.algebra import _MUL, ELL, K, L, ONE, TensorScalar, ZERO
+from splitconf import matrices
+from splitconf.algebra import _MUL, ELL, K, L, ONE, TensorScalar, ZERO, is_exact
 from splitconf.clifford import gamma
-from splitconf.group import PLANES, TRANSLATION_NAMES, generator
+from splitconf.group import PLANES, TRANSLATION_NAMES, _nilpotent_generator, generator
 from splitconf.matrices import (
     TensorMatrix,
     _sincosh,
@@ -330,6 +331,65 @@ class TestExactness:
     def test_float_scaling_leaves_the_exact_regime(self):
         assert not TensorMatrix.identity(2).scale(0.5).is_exact()
         assert TensorMatrix.identity(2).scale(Fraction(1, 2)).is_exact()
+
+
+def count_scans(monkeypatch):
+    """The coefficients TensorMatrix.is_exact tests from now on, as a list."""
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return is_exact(x)
+
+    monkeypatch.setattr(matrices, "is_exact", counted)
+    return seen
+
+
+def fresh(m):
+    """m with its regime not yet decided."""
+    return TensorMatrix(m.rows)
+
+
+class TestKnownExactness:
+    def test_a_product_of_known_exact_matrices_is_known_exact(self, monkeypatch):
+        a, b = fresh(gamma("x")), fresh(gamma("t"))
+        assert a.is_exact() and b.is_exact()
+        seen = count_scans(monkeypatch)
+        assert (a @ b).is_exact() is True
+        assert (a @ b @ a).is_exact() is True
+        assert seen == []
+
+    def test_an_undecided_operand_leaves_the_product_to_a_scan(self, monkeypatch):
+        a, b = fresh(gamma("x")), fresh(gamma("t"))
+        assert a.is_exact()
+        seen = count_scans(monkeypatch)
+        assert (a @ b).is_exact() is True
+        assert len(seen) == 128
+
+    def test_a_product_with_a_float_operand_reports_false(self):
+        a, f = fresh(gamma("x")), fresh(gamma("t")).scale(0.5)
+        assert a.is_exact() and not f.is_exact()
+        assert (a @ f).is_exact() is False
+        assert (f @ a).is_exact() is False
+        assert (f @ f).is_exact() is False
+
+    def test_a_float_operand_whose_floats_meet_only_zeros_gives_an_exact_product(self):
+        # The float entry b[1][0] multiplies a[0][1], a zero entry, so
+        # no float reaches the product; the scan, not the flags, says so.
+        a = TensorMatrix(((ONE, ZERO), (ZERO, ZERO)))
+        b = TensorMatrix(((ONE, ZERO), (ONE * 0.5, ZERO)))
+        assert a.is_exact() and not b.is_exact()
+        assert (a @ b).is_exact() is True
+
+    def test_exp_pair_knows_an_exact_element(self, monkeypatch):
+        gen = fresh(_nilpotent_generator("a", "x"))
+        assert gen.is_exact()
+        seen = count_scans(monkeypatch)
+        m, m_inv = exp_pair(gen, 1, Fraction(1, 3))
+        assert m.is_exact() is True and m_inv.is_exact() is True
+        assert len(seen) == 2
+        m, m_inv = exp_pair(gen, 1, 0.5)
+        assert m.is_exact() is False and m_inv.is_exact() is False
 
 
 class TestQuadraticForm:
