@@ -24,6 +24,10 @@ way on every route.
 
 The algebra is associative but not commutative, and it has zero
 divisors: (1 + L) * (1 - L) == 0.
+
+This module is also the home of the float tolerance policy: every float
+check in the package compares through :func:`within` against one of
+three named tolerances, and no other module writes a tolerance.
 """
 
 from fractions import Fraction
@@ -40,6 +44,10 @@ __all__ = [
     "ELL",
     "UNIT",
     "is_exact",
+    "SPAN_TOL",
+    "CHART_TOL",
+    "CHECK_TOL",
+    "within",
     "exact_div",
     "terms",
     "mul_terms",
@@ -118,6 +126,37 @@ def mul_terms(acc, a, b):
 def is_exact(x):
     """True when x belongs to the exact numeric tower (int / Fraction)."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+# The float tolerance policy: one constant per role, compared through
+# within.  Exact values are held to 0 instead.  The caller decides the
+# regime from the whole matrix or vector (TensorMatrix.is_exact,
+# Vector6.is_exact), never from one number, since a float matrix can hold
+# a Fraction coefficient, and passes tol = 0 for an exact one.
+#
+# A float result further than this from the exact set it must lie in
+# (the span of the gammas, the null cone, the Hermitian 2x2 matrices) is
+# refused.  It is also the fixed bound of the checks whose float error
+# grows along a word, and the classifier's match tolerance.
+SPAN_TOL = 1e-9
+# p + q (or a Mobius denominator) this close to 0 is a point at infinity.
+CHART_TOL = 1e-12
+# The default --tolerance of the verify suites.
+CHECK_TOL = 1e-12
+
+
+def within(x, tol, scale=0):
+    """|x| <= tol * max(1, scale): relative to scale above 1, absolute below
+    it (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
+
+    Works on numbers and elementwise on numpy arrays.  Written without
+    max, so arrays need no numpy here.  Where tol * scale is nan (a nan
+    scale, or tol = 0 against an infinite one) the floor tol alone
+    decides: for a nan scale that is Python's max(1, nan) = 1, where
+    numpy's np.maximum(1.0, nan) is nan.  A nan x is never within.
+    """
+    a = abs(x)
+    return (a <= tol) | (a <= tol * scale)
 
 
 def exact_div(a, b):
@@ -219,13 +258,13 @@ class TensorScalar:
     def is_zero(self):
         return not self.nonzero
 
-    def is_real_scalar(self, tol=0):
-        """True when every coefficient except the one on 1 is within tol of 0."""
-        return all(abs(c) <= tol for c in self.coeffs[1:])
+    def is_real_scalar(self, tol=0, scale=0):
+        """True when every coefficient except the one on 1 is within(c, tol, scale)."""
+        return all(within(c, tol, scale) for c in self.coeffs[1:])
 
-    def approx_eq(self, other, tol):
+    def approx_eq(self, other, tol, scale=0):
         a, b = self.coeffs, other.coeffs
-        return all(abs(a[i] - b[i]) <= tol for i in range(8))
+        return all(within(a[i] - b[i], tol, scale) for i in range(8))
 
     def to_dict(self):
         """JSON-friendly mapping over the BASIS labels."""

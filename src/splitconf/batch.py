@@ -34,7 +34,7 @@ import functools
 
 import numpy as np
 
-from .algebra import _MUL
+from .algebra import _MUL, SPAN_TOL, within
 from .clifford import COORDS, METRIC, _gather, _slots
 
 __all__ = [
@@ -114,7 +114,7 @@ def build_P_batch(coords):
     return p
 
 
-def extract_coords_batch(p, tol=1e-9):
+def extract_coords_batch(p, tol=SPAN_TOL):
     """extract_coords over the columns of a (64, n) float batch.
 
     Returns (coords, ok): a (6, n) float array, a zero as 0.0, and a
@@ -131,13 +131,10 @@ def extract_coords_batch(p, tol=1e-9):
             acc += sgn[r] * p[idx[r]]
         traces.append(acc)
     sym = (traces[0] + traces[1]).reshape(6, 8, n)
-    mag = np.abs(sym)
-    use_tol = tol * np.maximum(1.0, mag.max(axis=1))
-    real = (mag[:, 1:] <= use_tol[:, None]).all(axis=(0, 1))
+    real = within(sym[:, 1:], tol, np.abs(sym).max(axis=1)[:, None]).all(axis=(0, 1))
     coords = metric * sym[:, 0] / 8 + 0.0
     residual = np.abs(p - build_P_batch(coords)).max(axis=0)
-    limit = tol * np.maximum(1.0, np.abs(p).max(axis=0))
-    ok = real & (residual <= limit) & np.isfinite(p).all(axis=0)
+    ok = real & within(residual, tol, np.abs(p).max(axis=0)) & np.isfinite(p).all(axis=0)
     return coords, ok & np.isfinite(coords).all(axis=0)
 
 

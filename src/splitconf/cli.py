@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from .algebra import BASIS
+from .algebra import BASIS, CHECK_TOL
 from .clifford import COORDS, Vector6, sigma, gamma, verify_clifford
 from .conformal import (
     AT_INFINITY,
@@ -67,7 +67,7 @@ class UsageError(ValueError):
 
 
 class RunConfig:
-    def __init__(self, tolerance=1e-12, seed=42, samples=1000, fmt="text"):
+    def __init__(self, tolerance=CHECK_TOL, seed=42, samples=1000, fmt="text"):
         if not tolerance > 0:
             raise UsageError("tolerance must be positive")
         if not math.isfinite(tolerance):
@@ -333,16 +333,21 @@ def cmd_show(args, config, out):
             _show_real(real_gamma(ident), config, out)
         return 0
     if kind in ("generator", "real-generator"):
-        try:
-            canonical_plane(ident)
-        except ValueError:
-            raise UsageError("unknown plane %r" % (ident,))
-        if not math.isfinite(args.angle):
-            raise UsageError("--angle must be finite")
         if kind == "generator":
+            if ident not in _WORD_NAMES:
+                raise UsageError("unknown transformation name %r" % (ident,))
             make, show = generator, _show_tensor
         else:
+            try:
+                canonical_plane(ident)
+            except ValueError:
+                raise UsageError(
+                    "unknown plane %r (real-generator takes the fifteen planes only:"
+                    " it exponentiates a plane's closed Kronecker form)" % (ident,)
+                )
             make, show = _exp_real_generator, _show_real
+        if not math.isfinite(args.angle):
+            raise UsageError("--angle must be finite")
         try:
             mat = make(ident, args.angle)
         except (OverflowError, FloatingPointError):
@@ -356,7 +361,7 @@ def cmd_show(args, config, out):
 
 def _add_common(p):
     p.add_argument("--format", choices=FORMATS, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--tolerance", type=float, default=CHECK_TOL)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=int, default=1000)
 

@@ -25,7 +25,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import _MUL, ELL, K, KL, L, ONE, TensorScalar, ZERO, exact_div, is_exact
+from .algebra import (
+    _MUL, ELL, K, KL, L, ONE, SPAN_TOL, TensorScalar, ZERO, exact_div, is_exact, within,
+)
 from .matrices import TensorMatrix, trace_product
 from .report import Report
 
@@ -104,7 +106,7 @@ class Vector6:
 
     def approx_eq(self, other, tol):
         a, b = self.as_tuple(), other.as_tuple()
-        return all(abs(a[i] - b[i]) <= tol for i in range(6))
+        return all(within(a[i] - b[i], tol) for i in range(6))
 
     def max_abs(self):
         return max(abs(c) for c in self.as_tuple())
@@ -283,16 +285,16 @@ def _eighth(value, exact):
     return exact_div(value, 8) if exact else value / 8 or 0.0
 
 
-def inner_product(a, b, tol=1e-9):
+def inner_product(a, b, tol=SPAN_TOL):
     """(1/8) trace(ab + ba), reduced to its real scalar part.
 
     Raises ValueError when the symmetrized trace is not a real scalar
-    within tol, which signals inputs outside the span of the gammas.
+    (exactly for exact inputs, else within tol relative to its scale),
+    which signals inputs outside the span of the gammas.
     """
     sym = trace_product(a, b) + trace_product(b, a)
     exact = a.is_exact() and b.is_exact()
-    use_tol = 0 if exact else tol * max(1, sym.max_abs())
-    if not sym.is_real_scalar(use_tol):
+    if not sym.is_real_scalar(0 if exact else tol, sym.max_abs()):
         raise ValueError("inner product is not real: %s" % (sym,))
     return _eighth(sym.scalar_part(), exact)
 
@@ -319,9 +321,11 @@ def _residual(p, coords):
 def _refuse_overflow(flat):
     """Raise ValueError naming the overflow when a float coefficient is not finite.
 
-    Called only on extract_coords' float error paths, so a step that
-    succeeds pays no scan.
+    A nan or an infinity survives a sum, unlike a max, so one sum clears
+    a finite matrix; only a sum that is not finite pays the scan.
     """
+    if math.isfinite(sum(flat)):
+        return
     bad = [c for c in flat if isinstance(c, float) and not math.isfinite(c)]
     if bad:
         raise ValueError(
@@ -330,7 +334,7 @@ def _refuse_overflow(flat):
         )
 
 
-def extract_coords(p, tol=1e-9):
+def extract_coords(p, tol=SPAN_TOL):
     """Recover the Vector6 with build_P(result) == p.
 
     Component m is the metric-signed inner_product(gamma(m), p), read
@@ -342,15 +346,16 @@ def extract_coords(p, tol=1e-9):
     symmetric trace that is not a real scalar within tol (relative to
     its scale), or a residual p - build_P(result) above tol (relative
     to the matrix scale), raises ValueError because p lies outside the
-    span of the gammas.  When either check fails on a float matrix with
-    a coefficient that is not finite, the ValueError names that
-    overflow instead.  The residual is read from the slot table instead
+    span of the gammas.  A float matrix with a coefficient that is not
+    finite raises a ValueError naming that overflow, wherever the
+    coefficient sits.  The residual is read from the slot table instead
     of building P back and subtracting, and the matrix scale from the
     flat coefficient list already read.
     """
     if p.is_exact():
         return _extract_exact(p)
     flat = [c for row in p.rows for e in row for c in e.coeffs]
+    _refuse_overflow(flat)
     coords = []
     for m in COORDS:
         sym = []
@@ -366,15 +371,13 @@ def extract_coords(p, tol=1e-9):
                 if c:
                     b = b + c if sign > 0 else b - c
             sym.append(a + b)
-        use_tol = tol * max(1, max(map(abs, sym)))
-        if not all(abs(c) <= use_tol for c in sym[1:]):
-            _refuse_overflow(flat)
+        scale = max(map(abs, sym))
+        if not all(within(c, tol, scale) for c in sym[1:]):
             raise ValueError("inner product is not real: %s" % (TensorScalar(sym),))
         s = sym[0]
         coords.append(_eighth(s if METRIC[m] > 0 else -s, False))
     residual = _residual(p, coords)
-    if residual > tol * max(1, max(map(abs, flat))):
-        _refuse_overflow(flat)
+    if not within(residual, tol, max(map(abs, flat))):
         raise ValueError(
             "matrix lies outside the span of the gammas (residual %s)" % (residual,)
         )

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import exact_div, is_exact
+from .algebra import CHART_TOL, CHECK_TOL, SPAN_TOL, exact_div, is_exact, within
 from .clifford import COORDS, Vector6, metric_form
 from .group import (
     TRANSLATABLE,
@@ -81,10 +81,7 @@ class MinkowskiPoint:
         return max(abs(c) for c in self.as_tuple())
 
     def approx_eq(self, other, tol):
-        return all(
-            abs(a - b) <= tol
-            for a, b in zip(self.as_tuple(), other.as_tuple())
-        )
+        return all(within(a - b, tol) for a, b in zip(self.as_tuple(), other.as_tuple()))
 
     def shifted(self, m, amount):
         parts = {k: getattr(self, k) for k in POINT_COORDS}
@@ -118,9 +115,9 @@ class PointAtInfinity:
 AT_INFINITY = PointAtInfinity()
 
 
-def _pq_negligible(v, tol=1e-12):
+def _pq_negligible(v):
     """True when p + q of v is zero: exactly for exact coordinates, else
-    within tol relative to max(1, max |coordinate|).
+    within CHART_TOL relative to the largest |coordinate|.
 
     A float coordinate that is not finite raises ValueError, since no
     chart test holds for it.
@@ -131,15 +128,15 @@ def _pq_negligible(v, tol=1e-12):
     coords = v.as_tuple()
     if any(isinstance(c, float) and not math.isfinite(c) for c in coords):
         raise ValueError("coordinates %s are not finite" % (coords,))
-    return abs(s) <= tol * max(1.0, float(v.max_abs()))
+    return within(s, CHART_TOL, v.max_abs())
 
 
 @dataclass(frozen=True)
 class NullVector:
     """A six-vector with zero metric square and p + q != 0.
 
-    form tolerance is 1e-9 relative to the squared coordinate scale;
-    exact coordinates are checked exactly.  A float form that is not
+    The form is held to SPAN_TOL relative to the squared coordinate
+    scale; exact coordinates are checked exactly.  A float form that is not
     finite (from a nan or infinite coordinate, or squares that
     overflow) is rejected by name.
     """
@@ -156,7 +153,7 @@ class NullVector:
             if not math.isfinite(form):
                 raise ValueError("metric square %r is not finite" % (form,))
             m = float(v.max_abs())
-            if abs(form) > 1e-9 * max(1.0, m * m):
+            if not within(form, SPAN_TOL, m * m):
                 raise ValueError("metric square %r beyond tolerance" % (form,))
         if _pq_negligible(v):
             raise ValueError("p + q = 0: no finite point coordinates")
@@ -271,12 +268,12 @@ def step_vectors(names, thetas, vectors):
     return act_on_vectors([[step] for step in zip(names, thetas)], vectors)
 
 
-def q_or_infinity(v, tol=1e-12):
+def q_or_infinity(v):
     """Point coordinates of a six-vector, or AT_INFINITY when p + q vanishes.
 
     A float coordinate that is not finite raises ValueError.
     """
-    if _pq_negligible(v, tol):
+    if _pq_negligible(v):
         return AT_INFINITY
     return _point(v)
 
@@ -285,18 +282,16 @@ def _direction(m, theta):
     return MinkowskiPoint(**{m: theta})
 
 
-def mobius_oracle(v, alpha, tol=1e-12):
+def mobius_oracle(v, alpha):
     """Closed-form conformal translation of the point v along alpha.
 
     (v + alpha |v|^2) / (1 + 2 <v, alpha> + |alpha|^2 |v|^2), with the
     (+,+,+,-) inner product on (x, y, z, t).  A vanishing denominator
-    is the defined degeneracy and returns AT_INFINITY.
+    (exactly 0, or a float within CHART_TOL of 0) is the defined
+    degeneracy and returns AT_INFINITY.
     """
     num, denom = _mobius(v, alpha)
-    if is_exact(denom):
-        if denom == 0:
-            return AT_INFINITY
-    elif abs(denom) <= tol:
+    if within(denom, 0 if is_exact(denom) else CHART_TOL):
         return AT_INFINITY
     return MinkowskiPoint(*(exact_div(c, denom) for c in num.as_tuple()))
 
@@ -348,10 +343,11 @@ _CLASSIFY_POINTS = (
 )
 
 
-def _observed_category(name, theta, img6s, tol=1e-9):
+def _observed_category(name, theta, img6s):
     """Label a generator by what it does to sample points.
 
     img6s are the images of _CLASSIFY_POINTS under the step (name, theta).
+    A law holds when it matches every image to SPAN_TOL.
     """
     import numpy as np
     images = [
@@ -362,18 +358,14 @@ def _observed_category(name, theta, img6s, tol=1e-9):
 
     labels = []
     for m in TRANSLATABLE:
-        if all(
-            q.approx_eq(pt.shifted(m, theta), tol) for pt, _, q in images
-        ):
+        if all(q.approx_eq(pt.shifted(m, theta), SPAN_TOL) for pt, _, q in images):
             labels.append("translation[%s]" % m)
         if all(
-            q.approx_eq(mobius_oracle(pt, _direction(m, theta)), tol)
+            q.approx_eq(mobius_oracle(pt, _direction(m, theta)), SPAN_TOL)
             for pt, _, q in images
         ):
             labels.append("conformal-translation[%s]" % m)
-    if all(
-        q.approx_eq(pt.scaled(math.exp(-theta)), tol) for pt, _, q in images
-    ):
+    if all(q.approx_eq(pt.scaled(math.exp(-theta)), SPAN_TOL) for pt, _, q in images):
         labels.append("dilation")
 
     if name not in TRANSLATION_NAMES:
@@ -381,18 +373,18 @@ def _observed_category(name, theta, img6s, tol=1e-9):
         idx4 = [COORDS.index(m) for m in POINT_COORDS]
         lam = r6[np.ix_(idx4, idx4)]
         fixed_pq = all(
-            abs((img6.p + img6.q) - 1.0) <= 1e-12 * max(1.0, float(img6.max_abs()))
+            within(img6.p + img6.q - 1.0, CHART_TOL, img6.max_abs())
             for _, img6, _ in images
         )
         linear = all(
             q.approx_eq(
                 MinkowskiPoint(*(lam @ np.array(pt.as_tuple(), dtype=float))),
-                tol,
+                SPAN_TOL,
             )
             for pt, _, q in images
         )
         if fixed_pq and linear:
-            if np.max(np.abs(lam.T @ lam - np.eye(4))) <= tol:
+            if within(lam.T @ lam - np.eye(4), SPAN_TOL).all():
                 labels.append("rotation")
             else:
                 labels.append("boost")
@@ -534,9 +526,8 @@ def _null_rows(coords, chart=False):
     import numpy as np
     v = Vector6(*coords.T)
     form, m = metric_form(v), np.abs(coords).max(axis=1)
-    null = np.isfinite(form) & (np.abs(form) <= 1e-9 * np.maximum(1.0, m * m))
-    negligible = np.abs(v.p + v.q) <= 1e-12 * np.maximum(1.0, m)
-    at_infinity = np.isfinite(coords).all(axis=1) & negligible
+    null = np.isfinite(form) & within(form, SPAN_TOL, m * m)
+    at_infinity = np.isfinite(coords).all(axis=1) & within(v.p + v.q, CHART_TOL, m)
     bad = ~(null | at_infinity) if chart else ~null | at_infinity
     if bad.any():
         (_chart if chart else NullVector)(Vector6(*coords[bad.argmax()].tolist()))
@@ -570,7 +561,7 @@ def verify_conformal(config=None):
     import numpy as np
     from .batch import BATCH_SIZE
     config = dict(config or {})
-    tol = config.get("tolerance", 1e-12)
+    tol = config.get("tolerance", CHECK_TOL)
     seed = config.get("seed", 42)
     samples = config.get("samples", 1000)
     rng = random.Random(seed)
@@ -682,14 +673,14 @@ def verify_conformal(config=None):
     report.bound(
         "conformal-vs-mobius",
         mob_dev,
-        1e-9,
+        SPAN_TOL,
         "conjugation route vs closed-form oracle, %d samples per direction"
         % per_m,
     )
     report.bound(
         "null-preserved",
         null_dev,
-        1e-9,
+        SPAN_TOL,
         "relative metric square of every conformal image",
     )
 

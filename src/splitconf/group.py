@@ -32,7 +32,7 @@ import functools
 import math
 import random
 
-from .algebra import ONE, UNIT, exact_div
+from .algebra import CHECK_TOL, ONE, SPAN_TOL, UNIT, exact_div
 from .clifford import (
     COORDS,
     METRIC,
@@ -223,13 +223,13 @@ def act_on_X(word, x):
     """The equivalent 2x2 action: one two-sided product per plane step.
 
     Hermiticity with respect to the complex unit is checked on the
-    result; losing it beyond 1e-9 (relative to the matrix scale) raises
-    ValueError.
+    result, exactly for an exact result, else to SPAN_TOL relative to
+    the matrix scale; losing it raises ValueError.
     """
     for plane, theta in word:
         left, right = _step_factors(plane, theta)
         x = (left @ x) @ right
-    if not x.is_c_hermitian(1e-9 * max(1, x.max_abs())):
+    if not x.is_c_hermitian(0 if x.is_exact() else SPAN_TOL, x.max_abs()):
         raise ValueError("2x2 action lost Hermiticity beyond tolerance")
     return x
 
@@ -408,14 +408,8 @@ def verify_properties(config=None):
                 prods[(a, b)] = gamma(a) @ gamma(b)
 
     for a in COORDS:
-        sq = gamma(a) @ gamma(a)
-        expected = ident.scale(METRIC[a])
-        report.add(
-            "prop1[%s]" % a,
-            sq == expected,
-            "(%+d)*I" % METRIC[a],
-            "match" if sq == expected else "mismatch",
-        )
+        ok = gamma(a) @ gamma(a) == ident.scale(METRIC[a])
+        report.match("prop1[%s]" % a, ok, "(%+d)*I" % METRIC[a])
 
     for a in COORDS:
         for b in COORDS:
@@ -423,47 +417,28 @@ def verify_properties(config=None):
                 continue
             ab = prods[(a, b)]
             for c in COORDS:
-                if c == a or c == b:
-                    continue
-                lhs = ab @ gamma(c)
-                rhs = gamma(c) @ ab
-                report.add(
-                    "prop2[%s,%s,%s]" % (a, b, c),
-                    lhs == rhs,
-                    "commute",
-                    "match" if lhs == rhs else "mismatch",
-                )
+                if c != a and c != b:
+                    ok = ab @ gamma(c) == gamma(c) @ ab
+                    report.match("prop2[%s,%s,%s]" % (a, b, c), ok, "commute")
 
     for a in COORDS:
         for b in COORDS:
             if b == a:
                 continue
             ab = prods[(a, b)]
-            lhs3 = ab @ gamma(b)
-            rhs3 = gamma(a).scale(METRIC[b])
-            report.add(
+            report.match(
                 "prop3[%s,%s]" % (a, b),
-                lhs3 == rhs3,
+                ab @ gamma(b) == gamma(a).scale(METRIC[b]),
                 "(%+d)*gamma(%s)" % (METRIC[b], a),
-                "match" if lhs3 == rhs3 else "mismatch",
             )
-            lhs4 = ab @ gamma(a)
-            rhs4 = gamma(b).scale(-METRIC[a])
-            report.add(
+            report.match(
                 "prop4[%s,%s]" % (a, b),
-                lhs4 == rhs4,
+                ab @ gamma(a) == gamma(b).scale(-METRIC[a]),
                 "(%+d)*gamma(%s)" % (-METRIC[a], b),
-                "match" if lhs4 == rhs4 else "mismatch",
             )
-            lhs5 = ab @ ab
             sign5 = -METRIC[a] * METRIC[b]
-            rhs5 = ident.scale(sign5)
-            report.add(
-                "prop5[%s,%s]" % (a, b),
-                lhs5 == rhs5,
-                "(%+d)*I" % sign5,
-                "match" if lhs5 == rhs5 else "mismatch",
-            )
+            ok = ab @ ab == ident.scale(sign5)
+            report.match("prop5[%s,%s]" % (a, b), ok, "(%+d)*I" % sign5)
     return report
 
 
@@ -513,7 +488,7 @@ def verify_group(config=None):
     import numpy as np
     from .batch import BATCH_SIZE
     config = dict(config or {})
-    tol = config.get("tolerance", 1e-12)
+    tol = config.get("tolerance", CHECK_TOL)
     seed = config.get("seed", 42)
     samples = config.get("samples", 1000)
     rng = random.Random(seed)
@@ -574,7 +549,7 @@ def verify_group(config=None):
     report.bound(
         "invariance[qform]",
         qform_dev,
-        1e-9,
+        SPAN_TOL,
         "metric square preserved along %d seeded conjugation words" % n_heavy,
     )
 
@@ -787,7 +762,7 @@ def appendix_check(config=None, angles=(0.3, 1.0, -0.7)):
     recomputed matrix is the ground truth.
     """
     config = dict(config or {})
-    tol = config.get("tolerance", 1e-12)
+    tol = config.get("tolerance", CHECK_TOL)
     report = Report("appendix", config)
     for name in PLANES:
         bad_cells = {}

@@ -28,7 +28,7 @@ exponentiated on every step is squared only once.
 import math
 from fractions import Fraction
 
-from .algebra import ONE, TensorScalar, ZERO, is_exact, mul_terms, terms
+from .algebra import ONE, SPAN_TOL, TensorScalar, ZERO, is_exact, mul_terms, terms, within
 
 __all__ = [
     "TensorMatrix",
@@ -198,11 +198,12 @@ class TensorMatrix:
         """Entrywise complex conjugation (l -> -l)."""
         return TensorMatrix(tuple(tuple(a.bar() for a in r) for r in self.rows))
 
-    def is_c_hermitian(self, tol=0):
-        """True when the matrix equals its transpose with bar applied entrywise."""
+    def is_c_hermitian(self, tol=0, scale=0):
+        """True when the matrix equals its transpose with bar applied entrywise,
+        each coefficient within(difference, tol, scale)."""
         for i in range(self.n):
             for j in range(self.n):
-                if not self.rows[i][j].approx_eq(self.rows[j][i].bar(), tol):
+                if not self.rows[i][j].approx_eq(self.rows[j][i].bar(), tol, scale):
                     return False
         return True
 
@@ -242,7 +243,7 @@ class TensorMatrix:
         return m
 
     def approx_eq(self, other, tol):
-        return (self - other).max_abs() <= tol
+        return within((self - other).max_abs(), tol)
 
     def is_scalar_multiple(self, tol=0):
         """Return (True, s) when the matrix is s*I within tol, else (False, None)."""
@@ -353,17 +354,18 @@ def exp_nilpotent(gen, theta):
     return exp_pair(gen, 1, theta)[0]
 
 
-def quadratic_form(x, tol=1e-9):
+def quadratic_form(x):
     """The scalar s with x @ x.trace_reversed() == s * I, for 2x2 x.
 
     Raises ValueError when the product is not a real scalar multiple of
-    the identity to within tol.
+    the identity: exactly for an exact x, else to within SPAN_TOL,
+    absolutely (not relative to the product's scale).
     """
     if x.n != 2:
         raise ValueError("expected a 2x2 matrix")
     prod = x @ x.trace_reversed()
     s = prod.rows[0][0]
-    use_tol = 0 if x.is_exact() else tol
+    use_tol = 0 if x.is_exact() else SPAN_TOL
     if not s.is_real_scalar(use_tol):
         raise ValueError("product is not a real scalar: %s" % (s,))
     ok, _ = prod.is_scalar_multiple(use_tol)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BASIS, H_UNITS, TensorScalar
+from .algebra import BASIS, CHECK_TOL, H_UNITS, TensorScalar, terms
 from .clifford import COORDS, METRIC, gamma
 from .group import PLANES, canonical_plane, generator
 from .matrices import TensorMatrix
@@ -207,7 +207,7 @@ def restrict_so31_second(config=None):
     survivor set is the ground truth.
     """
     config = dict(config or {})
-    tol = config.get("tolerance", 1e-12)
+    tol = config.get("tolerance", CHECK_TOL)
     report = Report("restriction", config)
 
     survivors = surviving_planes()
@@ -260,53 +260,31 @@ def restrict_so31_second(config=None):
 def verify_realrep(config=None):
     """Exhaustive homomorphism, Clifford, and transcription checks."""
     config = dict(config or {})
-    tol = config.get("tolerance", 1e-12)
+    tol = config.get("tolerance", CHECK_TOL)
     seed = config.get("seed", 42)
     rng = random.Random(seed)
     report = Report("realrep", config)
 
-    units_c = ("1", "l")
-    for u in units_c:
-        for v in units_c:
-            prod = TensorScalar.unit(u) * TensorScalar.unit(v)
-            want = np.zeros((2, 2), dtype=np.int64)
-            for i, c in enumerate(prod.coeffs):
-                if c != 0:
-                    want = want + c * COMPLEX_IMAGE["l" if i >= 4 else "1"]
-            got = COMPLEX_IMAGE[u] @ COMPLEX_IMAGE[v]
-            report.add(
-                "image-mul[c:%s,%s]" % (u, v),
-                np.array_equal(got, want),
-                "image of the product",
-                "match" if np.array_equal(got, want) else "mismatch",
-            )
-
-    for u in H_UNITS:
-        for v in H_UNITS:
-            prod = TensorScalar.unit(u) * TensorScalar.unit(v)
-            want = np.zeros((2, 2), dtype=np.int64)
-            for i, c in enumerate(prod.coeffs):
-                if c != 0:
-                    want = want + c * SPLIT_IMAGE[H_UNITS[i % 4]]
-            got = SPLIT_IMAGE[u] @ SPLIT_IMAGE[v]
-            report.add(
-                "image-mul[h:%s,%s]" % (u, v),
-                np.array_equal(got, want),
-                "image of the product",
-                "match" if np.array_equal(got, want) else "mismatch",
-            )
+    images = (("c", ("1", "l"), COMPLEX_IMAGE), ("h", H_UNITS, SPLIT_IMAGE))
+    for tag, units, image in images:
+        for u in units:
+            for v in units:
+                prod = TensorScalar.unit(u) * TensorScalar.unit(v)
+                want = sum(c * image[BASIS[i]] for i, c in terms(prod.coeffs))
+                report.match(
+                    "image-mul[%s:%s,%s]" % (tag, u, v),
+                    np.array_equal(image[u] @ image[v], want),
+                    "image of the product",
+                )
 
     for eu in BASIS:
         for ev in BASIS:
-            a = TensorScalar.unit(eu)
-            b = TensorScalar.unit(ev)
+            a, b = TensorScalar.unit(eu), TensorScalar.unit(ev)
             lhs = realify_scalar(a) @ realify_scalar(b)
-            rhs = realify_scalar(a * b)
-            report.add(
+            report.match(
                 "homomorphism[%s,%s]" % (eu, ev),
-                np.array_equal(lhs, rhs),
+                np.array_equal(lhs, realify_scalar(a * b)),
                 "realify(a)@realify(b) == realify(a*b)",
-                "match" if np.array_equal(lhs, rhs) else "mismatch",
             )
 
     entries_ok = all(
@@ -323,21 +301,14 @@ def verify_realrep(config=None):
         for n in COORDS[i:]:
             anti = real_gamma(m) @ real_gamma(n) + real_gamma(n) @ real_gamma(m)
             g = METRIC[m] if m == n else 0
-            want = 2 * g * _I16
-            report.add(
-                "anticommutator[%s,%s]" % (m, n),
-                np.array_equal(anti, want),
-                "2*(%+d)*I" % g,
-                "match" if np.array_equal(anti, want) else "mismatch",
-            )
+            ok = np.array_equal(anti, 2 * g * _I16)
+            report.match("anticommutator[%s,%s]" % (m, n), ok, "2*(%+d)*I" % g)
 
     for m in COORDS:
-        same = np.array_equal(realify_matrix(gamma(m)), real_gamma(m))
-        report.add(
+        report.match(
             "gamma-realify[%s]" % m,
-            same,
+            np.array_equal(realify_matrix(gamma(m)), real_gamma(m)),
             "blockwise realification equals the Kronecker form",
-            "match" if same else "mismatch",
         )
 
     for name in PLANES:
@@ -364,11 +335,10 @@ def verify_realrep(config=None):
     exact_ok = integral and np.array_equal(
         lhs.astype(np.int64) @ realify_matrix(b), rhs.astype(np.int64)
     )
-    report.add(
+    report.match(
         "homomorphism[exact-matrix]",
         exact_ok,
         "realify(A)@realify(B) == realify(A@B)",
-        "match" if exact_ok else "mismatch",
         "exact rational entries",
     )
 

@@ -12,6 +12,7 @@ import pytest
 
 import splitconf
 from splitconf import batch, cli, clifford
+from splitconf.group import generator
 from splitconf.matrices import TensorMatrix
 from splitconf.report import Report
 
@@ -416,6 +417,20 @@ class TestShowCommand:
         code, _, err = run(["show", "generator", "ww"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["ax", "bt", "yx"])
+    def test_generator_takes_every_step_name(self, capsys, name):
+        code, out, _ = run(["show", "generator", name, "--angle", "1"], capsys)
+        want = io.StringIO()
+        cli._show_tensor(generator(name, 1.0), cli.RunConfig(), want)
+        assert code == 0
+        assert out == want.getvalue()
+
+    def test_real_generator_takes_the_planes_only(self, capsys):
+        code, out, err = run(["show", "real-generator", "ax"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unknown plane 'ax' (real-generator takes")
+
     @pytest.mark.parametrize("obj", ["generator", "real-generator"])
     @pytest.mark.parametrize("angle", ["nan", "inf", "2000"])
     def test_non_finite_or_overflowing_angle_is_a_usage_error(
@@ -548,3 +563,10 @@ class TestReportBound:
         r = Report("s")
         r.bound("c", 1e-10, 1e-9)
         assert r.checks[0].expected == "<= 1e-09"
+
+    def test_match_records_what_add_would(self):
+        for ok in (True, False):
+            a, b = Report("s"), Report("s")
+            a.add("c", ok, "want", "match" if ok else "mismatch", "ctx")
+            assert b.match("c", ok, "want", "ctx") is ok
+            assert a.checks == b.checks

@@ -254,6 +254,16 @@ class TestExtractErrors:
         with pytest.raises(ValueError):
             extract_coords(gamma("x") @ gamma("y"))
 
+    def test_a_non_finite_coefficient_off_the_gathered_slots_is_refused(self):
+        # Neither coefficient enters a gather sum, and the residual's max
+        # passes over a nan, so only the finiteness test sees them.
+        nan_diagonal = build_P(Vector6(x=1.0)) + TensorMatrix.identity(4).scale(math.nan)
+        rows = [list(r) for r in build_P(Vector6(x=1.0)).rows]
+        rows[0][0] = TensorScalar.from_real(math.inf)
+        for p in (nan_diagonal, TensorMatrix(rows)):
+            with pytest.raises(ValueError, match="is not finite: the step overflowed"):
+                extract_coords(p)
+
     def test_near_miss_respects_the_tolerance(self):
         p = build_P(Vector6(x=1.0)) + TensorMatrix.identity(4).scale(1e-6)
         with pytest.raises(ValueError):

@@ -298,6 +298,16 @@ class TestTwoByTwoAction:
         x_img = act_on_X(word, build_X(v))
         assert abs(quadratic_form(x_img) - metric_form(v)) < 1e-9
 
+    def test_an_exact_matrix_is_held_to_exact_hermiticity(self):
+        # Exact values are held to 0, as quadratic_form holds them, not
+        # to the float tolerance.
+        x = build_X(Vector6(x=1, y=2, t=3))
+        assert act_on_X([], x) == x
+        rows = [list(r) for r in x.rows]
+        rows[0][1] = rows[0][1] + ONE * Fraction(1, 10**12)
+        with pytest.raises(ValueError, match="lost Hermiticity"):
+            act_on_X([], TensorMatrix(rows))
+
 
 class TestSpanValidation:
     def test_off_span_input_is_rejected(self):
