@@ -179,7 +179,7 @@ def _compact_plan(gen):
     left and right are the _round_plan of M @ P and (M P) @ M^-1.
     Raises AssertionError when gen is not block diagonal.
     """
-    flat = [c for row in gen.rows for e in row for c in e.coeffs]
+    flat = gen.flat()
     if any(flat[f] for f in block_rows(False)):
         raise AssertionError("generator is not block diagonal")
     # 0, 40, 80, 120: the unit coefficient of diagonal entry (i, i).

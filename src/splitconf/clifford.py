@@ -28,7 +28,7 @@ from fractions import Fraction
 from .algebra import (
     _MUL, ELL, K, KL, L, ONE, SPAN_TOL, TensorScalar, ZERO, exact_div, is_exact, within,
 )
-from .matrices import TensorMatrix, trace_product
+from .matrices import TensorMatrix, _refuse_overflow, trace_product
 from .report import Report
 
 __all__ = [
@@ -247,7 +247,7 @@ def _extract_exact(p):
     divide the sums and the residual back by d, so they read as the
     inner products and the matrix difference would.
     """
-    flat = [c for row in p.rows for e in row for c in e.coeffs]
+    flat = p.flat()
     d = math.lcm(*(c.denominator for c in flat if c))
     z = [c.numerator * (d // c.denominator) if c else 0 for c in flat]
     want = [0] * 128
@@ -318,19 +318,13 @@ def _residual(p, coords):
     return residual
 
 
-def _refuse_overflow(flat):
-    """Raise ValueError naming the overflow when a float coefficient is not finite.
-
-    A nan or an infinity survives a sum, unlike a max, so one sum clears
-    a finite matrix; only a sum that is not finite pays the scan.
-    """
-    if math.isfinite(sum(flat)):
-        return
-    bad = [c for c in flat if isinstance(c, float) and not math.isfinite(c)]
+def _refuse_sum_overflow(sums):
+    """Raise ValueError naming the overflow when a gather sum (or a
+    coordinate read from one) is not finite, though every coefficient is."""
+    bad = [c for c in sums if not math.isfinite(c)]
     if bad:
         raise ValueError(
-            "matrix coefficient %s is not finite: the step overflowed"
-            " or its input was not finite" % bad[0]
+            "the trace sums overflowed (%s): the matrix is too large to read" % bad[0]
         )
 
 
@@ -348,13 +342,15 @@ def extract_coords(p, tol=SPAN_TOL):
     to the matrix scale), raises ValueError because p lies outside the
     span of the gammas.  A float matrix with a coefficient that is not
     finite raises a ValueError naming that overflow, wherever the
-    coefficient sits.  The residual is read from the slot table instead
-    of building P back and subtracting, and the matrix scale from the
-    flat coefficient list already read.
+    coefficient sits, and so does a finite one whose gather sums
+    overflow (tested only once a check has failed).  The residual is
+    read from the slot table instead of building P back and
+    subtracting, and the matrix scale from the flat coefficient list
+    already read.
     """
     if p.is_exact():
         return _extract_exact(p)
-    flat = [c for row in p.rows for e in row for c in e.coeffs]
+    flat = p.flat()
     _refuse_overflow(flat)
     coords = []
     for m in COORDS:
@@ -373,11 +369,13 @@ def extract_coords(p, tol=SPAN_TOL):
             sym.append(a + b)
         scale = max(map(abs, sym))
         if not all(within(c, tol, scale) for c in sym[1:]):
+            _refuse_sum_overflow(sym)
             raise ValueError("inner product is not real: %s" % (TensorScalar(sym),))
         s = sym[0]
         coords.append(_eighth(s if METRIC[m] > 0 else -s, False))
     residual = _residual(p, coords)
     if not within(residual, tol, max(map(abs, flat))):
+        _refuse_sum_overflow(coords)
         raise ValueError(
             "matrix lies outside the span of the gammas (residual %s)" % (residual,)
         )

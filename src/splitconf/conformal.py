@@ -10,8 +10,8 @@ independent oracle for the conformal translations.
 
 Every step here is a step of ``group``, which resolves all 23 names in
 one place: ``step_vector`` is ``group.act_on_vector`` with a one-step
-word, and ``step_vectors`` is ``group.act_on_vectors`` with one such
-word per vector.
+word, and the sampled checks step their rows through
+``group.act_on_coords``, one one-step word per row.
 
 The printed coefficient tables bundled here (PRINTED_IMAGE_TABLE) are
 diffed against exact rational recomputation; mismatches are documented
@@ -31,8 +31,6 @@ from .group import (
     _nilpotent_generator,
     act_on_coords,
     act_on_vector,
-    act_on_vectors,
-    check_angle,
     so6_step,
 )
 from .report import Report
@@ -51,7 +49,6 @@ __all__ = [
     "conformal_translation_generator",
     "apply_conformal_translation",
     "step_vector",
-    "step_vectors",
     "q_or_infinity",
     "mobius_oracle",
     "CLASSIFY_BASIS",
@@ -253,19 +250,9 @@ def step_vector(name, theta, v):
 
     Always returns a six-vector; interpreting it as a point is the
     caller's concern (see q_or_infinity).  A float angle that is not
-    finite raises ValueError before any work.
+    finite raises ValueError naming it.
     """
-    check_angle(theta)
     return act_on_vector([(name, theta)], v)
-
-
-def step_vectors(names, thetas, vectors):
-    """[step_vector(n, t, v) for n, t, v in zip(...)], batched where it can be.
-
-    group.act_on_vectors with one one-step word per vector: its results
-    and its errors are step_vector's, in index order.
-    """
-    return act_on_vectors([[step] for step in zip(names, thetas)], vectors)
 
 
 def q_or_infinity(v):
@@ -400,9 +387,10 @@ def classify_generators(config=None):
     """Partition the fifteen-generator basis by observed action on points."""
     report = Report("classify", dict(config or {}))
     theta, n = 0.3, len(_CLASSIFY_POINTS)
-    starts = [embed_point(pt).v for pt in _CLASSIFY_POINTS] * len(CLASSIFY_BASIS)
-    names = [name for name in CLASSIFY_BASIS for _ in range(n)]
-    imgs = step_vectors(names, [theta] * len(names), starts)
+    starts = [embed_point(pt).v.as_tuple() for pt in _CLASSIFY_POINTS]
+    words = [[(name, theta)] for name in CLASSIFY_BASIS for _ in range(n)]
+    rows = act_on_coords(words, starts * len(CLASSIFY_BASIS)).tolist()
+    imgs = [Vector6(*row) for row in rows]
     tally = {}
     for k, name in enumerate(CLASSIFY_BASIS):
         expected = _EXPECTED_CATEGORY[name]
@@ -624,17 +612,16 @@ def verify_conformal(config=None):
     lorentz = ("xy", "yz", "zx", "tx", "ty", "tz")
     lams = {plane: so6_step(plane, 0.7)[np.ix_(idx4, idx4)] for plane in lorentz}
     planes = [plane for plane in lorentz for _ in range(2)]
-    draws = list(zip(planes, (MinkowskiPoint(*pt) for pt in _draws(rng, 12).tolist())))
-    starts = [embed_point(pt) for _, pt in draws]
-    imgs = step_vectors(
-        [plane for plane, _ in draws], [0.7] * len(draws), [n.v for n in starts]
-    )
-    for (plane, pt), n, img6 in zip(draws, starts, imgs):
+    pts = _draws(rng, 12)
+    starts = _embed_rows(pts)
+    imgs = act_on_coords([[(plane, 0.7)] for plane in planes], starts)
+    for plane, pt, start, img in zip(planes, pts, starts.tolist(), imgs.tolist()):
+        img6 = Vector6(*img)
         out = q_or_infinity(img6)
-        want = lams[plane] @ np.array(pt.as_tuple(), dtype=float)
+        want = lams[plane] @ pt
         lorentz_dev = max(
             lorentz_dev,
-            abs((img6.p + img6.q) - (n.v.p + n.v.q)),
+            abs((img6.p + img6.q) - (start[4] + start[5])),
             float(max(abs(a - b) for a, b in zip(out.as_tuple(), want))),
         )
     report.bound(

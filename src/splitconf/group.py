@@ -15,13 +15,17 @@ fifteen matrices in closed form.  ``appendix_check`` diffs that table
 against recomputation and documents any transcription discrepancy
 instead of failing, so the recomputed matrices stay the ground truth.
 
-``act_on_coords`` conjugates the rows of an (n, 6) float array through
-``batch.conjugate``, the order-preserving numpy kernel, bit for bit as
-``act_on_vector`` does one at a time.  It owns the routing: which rows
-go on the kernel, grouped by word length and cut into chunks of
-``batch.BATCH_SIZE``, and the scalar route for the rest;
-``act_on_vectors`` runs on it.  Each row may carry its own word, so
-the sampled words of ``verify_group``, ``verify_conformal`` and
+``_half_angle`` is also the one place that refuses a float angle that
+is not finite, naming it, so every route (the scalar steps, the batch
+plans, ``generator`` and ``act_on_X``) raises the same error for one.
+
+``act_on_coords`` is the one batched entry point: it conjugates the
+rows of an (n, 6) float array through ``batch.conjugate``, the
+order-preserving numpy kernel, bit for bit as ``act_on_vector`` does
+one at a time.  It owns the routing: which rows go on the kernel,
+grouped by word length and cut into chunks of ``batch.BATCH_SIZE``,
+and ``act_on_vector`` for the rest.  Each row may carry its own word,
+so the sampled words of ``verify_group``, ``verify_conformal`` and
 ``so6_matrix`` run as a few batches.  The 6x6 invariance checks
 compose their words as stacked (n, 6, 6) products, bit for bit as
 ``compose_so6``.  numpy and ``batch`` are imported by the functions
@@ -42,7 +46,7 @@ from .clifford import (
     gamma,
     metric_form,
 )
-from .matrices import TensorMatrix, _sincosh, exp_pair
+from .matrices import TensorMatrix, _refuse_overflow, _sincosh, exp_pair
 from .report import Report
 
 __all__ = [
@@ -56,8 +60,6 @@ __all__ = [
     "act_on_X",
     "act_on_vector",
     "act_on_coords",
-    "act_on_vectors",
-    "check_angle",
     "so6_matrix",
     "so6_step",
     "metric6",
@@ -158,8 +160,11 @@ def _half_angle(step, theta):
     cosh/sinh of theta/2.  A name in TRANSLATION_NAMES gives its
     nilpotent generator with (1, theta/2), theta/2 exact for an exact
     theta; G @ G == 0 is proved once per generator (cached on the
-    matrix), and a generator that fails it raises ValueError.
+    matrix), and a generator that fails it raises ValueError.  A float
+    theta that is not finite raises ValueError naming it.
     """
+    if isinstance(theta, float) and not math.isfinite(theta):
+        raise ValueError("angle %s is not finite" % (theta,))
     if step in TRANSLATION_NAMES:
         gen = _nilpotent_generator(step[0], step[1])
         if not gen.squares_to_zero():
@@ -169,12 +174,6 @@ def _half_angle(step, theta):
     gp, kind, _, _ = _plane_data(name)
     c, s = _sincosh(exact_div(orient * theta, 2), kind == "boost")
     return gp, c, s
-
-
-def check_angle(theta):
-    """Reject a float angle that is not finite, naming it."""
-    if isinstance(theta, float) and not math.isfinite(theta):
-        raise ValueError("angle %s is not finite" % (theta,))
 
 
 def generator(step, theta):
@@ -224,12 +223,16 @@ def act_on_X(word, x):
 
     Hermiticity with respect to the complex unit is checked on the
     result, exactly for an exact result, else to SPAN_TOL relative to
-    the matrix scale; losing it raises ValueError.
+    the matrix scale; losing it raises ValueError.  A float result with
+    a coefficient that is not finite raises a ValueError naming it.
     """
     for plane, theta in word:
         left, right = _step_factors(plane, theta)
         x = (left @ x) @ right
-    if not x.is_c_hermitian(0 if x.is_exact() else SPAN_TOL, x.max_abs()):
+    exact = x.is_exact()
+    if not exact:
+        _refuse_overflow(x.flat())
+    if not x.is_c_hermitian(0 if exact else SPAN_TOL, x.max_abs()):
         raise ValueError("2x2 action lost Hermiticity beyond tolerance")
     return x
 
@@ -245,32 +248,14 @@ def act_on_vector(word, v):
 
 def _plan(word):
     """The _half_angle (G, c, s) of every step of word, or None when it
-    cannot batch: an angle that is not a finite float, or a step that
-    overflows or names no step."""
-    if not all(type(theta) is float and math.isfinite(theta) for _, theta in word):
+    cannot batch: an angle that is not a float, or a step _half_angle
+    refuses (an angle that is not finite or overflows, an unknown name)."""
+    if not all(type(theta) is float for _, theta in word):
         return None
     try:
         return [_half_angle(*step) for step in word]
     except (OverflowError, ValueError):
         return None
-
-
-def _batchable(v):
-    """True when v can go on the batch path: some nonzero coordinates, all floats.
-
-    build_P writes only nonzero coordinates, so every coefficient such a
-    P touches is a float and the scalar route ends in the float regime
-    too (an all-zero P stays exact).
-    """
-    nonzero = [c for c in v.as_tuple() if c]
-    return bool(nonzero) and all(type(c) is float for c in nonzero)
-
-
-def _checked_act(word, v):
-    """act_on_vector after naming a float angle that is not finite."""
-    for _, theta in word:
-        check_angle(theta)
-    return act_on_vector(word, v)
 
 
 def act_on_coords(words, coords):
@@ -280,9 +265,8 @@ def act_on_coords(words, coords):
     grouped by word length and cut into chunks of batch.BATCH_SIZE, step
     k of every word in a chunk as one kernel step; each word object is
     planned once, on the plans batch.step_plan caches per generator.
-    Every other row, and any the kernel refuses, goes
-    through act_on_vector in index order, which raises with its own
-    message, a non-finite float angle raising ValueError naming it.
+    Every other row, and any the kernel refuses, goes through
+    act_on_vector in index order, which raises with its own message.
     """
     import numpy as np
     from . import batch
@@ -307,32 +291,8 @@ def act_on_coords(words, coords):
             ]
             out[chunk], done[chunk] = batch.conjugate(coords[chunk], steps)
     for i in np.flatnonzero(~done).tolist():
-        out[i] = _checked_act(words[i], Vector6(*coords[i].tolist())).as_tuple()
+        out[i] = act_on_vector(words[i], Vector6(*coords[i].tolist())).as_tuple()
     return out
-
-
-def act_on_vectors(words, vectors):
-    """act_on_vector(words[i], vectors[i]) for every i, batched where it can be.
-
-    Float vectors (see _batchable) go through act_on_coords, the rest
-    through act_on_vector; when act_on_coords raises, all of them do,
-    in index order, so the first error is the scalar loop's.
-    """
-    words, vectors = list(words), list(vectors)
-    if len(words) != len(vectors):
-        raise ValueError("%d words for %d vectors" % (len(words), len(vectors)))
-    take = [i for i, v in enumerate(vectors) if _batchable(v)]
-    try:
-        rows = act_on_coords(
-            [words[i] for i in take], [vectors[i].as_tuple() for i in take]
-        ).tolist()
-    except (ArithmeticError, ValueError):
-        take = rows = ()
-    done = {i: Vector6(*row) for i, row in zip(take, rows)}
-    return [
-        done[i] if i in done else _checked_act(w, v)
-        for i, (w, v) in enumerate(zip(words, vectors))
-    ]
 
 
 def _so6_matrices(words):
@@ -450,10 +410,6 @@ def _random_word(rng, max_len, angle_span):
     ]
 
 
-def _random_vector(rng, span=1.0):
-    return Vector6(*(rng.uniform(-span, span) for _ in range(6)))
-
-
 def compose_so6(word):
     """Product of single-step 6x6 matrices, later steps applied on the left."""
     import numpy as np
@@ -540,15 +496,16 @@ def verify_group(config=None):
     )
 
     n_heavy = max(1, samples // 20)
-    heavy = [(_random_vector(rng), _random_word(rng, 5, 0.6)) for _ in range(n_heavy)]
-    vs = [v for v, _ in heavy]
-    imgs = act_on_vectors([w for _, w in heavy], vs)
-    qform_dev = 0.0
-    for v, img in zip(vs, imgs):
-        qform_dev = max(qform_dev, abs(metric_form(img) - metric_form(v)))
+    heavy = [
+        ([rng.uniform(-1.0, 1.0) for _ in COORDS], _random_word(rng, 5, 0.6))
+        for _ in range(n_heavy)
+    ]
+    vs = np.array([v for v, _ in heavy])
+    imgs = act_on_coords([w for _, w in heavy], vs)
+    gaps = metric_form(Vector6(*imgs.T)) - metric_form(Vector6(*vs.T))
     report.bound(
         "invariance[qform]",
-        qform_dev,
+        float(np.max(np.abs(gaps))),
         SPAN_TOL,
         "metric square preserved along %d seeded conjugation words" % n_heavy,
     )

@@ -70,6 +70,10 @@ class TensorMatrix:
         self._exact = exact
         self._nilpotent = None
 
+    def flat(self):
+        """Every coefficient, row by row, entry by entry, in BASIS order."""
+        return [c for r in self.rows for a in r for c in a.coeffs]
+
     def is_exact(self):
         """True when every coefficient is an int or Fraction; cached."""
         exact = self._exact
@@ -245,16 +249,6 @@ class TensorMatrix:
     def approx_eq(self, other, tol):
         return within((self - other).max_abs(), tol)
 
-    def is_scalar_multiple(self, tol=0):
-        """Return (True, s) when the matrix is s*I within tol, else (False, None)."""
-        s = self.rows[0][0]
-        for i in range(self.n):
-            for j in range(self.n):
-                target = s if i == j else ZERO
-                if not self.rows[i][j].approx_eq(target, tol):
-                    return False, None
-        return True, s
-
     def to_dict(self):
         return [[a.to_dict() for a in r] for r in self.rows]
 
@@ -354,21 +348,40 @@ def exp_nilpotent(gen, theta):
     return exp_pair(gen, 1, theta)[0]
 
 
+def _refuse_overflow(flat):
+    """Raise ValueError naming the overflow when a float coefficient is not finite.
+
+    A nan or an infinity survives a sum, unlike a max, so one sum clears
+    a finite matrix; only a sum that is not finite pays the scan.
+    """
+    if math.isfinite(sum(flat)):
+        return
+    bad = [c for c in flat if isinstance(c, float) and not math.isfinite(c)]
+    if bad:
+        raise ValueError(
+            "matrix coefficient %s is not finite: the step overflowed"
+            " or its input was not finite" % bad[0]
+        )
+
+
 def quadratic_form(x):
     """The scalar s with x @ x.trace_reversed() == s * I, for 2x2 x.
 
     Raises ValueError when the product is not a real scalar multiple of
-    the identity: exactly for an exact x, else to within SPAN_TOL,
-    absolutely (not relative to the product's scale).
+    the identity: exactly for an exact x, else to within SPAN_TOL
+    relative to the product's scale.  A float x with a coefficient that
+    is not finite raises a ValueError naming it (see _refuse_overflow).
     """
     if x.n != 2:
         raise ValueError("expected a 2x2 matrix")
+    exact = x.is_exact()
+    if not exact:
+        _refuse_overflow(x.flat())
     prod = x @ x.trace_reversed()
-    s = prod.rows[0][0]
-    use_tol = 0 if x.is_exact() else SPAN_TOL
-    if not s.is_real_scalar(use_tol):
+    tol, scale = (0, 0) if exact else (SPAN_TOL, prod.max_abs())
+    (s, b), (c, d) = prod.rows
+    if not s.is_real_scalar(tol, scale):
         raise ValueError("product is not a real scalar: %s" % (s,))
-    ok, _ = prod.is_scalar_multiple(use_tol)
-    if not ok:
+    if not all(e.approx_eq(t, tol, scale) for e, t in ((b, ZERO), (c, ZERO), (d, s))):
         raise ValueError("product is not a multiple of the identity")
     return s.scalar_part()

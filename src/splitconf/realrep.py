@@ -328,8 +328,7 @@ def verify_realrep(config=None):
     b = (gamma("t") @ gamma("x")) - TensorMatrix.identity(4).scale(3)
     # Scaled by the common denominator of A, both sides are integer
     # matrices, compared exactly as int64.
-    coeffs = [c for r in a.rows for e in r for c in e.coeffs]
-    d = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    d = math.lcm(*(Fraction(c).denominator for c in a.flat()))
     lhs, rhs = d * realify_matrix(a), d * realify_matrix(a @ b)
     integral = all(x == int(x) for x in [*lhs.flat, *rhs.flat])
     exact_ok = integral and np.array_equal(

@@ -1,10 +1,9 @@
 """The numpy batch path against the scalar route it replaces.
 
-The batch path (batch's kernel, driven by group.act_on_vectors and
-conformal.step_vectors) runs the
-scalar route's float operations in its order, so every result must be
-the scalar result in coordinate repr, types and signed zeros included,
-and every failure the scalar route's exception.
+The batch path (batch's kernel, driven by group.act_on_coords) runs the
+scalar route's float operations in its order, so every image row must
+be the scalar result in repr, signed zeros included, and every failure
+the scalar route's exception.
 """
 
 import math
@@ -30,7 +29,6 @@ from splitconf.conformal import (
     MinkowskiPoint,
     embed_point,
     step_vector,
-    step_vectors,
     verify_conformal,
 )
 from splitconf.group import (
@@ -38,8 +36,6 @@ from splitconf.group import (
     TRANSLATION_NAMES,
     act_on_coords,
     act_on_vector,
-    act_on_vectors,
-    check_angle,
     so6_matrix,
 )
 from splitconf.matrices import TensorMatrix, exp_pair
@@ -51,8 +47,8 @@ angles = st.floats(-12, 12, allow_nan=False, allow_infinity=False)
 
 float_coords = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
 
-# Mostly floats, with exact zeros and exact values mixed in (those
-# vectors stay on the scalar route).
+# Mostly floats, with exact zeros and exact values mixed in; rows()
+# reads them as the floats act_on_coords takes.
 coords = st.one_of(
     float_coords,
     float_coords,
@@ -87,17 +83,40 @@ nonfinite_angles = st.one_of(
 )
 
 
-def checked_act(word, v):
-    """act_on_vector after the angle check act_on_vectors makes first."""
-    for _, theta in word:
-        check_angle(theta)
-    return act_on_vector(word, v)
+def rows(vecs):
+    """The float rows act_on_coords takes for a list of Vector6."""
+    return [[float(c) for c in v.as_tuple()] for v in vecs]
+
+
+def batched(words, vecs):
+    """act_on_coords of one word per vector, as lists of floats."""
+    return act_on_coords(words, rows(vecs)).tolist()
+
+
+def scalar(words, vecs):
+    """act_on_vector of each word on its vector's float row, as lists of floats.
+
+    An all-zero row builds an exact P and gives exact zeros, as 0.0 here.
+    """
+    return [
+        [float(c) for c in act_on_vector(w, Vector6(*r)).as_tuple()]
+        for w, r in zip(words, rows(vecs))
+    ]
+
+
+def scalar_steps(steps):
+    """step_vector of each (name, theta, vector) on the vector's float row."""
+    vecs = [Vector6(*r) for r in rows([v for _, _, v in steps])]
+    return [
+        [float(c) for c in step_vector(name, theta, v).as_tuple()]
+        for (name, theta, _), v in zip(steps, vecs)
+    ]
 
 
 def outcome(fn):
-    """('ok', coordinate reprs) or ('error', type, message) of fn()."""
+    """('ok', row reprs) or ('error', type, message) of fn()."""
     try:
-        return ("ok", [repr(v) for v in fn()])
+        return ("ok", [repr(r) for r in fn()])
     except (ValueError, OverflowError) as exc:
         return ("error", type(exc), str(exc))
 
@@ -106,40 +125,42 @@ class TestStepEquivalence:
     @given(st.lists(st.tuples(st.sampled_from(STEP_NAMES), angles, vectors),
                     max_size=12))
     def test_batch_equals_the_scalar_step(self, steps):
-        names, thetas, vecs = (list(x) for x in zip(*steps)) if steps else ([], [], [])
-        assert outcome(lambda: step_vectors(names, thetas, vecs)) == outcome(
-            lambda: [step_vector(*s) for s in steps]
+        words = [[(name, theta)] for name, theta, _ in steps]
+        vecs = [v for _, _, v in steps]
+        assert outcome(lambda: batched(words, vecs)) == outcome(
+            lambda: scalar_steps(steps)
         )
 
     @given(st.lists(st.tuples(st.sampled_from(STEP_NAMES), nonfinite_angles,
                               hostile_vectors), min_size=2, max_size=8))
     def test_hostile_input_gives_the_scalar_outcome(self, steps):
-        names, thetas, vecs = (list(x) for x in zip(*steps))
-        assert outcome(lambda: step_vectors(names, thetas, vecs)) == outcome(
-            lambda: [step_vector(*s) for s in steps]
+        words = [[(name, theta)] for name, theta, _ in steps]
+        vecs = [v for _, _, v in steps]
+        assert outcome(lambda: batched(words, vecs)) == outcome(
+            lambda: scalar_steps(steps)
         )
 
     def test_float_zeros_are_positive_python_floats(self):
-        got = step_vectors(["xy", "ax", "bz"], [0.3, 0.3, -0.3], [Vector6(x=1.0)] * 3)
-        for v in got:
-            for c in v.as_tuple():
+        words = [[("xy", 0.3)], [("ax", 0.3)], [("bz", -0.3)]]
+        for row in batched(words, [Vector6(x=1.0)] * 3):
+            for c in row:
                 assert type(c) is float
                 assert c != 0 or math.copysign(1.0, c) == 1.0
 
     def test_samples_outside_the_span_take_the_scalar_error(self):
         # A coordinate of 1e308 overflows inside the product: the batch
-        # refuses the column and the scalar route names the failure.
+        # refuses the row and the scalar route names the failure.
         vecs = [Vector6(x=0.5, p=1.0), Vector6(x=1.7e308, t=1.7e308, p=1.0)]
-        with pytest.raises(ValueError) as batched:
-            step_vectors(["tx", "tx"], [3.0, 3.0], vecs)
-        with pytest.raises(ValueError) as scalar:
+        with pytest.raises(ValueError) as rows_raised:
+            batched([[("tx", 3.0)]] * 2, vecs)
+        with pytest.raises(ValueError) as scalar_raised:
             step_vector("tx", 3.0, vecs[1])
-        assert str(batched.value) == str(scalar.value)
+        assert str(rows_raised.value) == str(scalar_raised.value)
 
     def test_an_overflowing_angle_takes_the_scalar_error(self):
         vecs = [Vector6(x=0.5, t=0.25), Vector6(x=1.0, t=0.5)]
         with pytest.raises(OverflowError, match="math range error"):
-            step_vectors(["tx", "tx"], [0.5, 1500.0], vecs)
+            batched([[("tx", 0.5)], [("tx", 1500.0)]], vecs)
 
     def test_chunks_join_in_order(self, monkeypatch):
         monkeypatch.setattr(batch, "BATCH_SIZE", 7)
@@ -149,8 +170,9 @@ class TestStepEquivalence:
              Vector6(*(rng.uniform(-1, 1) for _ in range(6))))
             for _ in range(30)
         ]
-        got = step_vectors(*zip(*steps))
-        assert [repr(v) for v in got] == [repr(step_vector(*s)) for s in steps]
+        words = [[(name, theta)] for name, theta, _ in steps]
+        got = batched(words, [v for _, _, v in steps])
+        assert [repr(r) for r in got] == [repr(r) for r in scalar_steps(steps)]
 
 
 class TestWordEquivalence:
@@ -159,16 +181,18 @@ class TestWordEquivalence:
     def test_batch_equals_the_scalar_word(self, word, vecs):
         # Long boost words at large angles leave the span on the scalar
         # route too; the batch must then raise the same error.
-        assert outcome(lambda: act_on_vectors([word] * len(vecs), vecs)) == outcome(
-            lambda: [act_on_vector(word, v) for v in vecs]
+        words = [word] * len(vecs)
+        assert outcome(lambda: batched(words, vecs)) == outcome(
+            lambda: scalar(words, vecs)
         )
 
     @given(st.lists(st.tuples(st.sampled_from(PLANE_NAMES), hostile_angles),
                     min_size=1, max_size=3),
            st.lists(hostile_vectors, min_size=2, max_size=6))
     def test_hostile_input_gives_the_scalar_outcome(self, word, vecs):
-        assert outcome(lambda: act_on_vectors([word] * len(vecs), vecs)) == outcome(
-            lambda: [act_on_vector(word, v) for v in vecs]
+        words = [word] * len(vecs)
+        assert outcome(lambda: batched(words, vecs)) == outcome(
+            lambda: scalar(words, vecs)
         )
 
     @given(st.lists(st.tuples(st.sampled_from(PLANE_NAMES),
@@ -199,8 +223,8 @@ class TestWordPerColumn:
     def test_batch_equals_the_scalar_words(self, pairs):
         words = [w for w, _ in pairs]
         vecs = [v for _, v in pairs]
-        assert outcome(lambda: act_on_vectors(words, vecs)) == outcome(
-            lambda: [act_on_vector(w, v) for w, v in pairs]
+        assert outcome(lambda: batched(words, vecs)) == outcome(
+            lambda: scalar(words, vecs)
         )
 
     @given(st.lists(st.tuples(st.lists(st.tuples(st.sampled_from(STEP_NAMES),
@@ -211,16 +235,16 @@ class TestWordPerColumn:
         # error an earlier vector raises.
         words = [w for w, _ in pairs]
         vecs = [v for _, v in pairs]
-        assert outcome(lambda: act_on_vectors(words, vecs)) == outcome(
-            lambda: [checked_act(w, v) for w, v in pairs]
+        assert outcome(lambda: batched(words, vecs)) == outcome(
+            lambda: scalar(words, vecs)
         )
 
     def test_mixed_lengths_cross_chunks_in_order(self, monkeypatch):
         # Lengths 0 to 6 in one call, every step name (planes in both
-        # orders, ax..at and bx..bt), float, exact
-        # and mixed vectors, and coordinates that overflow or are not
-        # finite (each such vector alone in its call, since the scalar
-        # route raises at the first one), seven vectors per batch.
+        # orders, ax..at and bx..bt), rows read from float, exact and
+        # mixed vectors, and coordinates that overflow or are not finite
+        # (each such row alone in its call, since the scalar route
+        # raises at the first one), seven rows per batch.
         monkeypatch.setattr(batch, "BATCH_SIZE", 7)
         rng = random.Random(11)
 
@@ -242,44 +266,44 @@ class TestWordPerColumn:
             pairs = [(draw_word(), draw_vector(k)) for k in kinds]
             assert len({len(w) for w, _ in pairs}) == 7
             words, vecs = zip(*pairs)
-            assert outcome(lambda: act_on_vectors(words, vecs)) == outcome(
-                lambda: [act_on_vector(w, v) for w, v in pairs]
+            assert outcome(lambda: batched(words, vecs)) == outcome(
+                lambda: scalar(words, vecs)
             )
         for _ in range(20):
             pairs = [(draw_word(), draw_vector("float")) for _ in range(9)]
             pairs.insert(rng.randint(0, 9), (draw_word(), draw_vector("hostile")))
             words, vecs = zip(*pairs)
-            assert outcome(lambda: act_on_vectors(words, vecs)) == outcome(
-                lambda: [act_on_vector(w, v) for w, v in pairs]
+            assert outcome(lambda: batched(words, vecs)) == outcome(
+                lambda: scalar(words, vecs)
             )
 
     @given(st.lists(st.tuples(step_words, st.lists(float_coords, min_size=6,
                                                    max_size=6)), max_size=16))
     def test_rows_equal_the_scalar_words(self, pairs):
-        # act_on_coords, under act_on_vectors: float rows in, float rows out.
-        def scalar():
+        # Float rows in, float rows out, an (n, 6) array.
+        def scalar_rows():
             return [[float(c) for c in act_on_vector(w, Vector6(*r)).as_tuple()]
                     for w, r in pairs]
 
-        def batched():
+        def batched_rows():
             got = act_on_coords([w for w, _ in pairs], [r for _, r in pairs])
             assert got.shape == (len(pairs), 6)
             return got.tolist()
 
-        assert outcome(batched) == outcome(scalar)
+        assert outcome(batched_rows) == outcome(scalar_rows)
 
     def test_a_word_count_that_differs_is_refused(self):
         with pytest.raises(ValueError, match="2 words for 1 vectors"):
-            act_on_vectors([[], []], [Vector6(x=1.0)])
+            batched([[], []], [Vector6(x=1.0)])
 
     def test_a_non_finite_angle_raises_after_an_earlier_error(self):
         vecs = [Vector6(x=1.7e308, t=1.7e308, p=1.0), Vector6(x=1.0, p=1.0)]
         words = [[("tx", 3.0)], [("xy", math.nan)]]
-        with pytest.raises(ValueError) as scalar:
+        with pytest.raises(ValueError) as scalar_raised:
             act_on_vector(words[0], vecs[0])
-        with pytest.raises(ValueError) as batched:
-            act_on_vectors(words, vecs)
-        assert str(batched.value) == str(scalar.value)
+        with pytest.raises(ValueError) as rows_raised:
+            batched(words, vecs)
+        assert str(rows_raised.value) == str(scalar_raised.value)
 
     def test_a_shared_word_is_planned_once(self, monkeypatch):
         calls = []
@@ -295,9 +319,9 @@ class TestWordPerColumn:
         assert len(calls) == 3
         del calls[:]
         vecs = [Vector6(x=1.0, y=float(k)) for k in range(5)]
-        batched = outcome(lambda: act_on_vectors([word] * 5, vecs))
+        got = outcome(lambda: batched([word] * 5, vecs))
         assert len(calls) == 3
-        assert batched == outcome(lambda: [act_on_vector(word, v) for v in vecs])
+        assert got == outcome(lambda: scalar([word] * 5, vecs))
 
 
 def counted_plan_builds(monkeypatch):
@@ -430,6 +454,6 @@ class TestNonFiniteAngles:
         with pytest.raises(ValueError, match=msg):
             step_vector(name, theta, v)
         with pytest.raises(ValueError, match=msg):
-            step_vectors([name, name], [0.5, theta], [v, v])
+            batched([[(name, 0.5)], [(name, theta)]], [v, v])
         with pytest.raises(ValueError, match=msg):
-            act_on_vectors([[(name, theta)]] * 2, [v, v])
+            batched([[(name, theta)]] * 2, [v, v])

@@ -264,6 +264,15 @@ class TestExtractErrors:
             with pytest.raises(ValueError, match="is not finite: the step overflowed"):
                 extract_coords(p)
 
+    @pytest.mark.parametrize("v", [
+        Vector6(x=5e307, t=2.5e307),  # inf coordinate, so an inf residual
+        Vector6(x=1e308, t=5e307),  # inf - inf in a K component
+    ])
+    def test_an_overflowing_gather_sum_is_named(self, v):
+        # Every coefficient is finite; the sums extraction forms are not.
+        with pytest.raises(ValueError, match=r"trace sums overflowed \((inf|nan)\)"):
+            extract_coords(build_P(v))
+
     def test_near_miss_respects_the_tolerance(self):
         p = build_P(Vector6(x=1.0)) + TensorMatrix.identity(4).scale(1e-6)
         with pytest.raises(ValueError):

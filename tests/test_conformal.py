@@ -22,11 +22,15 @@ from splitconf.conformal import (
     q_from_p,
     q_or_infinity,
     step_vector,
-    step_vectors,
     translation_generator,
     verify_conformal,
 )
-from splitconf.group import TRANSLATION_NAMES, _half_angle, _nilpotent_generator
+from splitconf.group import (
+    TRANSLATION_NAMES,
+    _half_angle,
+    _nilpotent_generator,
+    act_on_coords,
+)
 from splitconf.matrices import TensorMatrix, exp_nilpotent, exp_pair
 
 coords = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
@@ -210,7 +214,7 @@ class TestNilpotentPair:
             with pytest.raises(ValueError, match="square to zero"):
                 step_vector("ax", 0.5, v)
             with pytest.raises(ValueError, match="square to zero"):
-                step_vectors(["bx", "bx"], [0.5, 0.5], [v, v])
+                act_on_coords([[("bx", 0.5)]] * 2, [v.as_tuple()] * 2)
 
 
 class TestStepRegime:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from splitconf.algebra import L, ONE
 from splitconf.clifford import Vector6, build_P, build_X, metric_form
+from splitconf.conformal import step_vector
 from splitconf.group import (
     PLANES,
     TRANSLATION_NAMES,
@@ -17,6 +18,7 @@ from splitconf.group import (
     _invariance_devs,
     act_on_P,
     act_on_X,
+    act_on_coords,
     act_on_vector,
     appendix_check,
     build_reference,
@@ -307,6 +309,38 @@ class TestTwoByTwoAction:
         rows[0][1] = rows[0][1] + ONE * Fraction(1, 10**12)
         with pytest.raises(ValueError, match="lost Hermiticity"):
             act_on_X([], TensorMatrix(rows))
+
+    @pytest.mark.parametrize("word", [[], [("xy", 0.3)]])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_coefficient_is_named(self, word, bad):
+        with pytest.raises(ValueError, match="coefficient (nan|-?inf) is not finite"):
+            act_on_X(word, build_X(Vector6(x=bad, y=1.0)))
+
+
+def _x_route(step, theta):
+    return act_on_X([(step, theta)], build_X(Vector6(x=1.0, y=0.5)))
+
+
+def _coords_route(step, theta):
+    return act_on_coords([[(step, theta)]], [[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
+
+
+ROUTES = {
+    "generator": generator,
+    "act_on_vector": lambda s, t: act_on_vector([(s, t)], Vector6(x=1.0, p=1.0)),
+    "act_on_X": _x_route,
+    "act_on_coords": _coords_route,
+    "step_vector": lambda s, t: step_vector(s, t, Vector6(x=1.0, p=1.0)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("step", ["xy", "tz", "ax", "bt"])
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_every_route_names_a_non_finite_angle(route, step, theta):
+    # act_on_X takes planes only, but the angle is refused before the name.
+    with pytest.raises(ValueError, match="^angle %s is not finite$" % theta):
+        ROUTES[route](step, theta)
 
 
 class TestSpanValidation:

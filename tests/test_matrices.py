@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splitconf import matrices
-from splitconf.algebra import _MUL, ELL, K, L, ONE, TensorScalar, ZERO, is_exact
-from splitconf.clifford import gamma
-from splitconf.group import PLANES, TRANSLATION_NAMES, _nilpotent_generator, generator
+from splitconf.algebra import _MUL, ELL, K, L, ONE, TensorScalar, ZERO, is_exact, within
+from splitconf.clifford import Vector6, build_X, gamma, metric_form
+from splitconf.group import (
+    PLANES,
+    TRANSLATION_NAMES,
+    _nilpotent_generator,
+    act_on_X,
+    generator,
+)
 from splitconf.matrices import (
     TensorMatrix,
     _sincosh,
@@ -406,6 +413,21 @@ class TestQuadraticForm:
         x = TensorMatrix(((ZERO, K), (L, ZERO)))
         with pytest.raises(ValueError):
             quadratic_form(x)
+
+    @pytest.mark.parametrize("span", [1e4, 1e5, 1e6])
+    def test_large_float_inputs_are_held_relative_to_the_scale(self, span):
+        # The product's rounding grows with its scale; an absolute
+        # SPAN_TOL refused every one of these.
+        rng = random.Random(4)
+        for _ in range(20):
+            v = Vector6(*(rng.uniform(-span, span) for _ in range(6)))
+            x = act_on_X([("xy", 0.3), ("tz", 0.7)], build_X(v))
+            assert within(quadratic_form(x) - metric_form(v), 1e-9, span * span)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_coefficient_is_named(self, bad):
+        with pytest.raises(ValueError, match="coefficient %s is not finite" % bad):
+            quadratic_form(build_X(Vector6(x=bad, y=1.0)))
 
     @given(st.integers(-3, 3), st.integers(-3, 3))
     def test_scalar_matrices(self, a, b):

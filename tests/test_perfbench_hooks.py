@@ -1,9 +1,10 @@
 """The names the benchmark in perfbench/ hooks into must exist.
 
 perfbench/tracing.py and perfbench/run.py patch splitconf callables by
-name and read a few module attributes.  A rename or deletion on this
-side would otherwise show only when the benchmark runs; here it fails
-the test suite instead.
+name and read a few module attributes, and perfbench/workloads.py
+imports its inputs and oracles from splitconf.  A rename or deletion on
+this side would otherwise show only when the benchmark runs; here it
+fails the test suite instead.
 """
 
 import sys
@@ -54,3 +55,19 @@ def test_the_step_pair_recorder_installs_and_uninstalls(perfbench):
 def test_the_caches_warm(perfbench):
     run, _ = perfbench
     run.warm_caches()
+
+
+def test_the_workload_oracles_pass_one_point_of_each_stream(perfbench):
+    import workloads
+    from splitconf.conformal import step_vector
+
+    def float_ok(*step):
+        return workloads.check_float_step(*step) <= workloads.FLOAT_TOL
+
+    for inputs, ok in ((workloads.float_inputs, float_ok),
+                       (workloads.exact_inputs, workloads.check_exact_step)):
+        v, word = next(inputs(1, "tests"))
+        for name, theta in word:
+            out = step_vector(name, theta, v)
+            assert ok(name, theta, v, out)
+            v = out

@@ -141,7 +141,7 @@ class TestAgainstTheScalarLoop:
         # Every 17th row the kernel returns is marked refused, so it goes
         # through act_on_vector; the deviations cannot move.
         conjugate, fallbacks = batch.conjugate, []
-        checked_act = group._checked_act
+        act_on_vector = group.act_on_vector
 
         def refusing(coords, steps):
             out, ok = conjugate(coords, steps)
@@ -151,10 +151,10 @@ class TestAgainstTheScalarLoop:
 
         def counted(word, v):
             fallbacks.append(word)
-            return checked_act(word, v)
+            return act_on_vector(word, v)
 
         monkeypatch.setattr(batch, "conjugate", refusing)
-        monkeypatch.setattr(group, "_checked_act", counted)
+        monkeypatch.setattr(group, "act_on_vector", counted)
         assert array_route(42, 400) == scalar_reference(42, 400)
         assert len(fallbacks) > 20
 
