@@ -84,11 +84,7 @@ def _batch_tables():
         return pos[f]
 
     rows, coord, sign = zip(
-        *(
-            (row(32 * i + 8 * j + k), c, s)
-            for c, m in enumerate(COORDS)
-            for i, j, k, s in _slots(m)
-        )
+        *((row(f), c, s) for c, m in enumerate(COORDS) for f, s in _slots(m))
     )
     pack = (np.array(rows), np.array(coord), np.array(sign, float)[:, None])
     sides = []

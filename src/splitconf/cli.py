@@ -359,11 +359,12 @@ def cmd_show(args, config, out):
     raise UsageError("unknown object %r" % (kind,))
 
 
-def _add_common(p):
+# The options only the verify suites read; RunConfig holds their defaults.
+SUITE_OPTIONS = {"tolerance": float, "seed": int, "samples": int}
+
+
+def _add_format(p):
     p.add_argument("--format", choices=FORMATS, default=None)
-    p.add_argument("--tolerance", type=float, default=CHECK_TOL)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=1000)
 
 
 def build_parser():
@@ -380,7 +381,9 @@ def build_parser():
         help="comma-separated subset of: %s (default all)"
         % ", ".join(name for name, _ in SUITES),
     )
-    _add_common(p_verify)
+    _add_format(p_verify)
+    for name, kind in SUITE_OPTIONS.items():
+        p_verify.add_argument("--" + name, type=kind, default=argparse.SUPPRESS)
 
     p_transform = sub.add_parser("transform", help="apply a generator word")
     p_transform.add_argument(
@@ -396,7 +399,7 @@ def build_parser():
         "6 components x,y,z,t,p,q; a leading minus needs the = form, "
         "as in --point=-1,0,0,0",
     )
-    _add_common(p_transform)
+    _add_format(p_transform)
 
     p_show = sub.add_parser("show", help="print one matrix")
     p_show.add_argument(
@@ -405,7 +408,7 @@ def build_parser():
     )
     p_show.add_argument("id")
     p_show.add_argument("--angle", type=float, default=1.0)
-    _add_common(p_show)
+    _add_format(p_show)
     return parser
 
 
@@ -421,10 +424,7 @@ def main(argv=None):
         fmt = os.environ.get("SPLITCONF_FORMAT") or "text"
     try:
         config = RunConfig(
-            tolerance=args.tolerance,
-            seed=args.seed,
-            samples=args.samples,
-            fmt=fmt,
+            fmt=fmt, **{k: v for k, v in vars(args).items() if k in SUITE_OPTIONS}
         )
         handler = {
             "verify": cmd_verify,

@@ -7,8 +7,12 @@ gamma matrix; the gammas anticommute to twice the metric.  A Vector6
 embeds as either the 2x2 combination X or the 4x4 combination P, and
 coordinates can be recovered from P through the trace inner product.
 
-Both directions read fixed tables built once from the gammas.  P is
-written from the 24 nonzero gamma slots (``_slots``).  Coordinates are
+Both directions read fixed tables built once from the gammas.  Where
+a coordinate sits in P is decided once, by the slot table (``_slots``:
+the 24 nonzero gamma coefficients, as flat indices of
+``TensorMatrix.flat``).  ``_spread`` writes the flat coefficients of
+sum(c_m gamma(m)) from it for ``build_P`` and both residual tests, and
+the batched forms of ``batch`` read its indices.  Coordinates are
 read off P through a gather table (``_gather``): each gamma has four
 nonzero entries, each a single +-1 unit, so every component of the
 symmetric trace trace(gamma P) + trace(P gamma) is a short signed sum
@@ -16,12 +20,12 @@ of coefficients of P.  The table lists those coefficients in the order
 ``trace_product`` adds them, which keeps float results bit for bit
 those of the generic ``inner_product``.  An exact P is read in integers
 instead: its coefficients are scaled to one common denominator, and
-exact sums need no order.  Both tables also drive the batched float
-forms of ``batch``.
+exact sums need no order.
 """
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,52 +142,39 @@ def build_X(v):
 
 @functools.cache
 def _slots(m):
-    """The (row, col, basis index, sign) of each nonzero coefficient of gamma(m).
+    """The (flat index, sign) of each nonzero coefficient of gamma(m), in flat() order.
 
     Every coefficient of a gamma is 0 or +-1, and no two gammas share a
-    nonzero (row, col, basis index) slot, so the slots of the six
-    coordinates together place each coefficient of P exactly once.
+    nonzero slot, so the slots of the six coordinates together place
+    each coefficient of P exactly once.
     """
-    return tuple(
-        (i, j, k, c)
-        for i, row in enumerate(gamma(m).rows)
-        for j, e in enumerate(row)
-        for k, c in enumerate(e.coeffs)
-        if c
-    )
+    return tuple((f, c) for f, c in enumerate(gamma(m).flat()) if c)
 
 
-def _cells(coords):
-    """The coefficients of sum(c_m gamma(m)) as a 4x4 grid of 8-lists.
-
-    A slot of coordinate m holds +c_m or -c_m, the value the dense sum
-    of scaled gammas gives there; an entry no nonzero coordinate
-    touches is None.
-    """
-    cells = [[None] * 4 for _ in range(4)]
+def _spread(coords):
+    """The 128 flat coefficients of sum(c_m gamma(m)): +-c_m on the slots of
+    a nonzero c_m, and 0 everywhere else."""
+    flat = [0] * 128
     for m, c in zip(COORDS, coords):
         if c:
-            for i, j, k, sign in _slots(m):
-                cell = cells[i][j]
-                if cell is None:
-                    cell = cells[i][j] = [0] * 8
-                cell[k] = c if sign > 0 else -c
-    return cells
+            for f, sign in _slots(m):
+                flat[f] = c if sign > 0 else -c
+    return flat
 
 
 def build_P(v):
     """The 4x4 combination [[0, X], [tilde(X), 0]], i.e. sum of v_m gamma(m).
 
-    Written straight from the slot table of each gamma (see _slots and
-    _cells); every coefficient outside the slots is 0, so P is exact
-    when every nonzero coordinate is.
+    Written straight from the slot table (see _spread); an entry no
+    nonzero coordinate touches is ZERO, and P is exact when every
+    nonzero coordinate is.
     """
     coords = v.as_tuple()
+    flat = _spread(coords)
+    cells = [flat[f:f + 8] for f in range(0, 128, 8)]
+    entries = [TensorScalar(c) if any(c) else ZERO for c in cells]
     return TensorMatrix(
-        tuple(
-            tuple(ZERO if e is None else TensorScalar(e) for e in r)
-            for r in _cells(coords)
-        ),
+        (entries[i:i + 4] for i in (0, 4, 8, 12)),
         all(is_exact(c) for c in coords if c),
     )
 
@@ -250,8 +241,7 @@ def _extract_exact(p):
     flat = p.flat()
     d = math.lcm(*(c.denominator for c in flat if c))
     z = [c.numerator * (d // c.denominator) if c else 0 for c in flat]
-    want = [0] * 128
-    coords = []
+    sums = []
     for m in COORDS:
         sym = [
             sum(map(z.__getitem__, plus)) - sum(map(z.__getitem__, minus))
@@ -262,18 +252,15 @@ def _extract_exact(p):
                 "inner product is not real: %s"
                 % (TensorScalar([Fraction(x, d) for x in sym]),)
             )
-        s = sym[0] if METRIC[m] > 0 else -sym[0]
-        for i, j, k, sign in _slots(m):
-            want[32 * i + 8 * j + k] = s if sign > 0 else -s
-        coords.append(Fraction(s, 8 * d))
-    got = [8 * x for x in z]
+        sums.append(sym[0] if METRIC[m] > 0 else -sym[0])
+    got, want = [8 * x for x in z], _spread(sums)
     if got != want:
         residual = max(abs(x - y) for x, y in zip(got, want))
         raise ValueError(
             "matrix lies outside the span of the gammas (residual %s)"
             % (Fraction(residual, 8 * d),)
         )
-    return Vector6(*coords)
+    return Vector6(*(Fraction(s, 8 * d) for s in sums))
 
 
 def _eighth(value, exact):
@@ -297,25 +284,6 @@ def inner_product(a, b, tol=SPAN_TOL):
     if not sym.is_real_scalar(0 if exact else tol, sym.max_abs()):
         raise ValueError("inner product is not real: %s" % (sym,))
     return _eighth(sym.scalar_part(), exact)
-
-
-def _residual(p, coords):
-    """(p - build_P(Vector6(*coords))).max_abs(), without building either matrix."""
-    residual = 0
-    for row, cells in zip(p.rows, _cells(coords)):
-        for a, b in zip(row, cells):
-            if b is None:
-                if not a.nonzero:
-                    continue
-                diff = a.coeffs
-            elif a.nonzero:
-                diff = [x - y for x, y in zip(a.coeffs, b)]
-            else:
-                diff = [-y for y in b]
-            d = max(map(abs, diff))
-            if d > residual:
-                residual = d
-    return residual
 
 
 def _refuse_sum_overflow(sums):
@@ -344,9 +312,8 @@ def extract_coords(p, tol=SPAN_TOL):
     finite raises a ValueError naming that overflow, wherever the
     coefficient sits, and so does a finite one whose gather sums
     overflow (tested only once a check has failed).  The residual is
-    read from the slot table instead of building P back and
-    subtracting, and the matrix scale from the flat coefficient list
-    already read.
+    the largest gap between the flat coefficients of p and _spread of
+    the coordinates, so P is never built back.
     """
     if p.is_exact():
         return _extract_exact(p)
@@ -373,7 +340,7 @@ def extract_coords(p, tol=SPAN_TOL):
             raise ValueError("inner product is not real: %s" % (TensorScalar(sym),))
         s = sym[0]
         coords.append(_eighth(s if METRIC[m] > 0 else -s, False))
-    residual = _residual(p, coords)
+    residual = max(map(abs, map(operator.sub, flat, _spread(coords))))
     if not within(residual, tol, max(map(abs, flat))):
         _refuse_sum_overflow(coords)
         raise ValueError(

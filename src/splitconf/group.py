@@ -1,23 +1,23 @@
 """The 23 named steps of the group and their actions.
 
-Every step is a 4x4 element c I + s G, and ``_half_angle`` is the one
-place that maps a step name to (G, c, s).  A plane (a coordinate pair)
-has its gamma product as G, with cos/sin of the half angle when G
-squares to -I (a rotation) and cosh/sinh when it squares to +I (a
+``_resolve`` is the step table: it maps a step name and angle to
+(canonical name, kind, signed angle), and it is the one place that
+refuses a float angle that is not finite or an unknown name.  Every
+route reads it (``realrep.exp_real_generator`` too) and keeps its own
+trigonometry: ``_half_angle`` turns a step into the 4x4 element
+c I + s G, and ``_so6_stack`` into its closed-form 6x6 map (cos/cosh
+of the full angle; planes only).  A
+plane has its gamma product as G, with cos/sin of the half angle when
+G squares to -I (a rotation) and cosh/sinh when it squares to +I (a
 boost).  ax..at and bx..bt have the nilpotent Gamma_p Gamma_m -+
 Gamma_q Gamma_m as G, with c = 1 and s = theta/2 (see ``conformal``).
-An element acts on P by conjugation, a plane step also on X by a
-two-sided 2x2 product, and a word induces a metric-preserving real 6x6
-coordinate map.
+An element acts on P by conjugation and a plane step also on X by a
+two-sided 2x2 product.
 
 The module also carries a bundled reference transcription of all
 fifteen matrices in closed form.  ``appendix_check`` diffs that table
 against recomputation and documents any transcription discrepancy
 instead of failing, so the recomputed matrices stay the ground truth.
-
-``_half_angle`` is also the one place that refuses a float angle that
-is not finite, naming it, so every route (the scalar steps, the batch
-plans, ``generator`` and ``act_on_X``) raises the same error for one.
 
 ``act_on_coords`` is the one batched entry point: it conjugates the
 rows of an (n, 6) float array through ``batch.conjugate``, the
@@ -26,10 +26,10 @@ one at a time.  It owns the routing: which rows go on the kernel,
 grouped by word length and cut into chunks of ``batch.BATCH_SIZE``,
 and ``act_on_vector`` for the rest.  Each row may carry its own word,
 so the sampled words of ``verify_group``, ``verify_conformal`` and
-``so6_matrix`` run as a few batches.  The 6x6 invariance checks
-compose their words as stacked (n, 6, 6) products, bit for bit as
-``compose_so6``.  numpy and ``batch`` are imported by the functions
-that use them, so the scalar step route loads neither.
+``so6_matrix`` run as a few batches.  ``compose_so6`` is the one-word
+case of ``_compose_so6``, the stacked (n, 6, 6) product the 6x6
+invariance checks form.  numpy and ``batch`` are imported by the
+functions that use them, so the scalar step route loads neither.
 """
 
 import functools
@@ -153,27 +153,38 @@ def _nilpotent_generator(kind, m):
     return pm - qm if kind == "a" else pm + qm
 
 
-def _half_angle(step, theta):
-    """(G, c, s) with c I + s G the group element of one named step.
+def _resolve(step, theta):
+    """(canonical name, kind, signed angle) of one named step: the step table.
 
-    A plane (either order) gives its gamma product with cos/sin or
-    cosh/sinh of theta/2.  A name in TRANSLATION_NAMES gives its
-    nilpotent generator with (1, theta/2), theta/2 exact for an exact
-    theta; G @ G == 0 is proved once per generator (cached on the
-    matrix), and a generator that fails it raises ValueError.  A float
-    theta that is not finite raises ValueError naming it.
+    kind is "rotation" or "boost" for a plane (either order; reversing
+    it negates the angle), else "nilpotent".  A float theta that is not
+    finite raises ValueError naming it, before an unknown name does.
     """
     if isinstance(theta, float) and not math.isfinite(theta):
         raise ValueError("angle %s is not finite" % (theta,))
     if step in TRANSLATION_NAMES:
-        gen = _nilpotent_generator(step[0], step[1])
+        return step, "nilpotent", theta
+    name, orient = canonical_plane(step)
+    return name, _plane_data(name)[1], orient * theta
+
+
+def _half_angle(step, theta):
+    """(G, c, s) with c I + s G the group element of one named step.
+
+    A plane gives its gamma product with cos/sin or cosh/sinh of half
+    the signed angle.  A nilpotent name gives its generator with
+    (1, theta/2), theta/2 exact for an exact theta; G @ G == 0 is
+    proved once per generator (cached on the matrix), and a generator
+    that fails it raises ValueError.
+    """
+    name, kind, theta = _resolve(step, theta)
+    if kind == "nilpotent":
+        gen = _nilpotent_generator(name[0], name[1])
         if not gen.squares_to_zero():
             raise ValueError("generator must square to zero exactly")
         return gen, 1, exact_div(theta, 2)
-    name, orient = canonical_plane(step)
-    gp, kind, _, _ = _plane_data(name)
-    c, s = _sincosh(exact_div(orient * theta, 2), kind == "boost")
-    return gp, c, s
+    c, s = _sincosh(exact_div(theta, 2), kind == "boost")
+    return _plane_data(name)[0], c, s
 
 
 def generator(step, theta):
@@ -321,8 +332,10 @@ def _so6_stack(steps):
     for n, step in enumerate(steps):
         if step is None:
             continue
-        name, orient = canonical_plane(step[0])
-        c, s = _sincosh(orient * step[1], _plane_data(name)[1] == "boost")
+        name, kind, theta = _resolve(*step)
+        if kind == "nilpotent":
+            raise ValueError("so6_step takes a plane, not the nilpotent step %r" % (name,))
+        c, s = _sincosh(theta, kind == "boost")
         a, b = COORDS.index(name[0]), COORDS.index(name[1])
         rows += (n, n, n, n)
         cols += (7 * a, 6 * a + b, 7 * b, 6 * b + a)
@@ -332,11 +345,24 @@ def _so6_stack(steps):
     return r
 
 
+def _compose_so6(words):
+    """compose_so6 of each word as an (n, 6, 6) array, step k of every word
+    in one _so6_stack.  A shorter word starts with identity steps, and
+    I @ I is I exactly, so each product is the one its word alone forms."""
+    depth = max(map(len, words), default=0)
+    padded = [[None] * (depth - len(w)) + list(w) for w in words]
+    r = _so6_stack([None] * len(words))
+    for k in range(depth):
+        r = _so6_stack([w[k] for w in padded]) @ r
+    return r
+
+
 def so6_step(plane, theta):
     """Closed-form 6x6 matrix of a single plane transformation.
 
     Equals so6_matrix([(plane, theta)]); kept separate so long words
-    can be composed without rebuilding the conjugation each time.
+    can be composed without rebuilding the conjugation each time.  A
+    nilpotent step name raises ValueError naming it.
     """
     return _so6_stack([(plane, theta)])[0]
 
@@ -412,29 +438,15 @@ def _random_word(rng, max_len, angle_span):
 
 def compose_so6(word):
     """Product of single-step 6x6 matrices, later steps applied on the left."""
-    import numpy as np
-    r = np.eye(6)
-    for plane, theta in word:
-        r = so6_step(plane, theta) @ r
-    return r
+    return _compose_so6([word])[0]
 
 
 def _invariance_devs(words):
-    """(max |R^T G R - G|, det R) for R = compose_so6(word), one pair per word.
-
-    R is formed for all the words at once as an (n, 6, 6) stack, step k
-    of every word in one _so6_stack, with the same so6_step factors in
-    the same order.  A shorter word starts with identity steps: I @ I
-    is I exactly, so every product is one compose_so6 forms, and the
-    stacked matmul and det give the 2-D results bit for bit.
-    """
+    """(max |R^T G R - G|, det R) for R = compose_so6(word), one pair per
+    word, all formed at once by _compose_so6."""
     import numpy as np
     g6 = metric6()
-    depth = max(map(len, words), default=0)
-    padded = [[None] * (depth - len(w)) + list(w) for w in words]
-    r = _so6_stack([None] * len(words))
-    for k in range(depth):
-        r = _so6_stack([w[k] for w in padded]) @ r
+    r = _compose_so6(words)
     gram = np.abs(r.transpose(0, 2, 1) @ g6 @ r - g6).max(axis=(1, 2))
     return list(zip(gram.tolist(), np.linalg.det(r).tolist()))
 

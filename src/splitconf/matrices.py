@@ -370,7 +370,8 @@ def quadratic_form(x):
     Raises ValueError when the product is not a real scalar multiple of
     the identity: exactly for an exact x, else to within SPAN_TOL
     relative to the product's scale.  A float x with a coefficient that
-    is not finite raises a ValueError naming it (see _refuse_overflow).
+    is not finite raises a ValueError naming it (see _refuse_overflow),
+    and so does a refused product that overflowed on finite input.
     """
     if x.n != 2:
         raise ValueError("expected a 2x2 matrix")
@@ -381,7 +382,9 @@ def quadratic_form(x):
     tol, scale = (0, 0) if exact else (SPAN_TOL, prod.max_abs())
     (s, b), (c, d) = prod.rows
     if not s.is_real_scalar(tol, scale):
+        _refuse_overflow(prod.flat())
         raise ValueError("product is not a real scalar: %s" % (s,))
     if not all(e.approx_eq(t, tol, scale) for e, t in ((b, ZERO), (c, ZERO), (d, s))):
+        _refuse_overflow(prod.flat())
         raise ValueError("product is not a multiple of the identity")
     return s.scalar_part()

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import BASIS, CHECK_TOL, H_UNITS, TensorScalar, terms
 from .clifford import COORDS, METRIC, gamma
-from .group import PLANES, canonical_plane, generator
+from .group import PLANES, _resolve, generator
 from .matrices import TensorMatrix
 from .report import Report
 
@@ -169,9 +169,11 @@ def exp_real(g, theta):
 
 
 def exp_real_generator(plane, theta):
-    """The real image of generator(plane, theta)."""
-    name, orient = canonical_plane(plane)
-    return exp_real(real_generator_matrix(name), orient * theta / 2)
+    """The real image of generator(plane, theta), for a plane step only."""
+    name, kind, theta = _resolve(plane, theta)
+    if kind == "nilpotent":
+        raise ValueError("unknown plane %r" % (name,))
+    return exp_real(real_generator_matrix(name), theta / 2)
 
 
 def _split_content_in_1L(m):

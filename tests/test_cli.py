@@ -138,6 +138,21 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "error: samples must be at most %d\n" % cli.MAX_SAMPLES
 
+    @pytest.mark.parametrize(
+        "option", ["--tolerance=1e-9", "--seed=3", "--samples=2000000"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["transform", "--point", "0,0,0,0", "--word", "ax:1"], ["show", "gamma", "x"]],
+    )
+    def test_only_verify_takes_the_suite_options(self, capsys, argv, option):
+        # transform and show draw no samples and bound no check, so they
+        # refuse the three options instead of validating and ignoring them.
+        code, out, err = run(argv + [option], capsys)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: %s" % option in err
+
     def test_default_json_is_byte_identical(self, default_verify_json):
         # The byte-identity gate for refactors: the md5 of the default
         # `splitconf verify --format json` output.  A change that alters

@@ -34,6 +34,7 @@ from splitconf.group import (
     verify_properties,
 )
 from splitconf.matrices import TensorMatrix, exp_pair, quadratic_form
+from splitconf.realrep import exp_real_generator
 
 angles = st.floats(-1.2, 1.2, allow_nan=False, allow_infinity=False)
 
@@ -257,7 +258,8 @@ class TestCoordinateAction:
 
     def test_stacked_invariance_devs_equal_the_word_loop(self):
         # The stacked (n, 6, 6) route of invariance[metric]/[det] against
-        # one compose_so6 per word, bit for bit, empty words included.
+        # a 2-D loop of so6_step products per word, bit for bit, empty
+        # words included.
         rng = random.Random(5)
         g = metric6()
         for span in (0.6, 3.0):
@@ -269,7 +271,9 @@ class TestCoordinateAction:
             assert [] in words
             want = []
             for word in words:
-                r = compose_so6(word)
+                r = np.eye(6)
+                for plane, theta in word:
+                    r = so6_step(plane, theta) @ r
                 want.append((float(np.max(np.abs(r.T @ g @ r - g))),
                              float(np.linalg.det(r))))
             got = _invariance_devs(words)
@@ -331,6 +335,9 @@ ROUTES = {
     "act_on_X": _x_route,
     "act_on_coords": _coords_route,
     "step_vector": lambda s, t: step_vector(s, t, Vector6(x=1.0, p=1.0)),
+    "so6_step": so6_step,
+    "compose_so6": lambda s, t: compose_so6([("xy", 0.3), (s, t)]),
+    "exp_real_generator": exp_real_generator,
 }
 
 
@@ -338,9 +345,16 @@ ROUTES = {
 @pytest.mark.parametrize("step", ["xy", "tz", "ax", "bt"])
 @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
 def test_every_route_names_a_non_finite_angle(route, step, theta):
-    # act_on_X takes planes only, but the angle is refused before the name.
+    # act_on_X, so6_step, compose_so6 and exp_real_generator take planes
+    # only, but the angle is refused before the name.
     with pytest.raises(ValueError, match="^angle %s is not finite$" % theta):
         ROUTES[route](step, theta)
+
+
+@pytest.mark.parametrize("step", TRANSLATION_NAMES)
+def test_so6_step_names_a_nilpotent_step(step):
+    with pytest.raises(ValueError, match="nilpotent step '%s'" % step):
+        so6_step(step, 0.5)
 
 
 class TestSpanValidation:

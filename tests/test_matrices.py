@@ -429,6 +429,13 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match="coefficient %s is not finite" % bad):
             quadratic_form(build_X(Vector6(x=bad, y=1.0)))
 
+    @pytest.mark.parametrize("v", [Vector6(x=1e200), Vector6(x=1e200, t=1e200)])
+    def test_an_overflowing_product_of_finite_input_is_named(self, v):
+        # The product's entries are inf, and inf - inf is nan; either
+        # refusal branch names that, not the shape of the product.
+        with pytest.raises(ValueError, match="coefficient (inf|nan) is not finite"):
+            quadratic_form(build_X(v))
+
     @given(st.integers(-3, 3), st.integers(-3, 3))
     def test_scalar_matrices(self, a, b):
         x = diag2(ONE * a, ONE * a)
