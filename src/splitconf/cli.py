@@ -311,14 +311,6 @@ def _show_real(arr, config, out):
             out.write(" ".join("%6s" % _num(v) for v in row) + "\n")
 
 
-def _exp_real_generator(plane, angle):
-    """realrep.exp_real_generator, with numpy overflow raised, not warned."""
-    import numpy as np
-    from .realrep import exp_real_generator
-    with np.errstate(over="raise", invalid="raise"):
-        return exp_real_generator(plane, angle)
-
-
 def cmd_show(args, config, out):
     kind, ident = args.object, args.id
     if kind in ("sigma", "gamma", "real-gamma"):
@@ -345,12 +337,13 @@ def cmd_show(args, config, out):
                     "unknown plane %r (real-generator takes the fifteen planes only:"
                     " it exponentiates a plane's closed Kronecker form)" % (ident,)
                 )
-            make, show = _exp_real_generator, _show_real
+            from .realrep import exp_real_generator
+            make, show = exp_real_generator, _show_real
         if not math.isfinite(args.angle):
             raise UsageError("--angle must be finite")
         try:
             mat = make(ident, args.angle)
-        except (OverflowError, FloatingPointError):
+        except OverflowError:
             raise UsageError(
                 "--angle %s overflows the matrix entries" % _num(args.angle)
             )

@@ -26,14 +26,13 @@ exact sums need no order.
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
     _MUL, ELL, K, KL, L, ONE, SPAN_TOL, TensorScalar, ZERO, exact_div, is_exact, within,
 )
 from .matrices import TensorMatrix, _refuse_overflow, trace_product
-from .report import Report
+from .report import Report, Value
 
 __all__ = [
     "COORDS",
@@ -78,26 +77,21 @@ def gamma(m):
     return TensorMatrix.from_blocks(z2, s, s.trace_reversed(), z2)
 
 
-@dataclass(frozen=True, slots=True)
-class Vector6:
+class Vector6(Value):
     """Coordinates of a Clifford vector, in the fixed (x,y,z,t,p,q) order."""
 
-    x: float = 0
-    y: float = 0
-    z: float = 0
-    t: float = 0
-    p: float = 0
-    q: float = 0
+    __slots__ = COORDS
+
+    def __init__(self, x=0, y=0, z=0, t=0, p=0, q=0):
+        put = object.__setattr__
+        put(self, "x", x), put(self, "y", y), put(self, "z", z)
+        put(self, "t", t), put(self, "p", p), put(self, "q", q)
 
     def as_tuple(self):
         return (self.x, self.y, self.z, self.t, self.p, self.q)
 
     def component(self, m):
         return getattr(self, m)
-
-    @classmethod
-    def from_mapping(cls, d):
-        return cls(**{m: d.get(m, 0) for m in COORDS})
 
     @classmethod
     def basis(cls, m):

@@ -20,7 +20,6 @@ with the recomputed polynomial, never adopted.
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CHART_TOL, CHECK_TOL, SPAN_TOL, exact_div, is_exact, within
@@ -33,7 +32,7 @@ from .group import (
     act_on_vector,
     so6_step,
 )
-from .report import Report
+from .report import Report, Value
 
 __all__ = [
     "MinkowskiPoint",
@@ -61,12 +60,12 @@ __all__ = [
 POINT_COORDS = ("t", "x", "y", "z")
 
 
-@dataclass(frozen=True)
-class MinkowskiPoint:
-    t: object = 0
-    x: object = 0
-    y: object = 0
-    z: object = 0
+class MinkowskiPoint(Value):
+    __slots__ = POINT_COORDS
+
+    def __init__(self, t=0, x=0, y=0, z=0):
+        put = object.__setattr__
+        put(self, "t", t), put(self, "x", x), put(self, "y", y), put(self, "z", z)
 
     def as_tuple(self):
         return (self.t, self.x, self.y, self.z)
@@ -128,8 +127,7 @@ def _pq_negligible(v):
     return within(s, CHART_TOL, v.max_abs())
 
 
-@dataclass(frozen=True)
-class NullVector:
+class NullVector(Value):
     """A six-vector with zero metric square and p + q != 0.
 
     The form is held to SPAN_TOL relative to the squared coordinate
@@ -138,10 +136,9 @@ class NullVector:
     overflow) is rejected by name.
     """
 
-    v: Vector6
+    __slots__ = ("v",)
 
-    def __post_init__(self):
-        v = self.v
+    def __init__(self, v):
         form = metric_form(v)
         if v.is_exact():
             if form != 0:
@@ -154,9 +151,7 @@ class NullVector:
                 raise ValueError("metric square %r beyond tolerance" % (form,))
         if _pq_negligible(v):
             raise ValueError("p + q = 0: no finite point coordinates")
-
-    def as_point(self):
-        return q_from_p(self)
+        object.__setattr__(self, "v", v)
 
 
 def minkowski_norm2(pt):

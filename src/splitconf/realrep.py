@@ -157,15 +157,22 @@ _I16 = np.eye(16, dtype=np.int64)
 
 
 def exp_real(g, theta):
-    """cos/cosh closed form of exp(g theta) for g squaring to -I or +I."""
+    """cos/cosh closed form of exp(g theta) for g squaring to -I or +I.
+
+    An entry that overflows raises OverflowError, with no numpy warning.
+    """
     sq = g @ g
-    if np.array_equal(sq, _I16):
-        c, s = np.cosh(theta), np.sinh(theta)
-    elif np.array_equal(sq, -_I16):
-        c, s = np.cos(theta), np.sin(theta)
-    else:
-        raise AssertionError("square is not +I or -I")
-    return c * np.eye(16) + s * g.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.array_equal(sq, _I16):
+            c, s = np.cosh(theta), np.sinh(theta)
+        elif np.array_equal(sq, -_I16):
+            c, s = np.cos(theta), np.sin(theta)
+        else:
+            raise AssertionError("square is not +I or -I")
+        out = c * np.eye(16) + s * g.astype(np.float64)
+    if not np.isfinite(out).all():
+        raise OverflowError("exp(g theta) at theta = %r is not finite" % (theta,))
+    return out
 
 
 def exp_real_generator(plane, theta):

@@ -5,9 +5,12 @@ one of three statuses, and expected/actual strings for diagnostics.
 "discrepancy-documented" marks a spot where a bundled reference table
 disagrees with recomputation; it is informational and never fails a
 run.
-"""
 
-from dataclasses import dataclass, field
+``Value`` is the base of the package's value classes (``Check`` here,
+``Vector6``, ``MinkowskiPoint``, ``NullVector``): plain classes that list
+their fields in ``__slots__``, with ``==``, ``hash``, ``repr`` and
+immutability built from those, so the import loads no ``dataclasses``.
+"""
 
 __all__ = [
     "STATUS_PASS",
@@ -22,29 +25,53 @@ STATUS_FAIL = "fail"
 STATUS_DISCREPANCY = "discrepancy-documented"
 
 
-@dataclass(frozen=True)
-class Check:
-    check_id: str
-    status: str
-    expected: str
-    actual: str
-    context: str = ""
+class Value:
+    """Fields in __slots__: equal within a class, hashable, immutable."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ("%s=%r" % pair for pair in zip(self.__slots__, self._fields()))
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(fields))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to or delete field %r" % (name,))
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Check(Value):
+    __slots__ = ("check_id", "status", "expected", "actual", "context")
+
+    def __init__(self, check_id, status, expected, actual, context=""):
+        put = object.__setattr__
+        put(self, "check_id", check_id), put(self, "status", status)
+        put(self, "expected", expected), put(self, "actual", actual)
+        put(self, "context", context)
 
     def to_dict(self):
-        return {
-            "check_id": self.check_id,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "context": self.context,
-        }
+        return dict(zip(self.__slots__, self._fields()))
 
 
-@dataclass
 class Report:
-    suite: str
-    config: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
+    def __init__(self, suite, config=None, checks=None):
+        self.suite = suite
+        self.config = {} if config is None else config
+        self.checks = [] if checks is None else checks
 
     def add(self, check_id, ok, expected, actual, context=""):
         """Record a pass/fail check."""

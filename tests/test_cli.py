@@ -457,6 +457,13 @@ class TestShowCommand:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("plane, angle", [("tx", "1500"), ("tz", "1420.6")])
+    def test_an_overflowing_real_generator_names_its_angle(self, capsys, plane, angle):
+        # realrep raises OverflowError itself, without a numpy warning.
+        code, out, err = run(["show", "real-generator", plane, "--angle", angle], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --angle %s overflows the matrix entries\n" % angle
+
 
 class TestEntryPoint:
     def test_no_arguments_is_a_usage_error(self, capsys):
@@ -518,7 +525,7 @@ class TestEntryPoint:
         assert done.returncode == 0, done.stderr
         return done.stdout
 
-    @pytest.mark.parametrize(
+    BODIES = pytest.mark.parametrize(
         "body",
         [
             "import splitconf\n",
@@ -531,13 +538,26 @@ class TestEntryPoint:
         ],
         ids=["package", "cli", "transform"],
     )
+
+    def loaded(self, body, names):
+        """The printed list of those names that body leaves in sys.modules."""
+        script = "import sys\n%sprint([m for m in %r if m in sys.modules])\n" % (
+            body, names,
+        )
+        return self.run_script(script)
+
+    @BODIES
     def test_numpy_stays_off_the_import_path(self, body):
         # numpy is most of a fresh process's import time, and the exact
         # 4x4 route of transform needs neither it, realrep nor batch.
-        script = "import sys\n%sprint([m for m in %r if m in sys.modules])\n" % (
-            body, self.LAZY,
-        )
-        assert self.run_script(script) == "[]\n"
+        assert self.loaded(body, self.LAZY) == "[]\n"
+
+    @BODIES
+    def test_dataclasses_stays_off_the_import_path(self, body):
+        # The value classes are plain slotted classes: the stdlib
+        # dataclasses module, with the inspect it loads, and the methods
+        # it generated were most of the import time with bytecode cached.
+        assert self.loaded(body, ("dataclasses", "inspect")) == "[]\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -513,8 +513,8 @@ class TestVector6:
             assert sum(abs(c) for c in v.as_tuple()) == 1
 
     @given(exact_vectors)
-    def test_mapping_round_trip(self, v):
-        assert Vector6.from_mapping({m: v.component(m) for m in COORDS}) == v
+    def test_keyword_round_trip(self, v):
+        assert Vector6(**{m: v.component(m) for m in COORDS}) == v
 
     def test_exactness_predicate(self):
         assert Vector6(x=1, t=Fraction(1, 3)).is_exact()

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -124,6 +125,25 @@ class TestChartTest:
         assert q_or_infinity(Vector6(x=1.0, p=0.5, q=0.5)) == MinkowskiPoint(x=1.0)
         assert q_or_infinity(Vector6(x=1, p=1, q=-1)) is AT_INFINITY
         assert q_or_infinity(Vector6(x=1.0, p=1e-20, q=0.0)) is AT_INFINITY
+
+    @staticmethod
+    def null_at(share):
+        """A float null vector of scale 1e3 whose p + q is share of that scale."""
+        p, q = 1e3, share * 1e3 - 1e3
+        return Vector6(x=math.sqrt((p - q) * (p + q)), p=p, q=q)
+
+    def test_the_chart_edge_is_chart_tol_of_the_scale(self):
+        # CHART_TOL is 1e-12 of the scale: 1e-9 of it is a finite point,
+        # 1e-13 of it is at infinity, on the scalar and the array tests.
+        finite, far = self.null_at(1e-9), self.null_at(1e-13)
+        assert NullVector(finite).v == finite
+        assert q_or_infinity(finite) == MinkowskiPoint(x=finite.x / (finite.p + finite.q))
+        with pytest.raises(ValueError, match="p \\+ q = 0"):
+            NullVector(far)
+        assert q_or_infinity(far) is AT_INFINITY
+        rows, inside = conformal._null_rows(np.array([finite.as_tuple(), far.as_tuple()]), True)
+        assert inside.tolist() == [True, False]
+        assert rows.tolist() == [list(finite.as_tuple())]
 
 
 class TestTranslations:

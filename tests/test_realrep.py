@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +142,16 @@ class TestGeneratorImages:
         got = exp_real_generator(name, theta)
         want = realify_matrix(generator(name, theta))
         assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("name, theta", [("tx", 1500.0), ("tx", -1500.0), ("tz", 1420.6)])
+    def test_an_overflowing_angle_raises_without_a_warning(self, name, theta):
+        # At +-1500 cosh overflows, as generator and so6_step refuse; at
+        # 1420.6 cosh and sinh are finite but tz's diagonal c + s is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                exp_real_generator(name, theta)
+            assert np.isfinite(exp_real_generator(name, 1419.0)).all()
 
     def test_exp_rejects_a_non_involutory_generator(self):
         with pytest.raises(AssertionError):
