@@ -69,7 +69,7 @@ __version__ = "1.0.0"
 # Served by __getattr__, so that importing the package loads neither
 # realrep nor numpy.
 _REALREP_NAMES = (
-    "real_gamma", "real_generators", "realify_matrix", "realify_scalar",
+    "real_gamma", "realify_matrix", "realify_scalar",
     "restrict_so31_second", "verify_realrep",
 )
 
@@ -128,7 +128,6 @@ __all__ = [
     "exp_nilpotent",
     "quadratic_form",
     "real_gamma",
-    "real_generators",
     "realify_matrix",
     "realify_scalar",
     "restrict_so31_second",

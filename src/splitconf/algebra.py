@@ -196,10 +196,6 @@ class TensorScalar:
         self.nonzero = any(coeffs)
 
     @classmethod
-    def from_real(cls, x):
-        return cls((x, 0, 0, 0, 0, 0, 0, 0))
-
-    @classmethod
     def unit(cls, name):
         """The basis element named by one of the BASIS labels."""
         idx = BASIS.index(name)
@@ -255,9 +251,6 @@ class TensorScalar:
     def max_abs(self):
         return max(abs(c) for c in self.coeffs)
 
-    def is_zero(self):
-        return not self.nonzero
-
     def is_real_scalar(self, tol=0, scale=0):
         """True when every coefficient except the one on 1 is within(c, tol, scale)."""
         return all(within(c, tol, scale) for c in self.coeffs[1:])
@@ -265,26 +258,6 @@ class TensorScalar:
     def approx_eq(self, other, tol, scale=0):
         a, b = self.coeffs, other.coeffs
         return all(within(a[i] - b[i], tol, scale) for i in range(8))
-
-    def to_dict(self):
-        """JSON-friendly mapping over the BASIS labels."""
-        out = {}
-        for name, c in zip(BASIS, self.coeffs):
-            if isinstance(c, Fraction):
-                out[name] = str(c)
-            else:
-                out[name] = c
-        return out
-
-    @classmethod
-    def from_dict(cls, d):
-        coeffs = []
-        for name in BASIS:
-            v = d.get(name, 0)
-            if isinstance(v, str):
-                v = Fraction(v)
-            coeffs.append(v)
-        return cls(coeffs)
 
     def __eq__(self, other):
         if isinstance(other, TensorScalar):

@@ -36,17 +36,16 @@ from .group import (
     verify_group,
     verify_properties,
 )
-from .report import Report
 
-__all__ = ["Report", "RunConfig", "SUITES", "MAX_SAMPLES", "main"]
+__all__ = ["RunConfig", "UsageError", "SUITES", "MAX_SAMPLES", "main"]
 
-FORMATS = ("json", "text", "csv")
+_FORMATS = ("json", "text", "csv")
 
 # Largest --samples accepted; the suites' run time grows linearly with it.
 MAX_SAMPLES = 1_000_000
 
 
-def verify_realrep(config=None):
+def _verify_realrep(config=None):
     """realrep.verify_realrep, imported on first use."""
     from .realrep import verify_realrep
     return verify_realrep(config)
@@ -57,7 +56,7 @@ SUITES = (
     ("properties", verify_properties),
     ("group", verify_group),
     ("conformal", verify_conformal),
-    ("realrep", verify_realrep),
+    ("realrep", _verify_realrep),
     ("appendix", appendix_check),
 )
 
@@ -76,7 +75,7 @@ class RunConfig:
             raise UsageError("samples must be at least 1")
         if samples > MAX_SAMPLES:
             raise UsageError("samples must be at most %d" % MAX_SAMPLES)
-        if fmt not in FORMATS:
+        if fmt not in _FORMATS:
             raise UsageError("unknown format %r" % (fmt,))
         self.tolerance = tolerance
         self.seed = seed
@@ -138,7 +137,7 @@ def _render_reports_csv(reports, out):
             )
 
 
-def cmd_verify(args, config, out):
+def _cmd_verify(args, config, out):
     if args.suites in (None, "", "all"):
         wanted = [name for name, _ in SUITES]
     else:
@@ -229,7 +228,7 @@ def _state_text(state):
     return "vector (x, y, z, t, p, q) = (%s)" % coords
 
 
-def cmd_transform(args, config, out):
+def _cmd_transform(args, config, out):
     word = _parse_word(args.word)
     parsed = _parse_point(args.point)
     as_point = isinstance(parsed, MinkowskiPoint)
@@ -311,7 +310,7 @@ def _show_real(arr, config, out):
             out.write(" ".join("%6s" % _num(v) for v in row) + "\n")
 
 
-def cmd_show(args, config, out):
+def _cmd_show(args, config, out):
     kind, ident = args.object, args.id
     if kind in ("sigma", "gamma", "real-gamma"):
         if ident not in COORDS:
@@ -353,14 +352,14 @@ def cmd_show(args, config, out):
 
 
 # The options only the verify suites read; RunConfig holds their defaults.
-SUITE_OPTIONS = {"tolerance": float, "seed": int, "samples": int}
+_SUITE_OPTIONS = {"tolerance": float, "seed": int, "samples": int}
 
 
 def _add_format(p):
-    p.add_argument("--format", choices=FORMATS, default=None)
+    p.add_argument("--format", choices=_FORMATS, default=None)
 
 
-def build_parser():
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="splitconf",
         description="Verify and explore the bundled matrix structure.",
@@ -375,7 +374,7 @@ def build_parser():
         % ", ".join(name for name, _ in SUITES),
     )
     _add_format(p_verify)
-    for name, kind in SUITE_OPTIONS.items():
+    for name, kind in _SUITE_OPTIONS.items():
         p_verify.add_argument("--" + name, type=kind, default=argparse.SUPPRESS)
 
     p_transform = sub.add_parser("transform", help="apply a generator word")
@@ -406,7 +405,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -417,12 +416,12 @@ def main(argv=None):
         fmt = os.environ.get("SPLITCONF_FORMAT") or "text"
     try:
         config = RunConfig(
-            fmt=fmt, **{k: v for k, v in vars(args).items() if k in SUITE_OPTIONS}
+            fmt=fmt, **{k: v for k, v in vars(args).items() if k in _SUITE_OPTIONS}
         )
         handler = {
-            "verify": cmd_verify,
-            "transform": cmd_transform,
-            "show": cmd_show,
+            "verify": _cmd_verify,
+            "transform": _cmd_transform,
+            "show": _cmd_show,
         }[args.command]
         return handler(args, config, sys.stdout)
     except UsageError as exc:

@@ -102,10 +102,6 @@ class Vector6(Value):
     def scale(self, lam):
         return Vector6(*(lam * c for c in self.as_tuple()))
 
-    def approx_eq(self, other, tol):
-        a, b = self.as_tuple(), other.as_tuple()
-        return all(within(a[i] - b[i], tol) for i in range(6))
-
     def max_abs(self):
         return max(abs(c) for c in self.as_tuple())
 

@@ -73,9 +73,6 @@ class MinkowskiPoint(Value):
     def component(self, m):
         return getattr(self, m)
 
-    def max_abs(self):
-        return max(abs(c) for c in self.as_tuple())
-
     def approx_eq(self, other, tol):
         return all(within(a - b, tol) for a, b in zip(self.as_tuple(), other.as_tuple()))
 
@@ -100,12 +97,6 @@ class PointAtInfinity:
 
     def __repr__(self):
         return "at-infinity"
-
-    def __eq__(self, other):
-        return isinstance(other, PointAtInfinity)
-
-    def __hash__(self):
-        return hash(PointAtInfinity)
 
 
 AT_INFINITY = PointAtInfinity()

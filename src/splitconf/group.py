@@ -2,17 +2,17 @@
 
 ``_resolve`` is the step table: it maps a step name and angle to
 (canonical name, kind, signed angle), and it is the one place that
-refuses a float angle that is not finite or an unknown name.  Every
-route reads it (``realrep.exp_real_generator`` too) and keeps its own
-trigonometry: ``_half_angle`` turns a step into the 4x4 element
-c I + s G, and ``_so6_stack`` into its closed-form 6x6 map (cos/cosh
-of the full angle; planes only).  A
-plane has its gamma product as G, with cos/sin of the half angle when
-G squares to -I (a rotation) and cosh/sinh when it squares to +I (a
-boost).  ax..at and bx..bt have the nilpotent Gamma_p Gamma_m -+
-Gamma_q Gamma_m as G, with c = 1 and s = theta/2 (see ``conformal``).
-An element acts on P by conjugation and a plane step also on X by a
-two-sided 2x2 product.
+refuses a float angle that is not finite, a boost angle whose
+full-angle cosh overflows, or an unknown name.  Every route reads it
+(``realrep.exp_real_generator`` too) and keeps its own trigonometry:
+``_half_angle`` turns a step into the 4x4 element c I + s G, and
+``_so6_stack`` into its closed-form 6x6 map (cos/cosh of the full
+angle; planes only).  A plane has its gamma product as G, with cos/sin
+of the half angle when G squares to -I (a rotation) and cosh/sinh when
+it squares to +I (a boost).  ax..at and bx..bt have the nilpotent
+Gamma_p Gamma_m -+ Gamma_q Gamma_m as G, with c = 1 and s = theta/2
+(see ``conformal``).  An element acts on P by conjugation, and on X by
+a two-sided 2x2 product of the diagonal blocks of G.
 
 The module also carries a bundled reference transcription of all
 fifteen matrices in closed form.  ``appendix_check`` diffs that table
@@ -35,6 +35,7 @@ functions that use them, so the scalar step route loads neither.
 import functools
 import math
 import random
+import sys
 
 from .algebra import CHECK_TOL, ONE, SPAN_TOL, UNIT, exact_div
 from .clifford import (
@@ -62,6 +63,7 @@ __all__ = [
     "act_on_coords",
     "so6_matrix",
     "so6_step",
+    "compose_so6",
     "metric6",
     "project_vector",
     "pi_project",
@@ -121,20 +123,15 @@ def canonical_plane(plane):
 
 @functools.cache
 def _plane_data(name):
-    """(gamma product, kind, upper 2x2 block, lower 2x2 block) for a canonical name."""
+    """(gamma product, kind) for a canonical name."""
     gp = gamma(name[0]) @ gamma(name[1])
     sq = gp @ gp
     ident = TensorMatrix.identity(4)
     if sq == ident:
-        kind = "boost"
-    elif sq == -ident:
-        kind = "rotation"
-    else:
-        raise AssertionError("gamma product square is not +I or -I")
-    tl, tr, bl, br = gp.blocks()
-    if not (tr.is_zero() and bl.is_zero()):
-        raise AssertionError("gamma product is not block diagonal")
-    return gp, kind, tl, br
+        return gp, "boost"
+    if sq == -ident:
+        return gp, "rotation"
+    raise AssertionError("gamma product square is not +I or -I")
 
 
 def plane_kind(plane):
@@ -153,19 +150,30 @@ def _nilpotent_generator(kind, m):
     return pm - qm if kind == "a" else pm + qm
 
 
+# The largest boost angle: so6_step's cosh of the full angle is finite up to it.
+_BOOST_LIMIT = math.acosh(sys.float_info.max)
+
+
 def _resolve(step, theta):
     """(canonical name, kind, signed angle) of one named step: the step table.
 
     kind is "rotation" or "boost" for a plane (either order; reversing
     it negates the angle), else "nilpotent".  A float theta that is not
-    finite raises ValueError naming it, before an unknown name does.
+    finite raises ValueError naming it, before an unknown name does.  A
+    boost angle beyond _BOOST_LIMIT raises OverflowError naming it.
     """
     if isinstance(theta, float) and not math.isfinite(theta):
         raise ValueError("angle %s is not finite" % (theta,))
     if step in TRANSLATION_NAMES:
         return step, "nilpotent", theta
     name, orient = canonical_plane(step)
-    return name, _plane_data(name)[1], orient * theta
+    kind = _plane_data(name)[1]
+    if kind == "boost" and abs(theta) > _BOOST_LIMIT:
+        raise OverflowError(
+            "boost angle %s of %r is beyond %r, the largest whose cosh is finite"
+            % (theta, step, _BOOST_LIMIT)
+        )
+    return name, kind, orient * theta
 
 
 def _half_angle(step, theta):
@@ -197,10 +205,12 @@ def generator(step, theta):
     return exp_pair(*_half_angle(step, theta))[0]
 
 
-def _step_factors(plane, theta):
-    """The (left, right) 2x2 factors of one conjugation step on X."""
-    _, c, s = _half_angle(plane, theta)
-    _, _, tl, br = _plane_data(canonical_plane(plane)[0])
+def _step_factors(step, theta):
+    """The (left, right) 2x2 factors of one step on X: diagonal blocks of c I +- s G."""
+    gen, c, s = _half_angle(step, theta)
+    tl, tr, bl, br = gen.blocks()
+    if not (tr.is_zero() and bl.is_zero()):
+        raise AssertionError("generator is not block diagonal")
     return exp_pair(tl, c, s)[0], exp_pair(br, c, s)[1]
 
 
@@ -230,15 +240,15 @@ def act_on_P(word, p):
 
 
 def act_on_X(word, x):
-    """The equivalent 2x2 action: one two-sided product per plane step.
+    """The equivalent 2x2 action: one two-sided product per step, any of the 23.
 
     Hermiticity with respect to the complex unit is checked on the
     result, exactly for an exact result, else to SPAN_TOL relative to
     the matrix scale; losing it raises ValueError.  A float result with
     a coefficient that is not finite raises a ValueError naming it.
     """
-    for plane, theta in word:
-        left, right = _step_factors(plane, theta)
+    for step, theta in word:
+        left, right = _step_factors(step, theta)
         x = (left @ x) @ right
     exact = x.is_exact()
     if not exact:

@@ -26,9 +26,8 @@ exponentiated on every step is squared only once.
 """
 
 import math
-from fractions import Fraction
 
-from .algebra import ONE, SPAN_TOL, TensorScalar, ZERO, is_exact, mul_terms, terms, within
+from .algebra import ONE, SPAN_TOL, TensorScalar, ZERO, is_exact, mul_terms, terms
 
 __all__ = [
     "TensorMatrix",
@@ -126,10 +125,6 @@ class TensorMatrix:
         br = TensorMatrix(tuple(r[h:] for r in self.rows[h:]))
         return tl, tr, bl, br
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __add__(self, other):
         if not isinstance(other, TensorMatrix):
             return NotImplemented
@@ -190,14 +185,6 @@ class TensorMatrix:
             tuple(tuple(a * s if a.nonzero else a for a in r) for r in self.rows)
         )
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def transpose(self):
-        return TensorMatrix(tuple(zip(*self.rows)))
-
     def bar(self):
         """Entrywise complex conjugation (l -> -l)."""
         return TensorMatrix(tuple(tuple(a.bar() for a in r) for r in self.rows))
@@ -210,10 +197,6 @@ class TensorMatrix:
                 if not self.rows[i][j].approx_eq(self.rows[j][i].bar(), tol, scale):
                     return False
         return True
-
-    def star(self):
-        """Entrywise split-quaternion conjugation (K, KL, L negated)."""
-        return TensorMatrix(tuple(tuple(a.star() for a in r) for r in self.rows))
 
     def trace(self):
         t = ZERO
@@ -245,18 +228,6 @@ class TensorMatrix:
                 if v > m:
                     m = v
         return m
-
-    def approx_eq(self, other, tol):
-        return within((self - other).max_abs(), tol)
-
-    def to_dict(self):
-        return [[a.to_dict() for a in r] for r in self.rows]
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            tuple(tuple(TensorScalar.from_dict(d) for d in r) for r in data)
-        )
 
     def __eq__(self, other):
         if not isinstance(other, TensorMatrix):

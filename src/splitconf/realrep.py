@@ -39,7 +39,6 @@ __all__ = [
     "real_gamma",
     "REFERENCE_REAL_GENERATORS",
     "real_generator_matrix",
-    "real_generators",
     "exp_real",
     "exp_real_generator",
     "surviving_planes",
@@ -148,11 +147,6 @@ def real_generator_matrix(name):
     return real_gamma(name[0]) @ real_gamma(name[1])
 
 
-def real_generators():
-    """The fifteen recomputed products, in canonical plane order."""
-    return [real_generator_matrix(name) for name in PLANES]
-
-
 _I16 = np.eye(16, dtype=np.int64)
 
 
@@ -179,7 +173,9 @@ def exp_real_generator(plane, theta):
     """The real image of generator(plane, theta), for a plane step only."""
     name, kind, theta = _resolve(plane, theta)
     if kind == "nilpotent":
-        raise ValueError("unknown plane %r" % (name,))
+        raise ValueError(
+            "exp_real_generator takes a plane, not the nilpotent step %r" % (name,)
+        )
     return exp_real(real_generator_matrix(name), theta / 2)
 
 

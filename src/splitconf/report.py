@@ -16,6 +16,7 @@ __all__ = [
     "STATUS_PASS",
     "STATUS_FAIL",
     "STATUS_DISCREPANCY",
+    "Value",
     "Check",
     "Report",
 ]

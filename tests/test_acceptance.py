@@ -88,7 +88,7 @@ def test_criterion_01_clifford_relations():
         for n in COORDS:
             want = 2 * METRIC[m] if m == n else 0
             anti = gamma(m) @ gamma(n) + gamma(n) @ gamma(m)
-            ok = ok and anti == ident.scale(TensorScalar.from_real(want))
+            ok = ok and anti == ident.scale(want)
             gm, gn = real_gamma(m), real_gamma(n)
             ok = ok and np.array_equal(gm @ gn + gn @ gm, want * i16)
     rep = verify_clifford()
@@ -360,8 +360,8 @@ def test_criterion_09_reference_cross_checks():
 def test_criterion_10_zero_divisors():
     plus = ONE + L
     minus = ONE - L
-    ok = (plus * minus).is_zero() and plus.nonzero and minus.nonzero
+    ok = not (plus * minus).nonzero and plus.nonzero and minus.nonzero
     for name in H_UNITS:
         u = TensorScalar.unit(name)
-        ok = ok and (ELL * u - u * ELL).is_zero()
+        ok = ok and not (ELL * u - u * ELL).nonzero
     announce(10, ok, "zero divisors behave and the commuting unit commutes")

@@ -201,24 +201,21 @@ class TestScalarHelpers:
 
     @given(exact_values)
     def test_from_real_embeds(self, x):
-        s = TensorScalar.from_real(x)
+        s = TensorScalar((x,) + (0,) * 7)
         assert s.scalar_part() == x
         assert s.is_real_scalar()
 
     def test_is_real_scalar_tolerance(self):
-        s = TensorScalar.from_real(1.0) + K * 1e-12
+        s = TensorScalar((1.0,) + (0,) * 7) + K * 1e-12
         assert not s.is_real_scalar()
         assert s.is_real_scalar(1e-9)
 
     @given(scalars)
-    def test_dict_round_trip(self, a):
-        assert TensorScalar.from_dict(a.to_dict()) == a
-
-    @given(scalars)
     def test_number_multiplication_matches_scalar_embedding(self, a):
-        assert a * 3 == a * TensorScalar.from_real(3)
+        assert a * 3 == a * TensorScalar((3,) + (0,) * 7)
         assert 3 * a == a * 3
-        assert a * Fraction(1, 2) == TensorScalar.from_real(Fraction(1, 2)) * a
+        half = Fraction(1, 2)
+        assert a * half == TensorScalar((half,) + (0,) * 7) * a
 
     def test_is_exact_predicate(self):
         assert is_exact(3)
@@ -287,7 +284,7 @@ class TestSplitQuaternion:
     @given(*([exact_values] * 4))
     def test_conjugate_recovers_the_norm(self, s, k, kl, l):
         q = split_quaternion(s, k, kl, l)
-        assert q * q.star() == TensorScalar.from_real(s * s + k * k - kl * kl - l * l)
+        assert q * q.star() == split_quaternion(s * s + k * k - kl * kl - l * l, 0, 0, 0)
 
     @given(*([exact_values] * 8))
     def test_norm_is_multiplicative(self, a, b, c, d, e, f, g, h):

@@ -378,7 +378,7 @@ class TestTransformCommand:
 
     @pytest.mark.parametrize(
         "point, word, shown",
-        [("0,0,0,0", "pq:800", "pq:800"), ("0,1,0,0", "bx:1e308", "bx:1e+308")],
+        [("1,0,0,0,1,0", "px:710", "px:710"), ("0,1,0,0", "bx:1e308", "bx:1e+308")],
     )
     def test_an_overflowing_step_names_the_overflow(self, capsys, point, word, shown):
         code, out, err = run(["transform", "--point", point, "--word", word], capsys)
@@ -387,6 +387,17 @@ class TestTransformCommand:
         assert err == (
             "error: step 1 %s failed: matrix coefficient inf is not finite: the "
             "step overflowed or its input was not finite\n" % shown
+        )
+
+    @pytest.mark.parametrize("word", ["pq:800", "tx:1500", "zt:-1420.6"])
+    def test_a_boost_beyond_the_limit_names_it(self, capsys, word):
+        name, angle = word.split(":")
+        code, out, err = run(["transform", "--point", "0,0,0,0", "--word", word], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: step 1 %s failed: boost angle %s of %r is beyond "
+            "710.4758600739439, the largest whose cosh is finite\n"
+            % (word, float(angle), name)
         )
 
     def test_an_overflowing_embedding_names_its_cause(self, capsys):
@@ -585,7 +596,7 @@ class TestEntryPoint:
             "      all(got[n] is getattr(realrep, n) for n in lazy), len(lazy),\n"
             "      hasattr(splitconf, 'no_such_name'), set(got) <= set(dir(splitconf)))\n"
         )
-        assert self.run_script(script) == "[] True 6 False True\n"
+        assert self.run_script(script) == "[] True 5 False True\n"
 
 
 class TestReportBound:

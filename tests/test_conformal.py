@@ -61,7 +61,7 @@ class TestEmbedding:
     @given(points)
     def test_roundtrip_within_float_error(self, pt):
         back = q_from_p(embed_point(pt))
-        assert back.approx_eq(pt, 1e-12 * max(1, pt.max_abs()) ** 2)
+        assert back.approx_eq(pt, 1e-12 * max(1, *map(abs, pt.as_tuple())) ** 2)
 
     @given(exact_points)
     def test_embedding_is_null_with_unit_weight(self, pt):
@@ -153,7 +153,7 @@ class TestTranslations:
             img = q_or_infinity(step_vector("a" + m, theta, embed_point(pt).v))
             want = pt.shifted(m, theta)
             assert img is not AT_INFINITY
-            assert img.approx_eq(want, 1e-12 * max(1, want.max_abs()))
+            assert img.approx_eq(want, 1e-12 * max(1, *map(abs, want.as_tuple())))
 
     def test_exact_translation_of_the_origin(self):
         v = step_vector("ax", 2, embed_point(MinkowskiPoint(0, 0, 0, 0)).v)
@@ -280,7 +280,7 @@ class TestStepRegime:
 class TestOverflow:
     @pytest.mark.parametrize(
         "name, theta, bad",
-        [("pq", 800.0, "inf"), ("bx", 1e308, "inf"), ("ax", 1e308, "-inf")],
+        [("px", 710.0, "inf"), ("bx", 1e308, "inf"), ("ax", 1e308, "-inf")],
     )
     def test_an_overflowing_step_names_the_overflow(self, name, theta, bad):
         # Before, the nan left by inf - inf failed the realness test and
@@ -304,7 +304,7 @@ class TestDilation:
     def test_scaling_law(self, pt, theta):
         img = q_or_infinity(step_vector("pq", theta, embed_point(pt).v))
         want = pt.scaled(math.exp(-theta))
-        assert img.approx_eq(want, 1e-12 * max(1, want.max_abs()))
+        assert img.approx_eq(want, 1e-12 * max(1, *map(abs, want.as_tuple())))
 
 
 class TestConformalTranslations:

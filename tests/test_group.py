@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitconf.algebra import L, ONE
+from splitconf.algebra import L, ONE, is_exact, within
 from splitconf.clifford import Vector6, build_P, build_X, metric_form
 from splitconf.conformal import step_vector
 from splitconf.group import (
+    _BOOST_LIMIT,
     PLANES,
     TRANSLATION_NAMES,
     _conjugate,
@@ -36,6 +37,8 @@ from splitconf.group import (
 from splitconf.matrices import TensorMatrix, exp_pair, quadratic_form
 from splitconf.realrep import exp_real_generator
 
+from strategies import fractions_within
+
 angles = st.floats(-1.2, 1.2, allow_nan=False, allow_infinity=False)
 
 plane_names = st.sampled_from(PLANES)
@@ -51,6 +54,13 @@ float_vectors = st.builds(
     Vector6,
     *([st.floats(-1, 1, allow_nan=False, allow_infinity=False)] * 6)
 )
+
+# Nilpotent steps at exact angles, and exact vectors: exact on every route.
+exact_words = st.lists(
+    st.tuples(st.sampled_from(TRANSLATION_NAMES), fractions_within(2, 4)), max_size=4
+)
+
+exact_vectors = st.builds(Vector6, *([fractions_within(2, 4)] * 6))
 
 # a plane rotates when the two metric signs agree and boosts otherwise
 EXPECTED_KINDS = {
@@ -88,9 +98,7 @@ class TestPlaneNames:
     @given(plane_names, angles)
     def test_reversed_pair_negates_the_angle(self, name, theta):
         flipped = name[::-1]
-        assert generator(flipped, theta).approx_eq(
-            generator(name, -theta), 1e-15
-        )
+        assert within((generator(flipped, theta) - generator(name, -theta)).max_abs(), 1e-15)
 
     def test_kinds(self):
         for name, want in EXPECTED_KINDS.items():
@@ -115,12 +123,12 @@ class TestGenerator:
     def test_one_parameter_group_law(self, name, t1, t2):
         lhs = generator(name, t1) @ generator(name, t2)
         rhs = generator(name, t1 + t2)
-        assert lhs.approx_eq(rhs, 1e-12)
+        assert within((lhs - rhs).max_abs(), 1e-12)
 
     @given(plane_names, angles)
     def test_inverse_law(self, name, theta):
         prod = generator(name, theta) @ generator(name, -theta)
-        assert prod.approx_eq(TensorMatrix.identity(4), 1e-12)
+        assert within((prod - TensorMatrix.identity(4)).max_abs(), 1e-12)
 
     def test_dilation_generator_is_diagonal(self):
         g = generator("pq", 0.6)
@@ -138,10 +146,10 @@ def coefficient_reprs(mat):
 
 
 # Angles for the shared (c, s) checks: a grid, tiny and signed-zero
-# angles, and boost half angles up to cosh's overflow edge near 710.
+# angles, and the largest boost angle a step accepts, either sign.
 SWEEP = (
     [k / 8 for k in range(-40, 41)]
-    + [0.77, -0.77, 0.0, -0.0, 1e-300, -5e-324, 1e-8, 1400.0, -1419.0]
+    + [0.77, -0.77, 0.0, -0.0, 1e-300, -5e-324, 1e-8, _BOOST_LIMIT, -_BOOST_LIMIT]
 )
 
 
@@ -287,19 +295,26 @@ class TestCoordinateAction:
 
 
 class TestTwoByTwoAction:
-    @given(words, float_vectors)
+    @given(step_words | exact_words, float_vectors | exact_vectors)
     def test_agrees_with_the_four_by_four_action(self, word, v):
-        p_img = act_on_P(word, build_P(v))
-        x_img = act_on_X(word, build_X(v))
-        _, tr, _, _ = p_img.blocks()
-        assert (tr - x_img).max_abs() <= 1e-14
+        # X is the top-right block of P, and each 2x2 product adds the
+        # terms of that block of the 4x4 product in the same order: the
+        # same bits on float input, the same Fractions on exact input.
+        # (build_X(v) equals that block, but its float zeros may be -0.0.)
+        p = build_P(v)
+        x_img = act_on_X(word, p.blocks()[1])
+        _, tr, _, _ = act_on_P(word, p).blocks()
+        assert tr == x_img
+        assert [float(c).hex() for c in tr.flat()] == [float(c).hex() for c in x_img.flat()]
+        if v.is_exact() and all(is_exact(theta) for _, theta in word):
+            assert x_img.is_exact()
 
-    @given(words, float_vectors)
+    @given(step_words, float_vectors)
     def test_preserves_hermiticity(self, word, v):
         x_img = act_on_X(word, build_X(v))
         assert x_img.is_c_hermitian(1e-12 * max(1, x_img.max_abs()))
 
-    @given(words, float_vectors)
+    @given(step_words, float_vectors)
     def test_preserves_the_quadratic_form(self, word, v):
         x_img = act_on_X(word, build_X(v))
         assert abs(quadratic_form(x_img) - metric_form(v)) < 1e-9
@@ -331,6 +346,7 @@ def _coords_route(step, theta):
 
 ROUTES = {
     "generator": generator,
+    "act_on_P": lambda s, t: act_on_P([(s, t)], build_P(Vector6(x=1.0, p=1.0))),
     "act_on_vector": lambda s, t: act_on_vector([(s, t)], Vector6(x=1.0, p=1.0)),
     "act_on_X": _x_route,
     "act_on_coords": _coords_route,
@@ -349,6 +365,32 @@ def test_every_route_names_a_non_finite_angle(route, step, theta):
     # only, but the angle is refused before the name.
     with pytest.raises(ValueError, match="^angle %s is not finite$" % theta):
         ROUTES[route](step, theta)
+
+
+BOOSTS = [name for name in PLANES if plane_kind(name) == "boost"]
+
+
+@pytest.mark.parametrize("step", BOOSTS)
+def test_every_element_route_accepts_a_boost_at_the_limit(step):
+    for route in ("generator", "so6_step", "compose_so6", "exp_real_generator"):
+        for theta in (_BOOST_LIMIT, -_BOOST_LIMIT):
+            m = ROUTES[route](step, theta)
+            coeffs = m.flat() if isinstance(m, TensorMatrix) else m.ravel().tolist()
+            assert all(map(math.isfinite, coeffs)), (route, theta)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("step", BOOSTS)
+@pytest.mark.parametrize("theta", [math.nextafter(_BOOST_LIMIT, math.inf), 1420.6, -1500.0])
+def test_every_route_refuses_a_boost_beyond_the_limit(route, step, theta):
+    # The limit is where so6_step's full-angle cosh overflows; the step
+    # table refuses past it before any route computes.
+    with pytest.raises(OverflowError) as err:
+        ROUTES[route](step, theta)
+    assert str(err.value) == (
+        "boost angle %s of %r is beyond %r, the largest whose cosh is finite"
+        % (theta, step, _BOOST_LIMIT)
+    )
 
 
 @pytest.mark.parametrize("step", TRANSLATION_NAMES)
@@ -396,12 +438,12 @@ class TestAppendixTable:
         assert "(2,3)" in flagged[0].actual or "(2, 3)" in flagged[0].actual
 
     def test_reference_matches_recomputation_for_tz(self):
-        assert build_reference("tz", 0.9).approx_eq(generator("tz", 0.9), 1e-15)
+        assert within((build_reference("tz", 0.9) - generator("tz", 0.9)).max_abs(), 1e-15)
 
     def test_reference_differs_from_recomputation_for_ty(self):
         ref = build_reference("ty", 0.9)
         rec = generator("ty", 0.9)
-        assert not ref.approx_eq(rec, 1e-9)
+        assert not within((ref - rec).max_abs(), 1e-9)
         # upper block agrees; the sign flip sits in the lower block
         assert ref.rows[0][1].approx_eq(rec.rows[0][1], 1e-15)
         assert ref.rows[2][3].approx_eq(-rec.rows[2][3], 1e-15)

@@ -162,7 +162,7 @@ class TestProductKernel:
     def test_float_sums_keep_the_k_order(self):
         # Entry (0, 0) sums k = 0, 1, 2: (2**53 + 1) - 2**53 == 0.0,
         # while summing k in reverse gives 1.0.
-        big = TensorScalar.from_real(float(2**53))
+        big = TensorScalar((float(2**53),) + (0,) * 7)
         a = TensorMatrix(((big, ONE, -big), (ZERO,) * 3, (ZERO,) * 3))
         b = TensorMatrix(((ONE,) * 3, (ONE,) * 3, (ONE,) * 3))
         got = a @ b
@@ -176,10 +176,6 @@ class TestBlocks:
     def test_from_blocks_round_trip(self, tl, tr, bl, br):
         m = TensorMatrix.from_blocks(tl, tr, bl, br)
         assert m.blocks() == (tl, tr, bl, br)
-
-    @given(mats2)
-    def test_transpose_is_an_involution(self, a):
-        assert a.transpose().transpose() == a
 
 
 class TestTrace:
@@ -222,7 +218,7 @@ class TestInvolutions:
 
     @given(mats2)
     def test_hermitian_symmetrization(self, a):
-        sym = a + a.bar().transpose()
+        sym = a + TensorMatrix(zip(*a.bar().rows))
         assert sym.is_c_hermitian()
 
     def test_is_c_hermitian_examples(self):
@@ -249,7 +245,7 @@ class TestExponentials:
     def test_rotation_exponential_matches_taylor(self):
         gen = gamma("x") @ gamma("y")  # squares to -I
         got = generator("xy", 1.4)
-        assert got.approx_eq(taylor_exp(gen, 0.7), 1e-12)
+        assert within((got - taylor_exp(gen, 0.7)).max_abs(), 1e-12)
         assert got.rows[0][0].approx_eq(
             ONE * math.cos(0.7) + ELL * math.sin(0.7), 1e-12
         )
@@ -257,15 +253,15 @@ class TestExponentials:
     def test_boost_exponential_matches_taylor(self):
         gen = gamma("t") @ gamma("x")  # squares to +I
         got = generator("tx", -1.8)
-        assert got.approx_eq(taylor_exp(gen, -0.9), 1e-12)
+        assert within((got - taylor_exp(gen, -0.9)).max_abs(), 1e-12)
         assert got.rows[0][0].approx_eq(ONE * math.cosh(0.9), 1e-12)
         assert got.rows[0][1].approx_eq(L * -math.sinh(0.9), 1e-12)
 
     def test_off_diagonal_involutory_generator(self):
         gen = TensorMatrix(((ZERO, ONE), (ONE, ZERO)))  # squares to +I
         got, inverse = exp_pair(gen, *_sincosh(0.3, True))
-        assert got.approx_eq(taylor_exp(gen, 0.3), 1e-12)
-        assert inverse.approx_eq(taylor_exp(gen, -0.3), 1e-12)
+        assert within((got - taylor_exp(gen, 0.3)).max_abs(), 1e-12)
+        assert within((inverse - taylor_exp(gen, -0.3)).max_abs(), 1e-12)
 
     def test_exp_at_zero_is_the_identity(self):
         for name in PLANES + TRANSLATION_NAMES:
