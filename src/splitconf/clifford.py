@@ -18,9 +18,9 @@ nonzero entries, each a single +-1 unit, so every component of the
 symmetric trace trace(gamma P) + trace(P gamma) is a short signed sum
 of coefficients of P.  The table lists those coefficients in the order
 ``trace_product`` adds them, which keeps float results bit for bit
-those of the generic ``inner_product``.  An exact P is read in integers
-instead: its coefficients are scaled to one common denominator, and
-exact sums need no order.
+those of the generic ``inner_product``.  One loop over that table reads
+both regimes: an exact P goes through it as integers, its coefficients
+scaled to one common denominator and its checks held to 0.
 """
 
 import functools
@@ -203,56 +203,6 @@ def _gather(m):
     return tuple(zip(map(tuple, left), map(tuple, right)))
 
 
-@functools.cache
-def _exact_gather(m):
-    """_gather(m) for exact sums: per component, the flat indices added
-    and those subtracted, both traces together (an exact sum needs no
-    order)."""
-    return tuple(
-        (
-            tuple(i for i, sign in left + right if sign > 0),
-            tuple(i for i, sign in left + right if sign < 0),
-        )
-        for left, right in _gather(m)
-    )
-
-
-def _extract_exact(p):
-    """extract_coords for an exact p, in integers over one common denominator.
-
-    Every coefficient c is scaled to the integer c * d, d the lcm of the
-    denominators; the gather sums over those integers are d times the
-    symmetric trace, so coordinate m is Fraction(+-sym0, 8 d).  Realness
-    is sum == 0 on components 1..7, and the residual test is 8 c d ==
-    the slot's signed sym0 on each slot and 0 off them.  The errors
-    divide the sums and the residual back by d, so they read as the
-    inner products and the matrix difference would.
-    """
-    flat = p.flat()
-    d = math.lcm(*(c.denominator for c in flat if c))
-    z = [c.numerator * (d // c.denominator) if c else 0 for c in flat]
-    sums = []
-    for m in COORDS:
-        sym = [
-            sum(map(z.__getitem__, plus)) - sum(map(z.__getitem__, minus))
-            for plus, minus in _exact_gather(m)
-        ]
-        if any(sym[1:]):
-            raise ValueError(
-                "inner product is not real: %s"
-                % (TensorScalar([Fraction(x, d) for x in sym]),)
-            )
-        sums.append(sym[0] if METRIC[m] > 0 else -sym[0])
-    got, want = [8 * x for x in z], _spread(sums)
-    if got != want:
-        residual = max(abs(x - y) for x, y in zip(got, want))
-        raise ValueError(
-            "matrix lies outside the span of the gammas (residual %s)"
-            % (Fraction(residual, 8 * d),)
-        )
-    return Vector6(*(Fraction(s, 8 * d) for s in sums))
-
-
 def _eighth(value, exact):
     """value / 8 in the numeric regime of the matrices it was read from.
 
@@ -277,9 +227,9 @@ def inner_product(a, b, tol=SPAN_TOL):
 
 
 def _refuse_sum_overflow(sums):
-    """Raise ValueError naming the overflow when a gather sum (or a
+    """Raise ValueError naming the overflow when a float gather sum (or a
     coordinate read from one) is not finite, though every coefficient is."""
-    bad = [c for c in sums if not math.isfinite(c)]
+    bad = [c for c in sums if isinstance(c, float) and not math.isfinite(c)]
     if bad:
         raise ValueError(
             "the trace sums overflowed (%s): the matrix is too large to read" % bad[0]
@@ -291,11 +241,15 @@ def extract_coords(p, tol=SPAN_TOL):
 
     Component m is the metric-signed inner_product(gamma(m), p), read
     through the gather table (see _gather).  Coordinates follow the
-    regime of p (TensorMatrix.is_exact, cached).  An exact p gives
-    Fractions, read in integers (see _extract_exact) and held to zero
-    in both checks.  A float p gives floats, a zero as 0.0, from the
-    same sums in the same order as inner_product, so the same bits.  A
-    symmetric trace that is not a real scalar within tol (relative to
+    regime of p (TensorMatrix.is_exact, cached), and one loop reads both.
+    A float p is read as it stands and gives floats, a zero as 0.0, from
+    the same sums in the same order as inner_product, so the same bits.
+    An exact p is read over the integers c * d, d the lcm of the
+    denominators of its coefficients c, with tol held to 0: the sums are
+    d times the symmetric traces, the coordinates Fraction(sum, 8 d), and
+    the residual compares 8 c d with the _spread of the signed sums.  Its
+    errors divide back by d (or 8 d), so they read as the inner products
+    and the matrix difference would.  A symmetric trace that is not a real scalar within tol (relative to
     its scale), or a residual p - build_P(result) above tol (relative
     to the matrix scale), raises ValueError because p lies outside the
     span of the gammas.  A float matrix with a coefficient that is not
@@ -305,11 +259,15 @@ def extract_coords(p, tol=SPAN_TOL):
     the largest gap between the flat coefficients of p and _spread of
     the coordinates, so P is never built back.
     """
-    if p.is_exact():
-        return _extract_exact(p)
     flat = p.flat()
-    _refuse_overflow(flat)
-    coords = []
+    exact = p.is_exact()
+    if exact:
+        d = math.lcm(*(c.denominator for c in flat if c))
+        flat = [c.numerator * (d // c.denominator) if c else 0 for c in flat]
+        tol = 0
+    else:
+        _refuse_overflow(flat)
+    sums = []
     for m in COORDS:
         sym = []
         for left, right in _gather(m):
@@ -327,14 +285,23 @@ def extract_coords(p, tol=SPAN_TOL):
         scale = max(map(abs, sym))
         if not all(within(c, tol, scale) for c in sym[1:]):
             _refuse_sum_overflow(sym)
+            if exact:
+                sym = [Fraction(c, d) for c in sym]
             raise ValueError("inner product is not real: %s" % (TensorScalar(sym),))
         s = sym[0]
-        coords.append(_eighth(s if METRIC[m] > 0 else -s, False))
-    residual = max(map(abs, map(operator.sub, flat, _spread(coords))))
-    if not within(residual, tol, max(map(abs, flat))):
+        sums.append(s if METRIC[m] > 0 else -s)
+    if exact:
+        coords = [Fraction(s, 8 * d) for s in sums]
+        got, want = [8 * c for c in flat], _spread(sums)
+    else:
+        coords = [_eighth(s, False) for s in sums]
+        got, want = flat, _spread(coords)
+    residual = max(map(abs, map(operator.sub, got, want)))
+    if not within(residual, tol, max(map(abs, got))):
         _refuse_sum_overflow(coords)
         raise ValueError(
-            "matrix lies outside the span of the gammas (residual %s)" % (residual,)
+            "matrix lies outside the span of the gammas (residual %s)"
+            % (Fraction(residual, 8 * d) if exact else residual,)
         )
     return Vector6(*coords)
 

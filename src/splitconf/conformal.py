@@ -25,6 +25,7 @@ from fractions import Fraction
 from .algebra import CHART_TOL, CHECK_TOL, SPAN_TOL, exact_div, is_exact, within
 from .clifford import COORDS, Vector6, metric_form
 from .group import (
+    LORENTZ_PLANES,
     TRANSLATABLE,
     TRANSLATION_NAMES,
     _nilpotent_generator,
@@ -103,19 +104,16 @@ AT_INFINITY = PointAtInfinity()
 
 
 def _pq_negligible(v):
-    """True when p + q of v is zero: exactly for exact coordinates, else
-    within CHART_TOL relative to the largest |coordinate|.
+    """True when p + q of v is zero: exactly for an exact v (Vector6.is_exact),
+    else within CHART_TOL relative to the largest |coordinate|.
 
     A float coordinate that is not finite raises ValueError, since no
     chart test holds for it.
     """
-    s = v.p + v.q
-    if is_exact(s):
-        return s == 0
     coords = v.as_tuple()
     if any(isinstance(c, float) and not math.isfinite(c) for c in coords):
         raise ValueError("coordinates %s are not finite" % (coords,))
-    return within(s, CHART_TOL, v.max_abs())
+    return within(v.p + v.q, 0 if v.is_exact() else CHART_TOL, v.max_abs())
 
 
 class NullVector(Value):
@@ -184,15 +182,14 @@ def embed_point(pt):
         raise OverflowError(
             "the Minkowski square of the point is not finite (%r)" % (n2,)
         )
-    half = Fraction(1, 2) if is_exact(n2) else 0.5
     return NullVector(
         Vector6(
             x=pt.x,
             y=pt.y,
             z=pt.z,
             t=pt.t,
-            p=(1 + n2) * half,
-            q=(1 - n2) * half,
+            p=exact_div(1 + n2, 2),
+            q=exact_div(1 - n2, 2),
         )
     )
 
@@ -491,22 +488,21 @@ def _dev(a, b):
     return float(max(np.max(np.abs(x - y), initial=0.0) for x, y in pairs))
 
 
-def _null_rows(coords, chart=False):
-    """NullVector's float tests (with chart, _chart's) on all rows of an (n, 6) array.
+def _null_rows(coords):
+    """coords, an (n, 6) array, once all its rows pass NullVector's float tests.
 
-    Returns the rows in the finite chart and their mask; with chart, a
-    finite row with p + q negligible is at infinity and left out.  The
-    first failing row goes through NullVector (or _chart) to raise."""
+    The first failing row goes through NullVector to raise.  A row
+    whose form is not finite fails the null test, so the chart test
+    needs no finiteness scan of its own."""
     import numpy as np
     v = Vector6(*coords.T)
     form, m = metric_form(v), np.abs(coords).max(axis=1)
     null = np.isfinite(form) & within(form, SPAN_TOL, m * m)
-    at_infinity = np.isfinite(coords).all(axis=1) & within(v.p + v.q, CHART_TOL, m)
-    bad = ~(null | at_infinity) if chart else ~null | at_infinity
+    bad = ~null | within(v.p + v.q, CHART_TOL, m)
     if bad.any():
-        (_chart if chart else NullVector)(Vector6(*coords[bad.argmax()].tolist()))
+        NullVector(Vector6(*coords[bad.argmax()].tolist()))
         raise AssertionError("a row the array tests refuse passed the scalar ones")
-    return coords[~at_infinity], ~at_infinity
+    return coords
 
 
 def _embed_rows(pts):
@@ -515,12 +511,12 @@ def _embed_rows(pts):
     pt = MinkowskiPoint(*pts.T)
     n2 = minkowski_norm2(pt)
     coords = np.column_stack((pt.x, pt.y, pt.z, pt.t, (1 + n2) * 0.5, (1 - n2) * 0.5))
-    return _null_rows(coords)[0]
+    return _null_rows(coords)
 
 
 def _image_rows(names, thetas, coords):
     """The image of each row of coords under its step, after NullVector's tests."""
-    return _null_rows(act_on_coords([[step] for step in zip(names, thetas)], coords))[0]
+    return _null_rows(act_on_coords([[step] for step in zip(names, thetas)], coords))
 
 
 def _draws(rng, n, *spans):
@@ -595,9 +591,8 @@ def verify_conformal(config=None):
 
     lorentz_dev = 0.0
     idx4 = [COORDS.index(m) for m in POINT_COORDS]
-    lorentz = ("xy", "yz", "zx", "tx", "ty", "tz")
-    lams = {plane: so6_step(plane, 0.7)[np.ix_(idx4, idx4)] for plane in lorentz}
-    planes = [plane for plane in lorentz for _ in range(2)]
+    lams = {plane: so6_step(plane, 0.7)[np.ix_(idx4, idx4)] for plane in LORENTZ_PLANES}
+    planes = [plane for plane in LORENTZ_PLANES for _ in range(2)]
     pts = _draws(rng, 12)
     starts = _embed_rows(pts)
     imgs = act_on_coords([[(plane, 0.7)] for plane in planes], starts)
@@ -620,21 +615,19 @@ def verify_conformal(config=None):
     mob_dev = null_dev = 0.0
     per_m = max(1, samples // len(TRANSLATABLE))
     for m in TRANSLATABLE:
-        done = 0
-        while done < per_m:
-            # Draw no more candidates than could still be needed: a
-            # skipped one is refilled on the next pass, so the seeded
-            # stream is read exactly as one sample at a time reads it.
+        # Chunks of BATCH_SIZE keep memory flat at large --samples.  A draw
+        # whose Mobius denominator is below 0.2 is refilled, one candidate
+        # per missing sample, as the scalar loop reads the seed.  p + q of
+        # an image is its denominator, so _image_rows refuses one at infinity.
+        for done in range(0, per_m, BATCH_SIZE):
             need, draws = min(per_m - done, BATCH_SIZE), np.empty((0, 5))
             while len(draws) < need:
                 more = _draws(rng, need - len(draws), 0.6)
                 pt, alpha = MinkowskiPoint(*more[:, :4].T), _direction(m, more[:, 4])
                 denom = _mobius(pt, alpha)[1]
                 draws = np.concatenate((draws, more[np.abs(denom) >= 0.2]))
-            words = [[("b" + m, theta)] for theta in draws[:, 4].tolist()]
-            imgs = act_on_coords(words, _embed_rows(draws[:, :4]))
-            imgs, inside = _null_rows(imgs, chart=True)
-            draws = draws[inside]
+            thetas = draws[:, 4].tolist()
+            imgs = _image_rows(["b" + m] * need, thetas, _embed_rows(draws[:, :4]))
             pt, alpha = MinkowskiPoint(*draws[:, :4].T), _direction(m, draws[:, 4])
             num, denom = _mobius(pt, alpha)
             want = MinkowskiPoint(*(exact_div(c, denom) for c in num.as_tuple()))
@@ -642,7 +635,6 @@ def verify_conformal(config=None):
             scale = np.abs(imgs).max(axis=1)
             rel = np.abs(metric_form(Vector6(*imgs.T))) / np.maximum(1.0, scale * scale)
             null_dev = max(null_dev, float(np.max(rel, initial=0.0)))
-            done += len(imgs)
     report.bound(
         "conformal-vs-mobius",
         mob_dev,

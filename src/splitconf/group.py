@@ -52,6 +52,7 @@ from .report import Report
 
 __all__ = [
     "PLANES",
+    "LORENTZ_PLANES",
     "TRANSLATABLE",
     "TRANSLATION_NAMES",
     "canonical_plane",
@@ -93,6 +94,9 @@ PLANES = (
     "pq",
 )
 
+# The planes of the point coordinates: rotations and boosts of (t, x, y, z).
+LORENTZ_PLANES = ("xy", "yz", "zx", "tx", "ty", "tz")
+
 # Point coordinates a nilpotent step moves along.
 TRANSLATABLE = ("x", "y", "z", "t")
 
@@ -107,14 +111,11 @@ for _name in PLANES:
 
 
 def canonical_plane(plane):
-    """Resolve a plane given as 'ab' or ('a','b') to (canonical name, orientation).
+    """Resolve a plane name 'ab' to (canonical name, orientation).
 
     Orientation is +1 when the given order matches the canonical name
     and -1 when reversed; reversing the pair negates the angle.
     """
-    if not isinstance(plane, str):
-        a, b = plane
-        plane = "%s%s" % (a, b)
     got = _CANONICAL.get(plane)
     if got is None:
         raise ValueError("unknown plane %r" % (plane,))
@@ -560,9 +561,8 @@ def verify_group(config=None):
         )
 
     eta = np.diag([1.0, 1.0, 1.0, -1.0])
-    lorentz_planes = ("xy", "yz", "zx", "tx", "ty", "tz")
     idx4 = [COORDS.index(m) for m in ("x", "y", "z", "t")]
-    for name in lorentz_planes:
+    for name in LORENTZ_PLANES:
         r6 = so6_step(name, 0.83)
         r4 = r6[np.ix_(idx4, idx4)]
         dev = float(np.max(np.abs(r4.T @ eta @ r4 - eta)))
@@ -574,7 +574,7 @@ def verify_group(config=None):
         )
 
     m_pq = generator("pq", 0.6)
-    for name in lorentz_planes:
+    for name in LORENTZ_PLANES:
         m_ab = generator(name, 0.9)
         dev = ((m_pq @ m_ab) - (m_ab @ m_pq)).max_abs()
         report.bound(
@@ -733,7 +733,11 @@ def build_reference(name, phi):
     return TensorMatrix(rows)
 
 
-def appendix_check(config=None, angles=(0.3, 1.0, -0.7)):
+# The angles at which appendix_check compares the table with recomputation.
+_APPENDIX_ANGLES = (0.3, 1.0, -0.7)
+
+
+def appendix_check(config=None):
     """Diff the bundled reference table against recomputation.
 
     One entry per plane.  Transcription mismatches are documented
@@ -745,7 +749,7 @@ def appendix_check(config=None, angles=(0.3, 1.0, -0.7)):
     report = Report("appendix", config)
     for name in PLANES:
         bad_cells = {}
-        for phi in angles:
+        for phi in _APPENDIX_ANGLES:
             recomputed = generator(name, phi)
             reference = build_reference(name, phi)
             for i in range(4):
@@ -761,7 +765,7 @@ def appendix_check(config=None, angles=(0.3, 1.0, -0.7)):
                 "appendix[%s]" % name,
                 True,
                 "reference transcription",
-                "match at angles %s" % (angles,),
+                "match at angles %s" % (_APPENDIX_ANGLES,),
             )
         else:
             details = "; ".join(
@@ -775,6 +779,6 @@ def appendix_check(config=None, angles=(0.3, 1.0, -0.7)):
                 "reference transcription",
                 "differs at cells %s" % sorted(bad_cells),
                 "recomputed matrix is ground truth; at angle %s: %s"
-                % (angles[0], details),
+                % (_APPENDIX_ANGLES[0], details),
             )
     return report

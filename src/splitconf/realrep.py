@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import BASIS, CHECK_TOL, H_UNITS, TensorScalar, terms
 from .clifford import COORDS, METRIC, gamma
-from .group import PLANES, _resolve, generator
+from .group import LORENTZ_PLANES, PLANES, _resolve, generator
 from .matrices import TensorMatrix
 from .report import Report
 
@@ -198,9 +198,6 @@ def surviving_planes():
     )
 
 
-_LORENTZ = ("xy", "yz", "zx", "tx", "ty", "tz")
-
-
 def restrict_so31_second(config=None):
     """Which plane products survive restriction to split content {1, L}.
 
@@ -216,7 +213,7 @@ def restrict_so31_second(config=None):
     report = Report("restriction", config)
 
     survivors = surviving_planes()
-    expected = ("xy", "yz", "zx", "tx", "ty", "tz", "pq")
+    expected = LORENTZ_PLANES + ("pq",)
     report.add(
         "restriction[survivors]",
         survivors == expected,
@@ -225,7 +222,7 @@ def restrict_so31_second(config=None):
         "planes with no K or KL content in the gamma product",
     )
 
-    extra = tuple(name for name in survivors if name not in _LORENTZ)
+    extra = tuple(name for name in survivors if name not in LORENTZ_PLANES)
     report.add(
         "restriction[extra]",
         extra == ("pq",),
@@ -235,7 +232,7 @@ def restrict_so31_second(config=None):
     )
 
     pq_exp = exp_real_generator("pq", 0.37)
-    for name in _LORENTZ:
+    for name in LORENTZ_PLANES:
         other = exp_real_generator(name, 0.59)
         dev = float(np.max(np.abs(pq_exp @ other - other @ pq_exp)))
         report.bound(

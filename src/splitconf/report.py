@@ -69,10 +69,10 @@ class Check(Value):
 
 
 class Report:
-    def __init__(self, suite, config=None, checks=None):
+    def __init__(self, suite, config=None):
         self.suite = suite
         self.config = {} if config is None else config
-        self.checks = [] if checks is None else checks
+        self.checks = []
 
     def add(self, check_id, ok, expected, actual, context=""):
         """Record a pass/fail check."""

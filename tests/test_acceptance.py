@@ -317,7 +317,7 @@ def test_criterion_08_projection_and_restriction():
 
 def test_criterion_09_reference_cross_checks():
     angles = (0.3, 1.0, -0.7)
-    rep = appendix_check(None, angles)
+    rep = appendix_check()
     ok = len(rep.checks) == 15
     statuses = {c.status for c in rep.checks}
     ok = ok and statuses <= {"pass", "discrepancy-documented"}

@@ -408,6 +408,28 @@ class TestGatherExtraction:
         if tol == 1e-9:
             assert outcome(extract_coords, p, tol)[0] == "error"
 
+    # Exact coefficients beyond float range, in the span and off it (a
+    # real residual, an imaginary inner product), read as exactly as small
+    # ones: the checks never convert an exact sum to a float.
+    HUGE = Fraction(10**400, 3)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            build_P(Vector6(x=HUGE, t=1, q=-HUGE)),
+            build_P(Vector6(y=HUGE, p=Fraction(1, 7)))
+            + TensorMatrix.identity(4).scale(Fraction(1, 10**400)),
+            build_P(Vector6(x=HUGE)) + TensorMatrix.identity(4).scale(HUGE),
+            build_P(Vector6(z=HUGE, t=Fraction(2, 7))).scale(ELL),
+        ],
+        ids=["in-span", "tiny-residual", "huge-residual", "not-real"],
+    )
+    @pytest.mark.parametrize("tol", [0, 1e-9, 1e-3])
+    def test_coefficients_beyond_float_range_match_the_reference(self, p, tol):
+        # A float tol passed with an exact matrix is held to 0 all the same.
+        assert p.is_exact()
+        assert outcome(extract_coords, p, tol) == outcome(reference_extract, p, 0)
+
     def test_float_zero_coordinates_are_positive_float_zeros(self):
         v = extract_coords(build_P(Vector6(x=1.0, t=0.5)))
         assert v == Vector6(x=1.0, t=0.5)

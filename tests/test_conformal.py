@@ -121,6 +121,11 @@ class TestChartTest:
         with pytest.raises(ValueError, match="not finite"):
             q_or_infinity(Vector6(x=math.nan, p=1.0))
 
+    def test_a_nan_coordinate_with_exact_weights_is_refused(self):
+        # The regime is the vector's, not that of p + q alone.
+        with pytest.raises(ValueError, match="not finite"):
+            q_or_infinity(Vector6(x=math.nan, p=1, q=-1))
+
     def test_finite_and_exact_vectors_keep_their_answers(self):
         assert q_or_infinity(Vector6(x=1.0, p=0.5, q=0.5)) == MinkowskiPoint(x=1.0)
         assert q_or_infinity(Vector6(x=1, p=1, q=-1)) is AT_INFINITY
@@ -141,9 +146,10 @@ class TestChartTest:
         with pytest.raises(ValueError, match="p \\+ q = 0"):
             NullVector(far)
         assert q_or_infinity(far) is AT_INFINITY
-        rows, inside = conformal._null_rows(np.array([finite.as_tuple(), far.as_tuple()]), True)
-        assert inside.tolist() == [True, False]
-        assert rows.tolist() == [list(finite.as_tuple())]
+        rows = np.array([finite.as_tuple()])
+        assert conformal._null_rows(rows).tolist() == rows.tolist()
+        with pytest.raises(ValueError, match="p \\+ q = 0"):
+            conformal._null_rows(np.array([finite.as_tuple(), far.as_tuple()]))
 
 
 class TestTranslations:

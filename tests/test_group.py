@@ -86,8 +86,8 @@ class TestPlaneNames:
     def test_canonical_resolution(self):
         assert canonical_plane("zx") == ("zx", 1)
         assert canonical_plane("xz") == ("zx", -1)
-        assert canonical_plane(("p", "q")) == ("pq", 1)
-        assert canonical_plane(("q", "p")) == ("pq", -1)
+        assert canonical_plane("pq") == ("pq", 1)
+        assert canonical_plane("qp") == ("pq", -1)
 
     def test_unknown_plane_rejected(self):
         with pytest.raises(ValueError):

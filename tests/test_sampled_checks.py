@@ -26,7 +26,6 @@ from splitconf.conformal import (
     minkowski_norm2,
     mobius_oracle,
     q_from_p,
-    q_or_infinity,
     step_vector,
     verify_conformal,
 )
@@ -94,10 +93,7 @@ def scalar_reference(seed, samples, step=step_vector):
                 minkowski_norm2(pt))
             if abs(denom) < 0.2:
                 continue
-            img = step("b" + m, theta, embed_point(pt).v)
-            if q_or_infinity(img) is AT_INFINITY:
-                continue
-            out = NullVector(img)
+            out = NullVector(step("b" + m, theta, embed_point(pt).v))
             mob_dev = max(mob_dev, gap(q_from_p(out), mobius_oracle(pt, alpha)))
             scale = float(out.v.max_abs())
             null_dev = max(null_dev, abs(metric_form(out.v)) / max(1.0, scale * scale))
@@ -124,8 +120,9 @@ def array_route(seed, samples):
 
 
 class TestAgainstTheScalarLoop:
-    # 1,000 samples are 250 per direction, two chunks of 128 and a part;
-    # 520 cross the chunk boundary by two rows, 512 end exactly on it.
+    # 1,000 samples are 250 per direction, which act_on_coords steps as
+    # two chunks of 128 and a part; 520 cross the chunk boundary by two
+    # rows, 512 end exactly on it.
     @pytest.mark.parametrize(
         "seed, samples",
         [(42, 1000), (1, 1000), (7, 1000), (1234, 1000), (99, 520), (5, 512), (8, 40)],
@@ -158,38 +155,32 @@ class TestAgainstTheScalarLoop:
         assert array_route(42, 400) == scalar_reference(42, 400)
         assert len(fallbacks) > 20
 
-    def test_an_image_at_infinity_is_skipped_and_refilled(self, monkeypatch):
-        # One conformal translation is forced onto p + q = 0 on both
-        # routes; the sample is skipped and the next draw takes its place.
-        act_on_coords, thetas = conformal.act_on_coords, []
-
-        def recording(words, coords):
-            thetas.extend(w[0][1] for w in words if w[0][0][0] == "b")
-            return act_on_coords(words, coords)
-
-        monkeypatch.setattr(conformal, "act_on_coords", recording)
-        array_route(42, 200)
-        chosen, hits = thetas[60], []
+    def test_an_image_at_infinity_raises(self, monkeypatch):
+        # An image's p + q is its Mobius denominator, which the draws hold
+        # to at least 0.2, so an image at infinity can only come from a
+        # wrong route.  One conformal translation is forced onto p + q = 0
+        # on both routes, and both refuse it instead of skipping it.
+        act_on_coords, chosen = conformal.act_on_coords, []
         at_infinity = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
 
         def forcing(words, coords):
             out = act_on_coords(words, coords)
-            for i, w in enumerate(words):
-                if w[0][0][0] == "b" and w[0][1] == chosen:
-                    out[i] = at_infinity
-                    hits.append(i)
+            if not chosen and words[0][0][0][0] == "b":
+                out[30] = at_infinity
+                chosen.append(words[30][0][1])
             return out
 
         def forced_step(name, theta, v):
-            if name[0] == "b" and theta == chosen:
+            if name[0] == "b" and theta == chosen[0]:
                 return Vector6(*at_infinity.tolist())
             return step_vector(name, theta, v)
 
         monkeypatch.setattr(conformal, "act_on_coords", forcing)
-        got = array_route(42, 200)
-        assert len(hits) == 1
-        assert got == scalar_reference(42, 200, step=forced_step)
-        assert got != scalar_reference(42, 200)
+        with pytest.raises(ValueError, match="p \\+ q = 0"):
+            array_route(42, 200)
+        assert len(chosen) == 1
+        with pytest.raises(ValueError, match="p \\+ q = 0"):
+            scalar_reference(42, 200, step=forced_step)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -217,25 +208,35 @@ class TestRowChecks:
         want = self.message(NullVector, Vector6(*self.BAD[kind]))
         assert self.message(conformal._null_rows, rows) == want
 
-    @pytest.mark.parametrize("kind", ["non-null", "non-finite", "infinite", "overflowing"])
-    def test_a_bad_image_raises_the_chart_message(self, kind):
-        rows = np.array([self.GOOD, self.BAD[kind], self.BAD["non-null"]])
-        want = self.message(conformal._chart, Vector6(*self.BAD[kind]))
-        assert self.message(conformal._null_rows, rows, True) == want
+    # apply_conformal_translation reads one image through _chart, which
+    # refuses a bad image with NullVector's message, or with the chart
+    # test's own when a coordinate is not finite.
+    CHART_MESSAGE = {
+        "non-null": "metric square -0.75 beyond tolerance",
+        "non-finite": "coordinates (nan, 0.0, 0.0, 0.0, 1.0, 1.0) are not finite",
+        "infinite": "coordinates (inf, 0.0, 0.0, 0.0, 1.0, 1.0) are not finite",
+        "overflowing": "metric square nan is not finite",
+    }
 
-    def test_an_image_at_infinity_is_left_out(self):
-        rows = np.array([self.GOOD, self.BAD["p + q = 0"], self.GOOD])
-        assert conformal._chart(Vector6(*self.BAD["p + q = 0"])) is AT_INFINITY
-        inside_rows, inside = conformal._null_rows(rows, True)
-        assert inside.tolist() == [True, False, True]
-        assert inside_rows.tolist() == [list(self.GOOD)] * 2
+    @pytest.mark.parametrize("kind", sorted(CHART_MESSAGE))
+    def test_a_bad_image_raises_the_chart_message(self, kind):
+        assert self.message(conformal._chart, Vector6(*self.BAD[kind])) == (
+            self.CHART_MESSAGE[kind]
+        )
+
+    def test_an_image_at_infinity_is_a_point_at_infinity_but_a_bad_row(self):
+        # One image reads as AT_INFINITY; a sampled row never may, since
+        # the sampled checks draw only finite images.
+        bad = self.BAD["p + q = 0"]
+        assert conformal._chart(Vector6(*bad)) is AT_INFINITY
+        rows = np.array([self.GOOD, bad, self.GOOD])
+        assert self.message(conformal._null_rows, rows) == (
+            "p + q = 0: no finite point coordinates"
+        )
 
     def test_good_rows_pass_unchanged(self):
         rows = np.array([self.GOOD] * 3)
-        for chart in (False, True):
-            inside_rows, inside = conformal._null_rows(rows, chart)
-            assert inside.all()
-            assert inside_rows.tolist() == rows.tolist()
+        assert conformal._null_rows(rows).tolist() == rows.tolist()
 
 
 def test_a_default_pass_builds_few_null_vectors(monkeypatch):
