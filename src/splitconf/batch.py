@@ -3,19 +3,21 @@
 Every group element M = c I + s G is block diagonal and every P block
 off-diagonal.  M's only coefficients that can be nonzero are c on the
 unit of each diagonal entry and G's own terms (8 of 64 for a plane, 12
-for a nilpotent step), so each generator has one compact plan per side
-of M P M^-1 (``step_plan``, built on first use and cached per
-generator).  For each output coefficient a plan lists the terms whose M
-coefficient can be nonzero, in the order ``TensorMatrix.__matmul__``
-adds them through ``algebra.mul_terms``: ascending k, then the index of
-the left factor (which fixes the right one, each row of ``_MUL`` being a
-permutation).  Every output has the same number of terms, 2 for a plane
+for a nilpotent step).  One term table, built once from ``_MUL``,
+lists the 16 terms of each off-diagonal output of each side of M P
+M^-1 in the order ``TensorMatrix.__matmul__`` adds them through
+``algebra.mul_terms``: ascending k, then the index of the left factor
+(which fixes the right one, each row of ``_MUL`` being a permutation).
+Each generator's compact plan (``step_plan``, built on first use and
+cached per generator) keeps the terms whose M coefficient can be
+nonzero.  Every output keeps the same number of terms, 2 for a plane
 and 3 for a nilpotent step, and a plan runs in rounds, round r adding
 term r of every output over (64, n) arrays, so each sum rounds as the
 scalar sum does.  A term the plan drops, or a zero term the scalar route
 skips, adds a zero to a sum that is never -0.0, which changes no bit of
-a finite result.  Every column carries its own step, and the columns of
-one step that share a generator run on its plan together.
+a finite result.  Every column carries its own word; step k runs on the
+columns whose word is longer than k, those that share a generator on
+its plan together.
 
 ``build_P_batch`` and ``extract_coords_batch`` are the float forms of
 ``clifford.build_P`` and ``extract_coords`` over (64, n) arrays, row r
@@ -134,37 +136,27 @@ def extract_coords_batch(p, tol=SPAN_TOL):
     return coords, ok & np.isfinite(coords).all(axis=0)
 
 
-def _coefficients(flat):
-    """(entry row, entry column, basis index, row) of each listed flat index.
-
-    Listed in ascending flat index, that is in (row, column, basis) order.
+@functools.cache
+def _term_table():
+    """Per side of M P M^-1, (M coefficient, row, sign) arrays of shape
+    (64, 16): the terms of each off-diagonal output in mul_terms' order,
+    ascending k, then the left basis index.  The M coefficient is a flat
+    index of M (in M @ P) or of M^-1 (in (M P) @ M^-1), row the other
+    factor's row.
     """
-    return [(f // 32, f // 8 % 4, f % 8, r) for r, f in enumerate(flat)]
-
-
-def _round_plan(left, right):
-    """Round arrays (left row, right row, sign) of the block product of two
-    factors, given as the _coefficients of each that can be nonzero.
-
-    Output row r is coefficient block_rows(False)[r]; its terms are in
-    mul_terms' order (ascending k, then the left basis index), and every
-    output has the same number of terms, one per round.
-    """
-    by_row = [[] for _ in range(4)]
-    for k, j, b, rb in right:
-        by_row[k].append((j, b, rb))
-    sums = [[] for _ in range(128)]
-    for i, k, a, ra in left:
-        mul = _MUL[a]
-        for j, b, rb in by_row[k]:
-            t, sign = mul[b]
-            sums[32 * i + 8 * j + t].append((ra, rb, sign))
-    outs = [sums[f] for f in block_rows(False)]
-    if any(sums[f] for f in block_rows(True)) or len(set(map(len, outs))) != 1:
-        raise AssertionError("block product is not block off-diagonal and uniform")
-    terms = [x for r in range(len(outs[0])) for out in outs for x in out[r]]
-    ia, ib, sign = np.array(terms).reshape(-1, 64, 3).transpose(2, 0, 1)
-    return ia, ib, sign[:, :, None].astype(float)
+    rows = {f: r for r, f in enumerate(block_rows(False))}
+    inverse = [{t: (b, sign) for b, (t, sign) in enumerate(row)} for row in _MUL]
+    left, right = [], []
+    for f in block_rows(False):
+        i, j, t = f // 32, f // 8 % 4, f % 8
+        for k in range(4):
+            for a in range(8):
+                b, sign = inverse[a][t]
+                if k // 2 == i // 2:  # M[i][k] P[k][j]
+                    left += (32 * i + 8 * k + a, rows[32 * k + 8 * j + b], sign)
+                if k // 2 == j // 2:  # (M P)[i][k] M^-1[k][j]
+                    right += (32 * k + 8 * j + b, rows[32 * i + 8 * k + a], sign)
+    return tuple(np.array(side).reshape(64, 16, 3).transpose(2, 0, 1) for side in (left, right))
 
 
 def _compact_plan(gen):
@@ -172,8 +164,10 @@ def _compact_plan(gen):
 
     unit and g are (live, 1) columns over the coefficients of M that can
     be nonzero: 1 on a diagonal unit (c), and gen's coefficient (+-s).
-    left and right are the _round_plan of M @ P and (M P) @ M^-1.
-    Raises AssertionError when gen is not block diagonal.
+    left and right are the (left row, right row, sign) round arrays of
+    M @ P and (M P) @ M^-1, the _term_table terms whose M coefficient is
+    live, term r of each output in round r.  Raises AssertionError when
+    gen is not block diagonal or its outputs keep unequal term counts.
     """
     flat = gen.flat()
     if any(flat[f] for f in block_rows(False)):
@@ -182,8 +176,17 @@ def _compact_plan(gen):
     live = [f for f in block_rows(True) if f % 40 == 0 or flat[f]]
     unit = np.array([[float(f % 40 == 0)] for f in live])
     g = np.array([[float(flat[f])] for f in live])
-    m, p = _coefficients(live), _coefficients(block_rows(False))
-    return unit, g, _round_plan(m, p), _round_plan(p, m)
+    at = np.full(128, -1)
+    at[live] = range(len(live))
+    plans = []
+    for m, row, sign in _term_table():
+        keep = at[m] >= 0
+        if len(set(keep.sum(axis=1).tolist())) != 1:
+            raise AssertionError("outputs keep different numbers of terms")
+        m, row, sign = (x[keep].reshape(64, -1).T for x in (at[m], row, sign))
+        plans.append((m, row, sign[:, :, None].astype(float)))
+    left, (rm, rrow, rsign) = plans
+    return unit, g, left, (rrow, rm, rsign)
 
 
 def _product(plan, a, b):
@@ -203,29 +206,33 @@ def step_plan(gen):
     return got[1]
 
 
-def conjugate(coords, steps):
+def conjugate(coords, words):
     """Conjugate each vector of a batch through its own word, step by step.
 
-    coords holds one row of six float coordinates per vector, n rows.
-    steps holds one (plans, c, s) per step of the words, each three
-    sequences of n entries: vector j is conjugated by M = c[j] I +
-    s[j] G and M^-1 = c[j] I - s[j] G, where G is the generator whose
-    step_plan is plans[j]; each coefficient is c on the diagonal unit
-    plus G's coefficient times +-s, the values matrices.exp_pair forms.
-    The columns of one step that share a generator run as one group on
-    its plan.  Returns (coords, ok) of extract_coords_batch, with coords
-    as n rows again; a row whose ok is False means nothing.
+    coords holds one row of six float coordinates per vector, n rows,
+    and words one list of group._half_angle's (G, c, s) per vector: a
+    step conjugates by M = c I + s G and M^-1 = c I - s G, as
+    matrices.exp_pair forms them.  Step k runs on the columns whose word
+    is longer than k, those that share G on its step_plan together; a
+    column whose word has ended sits the later steps out.  Returns
+    (coords, ok) of extract_coords_batch, coords as n rows again; a row
+    whose ok is False means nothing.
     """
     # Overflow and nan are expected here: extraction refuses such columns.
     with np.errstate(over="ignore", invalid="ignore"):
         p = build_P_batch(np.array(coords, dtype=float).T)
-        for plans, c, s in steps:
-            c, s, groups = np.array(c), np.array(s), {}
-            for j, plan in enumerate(plans):
-                groups.setdefault(id(plan), (plan, []))[1].append(j)
-            for (unit, g, left, right), cols in groups.values():
-                cj, sj = c[cols], s[cols]
-                mp = _product(left, unit * cj + g * sj, p[:, cols])
-                p[:, cols] = _product(right, mp, unit * cj + g * -sj)
+        for k in range(max(map(len, words), default=0)):
+            groups = {}
+            for j, word in enumerate(words):
+                if len(word) > k:
+                    groups.setdefault(id(word[k][0]), []).append(j)
+            for cols in groups.values():
+                gen, c, s = zip(*(words[j][k] for j in cols))
+                unit, g, left, right = step_plan(gen[0])
+                c, s = np.array(c), np.array(s)
+                if len(cols) == p.shape[1]:
+                    cols = slice(None)
+                mp = _product(left, unit * c + g * s, p[:, cols])
+                p[:, cols] = _product(right, mp, unit * c + g * -s)
         coords, ok = extract_coords_batch(p)
     return coords.T, ok

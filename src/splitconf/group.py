@@ -22,9 +22,9 @@ instead of failing, so the recomputed matrices stay the ground truth.
 ``act_on_coords`` is the one batched entry point: it conjugates the
 rows of an (n, 6) float array through ``batch.conjugate``, the
 order-preserving numpy kernel, bit for bit as ``act_on_vector`` does
-one at a time.  It owns the routing: which rows go on the kernel,
-grouped by word length and cut into chunks of ``batch.BATCH_SIZE``,
-and ``act_on_vector`` for the rest.  Each row may carry its own word,
+one at a time.  It owns the routing: which rows go on the kernel, cut
+into chunks of ``batch.BATCH_SIZE`` whatever their word lengths, and
+``act_on_vector`` for the rest.  Each row may carry its own word,
 so the sampled words of ``verify_group``, ``verify_conformal`` and
 ``so6_matrix`` run as a few batches.  ``compose_so6`` is the one-word
 case of ``_compose_so6``, the stacked (n, 6, 6) product the 6x6
@@ -233,11 +233,17 @@ def act_on_P(word, p):
     """Conjugate p by each (step, angle) entry in sequence.
 
     The result must stay inside the span of the gammas; a residual
-    beyond extract_coords' tolerance raises ValueError.
+    beyond extract_coords' tolerance raises ValueError, and so does a
+    float p with an exact coefficient beyond float range (_refuse_overflow).
     """
-    p = _conjugate(word, p)
-    extract_coords(p)
-    return p
+    try:
+        q = _conjugate(word, p)
+    except OverflowError:
+        if not p.is_exact():
+            _refuse_overflow(p.flat())
+        raise
+    extract_coords(q)
+    return q
 
 
 def act_on_X(word, x):
@@ -283,35 +289,29 @@ def _plan(word):
 def act_on_coords(words, coords):
     """act_on_vector(words[i], Vector6(*coords[i])) for each of n float rows, as (n, 6).
 
-    A row whose word batches (see _plan) runs on batch.conjugate,
-    grouped by word length and cut into chunks of batch.BATCH_SIZE, step
-    k of every word in a chunk as one kernel step; each word object is
-    planned once, on the plans batch.step_plan caches per generator.
-    Every other row, and any the kernel refuses, goes through
-    act_on_vector in index order, which raises with its own message.
+    The rows whose words batch (see _plan) run on batch.conjugate in
+    chunks of batch.BATCH_SIZE, whatever their word lengths, each row
+    with its word's _plan; each word object is planned once.  Every
+    other row, and any the kernel refuses, goes through act_on_vector in
+    index order, which raises with its own message.
     """
     import numpy as np
     from . import batch
     words, coords = list(words), np.array(coords, dtype=float).reshape(-1, 6)
     if len(words) != len(coords):
         raise ValueError("%d words for %d vectors" % (len(words), len(coords)))
-    plans, groups = {}, {}
+    plans, take = {}, []
     for i, w in enumerate(words):
         if id(w) not in plans:
-            steps = _plan(w)
-            plans[id(w)] = None if steps is None else [
-                (batch.step_plan(gen), c, s) for gen, c, s in steps
-            ]
+            plans[id(w)] = _plan(w)
         if plans[id(w)] is not None:
-            groups.setdefault(len(w), []).append(i)
+            take.append(i)
     out, done = np.empty_like(coords), np.zeros(len(words), dtype=bool)
-    for length, take in groups.items():
-        for start in range(0, len(take), batch.BATCH_SIZE):
-            chunk = take[start:start + batch.BATCH_SIZE]
-            steps = [
-                zip(*(plans[id(words[i])][k] for i in chunk)) for k in range(length)
-            ]
-            out[chunk], done[chunk] = batch.conjugate(coords[chunk], steps)
+    for start in range(0, len(take), batch.BATCH_SIZE):
+        chunk = take[start:start + batch.BATCH_SIZE]
+        out[chunk], done[chunk] = batch.conjugate(
+            coords[chunk], [plans[id(words[i])] for i in chunk]
+        )
     for i in np.flatnonzero(~done).tolist():
         out[i] = act_on_vector(words[i], Vector6(*coords[i].tolist())).as_tuple()
     return out

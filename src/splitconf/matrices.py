@@ -26,6 +26,7 @@ exponentiated on every step is squared only once.
 """
 
 import math
+import sys
 
 from .algebra import ONE, SPAN_TOL, TensorScalar, ZERO, is_exact, mul_terms, terms
 
@@ -50,13 +51,14 @@ class TensorMatrix:
     a tuple of tuples of TensorScalar.  The numeric regime is stored in
     ``_exact``: given as ``exact`` by a caller that knows it, else
     decided the first time :meth:`is_exact` is asked; never rescanned.
-    Whether the square is exactly zero is stored in
-    ``_nilpotent`` the same way by :meth:`squares_to_zero`.  Scaling by
-    a number, ``+`` and ``-`` pass a zero entry (``nonzero`` false)
-    through as it is instead of computing with it.
+    Whether the square is exactly zero is stored in ``_nilpotent`` the
+    same way by :meth:`squares_to_zero`, and ``@`` keeps the _term_rows
+    of a left factor's rows and a right factor's columns in
+    ``_row_terms`` and ``_col_terms``.  Scaling by a number, ``+`` and
+    ``-`` pass a zero entry (``nonzero`` false) through as it is.
     """
 
-    __slots__ = ("rows", "n", "_exact", "_nilpotent")
+    __slots__ = ("rows", "n", "_exact", "_nilpotent", "_row_terms", "_col_terms")
 
     def __init__(self, rows, exact=None):
         rows = tuple(tuple(r) for r in rows)
@@ -67,7 +69,7 @@ class TensorMatrix:
         self.rows = rows
         self.n = n
         self._exact = exact
-        self._nilpotent = None
+        self._nilpotent = self._row_terms = self._col_terms = None
 
     def flat(self):
         """Every coefficient, row by row, entry by entry, in BASIS order."""
@@ -159,9 +161,13 @@ class TensorMatrix:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("size mismatch")
-        bcols = _term_rows(zip(*other.rows))
+        if self._row_terms is None:
+            self._row_terms = _term_rows(self.rows)
+        if other._col_terms is None:
+            other._col_terms = _term_rows(zip(*other.rows))
+        bcols = other._col_terms
         out_rows = []
-        for arow in _term_rows(self.rows):
+        for arow in self._row_terms:
             out_row = []
             for bcol in bcols:
                 acc = None
@@ -320,13 +326,20 @@ def exp_nilpotent(gen, theta):
 
 
 def _refuse_overflow(flat):
-    """Raise ValueError naming the overflow when a float coefficient is not finite.
+    """Raise ValueError naming a float coefficient that is not finite, or
+    an exact one beyond float range.
 
     A nan or an infinity survives a sum, unlike a max, so one sum clears
-    a finite matrix; only a sum that is not finite pays the scan.
+    a finite matrix; only a sum that is not finite pays the scan, and
+    only one that overflows converting to float looks for the exact one.
     """
-    if math.isfinite(sum(flat)):
-        return
+    try:
+        if math.isfinite(sum(flat)):
+            return
+    except OverflowError:
+        for i, c in enumerate(flat):
+            if is_exact(c) and abs(c) > sys.float_info.max:
+                raise ValueError("matrix coefficient %d is beyond float range" % i) from None
     bad = [c for c in flat if isinstance(c, float) and not math.isfinite(c)]
     if bad:
         raise ValueError(

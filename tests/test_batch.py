@@ -264,7 +264,12 @@ class TestWordPerColumn:
 
         for kinds in (["float"] * 40, ["float", "exact", "mixed"] * 14):
             pairs = [(draw_word(), draw_vector(k)) for k in kinds]
+            # Empty words, and word objects shared by rows of other lengths.
+            shared = [draw_word() for _ in range(3)] + [[]]
+            for i in range(0, len(pairs), 3):
+                pairs[i] = (shared[i % 4], pairs[i][1])
             assert len({len(w) for w, _ in pairs}) == 7
+            assert sum(not w for w, _ in pairs) >= 3
             words, vecs = zip(*pairs)
             assert outcome(lambda: batched(words, vecs)) == outcome(
                 lambda: scalar(words, vecs)
@@ -368,18 +373,37 @@ class TestKernel:
     def test_conjugate_takes_and_gives_arrays(self):
         # Two columns of one step under different generators; the
         # second overflows and is refused, the first is the scalar step.
+        # Each column takes its word's _half_angle (G, c, s) list.
         words = [[("xy", 0.3)], [("tx", 3.0)]]
         vecs = [Vector6(x=0.5, p=1.0), Vector6(x=1.7e308, t=1.7e308, p=1.0)]
-        steps = [group._half_angle(*w[0]) for w in words]
         coords, ok = batch.conjugate(
             np.array([v.as_tuple() for v in vecs]),
-            [zip(*((step_plan(gen), c, s) for gen, c, s in steps))],
+            [[group._half_angle(*step) for step in w] for w in words],
         )
         assert coords.shape == (2, 6)
         assert ok.tolist() == [True, False]
         assert repr(Vector6(*coords[0].tolist())) == repr(
             act_on_vector(words[0], vecs[0])
         )
+
+    def test_a_chunk_of_every_word_length_is_one_call(self, monkeypatch):
+        # Words of lengths 0 to 6 share their chunk: one conjugate call
+        # for 128 rows, each row its own word's steps.
+        calls = []
+        conjugate = batch.conjugate
+
+        def counted(coords, words):
+            calls.append(len(words))
+            return conjugate(coords, words)
+
+        monkeypatch.setattr(batch, "conjugate", counted)
+        rng = random.Random(12)
+        words = [[(rng.choice(STEP_NAMES), rng.uniform(-3, 3))
+                  for _ in range(n % 7)] for n in range(128)]
+        vecs = [Vector6(*(rng.uniform(-1, 1) for _ in range(6))) for _ in words]
+        got = batched(words, vecs)
+        assert calls == [128]
+        assert [repr(r) for r in got] == [repr(r) for r in scalar(words, vecs)]
 
 
 def random_blocks(rng):

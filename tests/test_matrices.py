@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,11 +10,12 @@ from hypothesis import strategies as st
 
 from splitconf import matrices
 from splitconf.algebra import _MUL, ELL, K, L, ONE, TensorScalar, ZERO, is_exact, within
-from splitconf.clifford import Vector6, build_X, gamma, metric_form
+from splitconf.clifford import Vector6, build_P, build_X, extract_coords, gamma, metric_form
 from splitconf.group import (
     PLANES,
     TRANSLATION_NAMES,
     _nilpotent_generator,
+    act_on_P,
     act_on_X,
     generator,
 )
@@ -393,6 +396,57 @@ class TestKnownExactness:
         assert len(seen) == 2
         m, m_inv = exp_pair(gen, 1, 0.5)
         assert m.is_exact() is False and m_inv.is_exact() is False
+
+
+class TestTermCache:
+    # @ keeps the term lists of a left factor's rows and a right
+    # factor's columns on the matrix; a cached list must give the
+    # product the dense loop and fresh copies give.
+    @given(mixed_pairs())
+    def test_a_right_factor_used_as_a_left_factor_gives_fresh_products(self, pair):
+        a, b = pair
+        a @ b
+        for x, y in ((b, a), (b, b), (a, b), (a, a)):
+            got = coefficient_reprs(x @ y)
+            assert got == coefficient_reprs(fresh(x) @ fresh(y))
+            assert got == coefficient_reprs(dense_matmul(x, y))
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy,
+        lambda m: pickle.loads(pickle.dumps(m)),
+    ], ids=["copy", "pickle"])
+    def test_copies_with_filled_caches_give_equal_products(self, copy_of):
+        a = (gamma("x") @ gamma("t")).scale(0.5) + gamma("p")
+        b = gamma("y") @ gamma("q")
+        want = [coefficient_reprs(x @ y) for x, y in ((a, b), (b, a), (a, a))]
+        a2, b2 = copy_of(a), copy_of(b)
+        got = [coefficient_reprs(x @ y) for x, y in ((a2, b2), (b2, a2), (a2, a2))]
+        assert got == want
+
+
+def with_coefficient(p, index, value):
+    """p with flat coefficient index replaced by value."""
+    flat = p.flat()
+    flat[index] = value
+    return TensorMatrix(
+        [[TensorScalar(flat[32 * i + 8 * j:32 * i + 8 * j + 8]) for j in range(4)]
+         for i in range(4)]
+    )
+
+
+class TestRefuseOverflow:
+    # A float matrix cannot hold an exact coefficient beyond float range:
+    # the refusal names it instead of letting float() raise OverflowError.
+    @pytest.mark.parametrize("index", [0, 5, 33, 127])
+    @pytest.mark.parametrize("route", [
+        extract_coords,
+        lambda p: act_on_P([("xy", 0.3)], p),
+    ], ids=["extract_coords", "act_on_P"])
+    def test_an_exact_coefficient_beyond_float_range_is_named(self, route, index):
+        p = with_coefficient(build_P(Vector6(x=1.0)), index, Fraction(10**400, 3))
+        msg = "^matrix coefficient %d is beyond float range" % index
+        with pytest.raises(ValueError, match=msg):
+            route(p)
 
 
 class TestQuadraticForm:

@@ -1,0 +1,119 @@
+"""Named semantic mutants of splitconf, and which tier-1 test kills each.
+
+    python3 tools/mutants.py [mutant id ...]
+
+Run from the root of a source checkout.  The tool copies the tree to a
+temporary directory (``src/`` is never edited in place), runs tier-1
+there once unmutated, then applies one mutant at a time and runs
+tier-1 with ``-x`` under the ``fast`` hypothesis profile, leaving out
+``tests/test_mutants.py``, which no mutated tree passes.  It writes
+``MUTANTS.json`` at the root: per mutant, ``killed`` and the first
+failing test, or ``survived``.  A survivor either gets a test that
+kills it or its ``why`` says why it is equivalent.  About 30 s per
+mutant on a 2-CPU machine; it is not a test and pytest does not
+collect it.  ``tests/test_mutants.py`` checks that every old text
+still occurs exactly once in ``src/``.
+"""
+
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src") / "splitconf"
+
+# (id, file under src/splitconf, old text, new text, why it matters)
+MUTANTS = (
+    ("mul-terms-reversed", "algebra.py",
+     "    for i, x in a:\n", "    for i, x in reversed(a):\n",
+     "the product kernel's term order fixes how every float sum rounds"),
+    ("mul-sign-flip", "algebra.py",
+     "((1, 1), (0, -1), (3, -1), (2, 1)),", "((1, 1), (0, -1), (3, 1), (2, 1)),",
+     "one wrong structure constant (K * KL = L) is another algebra"),
+    ("within-floor-only", "algebra.py",
+     "return (a <= tol) | (a <= tol * scale)", "return a <= tol",
+     "float checks are relative to the scale above 1"),
+    ("span-tol-loose", "algebra.py",
+     "SPAN_TOL = 1e-9", "SPAN_TOL = 1e-6",
+     "the span tolerance is printed in verify's bounds"),
+    ("chart-tol-zero", "algebra.py",
+     "CHART_TOL = 1e-12", "CHART_TOL = 0",
+     "a point whose p + q is rounding noise is at infinity"),
+    ("chart-tol-loose", "algebra.py",
+     "CHART_TOL = 1e-12", "CHART_TOL = 1e-6",
+     "a finite point near the chart edge must stay finite"),
+    ("resolve-drops-orientation", "group.py",
+     "return name, kind, orient * theta", "return name, kind, theta",
+     "a reversed plane name negates the angle"),
+    ("appendix-tol-loose", "group.py",
+     "if d.max_abs() > tol:", "if d.max_abs() >= 10 * tol:",
+     "equivalent: the bundled table's discrepancies are of order 1, far"
+     " above any tolerance, so the verdicts cannot move"),
+    ("term-table-k-reversed", "batch.py",
+     "for k in range(4):\n            for a in range(8):",
+     "for k in reversed(range(4)):\n            for a in range(8):",
+     "the batch plans add terms in mul_terms' order, ascending k"),
+    ("col-terms-from-rows", "matrices.py",
+     "other._col_terms = _term_rows(zip(*other.rows))",
+     "other._col_terms = _term_rows(other.rows)",
+     "a right factor's cached terms are its columns"),
+)
+
+_IGNORE = shutil.ignore_patterns(
+    ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_out",
+    "MUTANTS.json",
+)
+
+
+def tier1(tree):
+    """(passed, first failing test id or None, last output line) of tier-1 in tree."""
+    env = dict(os.environ, HYPOTHESIS_PROFILE="fast", PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    got = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--ignore", "tests/test_mutants.py"],  # it fails on every mutant by design
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    shutil.rmtree(Path(tree) / ".hypothesis", ignore_errors=True)
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", got.stdout, re.M)
+    lines = got.stdout.strip().splitlines()
+    return got.returncode == 0, failed and failed.group(1), lines[-1] if lines else ""
+
+
+def main(argv):
+    unknown = set(argv) - {m[0] for m in MUTANTS}
+    if unknown:
+        sys.exit("unknown mutant ids: %s" % sorted(unknown))
+    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=_IGNORE)
+        passed, _, last = tier1(tree)
+        if not passed:
+            sys.exit("tier-1 fails on the unmutated copy: %s" % last)
+        for ident, name, old, new, why in chosen:
+            path = tree / PACKAGE / name
+            text = path.read_text()
+            if text.count(old) != 1:
+                sys.exit("%s: old text occurs %d times in %s" % (ident, text.count(old), name))
+            path.write_text(text.replace(old, new))
+            try:
+                passed, by, last = tier1(tree)
+            finally:
+                path.write_text(text)
+            results.append({
+                "id": ident, "file": name, "status": "survived" if passed else "killed",
+                "by": by, "why": why,
+            })
+            print("%-26s %-8s %s" % (ident, results[-1]["status"], by or last), flush=True)
+    (ROOT / "MUTANTS.json").write_text(json.dumps(results, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
