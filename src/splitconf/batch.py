@@ -230,8 +230,6 @@ def conjugate(coords, words):
                 gen, c, s = zip(*(words[j][k] for j in cols))
                 unit, g, left, right = step_plan(gen[0])
                 c, s = np.array(c), np.array(s)
-                if len(cols) == p.shape[1]:
-                    cols = slice(None)
                 mp = _product(left, unit * c + g * s, p[:, cols])
                 p[:, cols] = _product(right, mp, unit * c + g * -s)
         coords, ok = extract_coords_batch(p)

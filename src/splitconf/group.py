@@ -230,14 +230,17 @@ def _conjugate(word, p):
 
 
 def act_on_P(word, p):
-    """Conjugate p by each (step, angle) entry in sequence.
+    """Conjugate p by each (step, angle) entry in sequence, as _conjugate,
+    after resolving every step, so a step's own error comes first.
 
-    The result must stay inside the span of the gammas; a residual
-    beyond extract_coords' tolerance raises ValueError, and so does a
-    float p with an exact coefficient beyond float range (_refuse_overflow).
+    A residual beyond extract_coords' tolerance raises ValueError, and so
+    does a float p whose products overflow (see _refuse_overflow).
     """
+    pairs = [exp_pair(*_half_angle(step, theta)) for step, theta in word]
+    q = p
     try:
-        q = _conjugate(word, p)
+        for m, m_inv in pairs:
+            q = (m @ q) @ m_inv
     except OverflowError:
         if not p.is_exact():
             _refuse_overflow(p.flat())

@@ -165,11 +165,10 @@ class TensorMatrix:
             self._row_terms = _term_rows(self.rows)
         if other._col_terms is None:
             other._col_terms = _term_rows(zip(*other.rows))
-        bcols = other._col_terms
         out_rows = []
         for arow in self._row_terms:
             out_row = []
-            for bcol in bcols:
+            for bcol in other._col_terms:
                 acc = None
                 for a, b in zip(arow, bcol):
                     if a is not None and b is not None:
@@ -326,26 +325,26 @@ def exp_nilpotent(gen, theta):
 
 
 def _refuse_overflow(flat):
-    """Raise ValueError naming a float coefficient that is not finite, or
-    an exact one beyond float range.
+    """Raise ValueError naming a float coefficient that is not finite, an
+    exact one beyond float range, or exact ones whose sum is.
 
-    A nan or an infinity survives a sum, unlike a max, so one sum clears
-    a finite matrix; only a sum that is not finite pays the scan, and
-    only one that overflows converting to float looks for the exact one.
+    One sum clears a finite matrix (a nan or an infinity survives a sum,
+    unlike a max); only a sum that is not finite or overflows pays the
+    scan.  Finite floats that sum past float range pass: reads name that.
     """
     try:
         if math.isfinite(sum(flat)):
             return
     except OverflowError:
-        for i, c in enumerate(flat):
-            if is_exact(c) and abs(c) > sys.float_info.max:
-                raise ValueError("matrix coefficient %d is beyond float range" % i) from None
-    bad = [c for c in flat if isinstance(c, float) and not math.isfinite(c)]
-    if bad:
-        raise ValueError(
-            "matrix coefficient %s is not finite: the step overflowed"
-            " or its input was not finite" % bad[0]
-        )
+        pass
+    for i, c in enumerate(flat):
+        if isinstance(c, float) and not math.isfinite(c):
+            raise ValueError("matrix coefficient %s is not finite: the step"
+                             " overflowed or its input was not finite" % c)
+        if not isinstance(c, float) and abs(c) > sys.float_info.max:
+            raise ValueError("matrix coefficient %d is beyond float range" % i)
+    if any(c and not isinstance(c, float) for c in flat):
+        raise ValueError("matrix coefficients sum beyond float range")
 
 
 def quadratic_form(x):

@@ -264,12 +264,14 @@ class TestWordPerColumn:
 
         for kinds in (["float"] * 40, ["float", "exact", "mixed"] * 14):
             pairs = [(draw_word(), draw_vector(k)) for k in kinds]
-            # Empty words, and word objects shared by rows of other lengths.
+            # Eight more float rows at random places, sharing four word
+            # objects, one of them empty.
             shared = [draw_word() for _ in range(3)] + [[]]
-            for i in range(0, len(pairs), 3):
-                pairs[i] = (shared[i % 4], pairs[i][1])
+            for i in range(8):
+                pairs.insert(rng.randint(0, len(pairs)),
+                             (shared[i % 4], draw_vector("float")))
             assert len({len(w) for w, _ in pairs}) == 7
-            assert sum(not w for w, _ in pairs) >= 3
+            assert sum(w is shared[3] for w, _ in pairs) == 2
             words, vecs = zip(*pairs)
             assert outcome(lambda: batched(words, vecs)) == outcome(
                 lambda: scalar(words, vecs)

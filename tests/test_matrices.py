@@ -448,6 +448,28 @@ class TestRefuseOverflow:
         with pytest.raises(ValueError, match=msg):
             route(p)
 
+    @pytest.mark.parametrize("indices", [(0, 1), (24, 48)])
+    def test_exact_coefficients_that_sum_beyond_float_range_are_named(self, indices):
+        # Each coefficient fits a float, their sum does not: the sum
+        # meets a float and overflows, or reaches inf without raising.
+        # act_on_P's products round them to floats, so its read refuses.
+        p = build_P(Vector6(x=1.0))
+        for index in indices:
+            p = with_coefficient(p, index, Fraction(int(1.5e308)))
+        with pytest.raises(ValueError, match="^matrix coefficients sum beyond float range"):
+            extract_coords(p)
+        with pytest.raises(ValueError):
+            act_on_P([("xy", 0.3)], p)
+
+    @pytest.mark.parametrize("bad", [math.nan, Fraction(10**400, 3)])
+    def test_a_step_error_comes_before_the_input_refusal(self, bad):
+        # act_on_P resolves the whole word before its first product.
+        p = with_coefficient(build_P(Vector6(x=1.0)), 5, bad)
+        with pytest.raises(OverflowError, match="^boost angle 1000000.0 of 'tx'"):
+            act_on_P([("tx", 1e6)], p)
+        with pytest.raises(OverflowError, match="^boost angle 1000000.0 of 'tx'"):
+            act_on_P([("xy", 0.3), ("tx", 1e6)], p)
+
 
 class TestQuadraticForm:
     def test_symmetric_off_diagonal(self):
