@@ -37,7 +37,7 @@ import math
 import random
 import sys
 
-from .algebra import CHECK_TOL, ONE, SPAN_TOL, UNIT, exact_div
+from .algebra import CHECK_TOL, ONE, SPAN_TOL, UNIT, ZERO, exact_div
 from .clifford import (
     COORDS,
     METRIC,
@@ -339,10 +339,18 @@ def so6_matrix(word):
     return _so6_matrices([word])[0]
 
 
+@functools.cache
+def _so6_slots(name):
+    """The flat 6x6 indices of cells (a, a), (a, b), (b, b), (b, a) of a
+    canonical plane ab, and its metric signs (METRIC[b], METRIC[a])."""
+    a, b = COORDS.index(name[0]), COORDS.index(name[1])
+    return (7 * a, 6 * a + b, 7 * b, 6 * b + a), (METRIC[name[1]], METRIC[name[0]])
+
+
 def _so6_stack(steps):
     """so6_step of each (plane, theta) in steps as an (n, 6, 6) array; None gives I."""
     import numpy as np
-    rows, cols, values = [], [], []
+    cols, values = [], []
     for n, step in enumerate(steps):
         if step is None:
             continue
@@ -350,13 +358,14 @@ def _so6_stack(steps):
         if kind == "nilpotent":
             raise ValueError("so6_step takes a plane, not the nilpotent step %r" % (name,))
         c, s = _sincosh(theta, kind == "boost")
-        a, b = COORDS.index(name[0]), COORDS.index(name[1])
-        rows += (n, n, n, n)
-        cols += (7 * a, 6 * a + b, 7 * b, 6 * b + a)
-        values += (c, s * METRIC[name[1]], c, -s * METRIC[name[0]])
-    r = np.tile(np.eye(6), (len(steps), 1, 1))
-    r.reshape(-1, 36)[rows, cols] = values
-    return r
+        (aa, ab, bb, ba), (mb, ma) = _so6_slots(name)
+        o = 36 * n
+        cols += (o + aa, o + ab, o + bb, o + ba)
+        values += (c, s * mb, c, -s * ma)
+    r = np.zeros((len(steps), 36))
+    r[:, ::7] = 1
+    r.reshape(-1)[cols] = values
+    return r.reshape(-1, 6, 6)
 
 
 def _compose_so6(words):
@@ -724,10 +733,7 @@ REFERENCE_GENERATOR_TABLE = {
 def build_reference(name, phi):
     """Evaluate the reference transcription of one matrix at angle phi."""
     c_val, s_val = _sincosh(phi / 2, plane_kind(name) == "boost")
-    rows = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            rows[i][j] = ONE * 0
+    rows = [[ZERO] * 4 for _ in range(4)]
     for i, j, c, s, unit in REFERENCE_GENERATOR_TABLE[name]:
         cell = ONE * (c * c_val)
         if s:
@@ -755,14 +761,14 @@ def appendix_check(config=None):
         for phi in _APPENDIX_ANGLES:
             recomputed = generator(name, phi)
             reference = build_reference(name, phi)
-            for i in range(4):
-                for j in range(4):
-                    d = recomputed.rows[i][j] - reference.rows[i][j]
-                    if d.max_abs() > tol:
-                        bad_cells.setdefault((i, j), (
-                            reference.rows[i][j],
-                            recomputed.rows[i][j],
-                        ))
+            diff = [abs(a - b) for a, b in zip(recomputed.flat(), reference.flat())]
+            for cell in range(16):
+                if max(diff[8 * cell:8 * cell + 8]) > tol:
+                    i, j = divmod(cell, 4)
+                    bad_cells.setdefault((i, j), (
+                        reference.rows[i][j],
+                        recomputed.rows[i][j],
+                    ))
         if not bad_cells:
             report.add_comparison(
                 "appendix[%s]" % name,

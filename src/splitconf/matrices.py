@@ -2,17 +2,19 @@
 
 Entries are :class:`~splitconf.algebra.TensorScalar` values.  The
 matrix product and :func:`trace_product` multiply entries through the
-one product kernel of the algebra (``algebra.mul_terms``): each entry's
-nonzero (basis index, coefficient) terms are listed once per product,
-and entry (i, j) sums a[i][k] b[k][j] over the nonzero pairs in
-ascending k, each in ascending (a index, b index) order.  Products,
-sums and scalings skip zero entries by their ``nonzero`` flag: the
-product never multiplies them, and sums, differences and scalings by a
-number pass them through untouched.  Whether a matrix is exact (all
-coefficients ``int``/``Fraction``) is decided once per matrix, on first
-use, by :meth:`TensorMatrix.is_exact`, unless it is already known: a
-product of two matrices known to be exact is exact, and so is
-:func:`exp_pair` of an exact generator at an exact (c, s).
+one product kernel of the algebra (``algebra.mul_terms``), and entry
+(i, j) sums a[i][k] b[k][j] over the nonzero pairs in ascending k, each
+in ascending (a index, b index) order.  The product is row-sparse
+(Gustavson, ACM TOMS 4, 1978): for each nonzero a[i][k] in ascending k
+it adds into every j with b[k][j] nonzero, from per-row lists of the
+nonzero entries' terms that each matrix builds once and keeps.
+Products, sums and scalings skip zero entries by their ``nonzero``
+flag: the product never multiplies them, and sums, differences and
+scalings by a number pass them through untouched.  Whether a matrix is
+exact (all coefficients ``int``/``Fraction``) is decided once per
+matrix, on first use, by :meth:`TensorMatrix.is_exact`, unless it is
+already known: a product of two matrices known to be exact is exact,
+and so is :func:`exp_pair` of an exact generator at an exact (c, s).
 
 Exponentials close in this algebra for two shapes of generator: one
 squaring to +I or -I (cosh/sinh or cos/sin of the angle, from
@@ -39,11 +41,6 @@ __all__ = [
 ]
 
 
-def _term_rows(rows):
-    """Each entry's term list (algebra.terms), None for a zero entry."""
-    return [[terms(e.coeffs) if e.nonzero else None for e in r] for r in rows]
-
-
 class TensorMatrix:
     """A square matrix with TensorScalar entries.
 
@@ -52,13 +49,14 @@ class TensorMatrix:
     ``_exact``: given as ``exact`` by a caller that knows it, else
     decided the first time :meth:`is_exact` is asked; never rescanned.
     Whether the square is exactly zero is stored in ``_nilpotent`` the
-    same way by :meth:`squares_to_zero`, and ``@`` keeps the _term_rows
-    of a left factor's rows and a right factor's columns in
-    ``_row_terms`` and ``_col_terms``.  Scaling by a number, ``+`` and
-    ``-`` pass a zero entry (``nonzero`` false) through as it is.
+    same way by :meth:`squares_to_zero`, and ``@`` keeps in ``_terms``,
+    per row, the (column, algebra.terms) of each nonzero entry, which
+    serves the matrix as a left or a right factor.  Scaling by a
+    number, ``+`` and ``-`` pass a zero entry (``nonzero`` false)
+    through as it is.
     """
 
-    __slots__ = ("rows", "n", "_exact", "_nilpotent", "_row_terms", "_col_terms")
+    __slots__ = ("rows", "n", "_exact", "_nilpotent", "_terms")
 
     def __init__(self, rows, exact=None):
         rows = tuple(tuple(r) for r in rows)
@@ -69,7 +67,7 @@ class TensorMatrix:
         self.rows = rows
         self.n = n
         self._exact = exact
-        self._nilpotent = self._row_terms = self._col_terms = None
+        self._nilpotent = self._terms = None
 
     def flat(self):
         """Every coefficient, row by row, entry by entry, in BASIS order."""
@@ -156,27 +154,32 @@ class TensorMatrix:
     def __neg__(self):
         return TensorMatrix(tuple(tuple(-a for a in r) for r in self.rows))
 
+    def _nonzero_terms(self):
+        """Per row, (column, algebra.terms) of each nonzero entry; cached in _terms."""
+        t = self._terms
+        if t is None:
+            t = self._terms = [
+                [(j, terms(e.coeffs)) for j, e in enumerate(r) if e.nonzero]
+                for r in self.rows
+            ]
+        return t
+
     def __matmul__(self, other):
         if not isinstance(other, TensorMatrix):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("size mismatch")
-        if self._row_terms is None:
-            self._row_terms = _term_rows(self.rows)
-        if other._col_terms is None:
-            other._col_terms = _term_rows(zip(*other.rows))
+        brows = other._nonzero_terms()
         out_rows = []
-        for arow in self._row_terms:
-            out_row = []
-            for bcol in other._col_terms:
-                acc = None
-                for a, b in zip(arow, bcol):
-                    if a is not None and b is not None:
-                        if acc is None:
-                            acc = [0] * 8
-                        mul_terms(acc, a, b)
-                out_row.append(ZERO if acc is None else TensorScalar(acc))
-            out_rows.append(out_row)
+        for arow in self._nonzero_terms():
+            accs = [None] * self.n
+            for k, a in arow:
+                for j, b in brows[k]:
+                    acc = accs[j]
+                    if acc is None:
+                        acc = accs[j] = [0] * 8
+                    mul_terms(acc, a, b)
+            out_rows.append([ZERO if acc is None else TensorScalar(acc) for acc in accs])
         # exact times exact is exact; otherwise is_exact decides later
         return TensorMatrix(out_rows, self._exact and other._exact or None)
 

@@ -20,9 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BASIS, CHECK_TOL, H_UNITS, TensorScalar, terms
+from .algebra import BASIS, CHECK_TOL, H_UNITS, UNIT, TensorScalar, terms
 from .clifford import COORDS, METRIC, gamma
-from .group import LORENTZ_PLANES, PLANES, _resolve, generator
+from .group import LORENTZ_PLANES, PLANES, _plane_data, _resolve, generator
 from .matrices import TensorMatrix
 from .report import Report
 
@@ -194,7 +194,7 @@ def surviving_planes():
     return tuple(
         name
         for name in PLANES
-        if _split_content_in_1L(gamma(name[0]) @ gamma(name[1]))
+        if _split_content_in_1L(_plane_data(name)[0])
     )
 
 
@@ -279,13 +279,13 @@ def verify_realrep(config=None):
                     "image of the product",
                 )
 
+    real = {u: realify_scalar(UNIT[u]) for u in BASIS}
     for eu in BASIS:
         for ev in BASIS:
-            a, b = TensorScalar.unit(eu), TensorScalar.unit(ev)
-            lhs = realify_scalar(a) @ realify_scalar(b)
+            prod = realify_scalar(UNIT[eu] * UNIT[ev])
             report.match(
                 "homomorphism[%s,%s]" % (eu, ev),
-                np.array_equal(lhs, realify_scalar(a * b)),
+                np.array_equal(real[eu] @ real[ev], prod),
                 "realify(a)@realify(b) == realify(a*b)",
             )
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from splitconf import group
 from splitconf.algebra import L, ONE, is_exact, within
-from splitconf.clifford import Vector6, build_P, build_X, metric_form
+from splitconf.clifford import COORDS, METRIC, Vector6, build_P, build_X, metric_form
 from splitconf.conformal import step_vector
 from splitconf.group import (
     _BOOST_LIMIT,
@@ -17,6 +18,8 @@ from splitconf.group import (
     _conjugate,
     _half_angle,
     _invariance_devs,
+    _resolve,
+    _so6_stack,
     act_on_P,
     act_on_X,
     act_on_coords,
@@ -34,7 +37,7 @@ from splitconf.group import (
     verify_group,
     verify_properties,
 )
-from splitconf.matrices import TensorMatrix, exp_pair, quadratic_form
+from splitconf.matrices import TensorMatrix, _sincosh, exp_pair, quadratic_form
 from splitconf.realrep import exp_real_generator
 
 from strategies import fractions_within
@@ -393,6 +396,40 @@ def test_every_route_refuses_a_boost_beyond_the_limit(route, step, theta):
     )
 
 
+def tiled_so6_stack(steps):
+    """The 6x6 step stack as np.tile of I with the four cells of each plane
+    assigned by (row, column) fancy indexing: the reference for _so6_stack."""
+    rows, cols, values = [], [], []
+    for n, step in enumerate(steps):
+        if step is None:
+            continue
+        name, kind, theta = _resolve(*step)
+        c, s = _sincosh(theta, kind == "boost")
+        a, b = COORDS.index(name[0]), COORDS.index(name[1])
+        rows += (n, n, n, n)
+        cols += (7 * a, 6 * a + b, 7 * b, 6 * b + a)
+        values += (c, s * METRIC[name[1]], c, -s * METRIC[name[0]])
+    r = np.tile(np.eye(6), (len(steps), 1, 1))
+    r.reshape(-1, 36)[rows, cols] = values
+    return r
+
+
+def test_so6_stack_keeps_the_bits_of_the_tiled_construction():
+    # All 30 names (the 15 planes in both orders), signed zeros included.
+    steps = [None]
+    for name in PLANES:
+        extra = (_BOOST_LIMIT, -_BOOST_LIMIT) if name in BOOSTS else ()
+        for step in (name, name[::-1]):
+            for theta in (0, 0.37, -0.37, 2.5, -2.5, 0.0, -0.0) + extra:
+                steps += [(step, theta), None]
+    got = _so6_stack(steps)
+    assert got.shape == (len(steps), 6, 6) and got.dtype == np.float64
+    assert got.tobytes() == tiled_so6_stack(steps).tobytes()
+    for step in steps:
+        assert _so6_stack([step]).tobytes() == tiled_so6_stack([step]).tobytes()
+    assert _so6_stack([]).shape == (0, 6, 6)
+
+
 @pytest.mark.parametrize("step", TRANSLATION_NAMES)
 def test_so6_step_names_a_nilpotent_step(step):
     with pytest.raises(ValueError, match="nilpotent step '%s'" % step):
@@ -434,8 +471,37 @@ class TestAppendixTable:
         assert counts["discrepancy-documented"] == 1
         flagged = [c for c in rep.checks if c.status != "pass"]
         assert flagged[0].check_id == "appendix[ty]"
-        # the transcription disagrees only in the lower off-diagonal cells
-        assert "(2,3)" in flagged[0].actual or "(2, 3)" in flagged[0].actual
+        # the transcription disagrees only in the lower off-diagonal cells,
+        # and the documented text holds byte for byte
+        assert flagged[0].actual == "differs at cells [(2, 3), (3, 2)]"
+        assert flagged[0].context == (
+            "recomputed matrix is ground truth; at angle 0.3: "
+            "(2,3) reference=-0.150563 Ll recomputed=0.150563 Ll; "
+            "(3,2) reference=0.150563 Ll recomputed=-0.150563 Ll"
+        )
+
+    def test_a_planted_sign_is_reported_at_its_own_cell(self, monkeypatch):
+        # One wrong sign in cell (2, 3) of tx: the report names that cell,
+        # not its transpose, with the first angle's reference and recomputed
+        # entries, and no other plane moves.
+        planted = tuple(
+            (i, j, c, -s if (i, j) == (2, 3) else s, unit)
+            for i, j, c, s, unit in group.REFERENCE_GENERATOR_TABLE["tx"]
+        )
+        monkeypatch.setitem(group.REFERENCE_GENERATOR_TABLE, "tx", planted)
+        rep = appendix_check()
+        flagged = {c.check_id: c for c in rep.checks if c.status != "pass"}
+        assert sorted(flagged) == ["appendix[tx]", "appendix[ty]"]
+        check = flagged["appendix[tx]"]
+        assert check.status == "discrepancy-documented"
+        assert check.actual == "differs at cells [(2, 3)]"
+        ref, rec = build_reference("tx", 0.3), generator("tx", 0.3)
+        assert check.context == (
+            "recomputed matrix is ground truth; at angle 0.3: "
+            "(2,3) reference=%s recomputed=%s" % (ref.rows[2][3], rec.rows[2][3])
+        )
+        assert str(ref.rows[2][3]) == "0.150563 L"
+        assert str(rec.rows[2][3]) == "-0.150563 L"
 
     def test_reference_matches_recomputation_for_tz(self):
         assert within((build_reference("tz", 0.9) - generator("tz", 0.9)).max_abs(), 1e-15)

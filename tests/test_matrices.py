@@ -399,17 +399,30 @@ class TestKnownExactness:
 
 
 class TestTermCache:
-    # @ keeps the term lists of a left factor's rows and a right
-    # factor's columns on the matrix; a cached list must give the
-    # product the dense loop and fresh copies give.
+    # @ keeps one term cache per matrix, _terms: per row, the (column,
+    # terms) of each nonzero entry.  It serves the matrix as a left and
+    # as a right factor; a cached list must give the product the dense
+    # loop and fresh copies give.
     @given(mixed_pairs())
-    def test_a_right_factor_used_as_a_left_factor_gives_fresh_products(self, pair):
+    def test_a_left_factor_reused_as_a_right_factor_gives_fresh_products(self, pair):
         a, b = pair
         a @ b
+        cached = a._terms, b._terms
+        assert None not in cached
         for x, y in ((b, a), (b, b), (a, b), (a, a)):
             got = coefficient_reprs(x @ y)
             assert got == coefficient_reprs(fresh(x) @ fresh(y))
             assert got == coefficient_reprs(dense_matmul(x, y))
+        assert a._terms is cached[0] and b._terms is cached[1]
+
+    def test_the_cache_lists_each_rows_nonzero_entries_by_column(self):
+        m = gamma("x") @ gamma("t")
+        m @ m
+        assert m._terms == [
+            [(j, [(i, c) for i, c in enumerate(e.coeffs) if c])
+             for j, e in enumerate(r) if e.nonzero]
+            for r in m.rows
+        ]
 
     @pytest.mark.parametrize("copy_of", [
         copy.copy,
@@ -420,6 +433,7 @@ class TestTermCache:
         b = gamma("y") @ gamma("q")
         want = [coefficient_reprs(x @ y) for x, y in ((a, b), (b, a), (a, a))]
         a2, b2 = copy_of(a), copy_of(b)
+        assert (a2._terms, b2._terms) == (a._terms, b._terms)
         got = [coefficient_reprs(x @ y) for x, y in ((a2, b2), (b2, a2), (a2, a2))]
         assert got == want
 

@@ -51,17 +51,47 @@ MUTANTS = (
      "return name, kind, orient * theta", "return name, kind, theta",
      "a reversed plane name negates the angle"),
     ("appendix-tol-loose", "group.py",
-     "if d.max_abs() > tol:", "if d.max_abs() >= 10 * tol:",
+     "if max(diff[8 * cell:8 * cell + 8]) > tol:",
+     "if max(diff[8 * cell:8 * cell + 8]) >= 10 * tol:",
      "equivalent: the bundled table's discrepancies are of order 1, far"
      " above any tolerance, so the verdicts cannot move"),
     ("term-table-k-reversed", "batch.py",
      "for k in range(4):\n            for a in range(8):",
      "for k in reversed(range(4)):\n            for a in range(8):",
      "the batch plans add terms in mul_terms' order, ascending k"),
-    ("col-terms-from-rows", "matrices.py",
-     "other._col_terms = _term_rows(zip(*other.rows))",
-     "other._col_terms = _term_rows(other.rows)",
-     "a right factor's cached terms are its columns"),
+    ("sparse-product-k-reversed", "matrices.py",
+     "            for k, a in arow:\n", "            for k, a in reversed(arow):\n",
+     "each output entry adds its terms in ascending k, so float sums round"
+     " as the dense loop's do"),
+    ("so6-slots-signs-swapped", "group.py",
+     "(METRIC[name[1]], METRIC[name[0]])", "(METRIC[name[0]], METRIC[name[1]])",
+     "a boost's 6x6 step carries the metric sign of the other coordinate"),
+    ("appendix-cell-stride-4", "group.py",
+     "max(diff[8 * cell:8 * cell + 8])", "max(diff[4 * cell:4 * cell + 8])",
+     "each appendix cell is eight flat coefficients; a wrong stride"
+     " reports the wrong cells"),
+    ("gamma-slots-sign", "clifford.py",
+     "return tuple((f, c) for f, c in enumerate(gamma(m).flat()) if c)",
+     "return tuple((f, -c) for f, c in enumerate(gamma(m).flat()) if c)",
+     "the slot table places every coefficient of P with gamma(m)'s sign"),
+    ("resolve-kind-swap", "group.py",
+     "kind = _plane_data(name)[1]",
+     "kind = {\"boost\": \"rotation\", \"rotation\": \"boost\"}[_plane_data(name)[1]]",
+     "a plane's kind picks cos or cosh of its angle on every route"),
+    ("extract-lcm-to-product", "clifford.py",
+     "d = math.lcm(*(c.denominator for c in flat if c))",
+     "d = math.prod(c.denominator for c in flat if c)",
+     "equivalent: any common multiple of the denominators gives the same"
+     " normalized Fractions, the same integer tests and the same messages;"
+     " the lcm only keeps the integers small"),
+    ("report-match-inverted", "report.py",
+     'return self.add(check_id, ok, expected, "match" if ok else "mismatch", context)',
+     'return self.add(check_id, not ok, expected, "match" if ok else "mismatch", context)',
+     "an exact verdict must pass exactly when its identity holds"),
+    ("pq-sign-flip", "conformal.py",
+     "return within(v.p + v.q, 0 if v.is_exact()",
+     "return within(v.p - v.q, 0 if v.is_exact()",
+     "q_or_infinity puts a point at infinity when p + q vanishes"),
 )
 
 _IGNORE = shutil.ignore_patterns(
