@@ -75,8 +75,8 @@ def _batch_tables():
     Built on first use from _slots and _gather, asserting that every
     entry they name lies in the off-diagonal blocks and that all gather
     sums have one length.  Returns ((rows, coordinate, sign) of the 24
-    slots, and per trace side (index, sign) arrays of shape (terms, 48)
-    and (terms, 48, 1), one row per round over the 6 x 8 components).
+    slots, and (index, sign) arrays of shape (terms, 96) and (terms, 96, 1),
+    one row per round over both trace sides' 6 x 8 components, side 0 first).
     """
     pos = {f: r for r, f in enumerate(block_rows(False))}
 
@@ -89,16 +89,13 @@ def _batch_tables():
         *((row(f), c, s) for c, m in enumerate(COORDS) for f, s in _slots(m))
     )
     pack = (np.array(rows), np.array(coord), np.array(sign, float)[:, None])
-    sides = []
-    for side in (0, 1):
-        sums = [_gather(m)[t][side] for m in COORDS for t in range(8)]
-        if len({len(terms) for terms in sums}) != 1:
-            raise AssertionError("gather sums differ in length")
-        idx = np.array([[row(f) for f, _ in terms] for terms in sums]).T
-        sgn = np.array([[s for _, s in terms] for terms in sums], float).T
-        sides.append((idx, sgn[:, :, None]))
+    sums = [_gather(m)[t][side] for side in (0, 1) for m in COORDS for t in range(8)]
+    if len({len(terms) for terms in sums}) != 1:
+        raise AssertionError("gather sums differ in length")
+    idx = np.array([[row(f) for f, _ in terms] for terms in sums]).T
+    sgn = np.array([[s for _, s in terms] for terms in sums], float).T
     metric = np.array([[METRIC[m]] for m in COORDS], float)
-    return pack, sides, metric
+    return pack, (idx, sgn[:, :, None]), metric
 
 
 def build_P_batch(coords):
@@ -120,15 +117,12 @@ def extract_coords_batch(p, tol=SPAN_TOL):
     extract_coords would refuse (the same realness and residual tests
     at the same tolerances); the coordinates of such a column mean nothing.
     """
-    _, sides, metric = _batch_tables()
+    _, (idx, sgn), metric = _batch_tables()
     n = p.shape[1]
-    traces = []
-    for idx, sgn in sides:
-        acc = np.zeros((idx.shape[1], n))
-        for r in range(len(idx)):
-            acc += sgn[r] * p[idx[r]]
-        traces.append(acc)
-    sym = (traces[0] + traces[1]).reshape(6, 8, n)
+    acc = np.zeros((idx.shape[1], n))
+    for r in range(len(idx)):
+        acc += sgn[r] * p[idx[r]]
+    sym = (acc[:48] + acc[48:]).reshape(6, 8, n)
     real = within(sym[:, 1:], tol, np.abs(sym).max(axis=1)[:, None]).all(axis=(0, 1))
     coords = metric * sym[:, 0] / 8 + 0.0
     residual = np.abs(p - build_P_batch(coords)).max(axis=0)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 when nothing failed (documented discrepancies do not
 fail a run), 1 when at least one check failed, 2 for usage errors,
-which include non-finite numbers and angles whose matrices overflow.
+which include non-finite numbers and angles whose matrices overflow,
+and 141 (128 + SIGPIPE, as a shell reports it) when standard output
+closed before all of it was written.
 The json format is deterministic: the same configuration produces
 byte-identical output.  numpy loads when ``verify`` or a ``show real-*``
 command runs, ``realrep`` only for its suite and ``show real-*``;
@@ -11,10 +13,12 @@ command runs, ``realrep`` only for its suite and ``show real-*``;
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
+from operator import attrgetter
 
 from .algebra import BASIS, CHECK_TOL
 from .clifford import COORDS, Vector6, sigma, gamma, verify_clifford
@@ -36,6 +40,7 @@ from .group import (
     verify_group,
     verify_properties,
 )
+from .report import Check
 
 __all__ = ["RunConfig", "UsageError", "SUITES", "MAX_SAMPLES", "main"]
 
@@ -122,9 +127,41 @@ def _render_reports_text(reports, out):
     )
 
 
+# A report and a check of the json document at their depths, keys sorted.
+_REPORT_JSON = (
+    '    {\n      "checks": %s,\n      "config": %s,\n      "counts": %s,\n'
+    '      "suite": %s\n    }'
+)
+_CHECK_FIELDS = sorted(Check.__slots__)
+_CHECK_JSON = "        {\n%s\n        }" % ",\n".join(
+    '          "%s": %%s' % name for name in _CHECK_FIELDS
+)
+
+
+def _json_list(items, indent):
+    return "[\n%s\n%s]" % (",\n".join(items), indent) if items else "[]"
+
+
 def _render_reports_json(reports, out):
-    doc = {"reports": [rep.to_dict() for rep in reports]}
-    out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """json.dumps({"reports": [...]}, sort_keys=True, indent=2), in one pass.
+
+    Strings go through json.dumps' own escaper; only each report's config
+    and counts dicts go through json.dumps.  The text goes out in slices
+    of io's buffer size: a pipe that closes during one large write cuts it
+    short silently, while the slice after it raises BrokenPipeError.
+    """
+    esc, fields = json.encoder.encode_basestring_ascii, attrgetter(*_CHECK_FIELDS)
+    docs = []
+    for rep in reports:
+        checks = [_CHECK_JSON % tuple(map(esc, fields(c))) for c in rep.sorted_checks()]
+        config, counts = (
+            json.dumps(d, sort_keys=True, indent=2).replace("\n", "\n      ")
+            for d in (rep.config, rep.counts())
+        )
+        docs.append(_REPORT_JSON % (_json_list(checks, "      "), config, counts, esc(rep.suite)))
+    text = '{\n  "reports": %s\n}\n' % _json_list(docs, "  ")
+    for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+        out.write(text[i:i + io.DEFAULT_BUFFER_SIZE])
 
 
 def _render_reports_csv(reports, out):
@@ -423,10 +460,17 @@ def main(argv=None):
             "transform": _cmd_transform,
             "show": _cmd_show,
         }[args.command]
-        return handler(args, config, sys.stdout)
+        code = handler(args, config, sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The signal docs' "Note on SIGPIPE": with stdout on devnull, the
+        # flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports it
 
 
 if __name__ == "__main__":

@@ -96,7 +96,7 @@ class Vector6(Value):
     @classmethod
     def basis(cls, m):
         if m not in METRIC:
-            raise KeyError("unknown coordinate %r" % (m,))
+            raise ValueError("unknown coordinate %r, not one of %s" % (m, COORDS))
         return cls(**{m: 1})
 
     def scale(self, lam):
@@ -157,9 +157,13 @@ def build_P(v):
 
     Written straight from the slot table (see _spread); an entry no
     nonzero coordinate touches is ZERO, and P is exact when every
-    nonzero coordinate is.
+    nonzero coordinate is.  A NullVector is refused with TypeError: pass
+    its .v.
     """
-    coords = v.as_tuple()
+    try:
+        coords = v.as_tuple()
+    except AttributeError:
+        raise TypeError("expected a Vector6, got %s" % type(v).__name__) from None
     flat = _spread(coords)
     cells = [flat[f:f + 8] for f in range(0, 128, 8)]
     entries = [TensorScalar(c) if any(c) else ZERO for c in cells]

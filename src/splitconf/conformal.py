@@ -551,23 +551,31 @@ def verify_conformal(config=None):
                 "ok" if ok else "square %r" % (gen @ gen,),
             )
 
-    for m in TRANSLATABLE:
-        draws = _draws(rng, 25, 0.8)
-        starts = _embed_rows(draws[:, :4])
-        outs = _image_rows(["a" + m] * 25, draws[:, 4].tolist(), starts)
+    # translation-law[*], additivity[x], dilation-law and lorentz-on-q draw
+    # their inputs in that order, and every first step runs in one
+    # act_on_coords call; only additivity's second step needs another.
+    shifts = [_draws(rng, 25, 0.8) for _ in TRANSLATABLE]
+    adds, dils, pts = _draws(rng, 25, 0.7, 0.7), _draws(rng, 20, 0.8), _draws(rng, 12)
+    planes = [plane for plane in LORENTZ_PLANES for _ in range(2)]
+    steps = [("a" + m, d[:, 4]) for m, d in zip(TRANSLATABLE, shifts)]
+    steps += [("ax", adds[:, 4]), ("ax", adds[:, 4] + adds[:, 5]), ("pq", dils[:, 4])]
+    words = [[(name, theta)] for name, thetas in steps for theta in thetas.tolist()]
+    words += [[(plane, 0.7)] for plane in planes]
+    points = [d[:, :4] for d in shifts] + [adds[:, :4]] * 2 + [dils[:, :4], pts]
+    starts = _embed_rows(np.concatenate(points))
+    imgs = np.split(act_on_coords(words, starts), np.cumsum([len(t) for _, t in steps]))
+
+    for m, draws, outs in zip(TRANSLATABLE, shifts, imgs):
         want = MinkowskiPoint(*draws[:, :4].T).shifted(m, draws[:, 4])
         report.bound(
             "translation-law[%s]" % m,
-            _dev(_point(Vector6(*outs.T)), want),
+            _dev(_point(Vector6(*_null_rows(outs).T)), want),
             tol,
             "point coordinate shifts by theta, 25 seeded samples",
         )
 
-    draws = _draws(rng, 25, 0.7, 0.7)
-    starts = _embed_rows(draws[:, :4])
-    firsts = _image_rows(["ax"] * 25, draws[:, 4].tolist(), starts)
-    two_steps = _image_rows(["ax"] * 25, draws[:, 5].tolist(), firsts)
-    one_steps = _image_rows(["ax"] * 25, (draws[:, 4] + draws[:, 5]).tolist(), starts)
+    firsts, one_steps, outs = map(_null_rows, imgs[len(shifts):-1])
+    two_steps = _image_rows(["ax"] * 25, adds[:, 5].tolist(), firsts)
     report.bound(
         "additivity[x]",
         _dev(_point(Vector6(*two_steps.T)), _point(Vector6(*one_steps.T))),
@@ -575,13 +583,9 @@ def verify_conformal(config=None):
         "translate(th1) then translate(th2) vs translate(th1+th2)",
     )
 
-    unit_x = MinkowskiPoint(x=1)
-    half_x = q_from_p(step_vector("pq", math.log(2), embed_point(unit_x).v))
-    draws = _draws(rng, 20, 0.8)
-    thetas = draws[:, 4].tolist()
-    outs = _image_rows(["pq"] * 20, thetas, _embed_rows(draws[:, :4]))
-    factor = np.array([math.exp(-theta) for theta in thetas])
-    want = MinkowskiPoint(*draws[:, :4].T).scaled(factor)
+    half_x = q_from_p(step_vector("pq", math.log(2), embed_point(MinkowskiPoint(x=1)).v))
+    factor = np.array([math.exp(-theta) for theta in dils[:, 4].tolist()])
+    want = MinkowskiPoint(*dils[:, :4].T).scaled(factor)
     report.bound(
         "dilation-law",
         max(_dev(half_x, MinkowskiPoint(x=0.5)), _dev(_point(Vector6(*outs.T)), want)),
@@ -592,11 +596,8 @@ def verify_conformal(config=None):
     lorentz_dev = 0.0
     idx4 = [COORDS.index(m) for m in POINT_COORDS]
     lams = {plane: so6_step(plane, 0.7)[np.ix_(idx4, idx4)] for plane in LORENTZ_PLANES}
-    planes = [plane for plane in LORENTZ_PLANES for _ in range(2)]
-    pts = _draws(rng, 12)
-    starts = _embed_rows(pts)
-    imgs = act_on_coords([[(plane, 0.7)] for plane in planes], starts)
-    for plane, pt, start, img in zip(planes, pts, starts.tolist(), imgs.tolist()):
+    lorentz = zip(planes, pts, starts[-len(pts):].tolist(), imgs[-1].tolist())
+    for plane, pt, start, img in lorentz:
         img6 = Vector6(*img)
         out = q_or_infinity(img6)
         want = lams[plane] @ pt

@@ -161,8 +161,11 @@ def _resolve(step, theta):
     kind is "rotation" or "boost" for a plane (either order; reversing
     it negates the angle), else "nilpotent".  A float theta that is not
     finite raises ValueError naming it, before an unknown name does.  A
-    boost angle beyond _BOOST_LIMIT raises OverflowError naming it.
+    boost angle beyond _BOOST_LIMIT raises OverflowError naming it, and
+    a bool angle, in neither regime, TypeError.
     """
+    if type(theta) is bool:
+        raise TypeError("angle %r of %r is a bool, not a number" % (theta, step))
     if isinstance(theta, float) and not math.isfinite(theta):
         raise ValueError("angle %s is not finite" % (theta,))
     if step in TRANSLATION_NAMES:

@@ -59,10 +59,9 @@ _FACTORS = {"I": I2, "sx": SX, "sz": SZ, "Y": Y2}
 
 
 def _kron_all(names):
-    out = _FACTORS[names[0]]
-    for n in names[1:]:
-        out = np.kron(out, _FACTORS[n])
-    return out
+    """The Kronecker product of four named 2x2 factors, a 16x16 matrix."""
+    out = np.einsum("ab,cd,ef,gh->acegbdfh", *(_FACTORS[n] for n in names))
+    return out.reshape(16, 16)
 
 
 @functools.cache
@@ -74,33 +73,40 @@ def _unit_blocks():
     ]
 
 
+@functools.cache
+def _unit_pairs():
+    """((u, v), (a, b)) of 4x4 arrays: at each entry, the two units u < v
+    whose images are nonzero there, and those images' entries."""
+    blocks = np.array(_unit_blocks())
+    if ((blocks != 0).sum(axis=0) != 2).any():
+        raise AssertionError("a real entry is not the sum of two unit images")
+    units = np.argsort(blocks == 0, axis=0, kind="stable")[:2]
+    return units, np.take_along_axis(blocks, units, axis=0)
+
+
+def _realify(coeffs):
+    """The real 4x4 blocks of an (..., 8) coefficient array; + 0 makes -0.0 0.0."""
+    (u, v), (a, b) = _unit_pairs()
+    return coeffs[..., u] * a + coeffs[..., v] * b + 0
+
+
 def realify_scalar(s):
     """The real 4x4 matrix of a scalar: split image kron complex image.
 
     Integer coefficients give an int64 matrix, floats give float64,
     and exact rationals give an object matrix of Fractions; in every
-    case the map is an exact ring homomorphism on exact inputs.  The
-    eight unit images are built on first use.
+    case the map is an exact ring homomorphism on exact inputs.  Each
+    entry adds two coefficients in BASIS order, as the sum of the eight
+    unit images does.
     """
-    coeffs = s.coeffs
-    if any(isinstance(c, float) for c in coeffs):
-        dtype = np.float64
-    elif any(isinstance(c, Fraction) for c in coeffs):
-        dtype = object
-    else:
-        dtype = np.int64
-    out = np.zeros((4, 4), dtype=dtype)
-    for c, block in zip(coeffs, _unit_blocks()):
-        if c != 0:
-            out = out + block * c
-    return out
+    return _realify(np.array(s.coeffs))
 
 
 def realify_matrix(m):
     """Entrywise realification: each entry becomes a real 4x4 block."""
-    return np.block(
-        [[realify_scalar(e) for e in row] for row in m.rows]
-    )
+    n = len(m.rows)
+    blocks = _realify(np.array(m.flat()).reshape(n, n, 8))
+    return blocks.transpose(0, 2, 1, 3).reshape(4 * n, 4 * n)
 
 
 # Closed Kronecker forms of the six gammas: sign and the four factors

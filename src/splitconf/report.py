@@ -64,9 +64,6 @@ class Check(Value):
         put(self, "expected", expected), put(self, "actual", actual)
         put(self, "context", context)
 
-    def to_dict(self):
-        return dict(zip(self.__slots__, self._fields()))
-
 
 class Report:
     def __init__(self, suite, config=None):
@@ -74,11 +71,16 @@ class Report:
         self.config = {} if config is None else config
         self.checks = []
 
-    def add(self, check_id, ok, expected, actual, context=""):
-        """Record a pass/fail check."""
-        status = STATUS_PASS if ok else STATUS_FAIL
-        self.checks.append(Check(check_id, status, str(expected), str(actual), context))
+    def _append(self, check_id, ok, failed, expected, actual, context):
+        status = STATUS_PASS if ok else failed
+        self.checks.append(
+            Check(str(check_id), status, str(expected), str(actual), str(context))
+        )
         return ok
+
+    def add(self, check_id, ok, expected, actual, context=""):
+        """Record a pass/fail check; every field is stored as a string."""
+        return self._append(check_id, ok, STATUS_FAIL, expected, actual, context)
 
     def match(self, check_id, ok, expected, context=""):
         """Record an exact pass/fail check: actual is "match" or "mismatch"."""
@@ -90,9 +92,7 @@ class Report:
 
     def add_comparison(self, check_id, ok, expected, actual, context=""):
         """Record a reference comparison: mismatches are documented, not failed."""
-        status = STATUS_PASS if ok else STATUS_DISCREPANCY
-        self.checks.append(Check(check_id, status, str(expected), str(actual), context))
-        return ok
+        return self._append(check_id, ok, STATUS_DISCREPANCY, expected, actual, context)
 
     def extend(self, other):
         self.checks.extend(other.checks)
@@ -111,11 +111,3 @@ class Report:
     def sorted_checks(self):
         # Stable presentation ordering, independent of execution order.
         return sorted(self.checks, key=lambda c: c.check_id)
-
-    def to_dict(self):
-        return {
-            "suite": self.suite,
-            "config": dict(sorted(self.config.items())),
-            "counts": self.counts(),
-            "checks": [c.to_dict() for c in self.sorted_checks()],
-        }

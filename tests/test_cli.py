@@ -9,12 +9,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import splitconf
 from splitconf import batch, cli, clifford
 from splitconf.group import generator
 from splitconf.matrices import TensorMatrix
-from splitconf.report import Report
+from splitconf.report import Check, Report
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +224,69 @@ class TestVerifyCommand:
         actuals = [c["actual"] for r in doc["reports"] for c in r["checks"]]
         assert len(actuals) == 495
         assert not [a for a in actuals if a.startswith("np.")]
+
+
+def reference_json(reports):
+    """The verify json document as json.dumps writes it."""
+    doc = {"reports": [
+        {
+            "suite": rep.suite,
+            "config": rep.config,
+            "counts": rep.counts(),
+            "checks": [dict(zip(Check.__slots__, c._fields())) for c in rep.sorted_checks()],
+        }
+        for rep in reports
+    ]}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def render_json(reports):
+    out = io.StringIO()
+    cli._render_reports_json(reports, out)
+    return out.getvalue()
+
+
+HOSTILE_STRINGS = (
+    'a "quoted" word', "back\\slash", "new\nline", "tab\there", "\x00\x01\x1f\x7f",
+    "θ = π/2", "astral \U0001d11e", "", "\u2028\u2029\ufeff", "</script>",
+)
+
+
+class TestJsonWriter:
+    def test_a_verify_pass_renders_as_json_dumps_does(self):
+        config = cli.RunConfig(samples=20, seed=3).suite_config()
+        reports = [fn(config) for _, fn in cli.SUITES]
+        text = render_json(reports)
+        assert len(text) > io.DEFAULT_BUFFER_SIZE  # written in several slices
+        assert text == reference_json(reports)
+
+    def test_hostile_strings_render_as_json_dumps_does(self):
+        rep = Report("suite \"θ\"\n", {"seed": 1, "tolerance": 1e-12, "samples": 3})
+        for i, s in enumerate(HOSTILE_STRINGS):
+            rep.add(s, i % 2, s, s[::-1], s)
+        rep.add_comparison("empty-context", False, "x", "y")
+        reports = [rep, Report("no checks"), Report("no config", {})]
+        assert render_json(reports) == reference_json(reports)
+        assert render_json([]) == reference_json([]) == '{\n  "reports": []\n}\n'
+
+    @given(
+        st.lists(st.tuples(st.text(), st.booleans(), st.text(), st.text(), st.text()), max_size=4),
+        st.text(),
+    )
+    def test_any_strings_render_as_json_dumps_does(self, checks, suite):
+        rep = Report(suite, {"seed": 0})
+        for check_id, ok, expected, actual, context in checks:
+            rep.add(check_id, ok, expected, actual, context)
+        assert render_json([rep]) == reference_json([rep])
+
+    def test_a_report_stores_every_field_as_a_string(self):
+        rep = Report("s")
+        rep.add(("id", 1), True, 2, 3.5, None)
+        rep.add_comparison(7, False, [1], {}, 0)
+        assert [c._fields() for c in rep.checks] == [
+            ("('id', 1)", "pass", "2", "3.5", "None"),
+            ("7", "discrepancy-documented", "[1]", "{}", "0"),
+        ]
 
 
 class TestTransformCommand:
@@ -435,6 +500,26 @@ class TestShowCommand:
         assert len(rows) == 16
         assert all(len(r) == 16 for r in rows)
 
+    def test_gamma_csv_lists_each_entry_by_basis(self, capsys):
+        code, out, _ = run(["show", "gamma", "x", "--format", "csv"], capsys)
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0
+        assert rows[0] == ["i", "j", "1", "K", "KL", "L", "l", "Kl", "KLl", "Ll"]
+        assert len(rows) == 17 and all(len(r) == 10 for r in rows)
+        # gamma(x) is the anti-diagonal 4x4 of ones.
+        assert rows[1 + 4 * 0 + 3] == ["0", "3", "1.0"] + ["0.0"] * 7
+
+    def test_real_gamma_json_is_the_kronecker_form(self, capsys):
+        from splitconf.realrep import real_gamma
+
+        code, out, _ = run(["show", "real-gamma", "x", "--format", "json"], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert len(doc) == 16 and all(len(r) == 16 for r in doc)
+        # sx kron sx kron I kron I: row 0 has its one at column 12.
+        assert doc[0] == [0] * 12 + [1, 0, 0, 0]
+        assert doc == real_gamma("x").tolist()
+
     def test_unknown_coordinate_is_a_usage_error(self, capsys):
         code, _, err = run(["show", "gamma", "w"], capsys)
         assert code == 2
@@ -509,6 +594,29 @@ class TestEntryPoint:
         )
         assert bad.returncode == 2
         assert "unknown suite" in bad.stderr
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_closed_stdout_exits_141_without_a_traceback(self, fmt):
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("needs a pipe whose size can be set")
+        # A one-page pipe, read one byte at a time up to the first newline,
+        # keeps verify writing when the reader closes it.
+        read, write = os.pipe()
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "splitconf", "verify", "--format", fmt, "--samples", "1"],
+            stdout=write, stderr=subprocess.PIPE, env=self.package_env(),
+        )
+        os.close(write)
+        line = b""
+        while not line.endswith(b"\n"):
+            line += os.read(read, 1)
+        os.close(read)
+        err = proc.communicate(timeout=120)[1]
+        assert line == {"text": b"suite clifford (samples=1 seed=42 tolerance=1e-12)\n",
+                        "json": b"{\n"}[fmt]
+        assert (proc.returncode, err) == (141, b"")
 
     def test_a_verify_pass_leaves_numpy_ma_unimported(self):
         # numpy.ma costs several ms to import, in every fresh process.

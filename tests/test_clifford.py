@@ -20,7 +20,7 @@ from splitconf.clifford import (
     sigma,
     verify_clifford,
 )
-from splitconf.conformal import _TABLE_THETAS, PRINTED_IMAGE_TABLE
+from splitconf.conformal import _TABLE_THETAS, PRINTED_IMAGE_TABLE, NullVector
 from splitconf.group import PLANES, TRANSLATION_NAMES, _conjugate, act_on_vector
 from splitconf.matrices import TensorMatrix, quadratic_form
 
@@ -245,6 +245,20 @@ class TestInnerProduct:
         ident = TensorMatrix.identity(4)
         with pytest.raises(ValueError):
             inner_product(ident, ident.scale(ELL))
+
+
+class TestInputTypes:
+    def test_build_P_names_the_vector_type_it_takes(self):
+        # A NullVector wraps its Vector6 as .v; build_P does not unwrap it.
+        v = Vector6(t=1, q=1)
+        for bad in (NullVector(v), v.as_tuple()):
+            with pytest.raises(TypeError) as err:
+                build_P(bad)
+            assert str(err.value) == "expected a Vector6, got %s" % type(bad).__name__
+
+    def test_an_unknown_basis_coordinate_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^unknown coordinate 'w', not one of"):
+            Vector6.basis("w")
 
 
 class TestExtractErrors:

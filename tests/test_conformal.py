@@ -165,6 +165,12 @@ class TestTranslations:
         v = step_vector("ax", 2, embed_point(MinkowskiPoint(0, 0, 0, 0)).v)
         assert q_from_p(v) == MinkowskiPoint(0, 2, 0, 0)
 
+    def test_a_null_vector_steps_through_its_v_only(self):
+        null = embed_point(MinkowskiPoint(t=1))
+        with pytest.raises(TypeError, match="^expected a Vector6, got NullVector$"):
+            step_vector("bx", 1, null)
+        assert q_from_p(step_vector("ax", 2, null.v)) == MinkowskiPoint(1, 2, 0, 0)
+
     @given(st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False))
     def test_translations_add(self, t1, t2):
         start = embed_point(MinkowskiPoint(0.3, -0.1, 0.2, 0.5)).v

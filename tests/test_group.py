@@ -370,6 +370,17 @@ def test_every_route_names_a_non_finite_angle(route, step, theta):
         ROUTES[route](step, theta)
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("step", ["xy", "ax"])
+@pytest.mark.parametrize("theta", [True, False])
+def test_every_route_refuses_a_bool_angle(route, step, theta):
+    # A bool is an int to arithmetic, yet is_exact(True) is False: it is
+    # in neither regime, so the step table refuses it as an angle.
+    with pytest.raises(TypeError) as err:
+        ROUTES[route](step, theta)
+    assert str(err.value) == "angle %s of %r is a bool, not a number" % (theta, step)
+
+
 BOOSTS = [name for name in PLANES if plane_kind(name) == "boost"]
 
 

@@ -184,10 +184,12 @@ class TestRealrepSuite:
     @pytest.mark.parametrize("factor", [2, Fraction(1, 3)])
     def test_a_corrupted_unit_block_is_a_mismatch(self, monkeypatch, factor):
         # The unit 1 block scaled by 2 keeps every scaled entry an
-        # integer; scaled by 1/3 it does not.
+        # integer; scaled by 1/3 it does not.  The realification reads
+        # the blocks through the cached _unit_pairs, rebuilt uncached here.
         blocks = list(realrep._unit_blocks())
         blocks[0] = blocks[0] * factor
         monkeypatch.setattr(realrep, "_unit_blocks", lambda: blocks)
+        monkeypatch.setattr(realrep, "_unit_pairs", realrep._unit_pairs.__wrapped__)
         rep = verify_realrep({"seed": 5, "tolerance": 1e-12})
         got = {c.check_id: c for c in rep.checks}["homomorphism[exact-matrix]"]
         assert (got.status, got.actual) == ("fail", "mismatch")

@@ -89,9 +89,10 @@ def test_no_match_verdict_outside_report():
 
 def batch_ok_reference(p, tol=SPAN_TOL):
     """extract_coords_batch's ok mask, written with np.maximum(1.0, scale)."""
-    _, sides, metric = _batch_tables()
+    _, (idx_both, sgn_both), metric = _batch_tables()
     traces = []
-    for idx, sgn in sides:
+    for side in (slice(None, 48), slice(48, None)):
+        idx, sgn = idx_both[:, side], sgn_both[:, side]
         acc = np.zeros((idx.shape[1], p.shape[1]))
         for r in range(len(idx)):
             acc += sgn[r] * p[idx[r]]

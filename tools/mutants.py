@@ -8,7 +8,8 @@ there once unmutated, then applies one mutant at a time and runs
 tier-1 with ``-x`` under the ``fast`` hypothesis profile, leaving out
 ``tests/test_mutants.py``, which no mutated tree passes.  It writes
 ``MUTANTS.json`` at the root: per mutant, ``killed`` and the first
-failing test, or ``survived``.  A survivor either gets a test that
+failing test, or ``survived``; the records of mutants not named on the
+command line are kept.  A survivor either gets a test that
 kills it or its ``why`` says why it is equivalent.  About 30 s per
 mutant on a 2-CPU machine; it is not a test and pytest does not
 collect it.  ``tests/test_mutants.py`` checks that every old text
@@ -92,6 +93,13 @@ MUTANTS = (
      "return within(v.p + v.q, 0 if v.is_exact()",
      "return within(v.p - v.q, 0 if v.is_exact()",
      "q_or_infinity puts a point at infinity when p + q vanishes"),
+    ("json-escaper-keeps-non-ascii", "cli.py",
+     "json.encoder.encode_basestring_ascii", "json.encoder.encode_basestring",
+     "verify's json writer escapes non-ASCII text as json.dumps does by default"),
+    ("realify-drops-second-unit", "realrep.py",
+     "return coeffs[..., u] * a + coeffs[..., v] * b + 0",
+     "return coeffs[..., u] * a + 0",
+     "each real entry of a realified scalar sums two unit images"),
 )
 
 _IGNORE = shutil.ignore_patterns(
@@ -142,7 +150,11 @@ def main(argv):
                 "by": by, "why": why,
             })
             print("%-26s %-8s %s" % (ident, results[-1]["status"], by or last), flush=True)
-    (ROOT / "MUTANTS.json").write_text(json.dumps(results, indent=2) + "\n")
+    path = ROOT / "MUTANTS.json"
+    kept = {r["id"]: r for r in json.loads(path.read_text())} if path.exists() else {}
+    kept.update((r["id"], r) for r in results)
+    records = [kept[m[0]] for m in MUTANTS if m[0] in kept]
+    path.write_text(json.dumps(records, indent=2) + "\n")
 
 
 if __name__ == "__main__":
