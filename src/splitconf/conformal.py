@@ -14,8 +14,9 @@ word, and the sampled checks step their rows through
 ``group.act_on_coords``, one one-step word per row.
 
 The printed coefficient tables bundled here (PRINTED_IMAGE_TABLE) are
-diffed against exact rational recomputation; mismatches are documented
-with the recomputed polynomial, never adopted.
+diffed against the exact polynomials read off the integer adjoint of
+each generator; mismatches are documented with the recomputed
+polynomial, never adopted.
 """
 
 import math
@@ -28,6 +29,7 @@ from .group import (
     LORENTZ_PLANES,
     TRANSLATABLE,
     TRANSLATION_NAMES,
+    _adjoint,
     _nilpotent_generator,
     act_on_coords,
     act_on_vector,
@@ -275,23 +277,7 @@ def _mobius(v, alpha):
 
 
 # The fifteen-generator basis of the action on points.
-CLASSIFY_BASIS = (
-    "xy",
-    "yz",
-    "zx",
-    "tx",
-    "ty",
-    "tz",
-    "pq",
-    "ax",
-    "ay",
-    "az",
-    "at",
-    "bx",
-    "by",
-    "bz",
-    "bt",
-)
+CLASSIFY_BASIS = LORENTZ_PLANES + ("pq",) + TRANSLATION_NAMES
 
 _EXPECTED_CATEGORY = {
     "xy": "rotation",
@@ -436,36 +422,20 @@ PRINTED_IMAGE_TABLE = {
     },
 }
 
-_TABLE_THETAS = (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 4))
-
-
-def _fit_quadratic(thetas, values):
-    """Exact (c0, c1, c2) through three rational points."""
-    t1, t2, t3 = (Fraction(t) for t in thetas)
-    v1, v2, v3 = (Fraction(v) for v in values)
-    d21 = (v2 - v1) / (t2 - t1)
-    d32 = (v3 - v2) / (t3 - t2)
-    c2 = (d32 - d21) / (t3 - t1)
-    c1 = d21 - c2 * (t1 + t2)
-    c0 = v1 - c1 * t1 - c2 * t1 * t1
-    return (c0, c1, c2)
-
-
 def _poly_str(coeffs):
     c0, c1, c2 = coeffs
     return "%s %+s*th %+s*th^2" % (c0, c1, c2)
 
 
 def _image_table_checks(report):
+    """Each printed polynomial against (I + theta A + theta^2 A^2 / 2) e_m, A the
+    _adjoint: (I + tG) P (I - tG) = P + t[G, P] - t^2 G P G when G @ G = 0."""
     for (gen_name, basis_m), printed in sorted(PRINTED_IMAGE_TABLE.items()):
-        observed = {m: [] for m in COORDS}
-        for theta in _TABLE_THETAS:
-            coords = act_on_vector([(gen_name, theta)], Vector6.basis(basis_m))
-            for m in COORDS:
-                observed[m].append(Fraction(coords.component(m)))
+        adj, n = _adjoint(gen_name), COORDS.index(basis_m)
         mismatches = []
-        for m in COORDS:
-            recomputed = _fit_quadratic(_TABLE_THETAS, observed[m])
+        for i, m in enumerate(COORDS):
+            sq = sum(adj[i][k] * adj[k][n] for k in range(6))
+            recomputed = (Fraction(int(i == n)), Fraction(adj[i][n]), Fraction(sq, 2))
             stated = tuple(Fraction(c) for c in printed.get(m, (0, 0, 0)))
             if recomputed != stated:
                 mismatches.append(
@@ -521,9 +491,12 @@ def _image_rows(names, thetas, coords):
 
 def _draws(rng, n, *spans):
     """n > 0 seeded rows: a point (t, x, y, z) drawn from rng.uniform(-0.9, 0.9),
-    then rng.uniform(-s, s) per span, read from rng one row at a time."""
+    then rng.uniform(-s, s) per span, read from rng in row order.  uniform(a, b)
+    is a + (b - a) * random(), so one list of random() gives the same bits."""
     import numpy as np
-    return np.array([[rng.uniform(-s, s) for s in (0.9,) * 4 + spans] for _ in range(n)])
+    s = np.array((0.9,) * 4 + spans)
+    r = np.array([rng.random() for _ in range(n * len(s))]).reshape(n, len(s))
+    return -s + (s - -s) * r
 
 
 def verify_conformal(config=None):

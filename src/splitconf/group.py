@@ -2,8 +2,8 @@
 
 ``_resolve`` is the step table: it maps a step name and angle to
 (canonical name, kind, signed angle), and it is the one place that
-refuses a float angle that is not finite, a boost angle whose
-full-angle cosh overflows, or an unknown name.  Every route reads it
+refuses an angle that is not a number or not finite, a boost angle
+whose full-angle cosh overflows, or an unknown name.  Every route reads it
 (``realrep.exp_real_generator`` too) and keeps its own trigonometry:
 ``_half_angle`` turns a step into the 4x4 element c I + s G, and
 ``_so6_stack`` into its closed-form 6x6 map (cos/cosh of the full
@@ -36,6 +36,7 @@ import functools
 import math
 import random
 import sys
+from fractions import Fraction
 
 from .algebra import CHECK_TOL, ONE, SPAN_TOL, UNIT, ZERO, exact_div
 from .clifford import (
@@ -155,29 +156,39 @@ def _nilpotent_generator(kind, m):
 _BOOST_LIMIT = math.acosh(sys.float_info.max)
 
 
+@functools.cache
+def _step_entry(step):
+    """(canonical name, kind, orientation) of a step name, stored on first
+    use; an unknown name raises ValueError and is not stored."""
+    if step in TRANSLATION_NAMES:
+        return step, "nilpotent", 1
+    name, orient = canonical_plane(step)
+    kind = _plane_data(name)[1]
+    return name, kind, orient
+
+
 def _resolve(step, theta):
     """(canonical name, kind, signed angle) of one named step: the step table.
 
     kind is "rotation" or "boost" for a plane (either order; reversing
-    it negates the angle), else "nilpotent".  A float theta that is not
-    finite raises ValueError naming it, before an unknown name does.  A
-    boost angle beyond _BOOST_LIMIT raises OverflowError naming it, and
-    a bool angle, in neither regime, TypeError.
+    it negates the angle), else "nilpotent".  An angle that is not an int
+    (a bool is in neither regime), a Fraction or a float raises TypeError,
+    and a float that is not finite ValueError, before an unknown name
+    does; a boost angle beyond _BOOST_LIMIT raises OverflowError.
     """
-    if type(theta) is bool:
-        raise TypeError("angle %r of %r is a bool, not a number" % (theta, step))
-    if isinstance(theta, float) and not math.isfinite(theta):
-        raise ValueError("angle %s is not finite" % (theta,))
-    if step in TRANSLATION_NAMES:
-        return step, "nilpotent", theta
-    name, orient = canonical_plane(step)
-    kind = _plane_data(name)[1]
+    if isinstance(theta, float):
+        if not math.isfinite(theta):
+            raise ValueError("angle %s is not finite" % (theta,))
+    elif type(theta) is bool or not isinstance(theta, (int, Fraction)):
+        what = "a bool" if type(theta) is bool else "of type %s" % type(theta).__name__
+        raise TypeError("angle %r of %r is %s, not a number" % (theta, step, what))
+    name, kind, orient = _step_entry(step)
     if kind == "boost" and abs(theta) > _BOOST_LIMIT:
         raise OverflowError(
             "boost angle %s of %r is beyond %r, the largest whose cosh is finite"
             % (theta, step, _BOOST_LIMIT)
         )
-    return name, kind, orient * theta
+    return name, kind, theta if orient > 0 else -theta
 
 
 def _half_angle(step, theta):
@@ -197,6 +208,19 @@ def _half_angle(step, theta):
         return gen, 1, exact_div(theta, 2)
     c, s = _sincosh(exact_div(theta, 2), kind == "boost")
     return _plane_data(name)[0], c, s
+
+
+@functools.cache
+def _adjoint(step):
+    """The so(4,2) adjoint A of a step's generator G, a 6x6 tuple of ints: A[i][n]
+    is coordinate i of (G gamma_n - gamma_n G) / 2, the derivative at 0 of the
+    step's 6x6 map.  An entry that is not an integer raises AssertionError."""
+    name, _, orient = _step_entry(step)
+    gen = _half_angle(name, 0)[0]
+    cols = [extract_coords(gen @ gamma(m) - gamma(m) @ gen).as_tuple() for m in COORDS]
+    if any(c % 2 for col in cols for c in col):
+        raise AssertionError("adjoint of %r is not an integer table" % (step,))
+    return tuple(tuple(orient * int(col[i] / 2) for col in cols) for i in range(6))
 
 
 def generator(step, theta):
@@ -303,7 +327,10 @@ def act_on_coords(words, coords):
     """
     import numpy as np
     from . import batch
-    words, coords = list(words), np.array(coords, dtype=float).reshape(-1, 6)
+    words, coords = list(words), np.array(coords, dtype=float)
+    if coords.size and coords.shape[-1:] != (6,):
+        raise ValueError("coordinates of shape %s: each row needs 6" % (coords.shape,))
+    coords = coords.reshape(-1, 6)
     if len(words) != len(coords):
         raise ValueError("%d words for %d vectors" % (len(words), len(coords)))
     plans, take = {}, []

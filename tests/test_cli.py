@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import splitconf
-from splitconf import batch, cli, clifford
+from splitconf import batch, cli, clifford, group
 from splitconf.group import generator
 from splitconf.matrices import TensorMatrix
 from splitconf.report import Check, Report
@@ -203,10 +203,13 @@ class TestVerifyCommand:
     def test_conformal_suite_reads_coordinates_in_batches(self, monkeypatch):
         # The sampled loops and the classifier go through the numpy batch
         # path; a silent fallback to one scalar extraction per sample
-        # fails here.  What stays scalar: 18 exact image-table steps and
-        # one dilation.
+        # fails here.  What stays scalar: the image table's two adjoints,
+        # six exact commutators each (the cache is emptied so they count),
+        # and one dilation.  Stepping the table's basis vectors instead
+        # would take 18.
+        group._adjoint.cache_clear()
         extracted, _ = self.count_scalar_work(monkeypatch, "conformal")
-        assert 0 < extracted <= 30
+        assert 0 < extracted <= 13
 
     def test_group_suite_steps_its_words_in_batches(self, monkeypatch):
         # invariance[qform], step-vs-definition and composition step one

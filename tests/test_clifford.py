@@ -20,7 +20,7 @@ from splitconf.clifford import (
     sigma,
     verify_clifford,
 )
-from splitconf.conformal import _TABLE_THETAS, PRINTED_IMAGE_TABLE, NullVector
+from splitconf.conformal import PRINTED_IMAGE_TABLE, NullVector
 from splitconf.group import PLANES, TRANSLATION_NAMES, _conjugate, act_on_vector
 from splitconf.matrices import TensorMatrix, quadratic_form
 
@@ -506,6 +506,10 @@ def null_points(rng):
         yield Vector6(x, y, z, t, (1 + n2) / 2, (1 - n2) / 2)
 
 
+# The three angles at which the image table's basis vectors are stepped.
+TABLE_THETAS = (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 4))
+
+
 def exact_steps():
     """Seeded (name, theta, v) steps: five per ax..bt name, then the image table's 18."""
     rng = random.Random(1968)
@@ -519,7 +523,7 @@ def exact_steps():
     steps += [
         (name, theta, Vector6.basis(m))
         for name, m in sorted(PRINTED_IMAGE_TABLE)
-        for theta in _TABLE_THETAS
+        for theta in TABLE_THETAS
     ]
     return steps
 

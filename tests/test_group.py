@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +16,12 @@ from splitconf.group import (
     _BOOST_LIMIT,
     PLANES,
     TRANSLATION_NAMES,
+    _adjoint,
     _conjugate,
     _half_angle,
     _invariance_devs,
     _resolve,
+    _so6_slots,
     _so6_stack,
     act_on_P,
     act_on_X,
@@ -379,6 +382,98 @@ def test_every_route_refuses_a_bool_angle(route, step, theta):
     with pytest.raises(TypeError) as err:
         ROUTES[route](step, theta)
     assert str(err.value) == "angle %s of %r is a bool, not a number" % (theta, step)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("step", ["xy", "ax"])
+@pytest.mark.parametrize("theta", ["0.3", None, 0.3j, Decimal("0.3"), np.float32(0.3)])
+def test_every_route_refuses_an_angle_that_is_not_a_number(route, step, theta):
+    # Only int, Fraction and float (subclasses included) are angles: a
+    # string or None would fail deep in the arithmetic, and a float32
+    # would carry single precision into the coordinates.
+    with pytest.raises(TypeError) as err:
+        ROUTES[route](step, theta)
+    assert str(err.value) == "angle %r of %r is of type %s, not a number" % (
+        theta, step, type(theta).__name__
+    )
+
+
+@pytest.mark.parametrize("step", ["xy", "tz", "ax", "bt"])
+def test_a_float_subclass_angle_steps_as_its_float(step):
+    # np.float64 subclasses float, so it stays an angle, with its bits.
+    v = Vector6(x=0.1, y=-0.2, t=0.3, p=1.0, q=0.5)
+    for theta in (0.3, -1.7):
+        want = step_vector(step, theta, v).as_tuple()
+        got = step_vector(step, np.float64(theta), v).as_tuple()
+        assert [float(c).hex() for c in got] == [c.hex() for c in want]
+        if step in PLANES:
+            assert so6_step(step, np.float64(theta)).tobytes() == so6_step(step, theta).tobytes()
+
+
+def test_act_on_coords_refuses_rows_that_are_not_six_long():
+    # Two 3-rows used to merge silently into one 6-row.
+    with pytest.raises(ValueError, match=r"^coordinates of shape \(2, 3\): each row needs 6$"):
+        act_on_coords([[("xy", 0.3)]], [[1.0, 0, 0], [0, 0, 1.0]])
+    for bad in ([1.0] * 5, [[1.0] * 7], [[1.0] * 12], np.ones((2, 6, 2))):
+        with pytest.raises(ValueError, match="each row needs 6"):
+            act_on_coords([[("xy", 0.3)]], bad)
+    # A single six-vector is one row.
+    v = Vector6(x=1.0, y=0.5, p=1.0)
+    got = act_on_coords([[("xy", 0.3)]], list(v.as_tuple()))
+    assert got.shape == (1, 6)
+    assert got[0].tolist() == list(act_on_vector([("xy", 0.3)], v).as_tuple())
+
+
+def _times(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(6)) for j in range(6)) for i in range(6)
+    )
+
+
+ZERO6 = ((0,) * 6,) * 6
+
+
+class TestAdjoint:
+    # Exact angles of both signs, one beyond 1, so each power of theta shows.
+    THETAS = (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 4))
+
+    def test_entries_are_the_ints_minus_one_zero_one(self):
+        for name in PLANES + TRANSLATION_NAMES:
+            adj = _adjoint(name)
+            assert len(adj) == 6 and all(len(row) == 6 for row in adj)
+            assert {type(a) for row in adj for a in row} == {int}
+            assert {a for row in adj for a in row} <= {-1, 0, 1}
+
+    @pytest.mark.parametrize("name", TRANSLATION_NAMES)
+    def test_nilpotent_conjugation_is_the_quadratic_in_the_adjoint(self, name):
+        # The cross-check of verify's image table: conjugation on every
+        # basis vector equals v + theta A v + theta^2 A^2 v / 2 with ==.
+        adj = _adjoint(name)
+        sq = _times(adj, adj)
+        assert sq != ZERO6 and _times(sq, adj) == ZERO6
+        for theta in self.THETAS:
+            for n, m in enumerate(COORDS):
+                got = act_on_vector([(name, theta)], Vector6.basis(m)).as_tuple()
+                want = tuple(
+                    int(i == n) + theta * adj[i][n] + theta * theta * sq[i][n] / 2
+                    for i in range(6)
+                )
+                assert got == want
+                assert all(type(c) is Fraction for c in got)
+
+    @pytest.mark.parametrize("name", PLANES)
+    def test_a_plane_adjoint_is_the_slot_table(self, name):
+        # The derivative at 0 of so6_step's cells (c, s mb, c, -s ma).
+        (_, ab, _, ba), (mb, ma) = _so6_slots(name)
+        want = [0] * 36
+        want[ab], want[ba] = mb, -ma
+        assert [a for row in _adjoint(name) for a in row] == want
+        assert [a for row in _adjoint(name[::-1]) for a in row] == [-a for a in want]
+
+    def test_a_half_integer_entry_is_refused(self, monkeypatch):
+        monkeypatch.setattr(group, "extract_coords", lambda p: Vector6(x=Fraction(1)))
+        with pytest.raises(AssertionError, match="adjoint of 'ax' is not an integer"):
+            _adjoint.__wrapped__("ax")
 
 
 BOOSTS = [name for name in PLANES if plane_kind(name) == "boost"]

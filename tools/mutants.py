@@ -49,7 +49,7 @@ MUTANTS = (
      "CHART_TOL = 1e-12", "CHART_TOL = 1e-6",
      "a finite point near the chart edge must stay finite"),
     ("resolve-drops-orientation", "group.py",
-     "return name, kind, orient * theta", "return name, kind, theta",
+     "return name, kind, theta if orient > 0 else -theta", "return name, kind, theta",
      "a reversed plane name negates the angle"),
     ("appendix-tol-loose", "group.py",
      "if max(diff[8 * cell:8 * cell + 8]) > tol:",
@@ -79,6 +79,10 @@ MUTANTS = (
      "kind = _plane_data(name)[1]",
      "kind = {\"boost\": \"rotation\", \"rotation\": \"boost\"}[_plane_data(name)[1]]",
      "a plane's kind picks cos or cosh of its angle on every route"),
+    ("adjoint-commutator-reversed", "group.py",
+     "gen @ gamma(m) - gamma(m) @ gen", "gamma(m) @ gen - gen @ gamma(m)",
+     "the adjoint is [G, gamma_n] / 2; the reversed bracket negates every"
+     " theta coefficient of the image table"),
     ("extract-lcm-to-product", "clifford.py",
      "d = math.lcm(*(c.denominator for c in flat if c))",
      "d = math.prod(c.denominator for c in flat if c)",
