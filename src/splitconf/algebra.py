@@ -229,11 +229,9 @@ class TensorScalar:
             return TensorScalar(tuple(c * other for c in self.coeffs))
         return NotImplemented
 
-    def __rmul__(self, other):
-        # Plain numbers commute with every basis element.
-        if isinstance(other, (int, float, Fraction)):
-            return TensorScalar(tuple(other * c for c in self.coeffs))
-        return NotImplemented
+    # Only a plain number reaches __rmul__, and numbers commute with every
+    # basis element (int, Fraction and float products bit for bit).
+    __rmul__ = __mul__
 
     def bar(self):
         """Conjugate the complex factor: l -> -l."""

@@ -175,21 +175,15 @@ def _render_reports_csv(reports, out):
 
 
 def _cmd_verify(args, config, out):
-    if args.suites in (None, "", "all"):
-        wanted = [name for name, _ in SUITES]
-    else:
+    wanted = names = [name for name, _ in SUITES]
+    if args.suites not in (None, "", "all"):
         wanted = [s.strip() for s in args.suites.split(",") if s.strip()]
-        known = {name for name, _ in SUITES}
         for s in wanted:
-            if s not in known:
+            if s not in names:
                 raise UsageError(
-                    "unknown suite %r (choose from %s)"
-                    % (s, ", ".join(sorted(known)))
+                    "unknown suite %r (choose from %s)" % (s, ", ".join(sorted(names)))
                 )
-    chosen = set(wanted)
-    reports = [
-        fn(config.suite_config()) for name, fn in SUITES if name in chosen
-    ]
+    reports = [fn(config.suite_config()) for name, fn in SUITES if name in wanted]
     render = {
         "text": _render_reports_text,
         "json": _render_reports_json,

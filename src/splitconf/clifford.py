@@ -160,10 +160,7 @@ def build_P(v):
     nonzero coordinate is.  A NullVector is refused with TypeError: pass
     its .v.
     """
-    try:
-        coords = v.as_tuple()
-    except AttributeError:
-        raise TypeError("expected a Vector6, got %s" % type(v).__name__) from None
+    coords = Vector6._expect(v).as_tuple()
     flat = _spread(coords)
     cells = [flat[f:f + 8] for f in range(0, 128, 8)]
     entries = [TensorScalar(c) if any(c) else ZERO for c in cells]

@@ -130,7 +130,7 @@ class NullVector(Value):
     __slots__ = ("v",)
 
     def __init__(self, v):
-        form = metric_form(v)
+        form = metric_form(Vector6._expect(v))
         if v.is_exact():
             if form != 0:
                 raise ValueError("metric square %s != 0" % (form,))
@@ -179,7 +179,7 @@ def embed_point(pt):
     that is not finite raises OverflowError: the section would have
     infinite p and q.
     """
-    n2 = minkowski_norm2(pt)
+    n2 = minkowski_norm2(MinkowskiPoint._expect(pt))
     if not (is_exact(n2) or math.isfinite(n2)):
         raise OverflowError(
             "the Minkowski square of the point is not finite (%r)" % (n2,)
@@ -245,7 +245,7 @@ def q_or_infinity(v):
 
     A float coordinate that is not finite raises ValueError.
     """
-    if _pq_negligible(v):
+    if _pq_negligible(Vector6._expect(v)):
         return AT_INFINITY
     return _point(v)
 
@@ -262,7 +262,7 @@ def mobius_oracle(v, alpha):
     (exactly 0, or a float within CHART_TOL of 0) is the defined
     degeneracy and returns AT_INFINITY.
     """
-    num, denom = _mobius(v, alpha)
+    num, denom = _mobius(MinkowskiPoint._expect(v), MinkowskiPoint._expect(alpha))
     if within(denom, 0 if is_exact(denom) else CHART_TOL):
         return AT_INFINITY
     return MinkowskiPoint(*(exact_div(c, denom) for c in num.as_tuple()))
@@ -299,11 +299,11 @@ _CLASSIFY_POINTS = (
 )
 
 
-def _observed_category(name, theta, img6s):
+def _observed_category(name, theta, img6s, laws):
     """Label a generator by what it does to sample points.
 
-    img6s are the images of _CLASSIFY_POINTS under the step (name, theta).
-    A law holds when it matches every image to SPAN_TOL.
+    img6s are the images of _CLASSIFY_POINTS under the step (name, theta);
+    a (label, images) law holds when it matches every image to SPAN_TOL.
     """
     import numpy as np
     images = [
@@ -312,17 +312,10 @@ def _observed_category(name, theta, img6s):
     if any(q is AT_INFINITY for _, _, q in images):
         return "unclassified"
 
-    labels = []
-    for m in TRANSLATABLE:
-        if all(q.approx_eq(pt.shifted(m, theta), SPAN_TOL) for pt, _, q in images):
-            labels.append("translation[%s]" % m)
-        if all(
-            q.approx_eq(mobius_oracle(pt, _direction(m, theta)), SPAN_TOL)
-            for pt, _, q in images
-        ):
-            labels.append("conformal-translation[%s]" % m)
-    if all(q.approx_eq(pt.scaled(math.exp(-theta)), SPAN_TOL) for pt, _, q in images):
-        labels.append("dilation")
+    labels = [
+        label for label, law in laws.items()
+        if all(q.approx_eq(w, SPAN_TOL) for (_, _, q), w in zip(images, law))
+    ]
 
     if name not in TRANSLATION_NAMES:
         r6 = so6_step(name, theta)
@@ -360,10 +353,16 @@ def classify_generators(config=None):
     words = [[(name, theta)] for name in CLASSIFY_BASIS for _ in range(n)]
     rows = act_on_coords(words, starts * len(CLASSIFY_BASIS)).tolist()
     imgs = [Vector6(*row) for row in rows]
+    laws = {"dilation": [pt.scaled(math.exp(-theta)) for pt in _CLASSIFY_POINTS]}
+    for m in TRANSLATABLE:
+        laws["translation[%s]" % m] = [pt.shifted(m, theta) for pt in _CLASSIFY_POINTS]
+        laws["conformal-translation[%s]" % m] = [
+            mobius_oracle(pt, _direction(m, theta)) for pt in _CLASSIFY_POINTS
+        ]
     tally = {}
     for k, name in enumerate(CLASSIFY_BASIS):
         expected = _EXPECTED_CATEGORY[name]
-        actual = _observed_category(name, theta, imgs[k * n:(k + 1) * n])
+        actual = _observed_category(name, theta, imgs[k * n:(k + 1) * n], laws)
         report.add("classify[%s]" % name, actual == expected, expected, actual)
         family = actual.split("[")[0]
         tally[family] = tally.get(family, 0) + 1

@@ -12,7 +12,7 @@ of the half angle when G squares to -I (a rotation) and cosh/sinh when
 it squares to +I (a boost).  ax..at and bx..bt have the nilpotent
 Gamma_p Gamma_m -+ Gamma_q Gamma_m as G, with c = 1 and s = theta/2
 (see ``conformal``).  An element acts on P by conjugation, and on X by
-a two-sided 2x2 product of the diagonal blocks of G.
+a two-sided 2x2 product of diagonal blocks of c I + s G and its inverse.
 
 The module also carries a bundled reference transcription of all
 fifteen matrices in closed form.  ``appendix_check`` diffs that table
@@ -234,12 +234,10 @@ def generator(step, theta):
 
 
 def _step_factors(step, theta):
-    """The (left, right) 2x2 factors of one step on X: diagonal blocks of c I +- s G."""
-    gen, c, s = _half_angle(step, theta)
-    tl, tr, bl, br = gen.blocks()
-    if not (tr.is_zero() and bl.is_zero()):
-        raise AssertionError("generator is not block diagonal")
-    return exp_pair(tl, c, s)[0], exp_pair(br, c, s)[1]
+    """The (left, right) 2x2 factors of one step on X: the top-left block of
+    the element c I + s G and the bottom-right block of its inverse c I - s G."""
+    m, m_inv = exp_pair(*_half_angle(step, theta))
+    return m.blocks()[0], m_inv.blocks()[3]
 
 
 def _conjugate(word, p):
@@ -440,31 +438,17 @@ def verify_properties(config=None):
     """Exact checks of the five structural identities of the gamma products."""
     report = Report("properties", dict(config or {}))
     ident = TensorMatrix.identity(4)
-    prods = {}
-    for a in COORDS:
-        for b in COORDS:
-            if a != b:
-                prods[(a, b)] = gamma(a) @ gamma(b)
-
     for a in COORDS:
         ok = gamma(a) @ gamma(a) == ident.scale(METRIC[a])
         report.match("prop1[%s]" % a, ok, "(%+d)*I" % METRIC[a])
-
-    for a in COORDS:
         for b in COORDS:
             if b == a:
                 continue
-            ab = prods[(a, b)]
+            ab = gamma(a) @ gamma(b)
             for c in COORDS:
                 if c != a and c != b:
                     ok = ab @ gamma(c) == gamma(c) @ ab
                     report.match("prop2[%s,%s,%s]" % (a, b, c), ok, "commute")
-
-    for a in COORDS:
-        for b in COORDS:
-            if b == a:
-                continue
-            ab = prods[(a, b)]
             report.match(
                 "prop3[%s,%s]" % (a, b),
                 ab @ gamma(b) == gamma(a).scale(METRIC[b]),

@@ -54,6 +54,13 @@ class Value:
     def __reduce__(self):
         return type(self), self._fields()
 
+    @classmethod
+    def _expect(cls, v):
+        """v itself if it is a cls, else TypeError("expected a cls, got T")."""
+        if not isinstance(v, cls):
+            raise TypeError("expected a %s, got %s" % (cls.__name__, type(v).__name__))
+        return v
+
 
 class Check(Value):
     __slots__ = ("check_id", "status", "expected", "actual", "context")

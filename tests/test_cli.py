@@ -360,6 +360,19 @@ class TestTransformCommand:
         assert rows[-1]["name"] == "ay"
         assert float(rows[-1]["y"]) == pytest.approx(2)
 
+    def test_six_component_text_output_prints_vector_lines(self, capsys):
+        code, out, _ = run(
+            ["transform", "--point", "1,0,0,0,1,0", "--word", "pq:0.5"], capsys
+        )
+        assert code == 0
+        vec = "vector (x, y, z, t, p, q) = (1, 0, 0, 0, %s)"
+        image = vec % "1.12762596521, 0.521095305494"
+        assert out.splitlines() == [
+            "input:  " + vec % "1, 0",
+            "step 1  pq:0.5 -> " + image,
+            "final:  " + image,
+        ]
+
     def test_text_output_mentions_each_step(self, capsys):
         code, out, _ = run(
             ["transform", "--point", "0,0,0,0", "--word", "ax:1"], capsys
@@ -411,6 +424,19 @@ class TestTransformCommand:
             ["transform", "--point", "0,0,0,0", "--word", "ax:wide"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("point, word, message", [
+        ("0,0,0,0", "xy", "bad word entry 'xy' (want name:angle)"),
+        ("a,0,0,0", "xy:1", "point components must be numbers"),
+    ])
+    def test_a_malformed_entry_is_named(self, capsys, point, word, message):
+        code, out, err = run(["transform", "--point", point, "--word", word], capsys)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+    def test_an_unknown_env_format_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPLITCONF_FORMAT", "xml")
+        code, out, err = run(["transform", "--point", "0,0,0,0", "--word", "xy:1"], capsys)
+        assert (code, out, err) == (2, "", "error: unknown format 'xml'\n")
 
     def test_wrong_point_arity_is_a_usage_error(self, capsys):
         code, _, err = run(

@@ -14,6 +14,7 @@ from splitconf.conformal import (
     CLASSIFY_BASIS,
     MinkowskiPoint,
     NullVector,
+    apply_conformal_translation,
     classify_generators,
     conformal_translation_generator,
     embed_point,
@@ -108,6 +109,43 @@ class TestNullVectorValidation:
         # nan, refused by name instead of an OverflowError.
         with pytest.raises(ValueError, match="metric square nan is not finite"):
             NullVector(Vector6(x=1e200, p=1e200, q=1.0))
+
+
+class TestInputTypes:
+    # Each entry point names the value class it takes, as build_P does,
+    # instead of failing on a missing attribute from inside.
+    @pytest.mark.parametrize("bad", [(1, 0, 0, 0, 1, 0), [1, 0, 0, 0], None])
+    @pytest.mark.parametrize("call, kind", [
+        (q_or_infinity, "Vector6"),
+        (embed_point, "MinkowskiPoint"),
+        (q_from_p, "Vector6"),
+        (lambda v: apply_conformal_translation("x", 0.3, v), "Vector6"),
+        (lambda v: mobius_oracle(v, MinkowskiPoint(x=0.1)), "MinkowskiPoint"),
+    ])
+    def test_a_bare_sequence_or_none_is_a_type_error(self, call, kind, bad):
+        with pytest.raises(TypeError) as err:
+            call(bad)
+        assert str(err.value) == "expected a %s, got %s" % (kind, type(bad).__name__)
+
+    def test_value_classes_of_arrays_pass_the_type_check(self):
+        rows = np.array([[0.1, 0.2, 0.0, 0.0], [0.3, 0.0, 0.1, -0.2]])
+        pt = MinkowskiPoint(*rows.T)
+        v = Vector6(*np.ones((6, 2)))
+        assert MinkowskiPoint._expect(pt) is pt and Vector6._expect(v) is v
+        got = conformal._mobius(pt, MinkowskiPoint(x=0.1))[1]
+        assert got.shape == (2,)
+
+
+class TestConformalApi:
+    def test_the_point_at_infinity_prints_its_name(self):
+        assert repr(AT_INFINITY) == "at-infinity"
+
+    def test_a_raw_vector_is_validated_as_a_null_vector(self):
+        img = apply_conformal_translation("x", 0.5, Vector6(x=1, p=1))
+        assert isinstance(img, NullVector)
+        assert img == apply_conformal_translation("x", 0.5, NullVector(Vector6(x=1, p=1)))
+        with pytest.raises(ValueError, match="^metric square -1 != 0$"):
+            apply_conformal_translation("x", 0.5, Vector6(p=1))
 
 
 class TestChartTest:

@@ -104,6 +104,13 @@ MUTANTS = (
      "return coeffs[..., u] * a + coeffs[..., v] * b + 0",
      "return coeffs[..., u] * a + 0",
      "each real entry of a realified scalar sums two unit images"),
+    ("two-by-two-right-factor-from-m", "group.py",
+     "m_inv.blocks()[3]", "m.blocks()[3]",
+     "the 2x2 action multiplies on the right by a block of the inverse"
+     " element c I - s G"),
+    ("classify-dilation-sign", "conformal.py",
+     "pt.scaled(math.exp(-theta))", "pt.scaled(math.exp(theta))",
+     "the dilation law pq:theta scales a point by exp(-theta)"),
 )
 
 _IGNORE = shutil.ignore_patterns(

@@ -38,6 +38,7 @@ PROGRAM_CALLS = (
      "--word", "xy:0.3,tz:0.5,ax:0.2,bx:-0.1,pq:0.4"],
     ["transform", "--point", "1,0,2,0", "--word", "ax:1,bt:-1,xy:0"],
     ["transform", "--point", "0,1,0,0", "--word", "bx:-1"],
+    ["transform", "--point", "1,0,0,0,1,0", "--word", "pq:0.5"],
     ["transform", "--point", "1,0,0,0,1,0", "--word", "pq:0.5", "--format", "json"],
     ["transform", "--point", "0.5,0,0,0", "--word", "ax:1", "--format", "csv"],
     ["show", "sigma", "y"],
