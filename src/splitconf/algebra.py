@@ -44,6 +44,7 @@ __all__ = [
     "ELL",
     "UNIT",
     "is_exact",
+    "is_number",
     "SPAN_TOL",
     "CHART_TOL",
     "CHECK_TOL",
@@ -126,6 +127,12 @@ def mul_terms(acc, a, b):
 def is_exact(x):
     """True when x belongs to the exact numeric tower (int / Fraction)."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def is_number(x):
+    """True for a number of either regime: an int (a bool is in neither), a
+    Fraction or a float, subclasses included (np.float64, not np.float32)."""
+    return isinstance(x, (int, Fraction, float)) and type(x) is not bool
 
 
 # The float tolerance policy: one constant per role, compared through

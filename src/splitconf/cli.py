@@ -5,6 +5,10 @@ fail a run), 1 when at least one check failed, 2 for usage errors,
 which include non-finite numbers and angles whose matrices overflow,
 and 141 (128 + SIGPIPE, as a shell reports it) when standard output
 closed before all of it was written.
+A ``--word`` is checked here for its format only.  Step names and
+angles are refused by ``group``'s step table, with its message: per step
+for ``transform``, and for the one step of ``show generator`` and
+``show real-generator`` (which first refuses a name that is not a plane).
 The json format is deterministic: the same configuration produces
 byte-identical output.  numpy loads when ``verify`` or a ``show real-*``
 command runs, ``realrep`` only for its suite and ``show real-*``;
@@ -20,7 +24,7 @@ import os
 import sys
 from operator import attrgetter
 
-from .algebra import BASIS, CHECK_TOL
+from .algebra import BASIS
 from .clifford import COORDS, Vector6, sigma, gamma, verify_clifford
 from .conformal import (
     AT_INFINITY,
@@ -32,15 +36,13 @@ from .conformal import (
     verify_conformal,
 )
 from .group import (
-    PLANES,
-    TRANSLATION_NAMES,
     appendix_check,
     canonical_plane,
     generator,
     verify_group,
     verify_properties,
 )
-from .report import Check
+from .report import SUITE_DEFAULTS, Check
 
 __all__ = ["RunConfig", "UsageError", "SUITES", "MAX_SAMPLES", "main"]
 
@@ -71,7 +73,8 @@ class UsageError(ValueError):
 
 
 class RunConfig:
-    def __init__(self, tolerance=CHECK_TOL, seed=42, samples=1000, fmt="text"):
+    def __init__(self, tolerance=SUITE_DEFAULTS["tolerance"], seed=SUITE_DEFAULTS["seed"],
+                 samples=SUITE_DEFAULTS["samples"], fmt="text"):
         if not tolerance > 0:
             raise UsageError("tolerance must be positive")
         if not math.isfinite(tolerance):
@@ -193,9 +196,6 @@ def _cmd_verify(args, config, out):
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-_WORD_NAMES = set(PLANES) | {p[::-1] for p in PLANES} | set(TRANSLATION_NAMES)
-
-
 def _parse_word(text):
     word = []
     text = (text or "").strip()
@@ -206,16 +206,11 @@ def _parse_word(text):
         parts = item.split(":")
         if len(parts) != 2:
             raise UsageError("bad word entry %r (want name:angle)" % (item,))
-        name = parts[0].strip()
-        if name not in _WORD_NAMES:
-            raise UsageError("unknown transformation name %r" % (name,))
         try:
             angle = float(parts[1])
         except ValueError:
             raise UsageError("bad angle in %r" % (item,))
-        if not math.isfinite(angle):
-            raise UsageError("angle in %r must be finite" % (item,))
-        word.append((name, angle))
+        word.append((parts[0].strip(), angle))
     return word
 
 
@@ -272,8 +267,6 @@ def _cmd_transform(args, config, out):
     for i, (name, angle) in enumerate(word, 1):
         try:
             vec = step_vector(name, angle, vec)
-            if not all(math.isfinite(c) for c in vec.as_tuple()):
-                raise OverflowError("coordinates are not finite")
         except (ValueError, OverflowError) as exc:
             raise UsageError(
                 "step %d %s:%s failed: %s" % (i, name, _num(angle), exc)
@@ -354,32 +347,25 @@ def _cmd_show(args, config, out):
             from .realrep import real_gamma
             _show_real(real_gamma(ident), config, out)
         return 0
-    if kind in ("generator", "real-generator"):
-        if kind == "generator":
-            if ident not in _WORD_NAMES:
-                raise UsageError("unknown transformation name %r" % (ident,))
-            make, show = generator, _show_tensor
-        else:
-            try:
-                canonical_plane(ident)
-            except ValueError:
-                raise UsageError(
-                    "unknown plane %r (real-generator takes the fifteen planes only:"
-                    " it exponentiates a plane's closed Kronecker form)" % (ident,)
-                )
-            from .realrep import exp_real_generator
-            make, show = exp_real_generator, _show_real
-        if not math.isfinite(args.angle):
-            raise UsageError("--angle must be finite")
+    make, show = generator, _show_tensor
+    if kind == "real-generator":
         try:
-            mat = make(ident, args.angle)
-        except OverflowError:
+            canonical_plane(ident)
+        except ValueError:
             raise UsageError(
-                "--angle %s overflows the matrix entries" % _num(args.angle)
+                "unknown plane %r (real-generator takes the fifteen planes only:"
+                " it exponentiates a plane's closed Kronecker form)" % (ident,)
             )
-        show(mat, config, out)
-        return 0
-    raise UsageError("unknown object %r" % (kind,))
+        from .realrep import exp_real_generator
+        make, show = exp_real_generator, _show_real
+    try:
+        mat = make(ident, args.angle)
+    except OverflowError:
+        raise UsageError("--angle %s overflows the matrix entries" % _num(args.angle))
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    show(mat, config, out)
+    return 0
 
 
 # The options only the verify suites read; RunConfig holds their defaults.

@@ -309,7 +309,7 @@ def extract_coords(p, tol=SPAN_TOL):
 
 def verify_clifford(config=None):
     """Check the anticommutators of all 21 unordered gamma pairs exactly."""
-    report = Report("clifford", dict(config or {}))
+    report, _ = Report.for_suite("clifford", config)
     for i, m in enumerate(COORDS):
         for n in COORDS[i:]:
             g = METRIC[m] if m == n else 0

@@ -23,7 +23,7 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import CHART_TOL, CHECK_TOL, SPAN_TOL, exact_div, is_exact, within
+from .algebra import CHART_TOL, SPAN_TOL, exact_div, is_exact, within
 from .clifford import COORDS, Vector6, metric_form
 from .group import (
     LORENTZ_PLANES,
@@ -347,7 +347,7 @@ def _observed_category(name, theta, img6s, laws):
 
 def classify_generators(config=None):
     """Partition the fifteen-generator basis by observed action on points."""
-    report = Report("classify", dict(config or {}))
+    report, _ = Report.for_suite("classify", config)
     theta, n = 0.3, len(_CLASSIFY_POINTS)
     starts = [embed_point(pt).v.as_tuple() for pt in _CLASSIFY_POINTS]
     words = [[(name, theta)] for name in CLASSIFY_BASIS for _ in range(n)]
@@ -502,12 +502,8 @@ def verify_conformal(config=None):
     """Oracle comparisons and structural checks of the conformal actions."""
     import numpy as np
     from .batch import BATCH_SIZE
-    config = dict(config or {})
-    tol = config.get("tolerance", CHECK_TOL)
-    seed = config.get("seed", 42)
-    samples = config.get("samples", 1000)
+    report, (tol, seed, samples) = Report.for_suite("conformal", config)
     rng = random.Random(seed)
-    report = Report("conformal", config)
 
     for m in TRANSLATABLE:
         for kind, builder in (

@@ -4,15 +4,18 @@
 (canonical name, kind, signed angle), and it is the one place that
 refuses an angle that is not a number or not finite, a boost angle
 whose full-angle cosh overflows, or an unknown name.  Every route reads it
-(``realrep.exp_real_generator`` too) and keeps its own trigonometry:
-``_half_angle`` turns a step into the 4x4 element c I + s G, and
-``_so6_stack`` into its closed-form 6x6 map (cos/cosh of the full
-angle; planes only).  A plane has its gamma product as G, with cos/sin
+(``realrep.exp_real_generator`` and the command line too) and keeps its
+own trigonometry: ``_half_angle`` turns a step into the 4x4 element
+c I + s G, and ``_so6_stack`` into its closed-form 6x6 map (cos/cosh of
+the full angle; planes only).  A plane has its gamma product as G, with cos/sin
 of the half angle when G squares to -I (a rotation) and cosh/sinh when
 it squares to +I (a boost).  ax..at and bx..bt have the nilpotent
 Gamma_p Gamma_m -+ Gamma_q Gamma_m as G, with c = 1 and s = theta/2
 (see ``conformal``).  An element acts on P by conjugation, and on X by
 a two-sided 2x2 product of diagonal blocks of c I + s G and its inverse.
+Both walks (``_conjugate``, under ``act_on_P`` and ``act_on_vector``, and
+``act_on_X``) resolve a whole word before the first product, so every
+scalar route names a bad step the same way.
 
 The module also carries a bundled reference transcription of all
 fifteen matrices in closed form.  ``appendix_check`` diffs that table
@@ -36,9 +39,8 @@ import functools
 import math
 import random
 import sys
-from fractions import Fraction
 
-from .algebra import CHECK_TOL, ONE, SPAN_TOL, UNIT, ZERO, exact_div
+from .algebra import ONE, SPAN_TOL, UNIT, ZERO, exact_div, is_number
 from .clifford import (
     COORDS,
     METRIC,
@@ -162,7 +164,9 @@ def _step_entry(step):
     use; an unknown name raises ValueError and is not stored."""
     if step in TRANSLATION_NAMES:
         return step, "nilpotent", 1
-    name, orient = canonical_plane(step)
+    if step not in _CANONICAL:
+        raise ValueError("unknown step name %r" % (step,))
+    name, orient = _CANONICAL[step]
     kind = _plane_data(name)[1]
     return name, kind, orient
 
@@ -171,15 +175,15 @@ def _resolve(step, theta):
     """(canonical name, kind, signed angle) of one named step: the step table.
 
     kind is "rotation" or "boost" for a plane (either order; reversing
-    it negates the angle), else "nilpotent".  An angle that is not an int
-    (a bool is in neither regime), a Fraction or a float raises TypeError,
-    and a float that is not finite ValueError, before an unknown name
-    does; a boost angle beyond _BOOST_LIMIT raises OverflowError.
+    it negates the angle), else "nilpotent".  An angle that is not a
+    number (algebra.is_number) raises TypeError, and a float that is not
+    finite ValueError, before an unknown name does; a boost angle beyond
+    _BOOST_LIMIT raises OverflowError.
     """
     if isinstance(theta, float):
         if not math.isfinite(theta):
             raise ValueError("angle %s is not finite" % (theta,))
-    elif type(theta) is bool or not isinstance(theta, (int, Fraction)):
+    elif not is_number(theta):
         what = "a bool" if type(theta) is bool else "of type %s" % type(theta).__name__
         raise TypeError("angle %r of %r is %s, not a number" % (theta, step, what))
     name, kind, orient = _step_entry(step)
@@ -233,33 +237,15 @@ def generator(step, theta):
     return exp_pair(*_half_angle(step, theta))[0]
 
 
-def _step_factors(step, theta):
-    """The (left, right) 2x2 factors of one step on X: the top-left block of
-    the element c I + s G and the bottom-right block of its inverse c I - s G."""
-    m, m_inv = exp_pair(*_half_angle(step, theta))
-    return m.blocks()[0], m_inv.blocks()[3]
-
-
 def _conjugate(word, p):
-    """M p M^-1 for each step, M = generator(step, theta).
+    """M p M^-1 for each (step, angle) entry in sequence, M = generator(step, theta),
+    after resolving every step, so a step's own error comes first.
 
     M and M^-1 = generator(step, -theta) = c I - s G come from one
     exp_pair call on the same (c, s): libm's cos and cosh are even and
     sin and sinh odd, and s = theta/2 is odd, so this is bit for bit
-    the matrix generator(step, -theta) builds.
-    """
-    for step, theta in word:
-        m, m_inv = exp_pair(*_half_angle(step, theta))
-        p = (m @ p) @ m_inv
-    return p
-
-
-def act_on_P(word, p):
-    """Conjugate p by each (step, angle) entry in sequence, as _conjugate,
-    after resolving every step, so a step's own error comes first.
-
-    A residual beyond extract_coords' tolerance raises ValueError, and so
-    does a float p whose products overflow (see _refuse_overflow).
+    the matrix generator(step, -theta) builds.  A float p whose products
+    overflow raises ValueError (see _refuse_overflow).
     """
     pairs = [exp_pair(*_half_angle(step, theta)) for step, theta in word]
     q = p
@@ -270,6 +256,13 @@ def act_on_P(word, p):
         if not p.is_exact():
             _refuse_overflow(p.flat())
         raise
+    return q
+
+
+def act_on_P(word, p):
+    """_conjugate(word, p), whose residual beyond extract_coords' tolerance
+    raises ValueError."""
+    q = _conjugate(word, p)
     extract_coords(q)
     return q
 
@@ -277,14 +270,16 @@ def act_on_P(word, p):
 def act_on_X(word, x):
     """The equivalent 2x2 action: one two-sided product per step, any of the 23.
 
-    Hermiticity with respect to the complex unit is checked on the
-    result, exactly for an exact result, else to SPAN_TOL relative to
-    the matrix scale; losing it raises ValueError.  A float result with
-    a coefficient that is not finite raises a ValueError naming it.
+    Every step is resolved before the first product, as in _conjugate; X
+    is multiplied on the left by the top-left block of c I + s G and on
+    the right by the bottom-right block of c I - s G.  Hermiticity with
+    respect to the complex unit is checked on the result, exactly for an
+    exact result, else to SPAN_TOL relative to the matrix scale; losing
+    it raises ValueError.  A float result with a coefficient that is not
+    finite raises a ValueError naming it.
     """
-    for step, theta in word:
-        left, right = _step_factors(step, theta)
-        x = (left @ x) @ right
+    for m, m_inv in [exp_pair(*_half_angle(step, theta)) for step, theta in word]:
+        x = (m.blocks()[0] @ x) @ m_inv.blocks()[3]
     exact = x.is_exact()
     if not exact:
         _refuse_overflow(x.flat())
@@ -436,7 +431,7 @@ def pi_project(p):
 
 def verify_properties(config=None):
     """Exact checks of the five structural identities of the gamma products."""
-    report = Report("properties", dict(config or {}))
+    report, _ = Report.for_suite("properties", config)
     ident = TensorMatrix.identity(4)
     for a in COORDS:
         ok = gamma(a) @ gamma(a) == ident.scale(METRIC[a])
@@ -492,12 +487,8 @@ def verify_group(config=None):
     """Structural and seeded statistical checks of the group actions."""
     import numpy as np
     from .batch import BATCH_SIZE
-    config = dict(config or {})
-    tol = config.get("tolerance", CHECK_TOL)
-    seed = config.get("seed", 42)
-    samples = config.get("samples", 1000)
+    report, (tol, seed, samples) = Report.for_suite("group", config)
     rng = random.Random(seed)
-    report = Report("group", config)
     ident4 = TensorMatrix.identity(4)
 
     for name in PLANES:
@@ -767,9 +758,7 @@ def appendix_check(config=None):
     (with the differing cells), never reported as failures; the
     recomputed matrix is the ground truth.
     """
-    config = dict(config or {})
-    tol = config.get("tolerance", CHECK_TOL)
-    report = Report("appendix", config)
+    report, (tol, _, _) = Report.for_suite("appendix", config)
     for name in PLANES:
         bad_cells = {}
         for phi in _APPENDIX_ANGLES:

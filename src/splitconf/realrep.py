@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BASIS, CHECK_TOL, H_UNITS, UNIT, TensorScalar, terms
+from .algebra import BASIS, H_UNITS, UNIT, TensorScalar, terms
 from .clifford import COORDS, METRIC, gamma
 from .group import LORENTZ_PLANES, PLANES, _plane_data, _resolve, generator
 from .matrices import TensorMatrix
@@ -214,9 +214,7 @@ def restrict_so31_second(config=None):
     inconsistency is documented as a discrepancy, and the recomputed
     survivor set is the ground truth.
     """
-    config = dict(config or {})
-    tol = config.get("tolerance", CHECK_TOL)
-    report = Report("restriction", config)
+    report, (tol, _, _) = Report.for_suite("restriction", config)
 
     survivors = surviving_planes()
     expected = LORENTZ_PLANES + ("pq",)
@@ -267,11 +265,8 @@ def restrict_so31_second(config=None):
 
 def verify_realrep(config=None):
     """Exhaustive homomorphism, Clifford, and transcription checks."""
-    config = dict(config or {})
-    tol = config.get("tolerance", CHECK_TOL)
-    seed = config.get("seed", 42)
+    report, (tol, seed, _) = Report.for_suite("realrep", config)
     rng = random.Random(seed)
-    report = Report("realrep", config)
 
     images = (("c", ("1", "l"), COMPLEX_IMAGE), ("h", H_UNITS, SPLIT_IMAGE))
     for tag, units, image in images:

@@ -12,10 +12,13 @@ their fields in ``__slots__``, with ``==``, ``hash``, ``repr`` and
 immutability built from those, so the import loads no ``dataclasses``.
 """
 
+from .algebra import CHECK_TOL, is_number
+
 __all__ = [
     "STATUS_PASS",
     "STATUS_FAIL",
     "STATUS_DISCREPANCY",
+    "SUITE_DEFAULTS",
     "Value",
     "Check",
     "Report",
@@ -24,6 +27,9 @@ __all__ = [
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_DISCREPANCY = "discrepancy-documented"
+
+# A verify suite's (tolerance, seed, samples) where its config has none; RunConfig's too.
+SUITE_DEFAULTS = {"tolerance": CHECK_TOL, "seed": 42, "samples": 1000}
 
 
 class Value:
@@ -56,9 +62,14 @@ class Value:
 
     @classmethod
     def _expect(cls, v):
-        """v itself if it is a cls, else TypeError("expected a cls, got T")."""
+        """v itself if it is a cls whose fields are numbers (algebra.is_number),
+        else TypeError("expected a cls, got T") or one naming the field."""
         if not isinstance(v, cls):
             raise TypeError("expected a %s, got %s" % (cls.__name__, type(v).__name__))
+        for name, c in zip(cls.__slots__, v._fields()):
+            if not is_number(c):
+                raise TypeError("field %s of %s is of type %s, not a number"
+                                % (name, cls.__name__, type(c).__name__))
         return v
 
 
@@ -77,6 +88,13 @@ class Report:
         self.suite = suite
         self.config = {} if config is None else config
         self.checks = []
+
+    @classmethod
+    def for_suite(cls, suite, config=None):
+        """A report on a copy of a suite's config (None for none), and the
+        config's (tolerance, seed, samples) with SUITE_DEFAULTS filling gaps."""
+        config = dict(config or {})
+        return cls(suite, config), [config.get(k, d) for k, d in SUITE_DEFAULTS.items()]
 
     def _append(self, check_id, ok, failed, expected, actual, context):
         status = STATUS_PASS if ok else failed

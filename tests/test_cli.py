@@ -433,6 +433,18 @@ class TestTransformCommand:
         code, out, err = run(["transform", "--point", point, "--word", word], capsys)
         assert (code, out, err) == (2, "", "error: %s\n" % message)
 
+    @pytest.mark.parametrize("point, word, message", [
+        ("0,0,0,0", "aw:1", "step 1 aw:1 failed: unknown step name 'aw'"),
+        ("0,0,0,0", "xy:0.3,yx:inf", "step 2 yx:inf failed: angle inf is not finite"),
+        ("0,0,0,0", "ax:1,tz:nan", "step 2 tz:nan failed: angle nan is not finite"),
+        ("a,0,0,0", "aw:1", "point components must be numbers"),
+    ])
+    def test_a_bad_step_gets_the_step_tables_message(self, capsys, point, word, message):
+        # The word is parsed for its format only; each step's name and
+        # angle are refused by group's step table as the step runs.
+        code, out, err = run(["transform", "--point", point, "--word", word], capsys)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
     def test_an_unknown_env_format_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SPLITCONF_FORMAT", "xml")
         code, out, err = run(["transform", "--point", "0,0,0,0", "--word", "xy:1"], capsys)
@@ -564,6 +576,15 @@ class TestShowCommand:
         cli._show_tensor(generator(name, 1.0), cli.RunConfig(), want)
         assert code == 0
         assert out == want.getvalue()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generator", "aw"], "unknown step name 'aw'"),
+        (["generator", "tx", "--angle", "nan"], "angle nan is not finite"),
+        (["real-generator", "tx", "--angle", "inf"], "angle inf is not finite"),
+    ])
+    def test_a_bad_generator_gets_the_step_tables_message(self, capsys, argv, message):
+        code, out, err = run(["show"] + argv, capsys)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
     def test_real_generator_takes_the_planes_only(self, capsys):
         code, out, err = run(["show", "real-generator", "ax"], capsys)

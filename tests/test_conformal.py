@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -127,13 +128,50 @@ class TestInputTypes:
             call(bad)
         assert str(err.value) == "expected a %s, got %s" % (kind, type(bad).__name__)
 
-    def test_value_classes_of_arrays_pass_the_type_check(self):
+    def test_value_classes_of_arrays_fail_the_number_check(self):
+        # Only the private array helpers (_point, _mobius, _null_rows)
+        # take value classes of arrays; _expect names the first field.
         rows = np.array([[0.1, 0.2, 0.0, 0.0], [0.3, 0.0, 0.1, -0.2]])
         pt = MinkowskiPoint(*rows.T)
         v = Vector6(*np.ones((6, 2)))
-        assert MinkowskiPoint._expect(pt) is pt and Vector6._expect(v) is v
+        for cls, value, field in ((MinkowskiPoint, pt, "t"), (Vector6, v, "x")):
+            with pytest.raises(TypeError) as err:
+                cls._expect(value)
+            assert str(err.value) == (
+                "field %s of %s is of type ndarray, not a number" % (field, cls.__name__)
+            )
         got = conformal._mobius(pt, MinkowskiPoint(x=0.1))[1]
         assert got.shape == (2,)
+
+    @pytest.mark.parametrize("bad", [
+        np.ones(2), True, "0.3", None, 0.3j, Decimal("0.3"), np.float32(0.3),
+    ], ids=lambda bad: type(bad).__name__)
+    @pytest.mark.parametrize("call, kind", [
+        (clifford.build_P, "Vector6"),
+        (lambda v: step_vector("xy", 0.3, v), "Vector6"),
+        (q_or_infinity, "Vector6"),
+        (q_from_p, "Vector6"),
+        (NullVector, "Vector6"),
+        (lambda v: apply_conformal_translation("x", 0.3, v), "Vector6"),
+        (embed_point, "MinkowskiPoint"),
+        (lambda v: mobius_oracle(v, MinkowskiPoint(x=0.1)), "MinkowskiPoint"),
+        (lambda v: mobius_oracle(MinkowskiPoint(x=0.1), v), "MinkowskiPoint"),
+    ], ids=["build_P", "step_vector", "q_or_infinity", "q_from_p", "NullVector",
+            "apply_conformal_translation", "embed_point", "mobius_oracle-v",
+            "mobius_oracle-alpha"])
+    def test_a_field_that_is_not_a_number_is_named(self, call, kind, bad):
+        # The angle rule (algebra.is_number): int but not bool, Fraction,
+        # float; np.float64 passes, np.float32 and arrays do not.
+        cls = Vector6 if kind == "Vector6" else MinkowskiPoint
+        with pytest.raises(TypeError) as err:
+            call(cls(x=1, y=bad))
+        assert str(err.value) == "field y of %s is of type %s, not a number" % (
+            kind, type(bad).__name__
+        )
+
+    def test_a_float64_field_passes_the_number_check(self):
+        v = Vector6(x=np.float64(0.5), p=1.0)
+        assert q_or_infinity(v) == q_or_infinity(Vector6(x=0.5, p=1.0))
 
 
 class TestConformalApi:

@@ -410,6 +410,23 @@ def test_a_float_subclass_angle_steps_as_its_float(step):
             assert so6_step(step, np.float64(theta)).tobytes() == so6_step(step, theta).tobytes()
 
 
+@pytest.mark.parametrize("route", [
+    act_on_vector,
+    lambda w, v: act_on_P(w, build_P(v)),
+    lambda w, v: act_on_X(w, build_X(v)),
+], ids=["act_on_vector", "act_on_P", "act_on_X"])
+def test_every_scalar_route_resolves_its_word_before_the_first_product(route):
+    # Step 1 on this exact vector would raise "int too large to convert to
+    # float"; the step table refuses step 2 before any product is formed.
+    v = Vector6(x=10**400, p=1)
+    with pytest.raises(OverflowError) as err:
+        route([("xy", 0.5), ("tx", 800.0)], v)
+    assert str(err.value) == (
+        "boost angle 800.0 of 'tx' is beyond %r, the largest whose cosh is finite"
+        % (_BOOST_LIMIT,)
+    )
+
+
 def test_act_on_coords_refuses_rows_that_are_not_six_long():
     # Two 3-rows used to merge silently into one 6-row.
     with pytest.raises(ValueError, match=r"^coordinates of shape \(2, 3\): each row needs 6$"):

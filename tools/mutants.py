@@ -111,6 +111,11 @@ MUTANTS = (
     ("classify-dilation-sign", "conformal.py",
      "pt.scaled(math.exp(-theta))", "pt.scaled(math.exp(theta))",
      "the dilation law pq:theta scales a point by exp(-theta)"),
+    ("conjugate-resolves-lazily", "group.py",
+     "pairs = [exp_pair(*_half_angle(step, theta)) for step, theta in word]",
+     "pairs = (exp_pair(*_half_angle(step, theta)) for step, theta in word)",
+     "a step's own error comes before any product, so every scalar route"
+     " names the same bad step the same way"),
 )
 
 _IGNORE = shutil.ignore_patterns(

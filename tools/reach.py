@@ -5,7 +5,7 @@
 Run from the root of a source checkout.  Under ``sys.settrace`` it first
 makes a fixed list of in-process ``splitconf`` calls (``verify`` in each
 format, ``transform`` on float, exact and at-infinity words, ``show``
-of every object kind), then runs the tier-1 tests through
+of every object kind and output format), then runs the tier-1 tests through
 ``pytest.main`` (``tests`` unless arguments are given).  For every
 module of ``src/splitconf`` it prints the executable lines, as ranges
 with the function they sit in and their first source line, that
@@ -46,6 +46,8 @@ PROGRAM_CALLS = (
     ["show", "generator", "qx", "--angle", "0.3"],
     ["show", "real-gamma", "p", "--format", "csv"],
     ["show", "real-generator", "tx", "--angle", "0.2"],
+    ["show", "generator", "ax", "--format", "csv"],
+    ["show", "real-generator", "pq", "--format", "json"],
 )
 
 
