@@ -166,6 +166,13 @@ def within(x, tol, scale=0):
     return (a <= tol) | (a <= tol * scale)
 
 
+def _max_or_nan(values):
+    """max(values), or their first nan: Python's max keeps a nan only in
+    first place, since every comparison with a nan is false."""
+    values = list(values)
+    return next((v for v in values if v != v), max(values))
+
+
 def exact_div(a, b):
     """a / b in the regime of its operands: Fraction(a, b) for two ints."""
     if type(a) is int and type(b) is int:
@@ -254,7 +261,7 @@ class TensorScalar:
         return self.coeffs[0]
 
     def max_abs(self):
-        return max(abs(c) for c in self.coeffs)
+        return _max_or_nan(map(abs, self.coeffs))
 
     def is_real_scalar(self, tol=0, scale=0):
         """True when every coefficient except the one on 1 is within(c, tol, scale)."""

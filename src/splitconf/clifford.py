@@ -29,7 +29,8 @@ import operator
 from fractions import Fraction
 
 from .algebra import (
-    _MUL, ELL, K, KL, L, ONE, SPAN_TOL, TensorScalar, ZERO, exact_div, is_exact, within,
+    _MUL, _max_or_nan, ELL, K, KL, L, ONE, SPAN_TOL, TensorScalar, ZERO, exact_div,
+    is_exact, within,
 )
 from .matrices import TensorMatrix, _refuse_overflow, trace_product
 from .report import Report, Value
@@ -103,7 +104,7 @@ class Vector6(Value):
         return Vector6(*(lam * c for c in self.as_tuple()))
 
     def max_abs(self):
-        return max(abs(c) for c in self.as_tuple())
+        return _max_or_nan(map(abs, self.as_tuple()))
 
     def is_exact(self):
         return all(is_exact(c) for c in self.as_tuple())

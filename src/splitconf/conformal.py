@@ -451,10 +451,9 @@ def _image_table_checks(report):
 
 
 def _dev(a, b):
-    """The largest coordinate gap between two points of numbers or arrays, or 0.0."""
+    """The largest coordinate gap between two points of numbers or equal-length arrays."""
     import numpy as np
-    pairs = zip(a.as_tuple(), b.as_tuple())
-    return float(max(np.max(np.abs(x - y), initial=0.0) for x, y in pairs))
+    return float(np.max(np.abs(np.subtract(a.as_tuple(), b.as_tuple()))))
 
 
 def _null_rows(coords):
@@ -554,34 +553,30 @@ def verify_conformal(config=None):
     half_x = q_from_p(step_vector("pq", math.log(2), embed_point(MinkowskiPoint(x=1)).v))
     factor = np.array([math.exp(-theta) for theta in dils[:, 4].tolist()])
     want = MinkowskiPoint(*dils[:, :4].T).scaled(factor)
+    devs = (_dev(half_x, MinkowskiPoint(x=0.5)), _dev(_point(Vector6(*outs.T)), want))
     report.bound(
         "dilation-law",
-        max(_dev(half_x, MinkowskiPoint(x=0.5)), _dev(_point(Vector6(*outs.T)), want)),
+        float(np.max(devs)),
         tol,
         "point scales by exp(-theta); includes the x=1, theta=ln 2 case",
     )
 
-    lorentz_dev = 0.0
     idx4 = [COORDS.index(m) for m in POINT_COORDS]
     lams = {plane: so6_step(plane, 0.7)[np.ix_(idx4, idx4)] for plane in LORENTZ_PLANES}
-    lorentz = zip(planes, pts, starts[-len(pts):].tolist(), imgs[-1].tolist())
-    for plane, pt, start, img in lorentz:
-        img6 = Vector6(*img)
-        out = q_or_infinity(img6)
-        want = lams[plane] @ pt
-        lorentz_dev = max(
-            lorentz_dev,
-            abs((img6.p + img6.q) - (start[4] + start[5])),
-            float(max(abs(a - b) for a, b in zip(out.as_tuple(), want))),
-        )
+    wants = [lams[plane] @ pt for plane, pt in zip(planes, pts)]
+    begins, ends = starts[-len(pts):], _null_rows(imgs[-1])
+    gaps = np.column_stack((
+        (ends[:, 4] + ends[:, 5]) - (begins[:, 4] + begins[:, 5]),
+        np.column_stack(_point(Vector6(*ends.T)).as_tuple()) - wants,
+    ))
     report.bound(
         "lorentz-on-q",
-        lorentz_dev,
+        float(np.max(np.abs(gaps))),
         tol,
         "rotations and boosts fix p+q and act linearly on the point",
     )
 
-    mob_dev = null_dev = 0.0
+    mob_devs, null_devs = [], []
     per_m = max(1, samples // len(TRANSLATABLE))
     for m in TRANSLATABLE:
         # Chunks of BATCH_SIZE keep memory flat at large --samples.  A draw
@@ -600,20 +595,20 @@ def verify_conformal(config=None):
             pt, alpha = MinkowskiPoint(*draws[:, :4].T), _direction(m, draws[:, 4])
             num, denom = _mobius(pt, alpha)
             want = MinkowskiPoint(*(exact_div(c, denom) for c in num.as_tuple()))
-            mob_dev = max(mob_dev, _dev(_point(Vector6(*imgs.T)), want))
+            mob_devs.append(_dev(_point(Vector6(*imgs.T)), want))
             scale = np.abs(imgs).max(axis=1)
             rel = np.abs(metric_form(Vector6(*imgs.T))) / np.maximum(1.0, scale * scale)
-            null_dev = max(null_dev, float(np.max(rel, initial=0.0)))
+            null_devs.append(np.max(rel))
     report.bound(
         "conformal-vs-mobius",
-        mob_dev,
+        float(np.max(mob_devs)),
         SPAN_TOL,
         "conjugation route vs closed-form oracle, %d samples per direction"
         % per_m,
     )
     report.bound(
         "null-preserved",
-        null_dev,
+        float(np.max(null_devs)),
         SPAN_TOL,
         "relative metric square of every conformal image",
     )
@@ -628,17 +623,17 @@ def verify_conformal(config=None):
         ["a" + m for _, m, _ in draws], [theta for _, _, theta in draws], starts
     )
     start_v, moved_v = Vector6(*starts.T), Vector6(*moves.T)
-    ratio_dev = 0.0
-    for v, pt in ((start_v, MinkowskiPoint(*pts.T)), (moved_v, _point(moved_v))):
-        gaps = np.abs((v.p - v.q) / (v.p + v.q) - minkowski_norm2(pt))
-        ratio_dev = max(ratio_dev, float(np.max(gaps, initial=0.0)))
+    gaps = [
+        (v.p - v.q) / (v.p + v.q) - minkowski_norm2(pt)
+        for v, pt in ((start_v, MinkowskiPoint(*pts.T)), (moved_v, _point(moved_v)))
+    ]
     rt_dev = _dev(_point(start_v), MinkowskiPoint(*pts.T))
     report.bound(
         "embed-roundtrip", rt_dev, tol, "q_from_p after embed_point returns the point"
     )
     report.bound(
         "ratio-identity",
-        ratio_dev,
+        float(np.max(np.abs(gaps))),
         tol,
         "(p-q)/(p+q) equals the Minkowski square of the point",
     )

@@ -30,7 +30,7 @@ exponentiated on every step is squared only once.
 import math
 import sys
 
-from .algebra import ONE, SPAN_TOL, TensorScalar, ZERO, is_exact, mul_terms, terms
+from .algebra import _max_or_nan, ONE, SPAN_TOL, TensorScalar, ZERO, is_exact, mul_terms, terms
 
 __all__ = [
     "TensorMatrix",
@@ -229,13 +229,8 @@ class TensorMatrix:
         return all(not a.nonzero for r in self.rows for a in r)
 
     def max_abs(self):
-        m = 0
-        for r in self.rows:
-            for a in r:
-                v = a.max_abs()
-                if v > m:
-                    m = v
-        return m
+        """The largest |coefficient| or a nan one; the int 0 for an all-zero matrix."""
+        return _max_or_nan([0] + [a.max_abs() for r in self.rows for a in r])
 
     def __eq__(self, other):
         if not isinstance(other, TensorMatrix):

@@ -465,3 +465,81 @@ class TestConformalSuite:
             "image-table[bx,p]",
             "image-table[bx,x]",
         ]
+
+
+def _nan_field(pt, field, row):
+    """The point pt of arrays with row `row` of its field `field` set to nan."""
+    values = dict(zip(MinkowskiPoint.__slots__, pt.as_tuple()))
+    values[field] = np.array(values[field], dtype=float)
+    values[field][row] = math.nan
+    return MinkowskiPoint(**values)
+
+
+def _plant_point_law(law, field, row):
+    # The law's want for one later sample of a check on arrays; the
+    # classification's scalar points stay as they are.
+    def plant(monkeypatch):
+        real = getattr(MinkowskiPoint, law)
+
+        def planted(pt, *args):
+            out = real(pt, *args)
+            return _nan_field(out, field, row) if isinstance(out.t, np.ndarray) else out
+        monkeypatch.setattr(MinkowskiPoint, law, planted)
+    return plant
+
+
+def _plant_so6_step(monkeypatch):
+    # The y row of the yz Lorentz matrix, the second plane of lorentz-on-q.
+    real = conformal.so6_step
+
+    def planted(name, theta):
+        out = real(name, theta).copy()
+        if (name, theta) == ("yz", 0.7):
+            out[clifford.COORDS.index("y"), clifford.COORDS.index("z")] = math.nan
+        return out
+    monkeypatch.setattr(conformal, "so6_step", planted)
+
+
+def _plant_mobius(monkeypatch):
+    # The oracle's x numerator of sample 1 of every chunk.
+    real = conformal._mobius
+
+    def planted(v, alpha):
+        num, denom = real(v, alpha)
+        if isinstance(num.x, np.ndarray) and len(num.x) > 1:
+            num = _nan_field(num, "x", 1)
+        return num, denom
+    monkeypatch.setattr(conformal, "_mobius", planted)
+
+
+def _plant_image_rows(monkeypatch):
+    # The y coordinate of image 1 of every second step.
+    real = conformal._image_rows
+
+    def planted(names, thetas, coords):
+        out = real(names, thetas, coords).copy()
+        out[1, clifford.COORDS.index("y")] = math.nan
+        return out
+    monkeypatch.setattr(conformal, "_image_rows", planted)
+
+
+_NAN_SITES = {
+    "translation-law[y]": _plant_point_law("shifted", "y", 3),
+    "additivity[x]": _plant_image_rows,
+    "dilation-law": _plant_point_law("scaled", "z", 2),
+    "lorentz-on-q": _plant_so6_step,
+    "conformal-vs-mobius": _plant_mobius,
+    "null-preserved": _plant_image_rows,
+    "ratio-identity": _plant_image_rows,
+}
+
+
+@pytest.mark.parametrize("check_id", _NAN_SITES)
+def test_a_nan_in_a_later_sample_fails_its_check(monkeypatch, check_id):
+    # A check's deviation is the maximum over all its samples, and a nan
+    # in any of them (not only the first, nor only the first coordinate)
+    # reaches the report.
+    _NAN_SITES[check_id](monkeypatch)
+    rep = verify_conformal({"samples": 8})
+    check = {c.check_id: c for c in rep.checks}[check_id]
+    assert (check.status, check.actual) == ("fail", "nan")

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splitconf import group
-from splitconf.algebra import L, ONE, is_exact, within
+from splitconf.algebra import L, ONE, TensorScalar, is_exact, within
 from splitconf.clifford import COORDS, METRIC, Vector6, build_P, build_X, metric_form
 from splitconf.conformal import step_vector
 from splitconf.group import (
@@ -636,3 +636,74 @@ class TestAppendixTable:
         # upper block agrees; the sign flip sits in the lower block
         assert ref.rows[0][1].approx_eq(rec.rows[0][1], 1e-15)
         assert ref.rows[2][3].approx_eq(-rec.rows[2][3], 1e-15)
+
+
+def _nan_cell(m, i=1, j=2, k=3):
+    """The TensorMatrix m with coefficient k of cell (i, j) set to nan."""
+    rows = [list(r) for r in m.rows]
+    coeffs = list(rows[i][j].coeffs)
+    coeffs[k] = math.nan
+    rows[i][j] = TensorScalar(coeffs)
+    return TensorMatrix(rows)
+
+
+def _plant_so6_matrices(monkeypatch):
+    # Matrix 4 is the second composition pair's so6(w2).
+    real = group._so6_matrices
+
+    def planted(words):
+        out = real(words).copy()
+        out[4, 2, 3] = math.nan
+        return out
+    monkeypatch.setattr(group, "_so6_matrices", planted)
+
+
+def _plant_compose_so6(monkeypatch):
+    # Word 3 of the invariance words.
+    real = group._compose_so6
+
+    def planted(words):
+        out = real(words).copy()
+        out[3, 1, 2] = math.nan
+        return out
+    monkeypatch.setattr(group, "_compose_so6", planted)
+
+
+def _plant_generator(step):
+    def plant(monkeypatch):
+        real = group.generator
+        monkeypatch.setattr(group, "generator", lambda name, theta: (
+            _nan_cell(real(name, theta)) if (name, theta) == step else real(name, theta)
+        ))
+    return plant
+
+
+def _plant_reference(monkeypatch):
+    # Coefficient 3 of cell (1, 2) of xy, a plane that matches its table.
+    real = group.build_reference
+    monkeypatch.setattr(group, "build_reference", lambda name, phi: (
+        _nan_cell(real(name, phi)) if name == "xy" else real(name, phi)
+    ))
+
+
+# Per check id: the plant, then the check's status and actual with it.
+_NAN_SITES = {
+    "composition": (_plant_so6_matrices, "fail", "nan"),
+    "invariance[metric]": (_plant_compose_so6, "fail", "nan"),
+    "invariance[det]": (_plant_compose_so6, "fail", "nan"),
+    "inverse[yz]": (_plant_generator(("yz", 0.77)), "fail", "nan"),
+    "pq-commutes[zx]": (_plant_generator(("zx", 0.9)), "fail", "nan"),
+    "appendix[xy]": (_plant_reference, "discrepancy-documented", "differs at cells [(1, 2)]"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("check_id", _NAN_SITES)
+def test_a_nan_in_a_later_sample_fails_its_check(monkeypatch, check_id):
+    # A check's deviation is the maximum over all its samples, and a nan
+    # in any of them (not only the first) reaches the report.
+    plant, status, actual = _NAN_SITES[check_id]
+    plant(monkeypatch)
+    suite = appendix_check if check_id.startswith("appendix") else verify_group
+    check = {c.check_id: c for c in suite({"samples": 20}).checks}[check_id]
+    assert (check.status, check.actual) == (status, actual)

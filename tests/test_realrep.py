@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -193,3 +194,19 @@ class TestRealrepSuite:
         rep = verify_realrep({"seed": 5, "tolerance": 1e-12})
         got = {c.check_id: c for c in rep.checks}["homomorphism[exact-matrix]"]
         assert (got.status, got.actual) == ("fail", "mismatch")
+
+
+def test_a_nan_in_a_later_word_fails_homomorphism_word(monkeypatch):
+    # Call 4 of exp_real_generator is a step of word 1 or later, since
+    # each of the five words has at most three steps.
+    real, calls = realrep.exp_real_generator, itertools.count()
+
+    def planted(plane, theta):
+        out = real(plane, theta).copy()
+        if next(calls) == 4:
+            out[3, 5] = float("nan")
+        return out
+    monkeypatch.setattr(realrep, "exp_real_generator", planted)
+    rep = verify_realrep({"seed": 5, "tolerance": 1e-12})
+    check = {c.check_id: c for c in rep.checks}["homomorphism[word]"]
+    assert (check.status, check.actual) == ("fail", "nan")
