@@ -1,21 +1,11 @@
 """The order-preserving numpy kernel behind the batched conjugation steps.
 
-Every group element M = c I + s G is block diagonal and every P block
-off-diagonal.  M's only coefficients that can be nonzero are c on the
-unit of each diagonal entry and G's own terms (8 of 64 for a plane, 12
-for a nilpotent step).  One term table, built once from ``_MUL``,
-lists the 16 terms of each off-diagonal output of each side of M P
-M^-1 in the order ``TensorMatrix.__matmul__`` adds them through
-``algebra.mul_terms``: ascending k, then the index of the left factor
-(which fixes the right one, each row of ``_MUL`` being a permutation).
-Each generator's compact plan (``step_plan``, built on first use and
-cached per generator) keeps the terms whose M coefficient can be
-nonzero.  Every output keeps the same number of terms, 2 for a plane
-and 3 for a nilpotent step, and a plan runs in rounds, round r adding
-term r of every output over (64, n) arrays, so each sum rounds as the
-scalar sum does.  A term the plan drops, or a zero term the scalar route
-skips, adds a zero to a sum that is never -0.0, which changes no bit of
-a finite result.  Every column carries its own word; step k runs on the
+Each generator's compact plan comes from ``plans.compact_plan``, the
+one plan source, which ``group``'s scalar kernel reads too.
+``step_plan`` makes it numpy arrays on first use and caches them per
+generator.  A plan runs in rounds, round r adding term r of every
+off-diagonal output over (64, n) arrays, so each sum rounds as the
+scalar sum does.  Every column carries its own word; step k runs on the
 columns whose word is longer than k, those that share a generator on
 its plan together.
 
@@ -36,12 +26,13 @@ import functools
 
 import numpy as np
 
-from .algebra import _MUL, SPAN_TOL, within
+from . import plans
+from .algebra import SPAN_TOL, within
 from .clifford import COORDS, METRIC, _gather, _slots
+from .plans import block_rows
 
 __all__ = [
     "BATCH_SIZE",
-    "block_rows",
     "build_P_batch",
     "extract_coords_batch",
     "step_plan",
@@ -54,18 +45,6 @@ __all__ = [
 BATCH_SIZE = 128
 
 _step_plans = {}
-
-
-@functools.cache
-def block_rows(diagonal):
-    """Flat indices 32*row + 8*col + basis of the diagonal (or off-diagonal) 2x2 blocks."""
-    return tuple(
-        32 * i + 8 * j + t
-        for i in range(4)
-        for j in range(4)
-        if (i // 2 == j // 2) == diagonal
-        for t in range(8)
-    )
 
 
 @functools.cache
@@ -130,59 +109,6 @@ def extract_coords_batch(p, tol=SPAN_TOL):
     return coords, ok & np.isfinite(coords).all(axis=0)
 
 
-@functools.cache
-def _term_table():
-    """Per side of M P M^-1, (M coefficient, row, sign) arrays of shape
-    (64, 16): the terms of each off-diagonal output in mul_terms' order,
-    ascending k, then the left basis index.  The M coefficient is a flat
-    index of M (in M @ P) or of M^-1 (in (M P) @ M^-1), row the other
-    factor's row.
-    """
-    rows = {f: r for r, f in enumerate(block_rows(False))}
-    inverse = [{t: (b, sign) for b, (t, sign) in enumerate(row)} for row in _MUL]
-    left, right = [], []
-    for f in block_rows(False):
-        i, j, t = f // 32, f // 8 % 4, f % 8
-        for k in range(4):
-            for a in range(8):
-                b, sign = inverse[a][t]
-                if k // 2 == i // 2:  # M[i][k] P[k][j]
-                    left += (32 * i + 8 * k + a, rows[32 * k + 8 * j + b], sign)
-                if k // 2 == j // 2:  # (M P)[i][k] M^-1[k][j]
-                    right += (32 * k + 8 * j + b, rows[32 * i + 8 * k + a], sign)
-    return tuple(np.array(side).reshape(64, 16, 3).transpose(2, 0, 1) for side in (left, right))
-
-
-def _compact_plan(gen):
-    """(unit, g, left, right): the plans of M P M^-1 for M = c I + s G, G = gen.
-
-    unit and g are (live, 1) columns over the coefficients of M that can
-    be nonzero: 1 on a diagonal unit (c), and gen's coefficient (+-s).
-    left and right are the (left row, right row, sign) round arrays of
-    M @ P and (M P) @ M^-1, the _term_table terms whose M coefficient is
-    live, term r of each output in round r.  Raises AssertionError when
-    gen is not block diagonal or its outputs keep unequal term counts.
-    """
-    flat = gen.flat()
-    if any(flat[f] for f in block_rows(False)):
-        raise AssertionError("generator is not block diagonal")
-    # 0, 40, 80, 120: the unit coefficient of diagonal entry (i, i).
-    live = [f for f in block_rows(True) if f % 40 == 0 or flat[f]]
-    unit = np.array([[float(f % 40 == 0)] for f in live])
-    g = np.array([[float(flat[f])] for f in live])
-    at = np.full(128, -1)
-    at[live] = range(len(live))
-    plans = []
-    for m, row, sign in _term_table():
-        keep = at[m] >= 0
-        if len(set(keep.sum(axis=1).tolist())) != 1:
-            raise AssertionError("outputs keep different numbers of terms")
-        m, row, sign = (x[keep].reshape(64, -1).T for x in (at[m], row, sign))
-        plans.append((m, row, sign[:, :, None].astype(float)))
-    left, (rm, rrow, rsign) = plans
-    return unit, g, left, (rrow, rm, rsign)
-
-
 def _product(plan, a, b):
     """a @ b over the columns of two batches of one width."""
     ia, ib, sign = plan
@@ -192,11 +118,30 @@ def _product(plan, a, b):
     return acc
 
 
+def _plan_arrays(gen):
+    """(unit, g, left, right): plans.compact_plan(gen) as arrays.
+
+    unit and g are (live, 1) float columns; left is (M coefficient,
+    row, sign) of M @ P and right (row, M^-1 coefficient, sign) of
+    (M P) @ M^-1, as _product takes them: int index arrays of shape
+    (rounds, 64) and a (rounds, 64, 1) float sign array.
+    """
+    pairs, left, right = plans.compact_plan(gen)
+    unit, g = np.array(pairs).T[:, :, None]
+    (lm, lrow, lneg), (rm, rrow, rneg) = (
+        np.frombuffer(b"".join(b"".join(r) for r in rounds), np.uint8)
+        .reshape(len(rounds), 3, 64).astype(int).transpose(1, 0, 2)
+        for rounds in (left, right)
+    )
+    return unit, g, (lm, lrow, 1.0 - 2.0 * lneg[:, :, None]), (
+        rrow, rm, 1.0 - 2.0 * rneg[:, :, None])
+
+
 def step_plan(gen):
-    """The _compact_plan of gen, cached per generator object (held, so its id stays)."""
+    """The _plan_arrays of gen, cached per generator object (held, so its id stays)."""
     got = _step_plans.get(id(gen))
     if got is None:
-        got = _step_plans[id(gen)] = (gen, _compact_plan(gen))
+        got = _step_plans[id(gen)] = (gen, _plan_arrays(gen))
     return got[1]
 
 

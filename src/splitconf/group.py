@@ -15,7 +15,13 @@ Gamma_p Gamma_m -+ Gamma_q Gamma_m as G, with c = 1 and s = theta/2
 a two-sided 2x2 product of diagonal blocks of c I + s G and its inverse.
 Both walks (``_conjugate``, under ``act_on_P`` and ``act_on_vector``, and
 ``act_on_X``) resolve a whole word before the first product, so every
-scalar route names a bad step the same way.
+scalar route names a bad step the same way.  ``act_on_vector`` runs a
+float word on a float vector on the step plans of ``plans`` instead
+(``_on_plans``, Python lists, bit for bit ``_conjugate``'s products),
+and hands the result to ``extract_coords``; what the plans cannot run,
+or a result extraction refuses, takes ``_conjugate``, which raises with
+its own message.  Exact words, ``act_on_P`` and ``act_on_X`` stay on
+the ``TensorMatrix`` route, the reference for both plan kernels.
 
 The module also carries a bundled reference transcription of all
 fifteen matrices in closed form.  ``appendix_check`` diffs that table
@@ -31,8 +37,8 @@ into chunks of ``batch.BATCH_SIZE`` whatever their word lengths, and
 so the sampled words of ``verify_group``, ``verify_conformal`` and
 ``so6_matrix`` run as a few batches.  ``compose_so6`` is the one-word
 case of ``_compose_so6``, the stacked (n, 6, 6) product the 6x6
-invariance checks form.  numpy and ``batch`` are imported by the
-functions that use them, so the scalar step route loads neither.
+invariance checks form.  numpy, ``batch`` and ``plans`` are imported by
+the functions that use them, so the scalar step route loads no numpy.
 """
 
 import functools
@@ -40,11 +46,12 @@ import math
 import random
 import sys
 
-from .algebra import ONE, SPAN_TOL, UNIT, ZERO, exact_div, is_number
+from .algebra import ONE, SPAN_TOL, UNIT, ZERO, TensorScalar, exact_div, is_number
 from .clifford import (
     COORDS,
     METRIC,
     Vector6,
+    _spread,
     build_P,
     extract_coords,
     gamma,
@@ -289,24 +296,109 @@ def act_on_X(word, x):
 
 
 def act_on_vector(word, v):
-    """Coordinates of the conjugated embedding of v.
+    """Coordinates of the conjugated embedding of v: extract_coords of
+    _conjugate(word, build_P(v)), whose extraction doubles as the span
+    check of act_on_P (a result outside the span raises ValueError).
 
-    The single extraction doubles as the span check of act_on_P: a
-    result outside the span of the gammas raises ValueError.
+    A float word on a float v runs on the step plans instead (see
+    _on_plans), with the same bits; any other input, and any result
+    extract_coords refuses, takes the _conjugate route, which raises
+    with its own message.
     """
+    q = _on_plans(word, v)
+    if q is not None:
+        try:
+            return extract_coords(q)
+        except ValueError:
+            pass
     return extract_coords(_conjugate(word, build_P(v)))
 
 
 def _plan(word):
     """The _half_angle (G, c, s) of every step of word, or None when it
-    cannot batch: an angle that is not a float, or a step _half_angle
-    refuses (an angle that is not finite or overflows, an unknown name)."""
-    if not all(type(theta) is float for _, theta in word):
-        return None
+    cannot run on the plans: an angle that is not a float, or a step
+    _half_angle refuses or cannot read (an angle that is not finite or
+    overflows, an unknown name, an entry that is not a (name, angle) pair)."""
     try:
-        return [_half_angle(*step) for step in word]
-    except (OverflowError, ValueError):
+        if all(type(theta) is float for _, theta in word):
+            return [_half_angle(*step) for step in word]
+    except (OverflowError, TypeError, ValueError):
+        pass
+    return None
+
+
+_kernel_plans = {}
+
+
+def _kernel_plan(gen):
+    """plans.compact_plan(gen) as _on_plans runs it, cached per generator
+    object (held, so its id stays): the (unit, g) pairs, and per side
+    the rounds as (coefficient, row) index bytes, every index being
+    below 256, a subtracted term's coefficient index moved up by
+    len(pairs), onto the negated coefficient."""
+    got = _kernel_plans.get(id(gen))
+    if got is None:
+        from .plans import compact_plan
+        pairs, left, right = compact_plan(gen)
+        n = len(pairs)
+        left, right = (
+            tuple((bytes(m + n * neg for m, neg in zip(ms, negative)), rows)
+                  for ms, rows, negative in side)
+            for side in (left, right)
+        )
+        got = _kernel_plans[id(gen)] = (gen, (pairs, left, right))
+    return got[1]
+
+
+def _rounds(rounds, a, b):
+    """The 64 outputs sum of a[i] * b[j], term r of each added in round r
+    to a 0.0 accumulator, as TensorMatrix.__matmul__ adds them."""
+    acc = [0.0] * 64
+    for ia, ib in rounds:
+        acc = [x + a[i] * b[j] for x, i, j in zip(acc, ia, ib)]
+    return acc
+
+
+def _plan_step(gen, c, s, p):
+    """The off-diagonal coefficients of M P M^-1 from those of P, p, both
+    in block_rows(False) order, on the plans of G = gen: M = c I + s G and
+    M^-1 = c I - s G, coefficient by coefficient as exp_pair forms them."""
+    pairs, left, right = _kernel_plan(gen)
+    m = [u * c + g * s for u, g in pairs]
+    m_inv = [u * c + g * -s for u, g in pairs]
+    mp = _rounds(left, m + [-x for x in m], p)
+    return _rounds(right, m_inv + [-x for x in m_inv], mp)
+
+
+def _on_plans(word, v):
+    """M P M^-1 for P = build_P(v) and each step of word, from the step
+    plans (see plans), as a TensorMatrix: bit for bit the nonzero
+    coefficients of _conjugate's, on Python floats.
+
+    None when the plans cannot give _conjugate's result: a word that is
+    not a list or tuple, or that _plan refuses; a v that is not a
+    Vector6 of floats and int zeros; or an all-zero result, which
+    _conjugate may give as exact zeros.
+    """
+    if not (isinstance(word, (list, tuple)) and isinstance(v, Vector6)):
         return None
+    coords = v.as_tuple()
+    if not all(type(c) is float or type(c) is int and not c for c in coords):
+        return None
+    steps = _plan(word)
+    if steps is None:
+        return None
+    from .plans import block_rows
+    flat = _spread(coords)
+    p = [flat[f] for f in block_rows(False)]
+    for gen, c, s in steps:
+        p = _plan_step(gen, c, s, p)
+    if not any(p):
+        return None
+    # block_rows(False) holds entries (i, j) with i // 2 != j // 2, row by row.
+    cells = iter([TensorScalar(p[k:k + 8]) for k in range(0, 64, 8)])
+    rows = [[ZERO if i // 2 == j // 2 else next(cells) for j in range(4)] for i in range(4)]
+    return TensorMatrix(rows, False)
 
 
 def act_on_coords(words, coords):
@@ -533,26 +625,30 @@ def verify_group(config=None):
         "so6(w1 then w2) vs so6(w2) @ so6(w1), 12 seeded word pairs",
     )
 
+    # Both sampled checks draw each chunk's inputs inside the chunk loop, in
+    # the seed's order, so memory stays flat as samples grow.
     n_heavy = max(1, samples // 20)
-    heavy = [
-        ([rng.uniform(-1.0, 1.0) for _ in COORDS], _random_word(rng, 5, 0.6))
-        for _ in range(n_heavy)
-    ]
-    vs = np.array([v for v, _ in heavy])
-    imgs = act_on_coords([w for _, w in heavy], vs)
-    gaps = metric_form(Vector6(*imgs.T)) - metric_form(Vector6(*vs.T))
+    gaps = []
+    for start in range(0, n_heavy, BATCH_SIZE):
+        heavy = [
+            ([rng.uniform(-1.0, 1.0) for _ in COORDS], _random_word(rng, 5, 0.6))
+            for _ in range(min(BATCH_SIZE, n_heavy - start))
+        ]
+        vs = np.array([v for v, _ in heavy])
+        imgs = act_on_coords([w for _, w in heavy], vs)
+        gaps.append(metric_form(Vector6(*imgs.T)) - metric_form(Vector6(*vs.T)))
     report.bound(
         "invariance[qform]",
-        float(np.max(np.abs(gaps))),
+        float(np.max(np.abs(np.concatenate(gaps)))),
         SPAN_TOL,
         "metric square preserved along %d seeded conjugation words" % n_heavy,
     )
 
     # One (gram, det) row per word; initial=0.0 is the bound of no words.
-    words = [_random_word(rng, 5, 0.6) for _ in range(samples)]
     devs = np.empty((samples, 2))
     for start in range(0, samples, BATCH_SIZE):
-        devs[start:start + BATCH_SIZE] = _invariance_devs(words[start:start + BATCH_SIZE])
+        n = min(BATCH_SIZE, samples - start)
+        devs[start:start + n] = _invariance_devs([_random_word(rng, 5, 0.6) for _ in range(n)])
     gram, det = devs.T
     report.bound(
         "invariance[metric]",

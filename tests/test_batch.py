@@ -1,9 +1,10 @@
-"""The numpy batch path against the scalar route it replaces.
+"""The numpy batch path against the TensorMatrix route.
 
 The batch path (batch's kernel, driven by group.act_on_coords) runs the
-scalar route's float operations in its order, so every image row must
-be the scalar result in repr, signed zeros included, and every failure
-the scalar route's exception.
+TensorMatrix route's float operations in its order, so every image row
+must be that route's result (strategies.reference_route) in repr,
+signed zeros included, and every failure its exception.  The reference
+is not act_on_vector, whose float steps run on the same plans.
 """
 
 import math
@@ -19,7 +20,6 @@ from splitconf import batch, group
 from splitconf.algebra import ZERO, TensorScalar
 from splitconf.batch import (
     _product,
-    block_rows,
     build_P_batch,
     extract_coords_batch,
     step_plan,
@@ -35,10 +35,11 @@ from splitconf.group import (
     PLANES,
     TRANSLATION_NAMES,
     act_on_coords,
-    act_on_vector,
     so6_matrix,
 )
 from splitconf.matrices import TensorMatrix, exp_pair
+from splitconf.plans import block_rows
+from strategies import reference_route
 
 PLANE_NAMES = PLANES + tuple(p[::-1] for p in PLANES)
 STEP_NAMES = PLANE_NAMES + TRANSLATION_NAMES
@@ -94,23 +95,20 @@ def batched(words, vecs):
 
 
 def scalar(words, vecs):
-    """act_on_vector of each word on its vector's float row, as lists of floats.
+    """reference_route of each word on its vector's float row, as lists of floats.
 
     An all-zero row builds an exact P and gives exact zeros, as 0.0 here.
     """
     return [
-        [float(c) for c in act_on_vector(w, Vector6(*r)).as_tuple()]
+        [float(c) for c in reference_route(w, Vector6(*r)).as_tuple()]
         for w, r in zip(words, rows(vecs))
     ]
 
 
 def scalar_steps(steps):
-    """step_vector of each (name, theta, vector) on the vector's float row."""
-    vecs = [Vector6(*r) for r in rows([v for _, _, v in steps])]
-    return [
-        [float(c) for c in step_vector(name, theta, v).as_tuple()]
-        for (name, theta, _), v in zip(steps, vecs)
-    ]
+    """reference_route of each (name, theta, vector)'s one-step word on the
+    vector's float row."""
+    return scalar([[(name, theta)] for name, theta, _ in steps], [v for _, _, v in steps])
 
 
 def outcome(fn):
@@ -154,7 +152,7 @@ class TestStepEquivalence:
         with pytest.raises(ValueError) as rows_raised:
             batched([[("tx", 3.0)]] * 2, vecs)
         with pytest.raises(ValueError) as scalar_raised:
-            step_vector("tx", 3.0, vecs[1])
+            reference_route([("tx", 3.0)], vecs[1])
         assert str(rows_raised.value) == str(scalar_raised.value)
 
     def test_an_overflowing_angle_takes_the_scalar_error(self):
@@ -202,7 +200,7 @@ class TestWordEquivalence:
         # so6_matrix acts on float basis vectors in one batch; the exact
         # basis vectors through the scalar route give the same floats.
         def exact_route():
-            imgs = [act_on_vector(word, Vector6.basis(m)) for m in COORDS]
+            imgs = [reference_route(word, Vector6.basis(m)) for m in COORDS]
             return np.array([[float(c) for c in v.as_tuple()] for v in imgs]).T
 
         def reprs(fn):
@@ -289,7 +287,7 @@ class TestWordPerColumn:
     def test_rows_equal_the_scalar_words(self, pairs):
         # Float rows in, float rows out, an (n, 6) array.
         def scalar_rows():
-            return [[float(c) for c in act_on_vector(w, Vector6(*r)).as_tuple()]
+            return [[float(c) for c in reference_route(w, Vector6(*r)).as_tuple()]
                     for w, r in pairs]
 
         def batched_rows():
@@ -307,7 +305,7 @@ class TestWordPerColumn:
         vecs = [Vector6(x=1.7e308, t=1.7e308, p=1.0), Vector6(x=1.0, p=1.0)]
         words = [[("tx", 3.0)], [("xy", math.nan)]]
         with pytest.raises(ValueError) as scalar_raised:
-            act_on_vector(words[0], vecs[0])
+            reference_route(words[0], vecs[0])
         with pytest.raises(ValueError) as rows_raised:
             batched(words, vecs)
         assert str(rows_raised.value) == str(scalar_raised.value)
@@ -332,17 +330,17 @@ class TestWordPerColumn:
 
 
 def counted_plan_builds(monkeypatch):
-    """The generators whose compact plan is built from now on, starting
+    """The generators whose plan arrays batch builds from now on, starting
     from an empty plan cache."""
     built = []
-    compact_plan = batch._compact_plan
+    plan_arrays = batch._plan_arrays
 
     def counted(gen):
         built.append(gen)
-        return compact_plan(gen)
+        return plan_arrays(gen)
 
     monkeypatch.setattr(batch, "_step_plans", {})
-    monkeypatch.setattr(batch, "_compact_plan", counted)
+    monkeypatch.setattr(batch, "_plan_arrays", counted)
     return built
 
 
@@ -385,7 +383,7 @@ class TestKernel:
         assert coords.shape == (2, 6)
         assert ok.tolist() == [True, False]
         assert repr(Vector6(*coords[0].tolist())) == repr(
-            act_on_vector(words[0], vecs[0])
+            reference_route(words[0], vecs[0])
         )
 
     def test_a_chunk_of_every_word_length_is_one_call(self, monkeypatch):

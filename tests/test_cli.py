@@ -668,6 +668,31 @@ class TestEntryPoint:
                         "json": b"{\n"}[fmt]
         assert (proc.returncode, err) == (141, b"")
 
+    def test_verify_memory_does_not_grow_with_samples(self):
+        # Each child prints its own peak: RUSAGE_CHILDREN would be the
+        # largest over every child this process has already waited for.
+        # Drawing all of verify_group's words up front peaked 38 MB
+        # higher at 100,000 samples.
+        pytest.importorskip("resource")
+        script = (
+            "import contextlib, io, resource, sys\n"
+            "from splitconf import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', '--format', 'json'] + sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in bytes or KB
+
+        def peak_mb(*args):
+            done = subprocess.run(
+                [sys.executable, "-c", script, *args],
+                capture_output=True, text=True, env=self.package_env(), timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            return int(done.stdout) * unit / 2**20
+
+        assert peak_mb("--samples", "100000") - peak_mb() < 5
+
     def test_a_verify_pass_leaves_numpy_ma_unimported(self):
         # numpy.ma costs several ms to import, in every fresh process.
         script = (

@@ -43,7 +43,7 @@ from splitconf.group import (
 from splitconf.matrices import TensorMatrix, _sincosh, exp_pair, quadratic_form
 from splitconf.realrep import exp_real_generator
 
-from strategies import fractions_within
+from strategies import fractions_within, reference_route
 
 angles = st.floats(-1.2, 1.2, allow_nan=False, allow_infinity=False)
 
@@ -438,7 +438,7 @@ def test_act_on_coords_refuses_rows_that_are_not_six_long():
     v = Vector6(x=1.0, y=0.5, p=1.0)
     got = act_on_coords([[("xy", 0.3)]], list(v.as_tuple()))
     assert got.shape == (1, 6)
-    assert got[0].tolist() == list(act_on_vector([("xy", 0.3)], v).as_tuple())
+    assert got[0].tolist() == list(reference_route([("xy", 0.3)], v).as_tuple())
 
 
 def _times(a, b):

@@ -3,9 +3,11 @@
 verify_conformal runs its seeded samples as numpy rows, from the
 embedded start vectors to the reported deviation.  The reference here
 is the scalar loop written from the public functions (embed_point,
-NullVector, step_vector, q_from_p, mobius_oracle), which reads the
-seeded stream one draw at a time; every deviation must match it in
-repr, so a reordered sum or a sample read out of turn shows.
+NullVector, q_from_p, mobius_oracle) and the TensorMatrix step route
+(strategies.reference_route, not step_vector, whose float steps run on
+the plans the batch runs), which reads the seeded stream one draw at a time;
+every deviation must match it in repr, so a reordered sum or a sample
+read out of turn shows.
 """
 
 import math
@@ -26,9 +28,9 @@ from splitconf.conformal import (
     minkowski_norm2,
     mobius_oracle,
     q_from_p,
-    step_vector,
     verify_conformal,
 )
+from strategies import reference_route
 
 SAMPLED = (
     ["translation-law[%s]" % m for m in TRANSLATABLE]
@@ -45,7 +47,12 @@ def draw_point(rng):
     return MinkowskiPoint(*(rng.uniform(-0.9, 0.9) for _ in range(4)))
 
 
-def scalar_reference(seed, samples, step=step_vector):
+def reference_step(name, theta, v):
+    """One step on the TensorMatrix route."""
+    return reference_route([(name, theta)], v)
+
+
+def scalar_reference(seed, samples, step=reference_step):
     """{check id: repr of the deviation} of the sampled checks, one sample at a time."""
     rng = random.Random(seed)
     devs = {}
@@ -72,7 +79,7 @@ def scalar_reference(seed, samples, step=step_vector):
         [0.0] + [gap(q_from_p(a), q_from_p(b)) for a, b in zip(twos, ones)]
     )
 
-    half_x = q_from_p(step_vector("pq", math.log(2), embed_point(MinkowskiPoint(x=1)).v))
+    half_x = q_from_p(step("pq", math.log(2), embed_point(MinkowskiPoint(x=1)).v))
     dev = gap(half_x, MinkowskiPoint(x=0.5))
     draws = [(draw_point(rng), rng.uniform(-0.8, 0.8)) for _ in range(20)]
     outs = images(["pq"] * 20, [t for _, t in draws], [embed_point(pt) for pt, _ in draws])
@@ -173,7 +180,7 @@ class TestAgainstTheScalarLoop:
         def forced_step(name, theta, v):
             if name[0] == "b" and theta == chosen[0]:
                 return Vector6(*at_infinity.tolist())
-            return step_vector(name, theta, v)
+            return reference_step(name, theta, v)
 
         monkeypatch.setattr(conformal, "act_on_coords", forcing)
         with pytest.raises(ValueError, match="p \\+ q = 0"):

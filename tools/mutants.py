@@ -57,10 +57,18 @@ MUTANTS = (
      "if not all(d < 10 * tol for d in diff[8 * cell:8 * cell + 8]):",
      "equivalent: the bundled table's discrepancies are of order 1, far"
      " above any tolerance, so the verdicts cannot move"),
-    ("term-table-k-reversed", "batch.py",
+    ("term-table-k-reversed", "plans.py",
      "for k in range(4):\n            for a in range(8):",
      "for k in reversed(range(4)):\n            for a in range(8):",
-     "the batch plans add terms in mul_terms' order, ascending k"),
+     "the plans add terms in mul_terms' order, ascending k"),
+    ("plan-rounds-reversed", "group.py",
+     "    for ia, ib in rounds:\n", "    for ia, ib in reversed(rounds):\n",
+     "the scalar kernel adds term r of every output in round r, so its"
+     " three-term sums round as the TensorMatrix product's do"),
+    ("kernel-inverse-sign", "group.py",
+     "m_inv = [u * c + g * -s for u, g in pairs]",
+     "m_inv = [u * c + g * s for u, g in pairs]",
+     "the scalar kernel conjugates by M and M^-1 = c I - s G"),
     ("sparse-product-k-reversed", "matrices.py",
      "            for k, a in arow:\n", "            for k, a in reversed(arow):\n",
      "each output entry adds its terms in ascending k, so float sums round"
