@@ -1,13 +1,12 @@
 """The order-preserving numpy kernel behind the batched conjugation steps.
 
 Each generator's compact plan comes from ``plans.compact_plan``, the
-one plan source, which ``group``'s scalar kernel reads too.
-``step_plan`` makes it numpy arrays on first use and caches them per
-generator.  A plan runs in rounds, round r adding term r of every
-off-diagonal output over (64, n) arrays, so each sum rounds as the
-scalar sum does.  Every column carries its own word; step k runs on the
-columns whose word is longer than k, those that share a generator on
-its plan together.
+one plan source and cache, which ``group``'s scalar kernel reads too;
+the kernel runs its byte rounds as they are.  A plan runs in rounds,
+round r adding term r of every off-diagonal output over (64, n) arrays,
+so each sum rounds as the scalar sum does.  Every column carries its
+own word; step k runs on the columns whose word is longer than k, those
+that share a generator on its plan together.
 
 ``build_P_batch`` and ``extract_coords_batch`` are the float forms of
 ``clifford.build_P`` and ``extract_coords`` over (64, n) arrays, row r
@@ -26,16 +25,14 @@ import functools
 
 import numpy as np
 
-from . import plans
 from .algebra import SPAN_TOL, within
 from .clifford import COORDS, METRIC, _gather, _slots
-from .plans import block_rows
+from .plans import block_rows, compact_plan
 
 __all__ = [
     "BATCH_SIZE",
     "build_P_batch",
     "extract_coords_batch",
-    "step_plan",
     "conjugate",
 ]
 
@@ -43,9 +40,6 @@ __all__ = [
 # 128 a batch costs about as much per vector as at 256 and holds half
 # the arrays.
 BATCH_SIZE = 128
-
-_step_plans = {}
-
 
 @functools.cache
 def _batch_tables():
@@ -109,40 +103,14 @@ def extract_coords_batch(p, tol=SPAN_TOL):
     return coords, ok & np.isfinite(coords).all(axis=0)
 
 
-def _product(plan, a, b):
-    """a @ b over the columns of two batches of one width."""
-    ia, ib, sign = plan
-    acc = np.zeros((ia.shape[1], a.shape[1]))
-    for r in range(len(ia)):
-        acc += sign[r] * a[ia[r]] * b[ib[r]]
+def _product(rounds, m, b):
+    """The 64 outputs of M @ b (or b @ M) over the columns of b: term r of
+    each, a[coefficient] * b[row] with a = m followed by -m, added in
+    round r, as group._rounds adds them."""
+    a, acc = np.concatenate((m, -m)), np.zeros((64, b.shape[1]))
+    for coefs, rows in rounds:
+        acc += a[np.frombuffer(coefs, np.uint8)] * b[np.frombuffer(rows, np.uint8)]
     return acc
-
-
-def _plan_arrays(gen):
-    """(unit, g, left, right): plans.compact_plan(gen) as arrays.
-
-    unit and g are (live, 1) float columns; left is (M coefficient,
-    row, sign) of M @ P and right (row, M^-1 coefficient, sign) of
-    (M P) @ M^-1, as _product takes them: int index arrays of shape
-    (rounds, 64) and a (rounds, 64, 1) float sign array.
-    """
-    pairs, left, right = plans.compact_plan(gen)
-    unit, g = np.array(pairs).T[:, :, None]
-    (lm, lrow, lneg), (rm, rrow, rneg) = (
-        np.frombuffer(b"".join(b"".join(r) for r in rounds), np.uint8)
-        .reshape(len(rounds), 3, 64).astype(int).transpose(1, 0, 2)
-        for rounds in (left, right)
-    )
-    return unit, g, (lm, lrow, 1.0 - 2.0 * lneg[:, :, None]), (
-        rrow, rm, 1.0 - 2.0 * rneg[:, :, None])
-
-
-def step_plan(gen):
-    """The _plan_arrays of gen, cached per generator object (held, so its id stays)."""
-    got = _step_plans.get(id(gen))
-    if got is None:
-        got = _step_plans[id(gen)] = (gen, _plan_arrays(gen))
-    return got[1]
 
 
 def conjugate(coords, words):
@@ -152,7 +120,7 @@ def conjugate(coords, words):
     and words one list of group._half_angle's (G, c, s) per vector: a
     step conjugates by M = c I + s G and M^-1 = c I - s G, as
     matrices.exp_pair forms them.  Step k runs on the columns whose word
-    is longer than k, those that share G on its step_plan together; a
+    is longer than k, those that share G on its compact_plan together; a
     column whose word has ended sits the later steps out.  Returns
     (coords, ok) of extract_coords_batch, coords as n rows again; a row
     whose ok is False means nothing.
@@ -167,9 +135,10 @@ def conjugate(coords, words):
                     groups.setdefault(id(word[k][0]), []).append(j)
             for cols in groups.values():
                 gen, c, s = zip(*(words[j][k] for j in cols))
-                unit, g, left, right = step_plan(gen[0])
+                pairs, left, right = compact_plan(gen[0])
+                unit, g = np.array(pairs).T[:, :, None]
                 c, s = np.array(c), np.array(s)
                 mp = _product(left, unit * c + g * s, p[:, cols])
-                p[:, cols] = _product(right, mp, unit * c + g * -s)
+                p[:, cols] = _product(right, unit * c + g * -s, mp)
         coords, ok = extract_coords_batch(p)
     return coords.T, ok

@@ -181,7 +181,7 @@ def _cmd_verify(args, config, out):
     wanted = names = [name for name, _ in SUITES]
     if args.suites not in (None, "", "all"):
         wanted = [s.strip() for s in args.suites.split(",") if s.strip()]
-        for s in wanted:
+        for s in wanted or [args.suites]:  # "," names no suite
             if s not in names:
                 raise UsageError(
                     "unknown suite %r (choose from %s)" % (s, ", ".join(sorted(names)))
@@ -304,33 +304,33 @@ def _cmd_transform(args, config, out):
     return 0
 
 
-def _scalar_json(s):
-    return {name: float(c) for name, c in zip(BASIS, s.coeffs)}
+def _floats(s):
+    """A scalar's coefficients as floats; adding 0.0 folds -0.0 to 0.0."""
+    return [float(c) + 0.0 for c in s.coeffs]
 
 
 def _show_tensor(mat, config, out):
     if config.fmt == "json":
-        doc = [[_scalar_json(e) for e in row] for row in mat.rows]
+        doc = [[dict(zip(BASIS, _floats(e))) for e in row] for row in mat.rows]
         out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     elif config.fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(["i", "j"] + list(BASIS))
         for i, row in enumerate(mat.rows):
             for j, e in enumerate(row):
-                writer.writerow([i, j] + [float(c) for c in e.coeffs])
+                writer.writerow([i, j] + _floats(e))
     else:
         out.write(str(mat) + "\n")
 
 
 def _show_real(arr, config, out):
+    rows = (arr + 0).tolist()  # adding 0 folds -0.0 to 0.0 and keeps ints
     if config.fmt == "json":
-        out.write(json.dumps(arr.tolist(), indent=2) + "\n")
+        out.write(json.dumps(rows, indent=2) + "\n")
     elif config.fmt == "csv":
-        writer = csv.writer(out)
-        for row in arr.tolist():
-            writer.writerow(row)
+        csv.writer(out).writerows(rows)
     else:
-        for row in arr.tolist():
+        for row in rows:
             out.write(" ".join("%6s" % _num(v) for v in row) + "\n")
 
 

@@ -16,11 +16,11 @@ a two-sided 2x2 product of diagonal blocks of c I + s G and its inverse.
 Both walks (``_conjugate``, under ``act_on_P`` and ``act_on_vector``, and
 ``act_on_X``) resolve a whole word before the first product, so every
 scalar route names a bad step the same way.  ``act_on_vector`` runs a
-float word on a float vector on the step plans of ``plans`` instead
-(``_on_plans``, Python lists, bit for bit ``_conjugate``'s products),
-and hands the result to ``extract_coords``; what the plans cannot run,
-or a result extraction refuses, takes ``_conjugate``, which raises with
-its own message.  Exact words, ``act_on_P`` and ``act_on_X`` stay on
+float word on a float vector on ``plans.compact_plan``'s cached plans
+instead, as they are (``_on_plans``, Python lists, bit for bit
+``_conjugate``'s products), and hands the result to ``extract_coords``;
+what the plans cannot run, or a result extraction refuses, takes
+``_conjugate``, which raises with its own message.  Exact words, ``act_on_P`` and ``act_on_X`` stay on
 the ``TensorMatrix`` route, the reference for both plan kernels.
 
 The module also carries a bundled reference transcription of all
@@ -316,9 +316,12 @@ def act_on_vector(word, v):
 
 def _plan(word):
     """The _half_angle (G, c, s) of every step of word, or None when it
-    cannot run on the plans: an angle that is not a float, or a step
-    _half_angle refuses or cannot read (an angle that is not finite or
-    overflows, an unknown name, an entry that is not a (name, angle) pair)."""
+    cannot run on the plans: a word that is not a list or tuple, an angle
+    that is not a float, or a step _half_angle refuses or cannot read (an
+    angle that is not finite or overflows, an unknown name, an entry that
+    is not a (name, angle) pair)."""
+    if not isinstance(word, (list, tuple)):
+        return None
     try:
         if all(type(theta) is float for _, theta in word):
             return [_half_angle(*step) for step in word]
@@ -327,47 +330,25 @@ def _plan(word):
     return None
 
 
-_kernel_plans = {}
-
-
-def _kernel_plan(gen):
-    """plans.compact_plan(gen) as _on_plans runs it, cached per generator
-    object (held, so its id stays): the (unit, g) pairs, and per side
-    the rounds as (coefficient, row) index bytes, every index being
-    below 256, a subtracted term's coefficient index moved up by
-    len(pairs), onto the negated coefficient."""
-    got = _kernel_plans.get(id(gen))
-    if got is None:
-        from .plans import compact_plan
-        pairs, left, right = compact_plan(gen)
-        n = len(pairs)
-        left, right = (
-            tuple((bytes(m + n * neg for m, neg in zip(ms, negative)), rows)
-                  for ms, rows, negative in side)
-            for side in (left, right)
-        )
-        got = _kernel_plans[id(gen)] = (gen, (pairs, left, right))
-    return got[1]
-
-
-def _rounds(rounds, a, b):
-    """The 64 outputs sum of a[i] * b[j], term r of each added in round r
-    to a 0.0 accumulator, as TensorMatrix.__matmul__ adds them."""
-    acc = [0.0] * 64
+def _rounds(rounds, m, b):
+    """The 64 outputs sum of a[i] * b[j], a = m followed by -m, term r of
+    each added in round r to a 0.0 accumulator, as TensorMatrix.__matmul__
+    adds them."""
+    a, acc = m + [-x for x in m], [0.0] * 64
     for ia, ib in rounds:
         acc = [x + a[i] * b[j] for x, i, j in zip(acc, ia, ib)]
     return acc
 
 
-def _plan_step(gen, c, s, p):
+def _plan_step(plan, c, s, p):
     """The off-diagonal coefficients of M P M^-1 from those of P, p, both
-    in block_rows(False) order, on the plans of G = gen: M = c I + s G and
-    M^-1 = c I - s G, coefficient by coefficient as exp_pair forms them."""
-    pairs, left, right = _kernel_plan(gen)
+    in block_rows(False) order, on plan = plans.compact_plan(G): M = c I
+    + s G and M^-1 = c I - s G, coefficient by coefficient as exp_pair
+    forms them."""
+    pairs, left, right = plan
     m = [u * c + g * s for u, g in pairs]
     m_inv = [u * c + g * -s for u, g in pairs]
-    mp = _rounds(left, m + [-x for x in m], p)
-    return _rounds(right, m_inv + [-x for x in m_inv], mp)
+    return _rounds(right, m_inv, _rounds(left, m, p))
 
 
 def _on_plans(word, v):
@@ -375,12 +356,11 @@ def _on_plans(word, v):
     plans (see plans), as a TensorMatrix: bit for bit the nonzero
     coefficients of _conjugate's, on Python floats.
 
-    None when the plans cannot give _conjugate's result: a word that is
-    not a list or tuple, or that _plan refuses; a v that is not a
-    Vector6 of floats and int zeros; or an all-zero result, which
-    _conjugate may give as exact zeros.
+    None when the plans cannot give _conjugate's result: a word that
+    _plan refuses; a v that is not a Vector6 of floats and int zeros; or
+    an all-zero result, which _conjugate may give as exact zeros.
     """
-    if not (isinstance(word, (list, tuple)) and isinstance(v, Vector6)):
+    if not isinstance(v, Vector6):
         return None
     coords = v.as_tuple()
     if not all(type(c) is float or type(c) is int and not c for c in coords):
@@ -388,11 +368,11 @@ def _on_plans(word, v):
     steps = _plan(word)
     if steps is None:
         return None
-    from .plans import block_rows
+    from .plans import block_rows, compact_plan
     flat = _spread(coords)
     p = [flat[f] for f in block_rows(False)]
     for gen, c, s in steps:
-        p = _plan_step(gen, c, s, p)
+        p = _plan_step(compact_plan(gen), c, s, p)
     if not any(p):
         return None
     # block_rows(False) holds entries (i, j) with i // 2 != j // 2, row by row.

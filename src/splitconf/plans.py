@@ -21,9 +21,12 @@ every output: each sum rounds as the scalar sum does.  A term whose
 coefficient is zero, which the scalar route skips, adds a zero to a sum
 that is never -0.0, which changes no bit of a finite result.
 
-``group``'s scalar kernel (under ``act_on_vector``) runs the plans on
-Python lists and ``batch`` on numpy arrays; each keeps its own form
-per generator.  This module imports no numpy.
+A subtracted term's coefficient index is moved up by the number of live
+coefficients, onto the negated coefficient, so a kernel adds products
+and nothing else.  ``compact_plan`` caches its plan per generator, and
+both kernels run it as it is: ``group``'s scalar kernel (under
+``act_on_vector``) on Python lists and ``batch`` on numpy arrays.  This
+module imports no numpy.
 """
 
 import functools
@@ -79,19 +82,33 @@ def _contributions():
     )
 
 
+_plans = {}
+
+
 def compact_plan(gen):
-    """(pairs, left, right): the plans of M P M^-1 for M = c I + s G, G = gen.
+    """(pairs, left, right): the plans of M P M^-1 for M = c I + s G, G = gen,
+    cached per generator object (held, so its id stays).
 
     pairs holds one (unit, g) float pair per live coefficient, in flat
     order: 1.0 on a diagonal unit (c) and 0.0 elsewhere, and gen's
     coefficient (+-s), so the coefficient of M is unit * c + g * s and
     that of M^-1 unit * c + g * -s.  left and right hold the rounds of
-    M @ P and (M P) @ M^-1, round r as three 64-byte strings over the
-    outputs, for term r: its live coefficient (an index into pairs), the
-    row of the other factor, and 1 where the term is subtracted, else 0.
+    M @ P and (M P) @ M^-1, round r as two 64-byte strings over the
+    outputs, for term r: its coefficient of M (of M^-1), an index into
+    pairs, moved up by len(pairs) for a subtracted term, and the row of
+    the other factor (P, or M P).  A kernel adds coefficient[i] * row[j]
+    over the coefficients followed by their negations.
     Raises AssertionError when gen is not block diagonal or its outputs
     keep unequal term counts.
     """
+    got = _plans.get(id(gen))
+    if got is None:
+        got = _plans[id(gen)] = (gen, _build(gen))
+    return got[1]
+
+
+def _build(gen):
+    """compact_plan(gen), not cached."""
     flat = gen.flat()
     if any(flat[f] for f in block_rows(False)):
         raise AssertionError("generator is not block diagonal")
@@ -108,8 +125,7 @@ def compact_plan(gen):
         count = len(terms) // 64
         if list(outputs) != sorted(list(range(64)) * count):
             raise AssertionError("outputs keep different numbers of terms")
-        coefs, rows, negative = bytes(coefs), bytes(rows), bytes(negative)
-        sides.append(tuple(
-            (coefs[r::count], rows[r::count], negative[r::count]) for r in range(count)
-        ))
+        coefs = bytes(n + len(pairs) * neg for n, neg in zip(coefs, negative))
+        rows = bytes(rows)
+        sides.append(tuple((coefs[r::count], rows[r::count]) for r in range(count)))
     return pairs, sides[0], sides[1]

@@ -16,14 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitconf import batch, group
+from splitconf import batch, group, plans
 from splitconf.algebra import ZERO, TensorScalar
-from splitconf.batch import (
-    _product,
-    build_P_batch,
-    extract_coords_batch,
-    step_plan,
-)
+from splitconf.batch import _product, build_P_batch, extract_coords_batch
 from splitconf.clifford import COORDS, Vector6, build_P, extract_coords
 from splitconf.conformal import (
     MinkowskiPoint,
@@ -237,6 +232,14 @@ class TestWordPerColumn:
             lambda: scalar(words, vecs)
         )
 
+    def test_an_iterator_word_gives_its_list_words_image(self):
+        # The kernel plans lists and tuples only; an iterator word goes
+        # through act_on_vector unconsumed.
+        row = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+        got = act_on_coords([iter([("xy", 0.3)])], [row])
+        assert got.tolist() == act_on_coords([[("xy", 0.3)]], [row]).tolist()
+        assert got[0, 0] == pytest.approx(math.cos(0.3))
+
     def test_mixed_lengths_cross_chunks_in_order(self, monkeypatch):
         # Lengths 0 to 6 in one call, every step name (planes in both
         # orders, ax..at and bx..bt), rows read from float, exact and
@@ -330,17 +333,17 @@ class TestWordPerColumn:
 
 
 def counted_plan_builds(monkeypatch):
-    """The generators whose plan arrays batch builds from now on, starting
-    from an empty plan cache."""
+    """The generators whose plans plans.compact_plan builds from now on,
+    starting from an empty plan cache."""
     built = []
-    plan_arrays = batch._plan_arrays
+    build = plans._build
 
     def counted(gen):
         built.append(gen)
-        return plan_arrays(gen)
+        return build(gen)
 
-    monkeypatch.setattr(batch, "_step_plans", {})
-    monkeypatch.setattr(batch, "_plan_arrays", counted)
+    monkeypatch.setattr(plans, "_plans", {})
+    monkeypatch.setattr(plans, "_build", counted)
     return built
 
 
@@ -359,14 +362,15 @@ class TestPlanCache:
         act_on_coords(words, rows)
         assert len(built) <= 1
 
-    @pytest.mark.parametrize("name", STEP_NAMES)
-    def test_rounds_per_output(self, name):
-        # c on the diagonal unit and the generator's own terms: two live
-        # terms per output for a plane, three for a nilpotent step.
-        unit, g, left, right = step_plan(group._half_angle(name, 0.5)[0])
-        rounds = 3 if name in TRANSLATION_NAMES else 2
-        assert len(unit) == len(g) == 4 * rounds
-        assert left[0].shape == right[0].shape == (rounds, 64)
+    def test_both_kernels_share_one_plan_per_generator(self, monkeypatch):
+        # The scalar kernel builds the 23 plans and the batch reuses them.
+        built = counted_plan_builds(monkeypatch)
+        words = [[(name, 0.3)] for name in STEP_NAMES]
+        v = Vector6(x=0.5, p=1.0)
+        for word in words:
+            group.act_on_vector(word, v)
+        act_on_coords(words, [v.as_tuple()] * len(words))
+        assert len(built) == len(PLANES) + len(TRANSLATION_NAMES)
 
 
 class TestKernel:
@@ -437,13 +441,14 @@ class TestDenseSweep:
         rng = random.Random(20)
         for name in STEP_NAMES * 5:
             gen = group._half_angle(name, 0.5)[0]
-            unit, g, left, right = step_plan(gen)
+            pairs, left, right = plans.compact_plan(gen)
+            unit, g = np.array(pairs).T[:, :, None]
             c, s = (rng.uniform(-1, 1) * 10 ** rng.uniform(-8, 8) for _ in range(2))
             m, m_inv = exp_pair(gen, c, s)
             p, p_col = random_blocks(rng)
             mp = _product(left, unit * c + g * s, p_col)
             assert [repr(x) for x in mp[:, 0].tolist()] == off_diagonal_reprs(m @ p)
-            mpm = _product(right, mp, unit * c + g * -s)
+            mpm = _product(right, unit * c + g * -s, mp)
             assert [repr(x) for x in mpm[:, 0].tolist()] == off_diagonal_reprs(
                 (m @ p) @ m_inv
             )

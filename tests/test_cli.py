@@ -64,6 +64,20 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown suite" in err
 
+    @pytest.mark.parametrize("suites", [",", " , ,"])
+    def test_a_suite_list_naming_no_suite_is_a_usage_error(self, capsys, suites):
+        code, out, err = run(["verify", "--suites", suites], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown suite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("suites", ["", "all"])
+    def test_an_empty_suite_list_or_all_runs_every_suite(self, capsys, suites):
+        code, out, _ = run(["verify", "--suites", suites, "--samples", "20",
+                            "--format", "json"], capsys)
+        assert code == 0
+        assert [r["suite"] for r in json.loads(out)["reports"]] == [
+            name for name, _ in cli.SUITES]
+
     def test_json_output_is_deterministic(self, capsys):
         args = ["verify", "--suites", "clifford,appendix", "--format", "json",
                 "--seed", "3", "--samples", "40"]
@@ -560,6 +574,17 @@ class TestShowCommand:
         # sx kron sx kron I kron I: row 0 has its one at column 12.
         assert doc[0] == [0] * 12 + [1, 0, 0, 0]
         assert doc == real_gamma("x").tolist()
+
+    @pytest.mark.parametrize("obj", ["generator", "real-generator"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_negative_zeros_print_as_zero(self, capsys, obj, fmt):
+        # cos and sin of the half angle -2 are both negative, so the
+        # generator's zero terms come out as -0.0 before printing.
+        code, out, _ = run(["show", obj, "xy", "--angle", "-4", "--format", fmt],
+                           capsys)
+        assert code == 0
+        cells = out.replace(",", " ").replace("[", " ").replace("]", " ").split()
+        assert not {"-0", "-0.0"} & set(cells)
 
     def test_unknown_coordinate_is_a_usage_error(self, capsys):
         code, _, err = run(["show", "gamma", "w"], capsys)

@@ -163,10 +163,10 @@ class TestPlans:
             m, m_inv = exp_pair(gen, c, s)
             p, p_values = random_blocks(rng)
             want = ((m @ p) @ m_inv).flat()
-            got = group._plan_step(gen, c, s, p_values)
+            got = group._plan_step(compact_plan(gen), c, s, p_values)
             assert [repr(x) for x in got] == [repr(want[f]) for f in block_rows(False)]
 
-    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("name", NAMES + REVERSED)
     def test_rounds_per_output(self, name):
         # c on each diagonal unit and the generator's own terms: two live
         # terms per output for a plane, three for a nilpotent step.
@@ -178,12 +178,12 @@ class TestPlans:
 
     def test_the_23_plans_are_small(self, monkeypatch):
         gens = [group._half_angle(name, 0.5)[0] for name in NAMES]
-        monkeypatch.setattr(group, "_kernel_plans", {})
+        monkeypatch.setattr(plans, "_plans", {})
         plans._contributions.cache_clear()
         tracemalloc.start()
         try:
             for gen in gens:
-                group._kernel_plan(gen)
+                compact_plan(gen)
             gc.collect()  # empties the tuple free lists, which the build refills
             size = tracemalloc.get_traced_memory()[0]
         finally:
@@ -193,12 +193,12 @@ class TestPlans:
     def test_steps_build_each_plan_once_without_numpy(self):
         script = (
             "import sys\n"
-            "from splitconf import group\n"
+            "from splitconf import group, plans\n"
             "from splitconf.clifford import Vector6\n"
             "for _ in range(2):\n"
             "    for name in group.PLANES + group.TRANSLATION_NAMES:\n"
             "        group.act_on_vector([(name, 0.3)], Vector6(x=0.5, p=1.0))\n"
-            "print(len(group._kernel_plans), 'numpy' in sys.modules)\n"
+            "print(len(plans._plans), 'numpy' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(splitconf.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -69,6 +69,14 @@ MUTANTS = (
      "m_inv = [u * c + g * -s for u, g in pairs]",
      "m_inv = [u * c + g * s for u, g in pairs]",
      "the scalar kernel conjugates by M and M^-1 = c I - s G"),
+    ("plan-fold-drops-sign", "plans.py",
+     "bytes(n + len(pairs) * neg for n, neg in zip(coefs, negative))",
+     "bytes(n for n, neg in zip(coefs, negative))",
+     "a subtracted term's index points at the negated coefficient, so both"
+     " kernels subtract it"),
+    ("batch-negation-dropped", "batch.py",
+     "np.concatenate((m, -m))", "np.concatenate((m, m))",
+     "the batch's subtracted terms read the negated coefficients"),
     ("sparse-product-k-reversed", "matrices.py",
      "            for k, a in arow:\n", "            for k, a in reversed(arow):\n",
      "each output entry adds its terms in ascending k, so float sums round"
