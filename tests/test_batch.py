@@ -372,6 +372,32 @@ class TestPlanCache:
         act_on_coords(words, [v.as_tuple()] * len(words))
         assert len(built) == len(PLANES) + len(TRANSLATION_NAMES)
 
+    @pytest.mark.parametrize("name", STEP_NAMES)
+    def test_rounds_per_output(self, name, monkeypatch):
+        # One step of the batch runs M @ P and (M P) @ M^-1 on the step's
+        # own plan: two rounds per output for a plane, three for a
+        # nilpotent step, over the live coefficients followed by their
+        # negations and P's 64 rows.
+        calls = []
+        product = batch._product
+
+        def counted(rounds, m, b):
+            calls.append((rounds, m.shape[0]))
+            return product(rounds, m, b)
+
+        monkeypatch.setattr(batch, "_product", counted)
+        coords, ok = batch.conjugate(
+            np.array([[0.5, 0.0, 0.0, 0.0, 1.0, 0.0]]), [[group._half_angle(name, 0.3)]]
+        )
+        assert ok.tolist() == [True]
+        rounds = 3 if name in TRANSLATION_NAMES else 2
+        _, left, right = plans.compact_plan(group._half_angle(name, 0.3)[0])
+        assert [r for r, _ in calls] == [left, right]
+        for plan, live in calls:
+            assert live == 4 * rounds and len(plan) == rounds
+            for coefs, rows in plan:
+                assert max(coefs) < 2 * live and max(rows) < 64
+
 
 class TestKernel:
     def test_conjugate_takes_and_gives_arrays(self):
