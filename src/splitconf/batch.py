@@ -1,7 +1,7 @@
 """The order-preserving numpy kernel behind the batched conjugation steps.
 
 Each generator's compact plan comes from ``plans.compact_plan``, the
-one plan source and cache, which ``group``'s scalar kernel reads too;
+one plan source and cache, which the scalar kernel ``plans.run`` reads too;
 the kernel runs its byte rounds as they are.  A plan runs in rounds,
 round r adding term r of every off-diagonal output over (64, n) arrays,
 so each sum rounds as the scalar sum does.  Every column carries its
@@ -106,7 +106,7 @@ def extract_coords_batch(p, tol=SPAN_TOL):
 def _product(rounds, m, b):
     """The 64 outputs of M @ b (or b @ M) over the columns of b: term r of
     each, a[coefficient] * b[row] with a = m followed by -m, added in
-    round r, as group._rounds adds them."""
+    round r, as plans._rounds adds them."""
     a, acc = np.concatenate((m, -m)), np.zeros((64, b.shape[1]))
     for coefs, rows in rounds:
         acc += a[np.frombuffer(coefs, np.uint8)] * b[np.frombuffer(rows, np.uint8)]

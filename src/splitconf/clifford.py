@@ -18,9 +18,10 @@ nonzero entries, each a single +-1 unit, so every component of the
 symmetric trace trace(gamma P) + trace(P gamma) is a short signed sum
 of coefficients of P.  The table lists those coefficients in the order
 ``trace_product`` adds them, which keeps float results bit for bit
-those of the generic ``inner_product``.  One loop over that table reads
-both regimes: an exact P goes through it as integers, its coefficients
-scaled to one common denominator and its checks held to 0.
+those of the generic ``inner_product``.  One loop over that table,
+``_read``, reads both regimes from flat coefficients: an exact P goes
+through it as integers, its coefficients scaled to one common
+denominator and its checks held to 0.  ``plans.run`` feeds it too.
 """
 
 import functools
@@ -66,7 +67,7 @@ _SIGMA = {
 def sigma(m):
     """The 2x2 generator matrix for coordinate m."""
     if m not in METRIC:
-        raise KeyError("unknown coordinate %r" % (m,))
+        raise ValueError("unknown coordinate %r, not one of %s" % (m, COORDS))
     return TensorMatrix(_SIGMA[m])
 
 
@@ -261,8 +262,11 @@ def extract_coords(p, tol=SPAN_TOL):
     the largest gap between the flat coefficients of p and _spread of
     the coordinates, so P is never built back.
     """
-    flat = p.flat()
-    exact = p.is_exact()
+    return _read(p.flat(), p.is_exact(), tol)
+
+
+def _read(flat, exact, tol=SPAN_TOL):
+    """extract_coords of the 4x4 matrix of flat coefficients flat, exact or not."""
     if exact:
         d = math.lcm(*(c.denominator for c in flat if c))
         flat = [c.numerator * (d // c.denominator) if c else 0 for c in flat]

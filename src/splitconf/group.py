@@ -16,12 +16,12 @@ a two-sided 2x2 product of diagonal blocks of c I + s G and its inverse.
 Both walks (``_conjugate``, under ``act_on_P`` and ``act_on_vector``, and
 ``act_on_X``) resolve a whole word before the first product, so every
 scalar route names a bad step the same way.  ``act_on_vector`` runs a
-float word on a float vector on ``plans.compact_plan``'s cached plans
-instead, as they are (``_on_plans``, Python lists, bit for bit
-``_conjugate``'s products), and hands the result to ``extract_coords``;
-what the plans cannot run, or a result extraction refuses, takes
-``_conjugate``, which raises with its own message.  Exact words, ``act_on_P`` and ``act_on_X`` stay on
-the ``TensorMatrix`` route, the reference for both plan kernels.
+float word on a float vector through ``plans.run`` instead (bit for bit
+``_conjugate``'s products) and reads the flat result with
+``clifford._read``; what the plans cannot run, or a result the reader
+refuses, takes ``_conjugate``, which raises with its own message.
+Exact words, ``act_on_P`` and ``act_on_X`` stay on the ``TensorMatrix``
+route, the reference for both plan kernels.
 
 The module also carries a bundled reference transcription of all
 fifteen matrices in closed form.  ``appendix_check`` diffs that table
@@ -45,13 +45,14 @@ import functools
 import math
 import random
 import sys
+from contextlib import suppress
 
-from .algebra import ONE, SPAN_TOL, UNIT, ZERO, TensorScalar, exact_div, is_number
+from .algebra import ONE, SPAN_TOL, UNIT, ZERO, exact_div, is_number
 from .clifford import (
     COORDS,
     METRIC,
     Vector6,
-    _spread,
+    _read,
     build_P,
     extract_coords,
     gamma,
@@ -300,17 +301,23 @@ def act_on_vector(word, v):
     _conjugate(word, build_P(v)), whose extraction doubles as the span
     check of act_on_P (a result outside the span raises ValueError).
 
-    A float word on a float v runs on the step plans instead (see
-    _on_plans), with the same bits; any other input, and any result
-    extract_coords refuses, takes the _conjugate route, which raises
+    A float word (see _plan) on a Vector6 of floats and int zeros runs on
+    plans.run instead, with the same bits, read by extract_coords' _read;
+    an all-zero result (exact zeros on _conjugate's route), any other
+    input and any result _read refuses take _conjugate, which raises
     with its own message.
     """
-    q = _on_plans(word, v)
-    if q is not None:
-        try:
-            return extract_coords(q)
-        except ValueError:
-            pass
+    floats = isinstance(v, Vector6) and all(
+        type(c) is float or type(c) is int and not c for c in v.as_tuple())
+    steps = _plan(word) if floats else None
+    if steps is not None:
+        from .plans import run
+        flat = run(steps, v.as_tuple())
+        if any(flat):
+            try:
+                return _read(flat, False)
+            except ValueError:
+                pass
     return extract_coords(_conjugate(word, build_P(v)))
 
 
@@ -330,65 +337,16 @@ def _plan(word):
     return None
 
 
-def _rounds(rounds, m, b):
-    """The 64 outputs sum of a[i] * b[j], a = m followed by -m, term r of
-    each added in round r to a 0.0 accumulator, as TensorMatrix.__matmul__
-    adds them."""
-    a, acc = m + [-x for x in m], [0.0] * 64
-    for ia, ib in rounds:
-        acc = [x + a[i] * b[j] for x, i, j in zip(acc, ia, ib)]
-    return acc
-
-
-def _plan_step(plan, c, s, p):
-    """The off-diagonal coefficients of M P M^-1 from those of P, p, both
-    in block_rows(False) order, on plan = plans.compact_plan(G): M = c I
-    + s G and M^-1 = c I - s G, coefficient by coefficient as exp_pair
-    forms them."""
-    pairs, left, right = plan
-    m = [u * c + g * s for u, g in pairs]
-    m_inv = [u * c + g * -s for u, g in pairs]
-    return _rounds(right, m_inv, _rounds(left, m, p))
-
-
-def _on_plans(word, v):
-    """M P M^-1 for P = build_P(v) and each step of word, from the step
-    plans (see plans), as a TensorMatrix: bit for bit the nonzero
-    coefficients of _conjugate's, on Python floats.
-
-    None when the plans cannot give _conjugate's result: a word that
-    _plan refuses; a v that is not a Vector6 of floats and int zeros; or
-    an all-zero result, which _conjugate may give as exact zeros.
-    """
-    if not isinstance(v, Vector6):
-        return None
-    coords = v.as_tuple()
-    if not all(type(c) is float or type(c) is int and not c for c in coords):
-        return None
-    steps = _plan(word)
-    if steps is None:
-        return None
-    from .plans import block_rows, compact_plan
-    flat = _spread(coords)
-    p = [flat[f] for f in block_rows(False)]
-    for gen, c, s in steps:
-        p = _plan_step(compact_plan(gen), c, s, p)
-    if not any(p):
-        return None
-    # block_rows(False) holds entries (i, j) with i // 2 != j // 2, row by row.
-    cells = iter([TensorScalar(p[k:k + 8]) for k in range(0, 64, 8)])
-    rows = [[ZERO if i // 2 == j // 2 else next(cells) for j in range(4)] for i in range(4)]
-    return TensorMatrix(rows, False)
-
-
 def act_on_coords(words, coords):
     """act_on_vector(words[i], Vector6(*coords[i])) for each of n float rows, as (n, 6).
 
     The rows whose words batch (see _plan) run on batch.conjugate in
     chunks of batch.BATCH_SIZE, whatever their word lengths, each row
-    with its word's _plan; each word object is planned once.  Every
-    other row, and any the kernel refuses, goes through act_on_vector in
-    index order, which raises with its own message.
+    with its word's _plan.  Each word object is planned once, after
+    list(word) for one that is neither a list nor a tuple (if list takes
+    it), so rows that share an iterator share its steps.  Every other
+    row, and any the kernel refuses, goes through act_on_vector in index
+    order, which raises with its own message.
     """
     import numpy as np
     from . import batch
@@ -398,18 +356,21 @@ def act_on_coords(words, coords):
     coords = coords.reshape(-1, 6)
     if len(words) != len(coords):
         raise ValueError("%d words for %d vectors" % (len(words), len(coords)))
-    plans, take = {}, []
+    read, plans = {}, []
     for i, w in enumerate(words):
-        if id(w) not in plans:
-            plans[id(w)] = _plan(w)
-        if plans[id(w)] is not None:
-            take.append(i)
+        if id(w) not in read:
+            word = w
+            if not isinstance(w, (list, tuple)):
+                with suppress(TypeError):
+                    word = list(w)
+            read[id(w)] = word, _plan(word)
+        words[i], plan = read[id(w)]
+        plans.append(plan)
+    take = [i for i, plan in enumerate(plans) if plan is not None]
     out, done = np.empty_like(coords), np.zeros(len(words), dtype=bool)
     for start in range(0, len(take), batch.BATCH_SIZE):
         chunk = take[start:start + batch.BATCH_SIZE]
-        out[chunk], done[chunk] = batch.conjugate(
-            coords[chunk], [plans[id(words[i])] for i in chunk]
-        )
+        out[chunk], done[chunk] = batch.conjugate(coords[chunk], [plans[i] for i in chunk])
     for i in np.flatnonzero(~done).tolist():
         out[i] = act_on_vector(words[i], Vector6(*coords[i].tolist())).as_tuple()
     return out
@@ -423,7 +384,6 @@ def _so6_matrices(words):
     the float values the exact basis vectors give.
     """
     import numpy as np
-    words = [list(w) for w in words]  # each planned once for its six vectors
     basis = np.tile(np.eye(6), (len(words), 1))
     imgs = act_on_coords([w for w in words for _ in COORDS], basis)
     return imgs.reshape(-1, 6, 6).transpose(0, 2, 1)
@@ -542,7 +502,7 @@ def _random_word(rng, max_len, angle_span):
 
 def compose_so6(word):
     """Product of single-step 6x6 matrices, later steps applied on the left."""
-    return _compose_so6([word])[0]
+    return _compose_so6([list(word)])[0]
 
 
 def _invariance_devs(words):

@@ -1,4 +1,4 @@
-"""The compact plans of the conjugation steps: one numpy-free source for both kernels.
+"""The compact plans of the conjugation steps, and the scalar kernel that runs them.
 
 Every group element M = c I + s G is block diagonal and every P block
 off-diagonal, so M P M^-1 touches only the 64 off-diagonal coefficients
@@ -24,17 +24,18 @@ that is never -0.0, which changes no bit of a finite result.
 A subtracted term's coefficient index is moved up by the number of live
 coefficients, onto the negated coefficient, so a kernel adds products
 and nothing else.  ``compact_plan`` caches its plan per generator, and
-both kernels run it as it is: ``group``'s scalar kernel (under
-``act_on_vector``) on Python lists and ``batch`` on numpy arrays.  This
-module imports no numpy.
+both kernels run it as it is: ``run`` on Python lists, handing
+``clifford._read`` the 128 flat coefficients (int 0 on the diagonal
+blocks), and ``batch`` on numpy arrays.  This module imports no numpy.
 """
 
 import functools
 from itertools import repeat
 
 from .algebra import _MUL
+from .clifford import _spread
 
-__all__ = ["block_rows", "compact_plan"]
+__all__ = ["block_rows", "compact_plan", "run"]
 
 
 @functools.cache
@@ -129,3 +130,37 @@ def _build(gen):
         rows = bytes(rows)
         sides.append(tuple((coefs[r::count], rows[r::count]) for r in range(count)))
     return pairs, sides[0], sides[1]
+
+
+def _rounds(rounds, m, b):
+    """The 64 outputs sum of a[i] * b[j], a = m followed by -m, term r of
+    each added in round r to a 0.0 accumulator, as TensorMatrix.__matmul__
+    adds them."""
+    a, acc = m + [-x for x in m], [0.0] * 64
+    for ia, ib in rounds:
+        acc = [x + a[i] * b[j] for x, i, j in zip(acc, ia, ib)]
+    return acc
+
+
+def _step(plan, c, s, p):
+    """The off-diagonal coefficients of M P M^-1 from those of P, p, both
+    in block_rows(False) order, on plan = compact_plan(G): M = c I + s G
+    and M^-1 = c I - s G, coefficient by coefficient as exp_pair forms
+    them."""
+    pairs, left, right = plan
+    m = [u * c + g * s for u, g in pairs]
+    m_inv = [u * c + g * -s for u, g in pairs]
+    return _rounds(right, m_inv, _rounds(left, m, p))
+
+
+def run(steps, coords):
+    """The 128 flat coefficients of M P M^-1 for P = sum(coords[m] gamma(m)),
+    M each (G, c, s) of steps in turn: bit for bit the nonzero ones of the
+    TensorMatrix conjugation, and int 0 on the diagonal blocks."""
+    flat = _spread(coords)
+    p = [flat[f] for f in block_rows(False)]
+    for gen, c, s in steps:
+        p = _step(compact_plan(gen), c, s, p)
+    for f, x in zip(block_rows(False), p):
+        flat[f] = x
+    return flat

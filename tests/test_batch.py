@@ -233,12 +233,29 @@ class TestWordPerColumn:
         )
 
     def test_an_iterator_word_gives_its_list_words_image(self):
-        # The kernel plans lists and tuples only; an iterator word goes
-        # through act_on_vector unconsumed.
+        # An iterator word is read into a list once, before routing.
         row = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
         got = act_on_coords([iter([("xy", 0.3)])], [row])
         assert got.tolist() == act_on_coords([[("xy", 0.3)]], [row]).tolist()
         assert got[0, 0] == pytest.approx(math.cos(0.3))
+
+    def test_rows_that_share_an_iterator_word_share_its_steps(self):
+        rows = [[1.0, 0, 0, 0, 1.0, 0]] * 2
+        w = iter([("xy", 0.3)])
+        got = act_on_coords([w, w], rows)
+        want = act_on_coords([[("xy", 0.3)]] * 2, rows)
+        assert got.tolist() == want.tolist()
+        assert got[1, 0] == pytest.approx(math.cos(0.3))
+
+    def test_a_word_that_list_refuses_raises_at_its_row(self):
+        # 5 is not iterable: its row still raises through act_on_vector,
+        # after the bad angle of the row before it.
+        rows = [[1.0, 0, 0, 0, 1.0, 0]] * 3
+        words = [[("xy", 0.3)], [("xy", math.nan)], 5]
+        with pytest.raises(ValueError, match="^angle nan is not finite$"):
+            act_on_coords(words, rows)
+        with pytest.raises(TypeError, match="^'int' object is not iterable$"):
+            act_on_coords(words[::2], rows[:2])
 
     def test_mixed_lengths_cross_chunks_in_order(self, monkeypatch):
         # Lengths 0 to 6 in one call, every step name (planes in both

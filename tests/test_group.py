@@ -258,6 +258,11 @@ class TestCoordinateAction:
             rhs = so6_step(plane, theta) @ rhs
         assert np.max(np.abs(lhs - rhs)) == 0
 
+    def test_every_six_by_six_route_takes_an_iterator_word(self):
+        word = [("xy", 0.3), ("tz", -0.2), ("pq", 0.5)]
+        assert np.array_equal(compose_so6(iter(word)), compose_so6(word))
+        assert np.array_equal(so6_matrix(iter(word)), so6_matrix(word))
+
     @given(step_words, float_vectors)
     def test_metric_form_is_invariant(self, word, v):
         img = act_on_vector(word, v)

@@ -1,7 +1,7 @@
 """The step plans and the scalar kernel that act_on_vector runs on them.
 
 A float word on a vector of floats runs on plans.compact_plan's plans
-(group._on_plans); every result must be the TensorMatrix route's
+(plans.run); every result must be the TensorMatrix route's
 (strategies.reference_route) in float.hex and type, and every other
 outcome that route's exception with its message.
 """
@@ -81,6 +81,23 @@ class TestKernelEqualsTheTensorMatrixRoute:
         assert outcome(act_on_vector, word, v) == want
         with pytest.raises(AssertionError, match="_conjugate called"):
             act_on_vector([("ax", Fraction(1, 2))], v)
+
+    def test_float_steps_build_no_tensor_matrix(self, monkeypatch):
+        # plans.run hands its flat coefficients straight to the reader.
+        v = Vector6(0.1, -0.2, 0.0, 0.3, 1.0, 0.5)
+        words = [[(name, 0.3)] for name in NAMES + REVERSED]
+        for word in words:  # builds each generator and its plan
+            act_on_vector(word, v)
+        built, init = [], TensorMatrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TensorMatrix, "__init__", counted)
+        for word in words:
+            act_on_vector(word, v)
+        assert len(words) == 38 and built == []
 
     @pytest.mark.parametrize("word", [[], [("xy", 0.3)], (("ax", 0.5), ("tz", -0.2))],
                              ids=["empty", "one", "tuple"])
@@ -163,7 +180,7 @@ class TestPlans:
             m, m_inv = exp_pair(gen, c, s)
             p, p_values = random_blocks(rng)
             want = ((m @ p) @ m_inv).flat()
-            got = group._plan_step(compact_plan(gen), c, s, p_values)
+            got = plans._step(compact_plan(gen), c, s, p_values)
             assert [repr(x) for x in got] == [repr(want[f]) for f in block_rows(False)]
 
     @pytest.mark.parametrize("name", NAMES + REVERSED)

@@ -61,14 +61,19 @@ MUTANTS = (
      "for k in range(4):\n            for a in range(8):",
      "for k in reversed(range(4)):\n            for a in range(8):",
      "the plans add terms in mul_terms' order, ascending k"),
-    ("plan-rounds-reversed", "group.py",
+    ("plan-rounds-reversed", "plans.py",
      "    for ia, ib in rounds:\n", "    for ia, ib in reversed(rounds):\n",
      "the scalar kernel adds term r of every output in round r, so its"
      " three-term sums round as the TensorMatrix product's do"),
-    ("kernel-inverse-sign", "group.py",
+    ("kernel-inverse-sign", "plans.py",
      "m_inv = [u * c + g * -s for u, g in pairs]",
      "m_inv = [u * c + g * s for u, g in pairs]",
      "the scalar kernel conjugates by M and M^-1 = c I - s G"),
+    ("plan-run-scatters-diagonal", "plans.py",
+     "    for f, x in zip(block_rows(False), p):\n",
+     "    for f, x in zip(block_rows(True), p):\n",
+     "plans.run writes its outputs back onto the off-diagonal blocks they"
+     " came from, where the reader looks for them"),
     ("plan-fold-drops-sign", "plans.py",
      "bytes(n + len(pairs) * neg for n, neg in zip(coefs, negative))",
      "bytes(n for n, neg in zip(coefs, negative))",
