@@ -11,8 +11,9 @@ that share a generator on its plan together.
 ``build_P_batch`` and ``extract_coords_batch`` are the float forms of
 ``clifford.build_P`` and ``extract_coords`` over (64, n) arrays, row r
 holding coefficient ``block_rows(False)[r]`` of the off-diagonal 2x2
-blocks, where every gamma has its entries.  They read the same slot
-and gather tables, and the gather sums run in rounds too.
+blocks, where every gamma has its entries.  Their index arrays come
+from the scalar reader's one table (``clifford._rows``), and the
+gather sums run in rounds too.
 
 :func:`conjugate` is the whole kernel as one call, arrays in and arrays
 out.  Which vectors go on it, in what chunks, and what a refused
@@ -26,8 +27,8 @@ import functools
 import numpy as np
 
 from .algebra import SPAN_TOL, within
-from .clifford import COORDS, METRIC, _gather, _slots
-from .plans import block_rows, compact_plan
+from .clifford import COORDS, METRIC, _rows
+from .plans import compact_plan
 
 __all__ = [
     "BATCH_SIZE",
@@ -43,30 +44,19 @@ BATCH_SIZE = 128
 
 @functools.cache
 def _batch_tables():
-    """The slot and gather tables as index arrays over the off-diagonal rows.
+    """The reader's table (clifford._rows) as index arrays over the off-diagonal rows.
 
-    Built on first use from _slots and _gather, asserting that every
-    entry they name lies in the off-diagonal blocks and that all gather
-    sums have one length.  Returns ((rows, coordinate, sign) of the 24
-    slots, and (index, sign) arrays of shape (terms, 96) and (terms, 96, 1),
-    one row per round over both trace sides' 6 x 8 components, side 0 first).
+    Returns ((rows, coordinate, sign) of the 24 slots, and (index, sign)
+    arrays of shape (terms, 96) and (terms, 96, 1), one row per round
+    over both trace sides' 6 x 8 components, side 0 first).
     """
-    pos = {f: r for r, f in enumerate(block_rows(False))}
-
-    def row(f):
-        if f not in pos:
-            raise AssertionError("gamma is not block off-diagonal")
-        return pos[f]
-
-    rows, coord, sign = zip(
-        *((row(f), c, s) for c, m in enumerate(COORDS) for f, s in _slots(m))
-    )
-    pack = (np.array(rows), np.array(coord), np.array(sign, float)[:, None])
-    sums = [_gather(m)[t][side] for side in (0, 1) for m in COORDS for t in range(8)]
-    if len({len(terms) for terms in sums}) != 1:
-        raise AssertionError("gather sums differ in length")
-    idx = np.array([[row(f) for f, _ in terms] for terms in sums]).T
-    sgn = np.array([[s for _, s in terms] for terms in sums], float).T
+    terms, slots, _ = _rows()
+    rows, k = np.array(slots).T
+    pack = (rows, k % 6, np.where(k < 6, 1.0, -1.0)[:, None])
+    # terms runs over coordinate, component, side and term; a round over
+    # side, coordinate and component.
+    terms = np.array(list(terms)).reshape(6, 8, 2, 4).transpose(3, 2, 0, 1).reshape(4, 96)
+    idx, sgn = terms % 64, np.where(terms < 64, 1.0, -1.0)
     metric = np.array([[METRIC[m]] for m in COORDS], float)
     return pack, (idx, sgn[:, :, None]), metric
 

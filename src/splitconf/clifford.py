@@ -7,21 +7,19 @@ gamma matrix; the gammas anticommute to twice the metric.  A Vector6
 embeds as either the 2x2 combination X or the 4x4 combination P, and
 coordinates can be recovered from P through the trace inner product.
 
-Both directions read fixed tables built once from the gammas.  Where
-a coordinate sits in P is decided once, by the slot table (``_slots``:
-the 24 nonzero gamma coefficients, as flat indices of
-``TensorMatrix.flat``).  ``_spread`` writes the flat coefficients of
-sum(c_m gamma(m)) from it for ``build_P`` and both residual tests, and
-the batched forms of ``batch`` read its indices.  Coordinates are
-read off P through a gather table (``_gather``): each gamma has four
-nonzero entries, each a single +-1 unit, so every component of the
-symmetric trace trace(gamma P) + trace(P gamma) is a short signed sum
-of coefficients of P.  The table lists those coefficients in the order
-``trace_product`` adds them, which keeps float results bit for bit
-those of the generic ``inner_product``.  One loop over that table,
-``_read``, reads both regimes from flat coefficients: an exact P goes
-through it as integers, its coefficients scaled to one common
-denominator and its checks held to 0.  ``plans.run`` feeds it too.
+Both directions read fixed tables built once from the gammas: the slot
+table (``_slots``, the 24 nonzero gamma coefficients) places each
+coordinate in P, and the gather table (``_gather``) lists, in the order
+``trace_product`` adds them, the coefficients of P whose signed sums are
+the components of trace(gamma P) + trace(P gamma), which keeps float
+results bit for bit those of the generic ``inner_product``.  Every gamma
+lives in the off-diagonal 2x2 blocks, so both are used as one reader
+table (``_rows``) over the 64 off-diagonal coefficients
+(``block_rows(False)``, the order of the step plans' outputs).
+``_spread_rows`` writes P's rows from it, and the float reader
+``_read_rows`` reads coordinates off the 64 outputs of ``plans.run``, or
+off a float P, whose diagonal blocks enter only its residual; an exact
+P is read over the integers.  ``batch`` builds its arrays from it too.
 """
 
 import functools
@@ -47,6 +45,7 @@ __all__ = [
     "inner_product",
     "extract_coords",
     "metric_form",
+    "block_rows",
     "verify_clifford",
 ]
 
@@ -147,11 +146,19 @@ def _spread(coords):
     """The 128 flat coefficients of sum(c_m gamma(m)): +-c_m on the slots of
     a nonzero c_m, and 0 everywhere else."""
     flat = [0] * 128
-    for m, c in zip(COORDS, coords):
-        if c:
-            for f, sign in _slots(m):
-                flat[f] = c if sign > 0 else -c
+    for f, c in zip(block_rows(False), _spread_rows(coords)):
+        flat[f] = c
     return flat
+
+
+def _spread_rows(coords):
+    """_spread's coefficients on the off-diagonal rows (see _rows)."""
+    signed = [c or 0 for c in coords]
+    signed += [-c for c in signed]
+    rows = [0] * 64
+    for r, k in _rows()[1]:
+        rows[r] = signed[k]
+    return rows
 
 
 def build_P(v):
@@ -206,13 +213,46 @@ def _gather(m):
     return tuple(zip(map(tuple, left), map(tuple, right)))
 
 
-def _eighth(value, exact):
-    """value / 8 in the numeric regime of the matrices it was read from.
+@functools.cache
+def block_rows(diagonal):
+    """Flat indices 32*row + 8*col + basis of the diagonal (or off-diagonal) 2x2 blocks."""
+    return tuple(
+        32 * i + 8 * j + t
+        for i in range(4)
+        for j in range(4)
+        if (i // 2 == j // 2) == diagonal
+        for t in range(8)
+    )
 
-    Exact gives a Fraction.  Float gives a float, and a zero is 0.0
-    (never -0.0 or an exact zero left over from an empty sum).
+
+@functools.cache
+def _rows():
+    """(terms, slots, gather): _gather and _slots re-indexed onto the 64
+    off-diagonal rows, row r holding flat coefficient block_rows(False)[r].
+
+    terms (bytes) lists the four rows of each gather sum, per coordinate,
+    component and trace side, trace(gamma P) first, in trace_product's
+    order; a subtracted row r reads r + 64, the row of its negation.
+    slots holds (row, k) per gamma coefficient in _slots order, k the
+    coordinate index, + 6 for a -1.  gather is itemgetter(*terms).
+    Raises AssertionError when a gamma has an entry in a diagonal block
+    or a gather sum has not four terms.
     """
-    return exact_div(value, 8) if exact else value / 8 or 0.0
+    index = {f: r for r, f in enumerate(block_rows(False))}
+
+    def row(f, sign):
+        if f not in index:
+            raise AssertionError("gamma is not block off-diagonal")
+        return index[f] + 64 * (sign < 0)
+
+    sides = [side for m in COORDS for comp in _gather(m) for side in comp]
+    if {len(side) for side in sides} != {4}:
+        raise AssertionError("gather sums have not four terms")
+    terms = bytes(row(f, sign) for side in sides for f, sign in side)
+    slots = tuple(
+        (row(f, 1), k + 6 * (sign < 0)) for k, m in enumerate(COORDS) for f, sign in _slots(m)
+    )
+    return terms, slots, operator.itemgetter(*terms)
 
 
 def inner_product(a, b, tol=SPAN_TOL):
@@ -220,13 +260,15 @@ def inner_product(a, b, tol=SPAN_TOL):
 
     Raises ValueError when the symmetrized trace is not a real scalar
     (exactly for exact inputs, else within tol relative to its scale),
-    which signals inputs outside the span of the gammas.
+    which signals inputs outside the span of the gammas.  Exact inputs
+    give a Fraction; a float zero is 0.0, never -0.0 or an exact zero.
     """
     sym = trace_product(a, b) + trace_product(b, a)
     exact = a.is_exact() and b.is_exact()
     if not sym.is_real_scalar(0 if exact else tol, sym.max_abs()):
         raise ValueError("inner product is not real: %s" % (sym,))
-    return _eighth(sym.scalar_part(), exact)
+    s = sym.scalar_part()
+    return exact_div(s, 8) if exact else s / 8 or 0.0
 
 
 def _refuse_sum_overflow(sums):
@@ -243,72 +285,79 @@ def extract_coords(p, tol=SPAN_TOL):
     """Recover the Vector6 with build_P(result) == p.
 
     Component m is the metric-signed inner_product(gamma(m), p), read
-    through the gather table (see _gather).  Coordinates follow the
-    regime of p (TensorMatrix.is_exact, cached), and one loop reads both.
-    A float p is read as it stands and gives floats, a zero as 0.0, from
-    the same sums in the same order as inner_product, so the same bits.
-    An exact p is read over the integers c * d, d the lcm of the
+    through the reader table (see _rows), in the regime of p
+    (TensorMatrix.is_exact, cached).  A float p goes through _read_rows,
+    the reader of plans.run's outputs, and gives floats, a zero as 0.0,
+    from the same sums in the same order as inner_product, so the same
+    bits.  An exact p is read over the integers c * d, d the lcm of the
     denominators of its coefficients c, with tol held to 0: the sums are
     d times the symmetric traces, the coordinates Fraction(sum, 8 d), and
-    the residual compares 8 c d with the _spread of the signed sums.  Its
-    errors divide back by d (or 8 d), so they read as the inner products
-    and the matrix difference would.  A symmetric trace that is not a real scalar within tol (relative to
-    its scale), or a residual p - build_P(result) above tol (relative
-    to the matrix scale), raises ValueError because p lies outside the
-    span of the gammas.  A float matrix with a coefficient that is not
-    finite raises a ValueError naming that overflow, wherever the
-    coefficient sits, and so does a finite one whose gather sums
-    overflow (tested only once a check has failed).  The residual is
-    the largest gap between the flat coefficients of p and _spread of
-    the coordinates, so P is never built back.
+    the residual compares 8 c d with the _spread of the signed sums; its
+    errors divide back by d (or 8 d).  A symmetric trace that is not a
+    real scalar within tol (relative to its scale), or a residual
+    p - build_P(result) above tol (relative to the matrix scale), raises
+    ValueError because p lies outside the span of the gammas.  A float
+    coefficient that is not finite, wherever it sits, or finite ones
+    whose trace sums overflow (tested once a check has failed), raise a
+    ValueError that names the overflow.  P is never built back.
     """
-    return _read(p.flat(), p.is_exact(), tol)
-
-
-def _read(flat, exact, tol=SPAN_TOL):
-    """extract_coords of the 4x4 matrix of flat coefficients flat, exact or not."""
-    if exact:
-        d = math.lcm(*(c.denominator for c in flat if c))
-        flat = [c.numerator * (d // c.denominator) if c else 0 for c in flat]
-        tol = 0
-    else:
-        _refuse_overflow(flat)
+    flat = p.flat()
+    if not p.is_exact():
+        return _read_rows([flat[f] or 0 for f in block_rows(False)], tol, flat)
+    d = math.lcm(*(c.denominator for c in flat if c))
+    flat = [c.numerator * (d // c.denominator) if c else 0 for c in flat]
     sums = []
-    for m in COORDS:
-        sym = []
-        for left, right in _gather(m):
-            a = 0
-            for idx, sign in left:
-                c = flat[idx]
-                if c:
-                    a = a + c if sign > 0 else a - c
-            b = 0
-            for idx, sign in right:
-                c = flat[idx]
-                if c:
-                    b = b + c if sign > 0 else b - c
-            sym.append(a + b)
+    for m, sym in zip(COORDS, _symmetric_traces([flat[f] for f in block_rows(False)])):
+        if any(sym[1:]):
+            raise ValueError("inner product is not real: %s"
+                             % (TensorScalar([Fraction(c, d) for c in sym]),))
+        sums.append(sym[0] if METRIC[m] > 0 else -sym[0])
+    residual = max(map(abs, map(operator.sub, [8 * c for c in flat], _spread(sums))))
+    if residual:
+        raise ValueError("matrix lies outside the span of the gammas (residual %s)"
+                         % (Fraction(residual, 8 * d),))
+    return Vector6(*(Fraction(s, 8 * d) for s in sums))
+
+
+def _symmetric_traces(rows):
+    """Per coordinate m, the eight components of trace(gamma(m) P) +
+    trace(P gamma(m)) from the off-diagonal rows of P: each trace summed
+    apart in trace_product's order, then the two added.
+
+    trace_product skips zero terms; adding them changes no value on
+    floats and int zeros (only the sign or type of an all-zero sum, which
+    nothing reads), so other exact rows must carry their zeros as int 0.
+    """
+    it = iter(_rows()[2](rows + [-c for c in rows]))
+    sym = [(a + b + c + d) + (e + f + g + h) for a, b, c, d, e, f, g, h in zip(*[it] * 8)]
+    return [sym[i:i + 8] for i in range(0, 48, 8)]
+
+
+def _read_rows(rows, tol=SPAN_TOL, flat=None):
+    """extract_coords of a float P from its 64 off-diagonal coefficients
+    rows, in block_rows(False) order: the outputs of plans.run.
+
+    The diagonal blocks of P count as 0, unless flat holds its 128 flat
+    coefficients: then they enter the finiteness test, the residual and
+    its scale.  A nan coordinate (from sums that overflow both ways)
+    makes the residual nan, so it is refused.
+    """
+    _refuse_overflow(flat or rows)
+    sums = []
+    for m, sym in zip(COORDS, _symmetric_traces(rows)):
         scale = max(map(abs, sym))
         if not all(within(c, tol, scale) for c in sym[1:]):
             _refuse_sum_overflow(sym)
-            if exact:
-                sym = [Fraction(c, d) for c in sym]
             raise ValueError("inner product is not real: %s" % (TensorScalar(sym),))
-        s = sym[0]
-        sums.append(s if METRIC[m] > 0 else -s)
-    if exact:
-        coords = [Fraction(s, 8 * d) for s in sums]
-        got, want = [8 * c for c in flat], _spread(sums)
-    else:
-        coords = [_eighth(s, False) for s in sums]
-        got, want = flat, _spread(coords)
-    residual = max(map(abs, map(operator.sub, got, want)))
+        sums.append(sym[0] if METRIC[m] > 0 else -sym[0])
+    coords = [s / 8 or 0.0 for s in sums]
+    # A leading 0 stands for the diagonal blocks, first in flat order.
+    got, want = (flat, _spread(coords)) if flat else ([0, *rows], [0, *_spread_rows(coords)])
+    residual = _max_or_nan(map(abs, map(operator.sub, got, want)))
     if not within(residual, tol, max(map(abs, got))):
         _refuse_sum_overflow(coords)
         raise ValueError(
-            "matrix lies outside the span of the gammas (residual %s)"
-            % (Fraction(residual, 8 * d) if exact else residual,)
-        )
+            "matrix lies outside the span of the gammas (residual %s)" % (residual,))
     return Vector6(*coords)
 
 

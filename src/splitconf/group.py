@@ -17,9 +17,10 @@ Both walks (``_conjugate``, under ``act_on_P`` and ``act_on_vector``, and
 ``act_on_X``) resolve a whole word before the first product, so every
 scalar route names a bad step the same way.  ``act_on_vector`` runs a
 float word on a float vector through ``plans.run`` instead (bit for bit
-``_conjugate``'s products) and reads the flat result with
-``clifford._read``; what the plans cannot run, or a result the reader
-refuses, takes ``_conjugate``, which raises with its own message.
+``_conjugate``'s products) and reads its 64 outputs with
+``clifford._read_rows``, the float reader on the one reader table;
+what the plans cannot run, or a result the reader refuses, takes
+``_conjugate``, which raises with its own message.
 Exact words, ``act_on_P`` and ``act_on_X`` stay on the ``TensorMatrix``
 route, the reference for both plan kernels.
 
@@ -52,7 +53,7 @@ from .clifford import (
     COORDS,
     METRIC,
     Vector6,
-    _read,
+    _read_rows,
     build_P,
     extract_coords,
     gamma,
@@ -302,20 +303,20 @@ def act_on_vector(word, v):
     check of act_on_P (a result outside the span raises ValueError).
 
     A float word (see _plan) on a Vector6 of floats and int zeros runs on
-    plans.run instead, with the same bits, read by extract_coords' _read;
-    an all-zero result (exact zeros on _conjugate's route), any other
-    input and any result _read refuses take _conjugate, which raises
-    with its own message.
+    plans.run instead, with the same bits, its 64 outputs read by
+    _read_rows, the reader under extract_coords; an all-zero result
+    (exact zeros on _conjugate's route), any other input and any result
+    the reader refuses take _conjugate, which raises with its own message.
     """
     floats = isinstance(v, Vector6) and all(
         type(c) is float or type(c) is int and not c for c in v.as_tuple())
     steps = _plan(word) if floats else None
     if steps is not None:
         from .plans import run
-        flat = run(steps, v.as_tuple())
-        if any(flat):
+        rows = run(steps, v.as_tuple())
+        if any(rows):
             try:
-                return _read(flat, False)
+                return _read_rows(rows)
             except ValueError:
                 pass
     return extract_coords(_conjugate(word, build_P(v)))

@@ -24,30 +24,19 @@ that is never -0.0, which changes no bit of a finite result.
 A subtracted term's coefficient index is moved up by the number of live
 coefficients, onto the negated coefficient, so a kernel adds products
 and nothing else.  ``compact_plan`` caches its plan per generator, and
-both kernels run it as it is: ``run`` on Python lists, handing
-``clifford._read`` the 128 flat coefficients (int 0 on the diagonal
-blocks), and ``batch`` on numpy arrays.  This module imports no numpy.
+both kernels run it as it is: ``run`` on Python lists, whose 64 outputs
+``clifford._read_rows`` reads through the one reader table
+(``clifford._rows``), and ``batch`` on numpy arrays, whose extraction
+reads the same table.  This module imports no numpy.
 """
 
 import functools
 from itertools import repeat
 
 from .algebra import _MUL
-from .clifford import _spread
+from .clifford import _spread_rows, block_rows
 
 __all__ = ["block_rows", "compact_plan", "run"]
-
-
-@functools.cache
-def block_rows(diagonal):
-    """Flat indices 32*row + 8*col + basis of the diagonal (or off-diagonal) 2x2 blocks."""
-    return tuple(
-        32 * i + 8 * j + t
-        for i in range(4)
-        for j in range(4)
-        if (i // 2 == j // 2) == diagonal
-        for t in range(8)
-    )
 
 
 @functools.cache
@@ -59,11 +48,13 @@ def _contributions():
     output indexes block_rows(False); place orders the terms of one output
     as mul_terms adds them, ascending k, then the left basis index; row
     is the other factor's (P's, or M P's) output index; negative is 1 for
-    a term mul_terms subtracts.  Bytes keep the 2,048 terms small.
+    a term mul_terms subtracts.  Bytes keep the 2,048 terms small, and
+    each term goes straight into its four columns, with no tuple of its own.
     """
     rows = {f: r for r, f in enumerate(block_rows(False))}
     inverse = [{t: (b, sign) for b, (t, sign) in enumerate(row)} for row in _MUL]
-    left, right = {}, {}
+    left, right = ({f: tuple(bytearray() for _ in range(4)) for f in block_rows(True)}
+                   for _ in range(2))
     for o, f in enumerate(block_rows(False)):
         i, j, t = f // 32, f // 8 % 4, f % 8
         place = 0
@@ -71,16 +62,19 @@ def _contributions():
             for a in range(8):
                 b, sign = inverse[a][t]
                 if k // 2 == i // 2:  # M[i][k] P[k][j]
-                    term = (o, place, rows[32 * k + 8 * j + b], sign < 0)
-                    left.setdefault(32 * i + 8 * k + a, []).append(term)
+                    outputs, places, others, negatives = left[32 * i + 8 * k + a]
+                    outputs.append(o)
+                    places.append(place)
+                    others.append(rows[32 * k + 8 * j + b])
+                    negatives.append(sign < 0)
                 if k // 2 == j // 2:  # (M P)[i][k] M^-1[k][j]
-                    term = (o, place, rows[32 * i + 8 * k + a], sign < 0)
-                    right.setdefault(32 * k + 8 * j + b, []).append(term)
+                    outputs, places, others, negatives = right[32 * k + 8 * j + b]
+                    outputs.append(o)
+                    places.append(place)
+                    others.append(rows[32 * i + 8 * k + a])
+                    negatives.append(sign < 0)
                 place += 1
-    return tuple(
-        {f: tuple(map(bytes, zip(*terms))) for f, terms in side.items()}
-        for side in (left, right)
-    )
+    return tuple({f: tuple(map(bytes, cols)) for f, cols in side.items()} for side in (left, right))
 
 
 _plans = {}
@@ -154,13 +148,10 @@ def _step(plan, c, s, p):
 
 
 def run(steps, coords):
-    """The 128 flat coefficients of M P M^-1 for P = sum(coords[m] gamma(m)),
-    M each (G, c, s) of steps in turn: bit for bit the nonzero ones of the
-    TensorMatrix conjugation, and int 0 on the diagonal blocks."""
-    flat = _spread(coords)
-    p = [flat[f] for f in block_rows(False)]
+    """The 64 off-diagonal coefficients of M P M^-1, in block_rows(False)
+    order, for P = sum(coords[m] gamma(m)), M each (G, c, s) of steps in
+    turn: bit for bit those of the TensorMatrix conjugation."""
+    p = _spread_rows(coords)
     for gen, c, s in steps:
         p = _step(compact_plan(gen), c, s, p)
-    for f, x in zip(block_rows(False), p):
-        flat[f] = x
-    return flat
+    return p

@@ -532,6 +532,55 @@ class TestTransformCommand:
         )
 
 
+# md5 of "stdout\0stderr\0exit code" of `splitconf transform --point=P
+# --word W --format F`, F text, json and csv in turn: the five words that
+# tools/reach.py runs, each at its own point, at the zero six-vector and
+# at (1e308, 1e308, 0, 0, 0, 0), whose trace sums overflow.  Any change to
+# these outputs must be deliberate.
+TRANSFORM_DIGESTS = {
+    ('xy:0.3,tz:0.5,ax:0.2,bx:-0.1,pq:0.4', '0.1,0.2,0.3,0.4'):
+        ('d0aebd5dcd28482cf152cc2ccf5f2212', 'cb083e510eab3ab8684f0c861a429ce4', '064ee3270a60a7c5879738eb17165ee3'),
+    ('xy:0.3,tz:0.5,ax:0.2,bx:-0.1,pq:0.4', '0,0,0,0,0,0'):
+        ('c57d37b7520d9386b8d628d211e7d62c', '02eee4b56c458960b28eb22b36d59c43', '85f0de39974af38f1496fac4cb5c72c7'),
+    ('xy:0.3,tz:0.5,ax:0.2,bx:-0.1,pq:0.4', '1e308,1e308,0,0,0,0'):
+        ('3a698038935848551b7e529cde8c783d', '3a698038935848551b7e529cde8c783d', '3a698038935848551b7e529cde8c783d'),
+    ('ax:1,bt:-1,xy:0', '1,0,2,0'):
+        ('ef0002de90bdf4a268b0b942e5b08982', '9c7c6ef720963798d0651305d0daef85', 'bc83680435a270251747691f703e9ecc'),
+    ('ax:1,bt:-1,xy:0', '0,0,0,0,0,0'):
+        ('5896c05ba80546862e354f14af729c58', '0fd78c6b8bf11c9a18cd90db26b43ae1', 'fb4befc120fcf6a6aa748bd9749d0265'),
+    ('ax:1,bt:-1,xy:0', '1e308,1e308,0,0,0,0'):
+        ('071ea766df86822538398e4bc039420d', '071ea766df86822538398e4bc039420d', '071ea766df86822538398e4bc039420d'),
+    ('bx:-1', '0,1,0,0'):
+        ('33d916fa6508499c282dded399df2e65', 'cb843f0e9b12ad5727d5607dc6c78a98', '0b55588b7b46b9c5be13d0e3c288657e'),
+    ('bx:-1', '0,0,0,0,0,0'):
+        ('aa5d859a3196f7c78bf2ef64949bd5de', '702024de385da03d74fb52fc0a852963', 'f7a0ea8fff714d741fe53cc9c47a6641'),
+    ('bx:-1', '1e308,1e308,0,0,0,0'):
+        ('4ff6a548e20378a95e1575f8b1ca130d', '4ff6a548e20378a95e1575f8b1ca130d', '4ff6a548e20378a95e1575f8b1ca130d'),
+    ('pq:0.5', '1,0,0,0,1,0'):
+        ('fd195eff94d01d1b4fba1fb5d4903434', 'e220dea012df88dcceb1a845b5fa2138', '91634ddca074aae22c3aa78676b29441'),
+    ('pq:0.5', '0,0,0,0,0,0'):
+        ('dc7b6d99458abe8de9057f49c6f93954', 'd91fa7f16b808a9081049bc74e2ceecf', 'c77a0bfff9a651819d7ef5edb06ed7e8'),
+    ('pq:0.5', '1e308,1e308,0,0,0,0'):
+        ('d0cdf6e31df27b5e6b65ba08936025bb', 'd0cdf6e31df27b5e6b65ba08936025bb', 'd0cdf6e31df27b5e6b65ba08936025bb'),
+    ('ax:1', '0.5,0,0,0'):
+        ('744b5baed685e7a85ae51e5a8fe0cd09', '754e88ca129793c78e5fe96d880dc182', '592019a65301a975b47ddf366725e382'),
+    ('ax:1', '0,0,0,0,0,0'):
+        ('8f776127fa2881313b3af943c0b59920', '1ef0f8afad2162a4bdcf23721f6f96e8', '35d4bed6c5081edd70e8f2454249e123'),
+    ('ax:1', '1e308,1e308,0,0,0,0'):
+        ('071ea766df86822538398e4bc039420d', '071ea766df86822538398e4bc039420d', '071ea766df86822538398e4bc039420d'),
+}
+
+
+@pytest.mark.parametrize("word, point", list(TRANSFORM_DIGESTS),
+                         ids=["-".join(key) for key in TRANSFORM_DIGESTS])
+def test_transform_output_is_byte_identical(capsys, word, point):
+    for fmt, want in zip(("text", "json", "csv"), TRANSFORM_DIGESTS[word, point]):
+        code, out, err = run(
+            ["transform", "--point=" + point, "--word", word, "--format", fmt], capsys)
+        got = hashlib.md5(("%s\0%s\0%d" % (out, err, code)).encode()).hexdigest()
+        assert got == want, fmt
+
+
 class TestShowCommand:
     def test_gamma_grid(self, capsys):
         code, out, _ = run(["show", "gamma", "z"], capsys)

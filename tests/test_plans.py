@@ -1,9 +1,13 @@
-"""The step plans and the scalar kernel that act_on_vector runs on them.
+"""The step plans, the scalar kernel that act_on_vector runs on them, and
+the reader of the kernel's outputs.
 
 A float word on a vector of floats runs on plans.compact_plan's plans
 (plans.run); every result must be the TensorMatrix route's
 (strategies.reference_route) in float.hex and type, and every other
-outcome that route's exception with its message.
+outcome that route's exception with its message.  The reader of run's
+64 outputs (clifford._read_rows) is held to the definition of the
+coordinates: the metric-signed inner products with the gammas and the
+residual P - build_P(coords).
 """
 
 import gc
@@ -23,11 +27,13 @@ from hypothesis import strategies as st
 
 import splitconf
 from splitconf import group, plans
-from splitconf.algebra import ZERO, TensorScalar
-from splitconf.clifford import Vector6
+from splitconf.algebra import SPAN_TOL, ZERO, TensorScalar, within
+from splitconf.clifford import (
+    COORDS, METRIC, Vector6, _read_rows, _rows, build_P, extract_coords, gamma, inner_product,
+)
 from splitconf.conformal import step_vector
 from splitconf.group import PLANES, TRANSLATION_NAMES, act_on_vector
-from splitconf.matrices import TensorMatrix, exp_pair
+from splitconf.matrices import TensorMatrix, exp_pair, trace_product
 from splitconf.plans import block_rows, compact_plan
 from strategies import reference_route
 
@@ -224,3 +230,127 @@ class TestPlans:
                               text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "23 False\n"
+
+
+def rows_matrix(rows):
+    """The float P whose off-diagonal coefficients are rows, in
+    block_rows(False) order, and whose diagonal blocks are 0."""
+    flat = [0] * 128
+    for f, c in zip(block_rows(False), rows):
+        flat[f] = c
+    cells = [TensorScalar(flat[i:i + 8]) for i in range(0, 128, 8)]
+    return TensorMatrix([cells[i:i + 4] for i in (0, 4, 8, 12)])
+
+
+def overflowed(values):
+    """The message that names the first of values that is not finite, or None."""
+    bad = [c for c in values if not math.isfinite(c)]
+    if bad:
+        return "the trace sums overflowed (%s): the matrix is too large to read" % bad[0]
+    return None
+
+
+def by_definition(p, tol=SPAN_TOL):
+    """A float P read by definition, as outcome() gives it: coordinate m
+    is the metric-signed inner_product(gamma(m), P), a zero as 0.0, and
+    P - build_P(coords) must be within tol at P's scale.  A coefficient
+    that is not finite is named first, and a refusal on sums that are
+    not finite (a trace or a coordinate) names the first of them."""
+    bad = [c for c in p.flat() if not math.isfinite(c)]
+    if bad:
+        return ("error", ValueError, "matrix coefficient %s is not finite: the step"
+                " overflowed or its input was not finite" % bad[0])
+    coords = []
+    for m in COORDS:
+        try:
+            value = inner_product(gamma(m), p, tol)
+        except ValueError as exc:
+            sym = trace_product(gamma(m), p) + trace_product(p, gamma(m))
+            return ("error", ValueError, overflowed(sym.coeffs) or str(exc))
+        coords.append((value if METRIC[m] > 0 else -value) or 0.0)
+    v = Vector6(*coords)
+    residual = (p - build_P(v)).max_abs()
+    if not within(residual, tol, p.max_abs()):
+        return ("error", ValueError, overflowed(coords) or
+                "matrix lies outside the span of the gammas (residual %s)" % (residual,))
+    return ("ok", bits(v))
+
+
+def read_three_ways(rows):
+    """The outcomes of _read_rows(rows), of extract_coords of their matrix,
+    and of act_on_vector when plans.run gives rows and _conjugate that matrix."""
+    p = rows_matrix(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(plans, "run", lambda steps, coords: list(rows))
+        patch.setattr(group, "_conjugate", lambda word, q: p)
+        routed = outcome(act_on_vector, [("xy", 0.5)], Vector6(x=1.0))
+    return outcome(_read_rows, rows), outcome(extract_coords, p), routed
+
+
+def kernel_rows(rng):
+    """plans.run's outputs on a random word of up to two steps and a
+    vector whose coordinates lie between 0.5 and 2 in size."""
+    word = [(rng.choice(NAMES), rng.uniform(-1, 1)) for _ in range(rng.randint(0, 2))]
+    v = [rng.choice((-1, 1)) * rng.uniform(0.5, 2) for _ in range(6)]
+    return plans.run(group._plan(word), v)
+
+
+SLOT_ROWS = sorted(r for r, _ in _rows()[1])
+FREE_ROWS = sorted(set(range(64)) - set(SLOT_ROWS))
+
+
+class TestReaderMatchesTheDefinition:
+    @given(float_words, float_vectors)
+    def test_kernel_outputs(self, word, v):
+        rows = plans.run(group._plan(word), v.as_tuple())
+        if any(rows):  # an all-zero P is exact, and act_on_vector reruns it
+            want = by_definition(rows_matrix(rows))
+            assert read_three_ways(rows) == (want,) * 3
+
+    @pytest.mark.parametrize("where", ["slot", "free"])
+    def test_a_planted_deviation_straddles_the_tolerance(self, where):
+        # 1e-10 to 1e-8 of the scale: below SPAN_TOL, between the residual's
+        # bound and the larger bound of a trace, and above both.
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(120):
+            rows = kernel_rows(rng)
+            r = rng.choice(SLOT_ROWS if where == "slot" else FREE_ROWS)
+            scale = max(1, max(map(abs, rows)))
+            rows[r] += rng.choice((-1, 1)) * scale * 10 ** rng.uniform(-10, -8)
+            want = by_definition(rows_matrix(rows))
+            assert read_three_ways(rows) == (want,) * 3
+            seen.add(want[0] if want[0] == "ok" else want[2].split(":")[0].split(" (")[0])
+        assert seen == {"ok", "inner product is not real",
+                        "matrix lies outside the span of the gammas"}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["slot", "free"])
+    def test_an_entry_that_is_not_finite(self, value, where):
+        rows = kernel_rows(random.Random(3))
+        rows[(SLOT_ROWS if where == "slot" else FREE_ROWS)[5]] = value
+        want = by_definition(rows_matrix(rows))
+        assert "is not finite" in want[2]
+        assert read_three_ways(rows) == (want,) * 3
+
+    @pytest.mark.parametrize("v, word", [
+        (Vector6(x=5e307, t=2.5e307), []),  # an inf coordinate
+        (Vector6(x=5e307, t=2.5e307), [("xy", 0.25)]),
+        (Vector6(x=1e308, t=5e307), []),  # inf - inf in a K component
+        (Vector6(x=1.5e308, y=-1.5e308, p=1e308), [("tz", 0.5)]),
+    ], ids=repr)
+    def test_finite_entries_whose_sums_overflow(self, v, word):
+        rows = plans.run(group._plan(word), v.as_tuple())
+        want = by_definition(rows_matrix(rows))
+        assert want[2].startswith("the trace sums overflowed")
+        assert read_three_ways(rows) == (want,) * 3
+
+    def test_opposite_overflows_in_one_coordinate_are_refused(self):
+        # The two traces of x overflow to inf and -inf, so x reads as nan
+        # while every other check passes: only the residual sees it.
+        rows = [0.0] * 64
+        for (r, k), c in zip(_rows()[1][:4], (1.7e308, 1.7e308, -1.7e308, -1.7e308)):
+            rows[r] = c
+        want = by_definition(rows_matrix(rows))
+        assert want == ("error", ValueError, overflowed([math.nan]))
+        assert read_three_ways(rows) == (want,) * 3

@@ -69,11 +69,21 @@ MUTANTS = (
      "m_inv = [u * c + g * -s for u, g in pairs]",
      "m_inv = [u * c + g * s for u, g in pairs]",
      "the scalar kernel conjugates by M and M^-1 = c I - s G"),
-    ("plan-run-scatters-diagonal", "plans.py",
-     "    for f, x in zip(block_rows(False), p):\n",
-     "    for f, x in zip(block_rows(True), p):\n",
-     "plans.run writes its outputs back onto the off-diagonal blocks they"
-     " came from, where the reader looks for them"),
+    ("spread-scatters-diagonal", "clifford.py",
+     "    for f, c in zip(block_rows(False), _spread_rows(coords)):\n",
+     "    for f, c in zip(block_rows(True), _spread_rows(coords)):\n",
+     "_spread writes the off-diagonal rows, the plans' outputs and the"
+     " reader's inputs, back onto the blocks where the gammas have them"),
+    ("read-drops-realness", "clifford.py",
+     "        if not all(within(c, tol, scale) for c in sym[1:]):\n",
+     "        if not all(within(c, tol, scale) for c in sym[:1]):\n",
+     "the float reader refuses a symmetric trace whose components 1..7"
+     " are not within tol, naming it as not real"),
+    ("read-residual-skips-free-rows", "clifford.py",
+     "residual = _max_or_nan(map(abs, map(operator.sub, got, want)))",
+     "residual = _max_or_nan([abs(x - y) for x, y in zip(got, want) if y])",
+     "the residual covers the rows no gamma touches (where the spread"
+     " puts 0), which a deviation can reach past the traces' tolerance"),
     ("plan-fold-drops-sign", "plans.py",
      "bytes(n + len(pairs) * neg for n, neg in zip(coefs, negative))",
      "bytes(n for n, neg in zip(coefs, negative))",
