@@ -303,7 +303,9 @@ def extract_coords(p, tol=SPAN_TOL):
     """
     flat = p.flat()
     if not p.is_exact():
-        return _read_rows([flat[f] or 0 for f in block_rows(False)], tol, flat)
+        _refuse_overflow(flat)
+        diagonal = max(abs(flat[f]) for f in block_rows(True))
+        return _read_rows([flat[f] or 0 for f in block_rows(False)], tol, diagonal)
     d = math.lcm(*(c.denominator for c in flat if c))
     flat = [c.numerator * (d // c.denominator) if c else 0 for c in flat]
     sums = []
@@ -333,16 +335,16 @@ def _symmetric_traces(rows):
     return [sym[i:i + 8] for i in range(0, 48, 8)]
 
 
-def _read_rows(rows, tol=SPAN_TOL, flat=None):
+def _read_rows(rows, tol=SPAN_TOL, diagonal=0):
     """extract_coords of a float P from its 64 off-diagonal coefficients
     rows, in block_rows(False) order: the outputs of plans.run.
 
-    The diagonal blocks of P count as 0, unless flat holds its 128 flat
-    coefficients: then they enter the finiteness test, the residual and
-    its scale.  A nan coordinate (from sums that overflow both ways)
-    makes the residual nan, so it is refused.
+    diagonal is the largest absolute coefficient of P's diagonal blocks,
+    0 for plans.run's outputs; it enters only the residual and its scale.
+    A nan coordinate (from sums that overflow both ways) makes the
+    residual nan, so it is refused.
     """
-    _refuse_overflow(flat or rows)
+    _refuse_overflow(rows)
     sums = []
     for m, sym in zip(COORDS, _symmetric_traces(rows)):
         scale = max(map(abs, sym))
@@ -351,9 +353,8 @@ def _read_rows(rows, tol=SPAN_TOL, flat=None):
             raise ValueError("inner product is not real: %s" % (TensorScalar(sym),))
         sums.append(sym[0] if METRIC[m] > 0 else -sym[0])
     coords = [s / 8 or 0.0 for s in sums]
-    # A leading 0 stands for the diagonal blocks, first in flat order.
-    got, want = (flat, _spread(coords)) if flat else ([0, *rows], [0, *_spread_rows(coords)])
-    residual = _max_or_nan(map(abs, map(operator.sub, got, want)))
+    got = [diagonal, *rows]
+    residual = _max_or_nan(map(abs, map(operator.sub, got, [0, *_spread_rows(coords)])))
     if not within(residual, tol, max(map(abs, got))):
         _refuse_sum_overflow(coords)
         raise ValueError(

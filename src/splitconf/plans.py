@@ -36,7 +36,7 @@ from itertools import repeat
 from .algebra import _MUL
 from .clifford import _spread_rows, block_rows
 
-__all__ = ["block_rows", "compact_plan", "run"]
+__all__ = ["compact_plan", "run"]
 
 
 @functools.cache
@@ -48,13 +48,11 @@ def _contributions():
     output indexes block_rows(False); place orders the terms of one output
     as mul_terms adds them, ascending k, then the left basis index; row
     is the other factor's (P's, or M P's) output index; negative is 1 for
-    a term mul_terms subtracts.  Bytes keep the 2,048 terms small, and
-    each term goes straight into its four columns, with no tuple of its own.
+    a term mul_terms subtracts.  Bytes keep the 2,048 terms small.
     """
     rows = {f: r for r, f in enumerate(block_rows(False))}
     inverse = [{t: (b, sign) for b, (t, sign) in enumerate(row)} for row in _MUL]
-    left, right = ({f: tuple(bytearray() for _ in range(4)) for f in block_rows(True)}
-                   for _ in range(2))
+    left, right = {}, {}
     for o, f in enumerate(block_rows(False)):
         i, j, t = f // 32, f // 8 % 4, f % 8
         place = 0
@@ -62,19 +60,16 @@ def _contributions():
             for a in range(8):
                 b, sign = inverse[a][t]
                 if k // 2 == i // 2:  # M[i][k] P[k][j]
-                    outputs, places, others, negatives = left[32 * i + 8 * k + a]
-                    outputs.append(o)
-                    places.append(place)
-                    others.append(rows[32 * k + 8 * j + b])
-                    negatives.append(sign < 0)
+                    term = (o, place, rows[32 * k + 8 * j + b], sign < 0)
+                    left.setdefault(32 * i + 8 * k + a, []).append(term)
                 if k // 2 == j // 2:  # (M P)[i][k] M^-1[k][j]
-                    outputs, places, others, negatives = right[32 * k + 8 * j + b]
-                    outputs.append(o)
-                    places.append(place)
-                    others.append(rows[32 * i + 8 * k + a])
-                    negatives.append(sign < 0)
+                    term = (o, place, rows[32 * i + 8 * k + a], sign < 0)
+                    right.setdefault(32 * k + 8 * j + b, []).append(term)
                 place += 1
-    return tuple({f: tuple(map(bytes, cols)) for f, cols in side.items()} for side in (left, right))
+    return tuple(
+        {f: tuple(map(bytes, zip(*terms))) for f, terms in side.items()}
+        for side in (left, right)
+    )
 
 
 _plans = {}

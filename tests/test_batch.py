@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from splitconf import batch, group, plans
 from splitconf.algebra import ZERO, TensorScalar
 from splitconf.batch import _product, build_P_batch, extract_coords_batch
-from splitconf.clifford import COORDS, Vector6, build_P, extract_coords
+from splitconf.clifford import COORDS, Vector6, block_rows, build_P, extract_coords
 from splitconf.conformal import (
     MinkowskiPoint,
     embed_point,
@@ -33,7 +33,6 @@ from splitconf.group import (
     so6_matrix,
 )
 from splitconf.matrices import TensorMatrix, exp_pair
-from splitconf.plans import block_rows
 from strategies import reference_route
 
 PLANE_NAMES = PLANES + tuple(p[::-1] for p in PLANES)

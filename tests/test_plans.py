@@ -29,12 +29,13 @@ import splitconf
 from splitconf import group, plans
 from splitconf.algebra import SPAN_TOL, ZERO, TensorScalar, within
 from splitconf.clifford import (
-    COORDS, METRIC, Vector6, _read_rows, _rows, build_P, extract_coords, gamma, inner_product,
+    COORDS, METRIC, Vector6, _read_rows, _rows, block_rows, build_P, extract_coords, gamma,
+    inner_product,
 )
 from splitconf.conformal import step_vector
 from splitconf.group import PLANES, TRANSLATION_NAMES, act_on_vector
 from splitconf.matrices import TensorMatrix, exp_pair, trace_product
-from splitconf.plans import block_rows, compact_plan
+from splitconf.plans import compact_plan
 from strategies import reference_route
 
 NAMES = PLANES + TRANSLATION_NAMES

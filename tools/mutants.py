@@ -80,8 +80,8 @@ MUTANTS = (
      "the float reader refuses a symmetric trace whose components 1..7"
      " are not within tol, naming it as not real"),
     ("read-residual-skips-free-rows", "clifford.py",
-     "residual = _max_or_nan(map(abs, map(operator.sub, got, want)))",
-     "residual = _max_or_nan([abs(x - y) for x, y in zip(got, want) if y])",
+     "residual = _max_or_nan(map(abs, map(operator.sub, got, [0, *_spread_rows(coords)])))",
+     "residual = _max_or_nan([abs(x - y) for x, y in zip(got, [0, *_spread_rows(coords)]) if y])",
      "the residual covers the rows no gamma touches (where the spread"
      " puts 0), which a deviation can reach past the traces' tolerance"),
     ("plan-fold-drops-sign", "plans.py",
