@@ -10,10 +10,11 @@ that share a generator on its plan together.
 
 ``build_P_batch`` and ``extract_coords_batch`` are the float forms of
 ``clifford.build_P`` and ``extract_coords`` over (64, n) arrays, row r
-holding coefficient ``block_rows(False)[r]`` of the off-diagonal 2x2
-blocks, where every gamma has its entries.  Their index arrays come
-from the scalar reader's one table (``clifford._rows``), and the
-gather sums run in rounds too.
+holding coefficient ``_block_rows(False)[r]`` of the off-diagonal 2x2
+blocks, where every gamma has its entries.  They index the scalar
+reader's one table (``clifford._rows``) as ``_spread_rows`` and
+``_symmetric_traces`` do, into the coordinates or rows followed by
+their negations, and the gather sums run in rounds too.
 
 :func:`conjugate` is the whole kernel as one call, arrays in and arrays
 out.  Which vectors go on it, in what chunks, and what a refused
@@ -46,19 +47,17 @@ BATCH_SIZE = 128
 def _batch_tables():
     """The reader's table (clifford._rows) as index arrays over the off-diagonal rows.
 
-    Returns ((rows, coordinate, sign) of the 24 slots, and (index, sign)
-    arrays of shape (terms, 96) and (terms, 96, 1), one row per round
-    over both trace sides' 6 x 8 components, side 0 first).
+    Returns the (rows, coordinate) arrays of the 24 slots, a coordinate
+    index reading [coords; -coords], and the (terms, 96) index array of
+    the gather sums, one row per round over both trace sides' 6 x 8
+    components, side 0 first, an index reading [p; -p].
     """
     terms, slots, _ = _rows()
-    rows, k = np.array(slots).T
-    pack = (rows, k % 6, np.where(k < 6, 1.0, -1.0)[:, None])
     # terms runs over coordinate, component, side and term; a round over
     # side, coordinate and component.
     terms = np.array(list(terms)).reshape(6, 8, 2, 4).transpose(3, 2, 0, 1).reshape(4, 96)
-    idx, sgn = terms % 64, np.where(terms < 64, 1.0, -1.0)
     metric = np.array([[METRIC[m]] for m in COORDS], float)
-    return pack, (idx, sgn[:, :, None]), metric
+    return tuple(np.array(slots).T), terms, metric
 
 
 def build_P_batch(coords):
@@ -66,9 +65,9 @@ def build_P_batch(coords):
 
     Each slot holds c or -c as in build_P; every other coefficient is 0.
     """
-    (rows, coord, sign), _, _ = _batch_tables()
+    (rows, k), _, _ = _batch_tables()
     p = np.zeros((64, coords.shape[1]))
-    p[rows] = sign * coords[coord]
+    p[rows] = np.concatenate((coords, -coords))[k]
     return p
 
 
@@ -80,11 +79,11 @@ def extract_coords_batch(p, tol=SPAN_TOL):
     extract_coords would refuse (the same realness and residual tests
     at the same tolerances); the coordinates of such a column mean nothing.
     """
-    _, (idx, sgn), metric = _batch_tables()
-    n = p.shape[1]
-    acc = np.zeros((idx.shape[1], n))
-    for r in range(len(idx)):
-        acc += sgn[r] * p[idx[r]]
+    _, terms, metric = _batch_tables()
+    n, signed = p.shape[1], np.concatenate((p, -p))
+    acc = np.zeros((terms.shape[1], n))
+    for idx in terms:
+        acc += signed[idx]
     sym = (acc[:48] + acc[48:]).reshape(6, 8, n)
     real = within(sym[:, 1:], tol, np.abs(sym).max(axis=1)[:, None]).all(axis=(0, 1))
     coords = metric * sym[:, 0] / 8 + 0.0

@@ -7,19 +7,18 @@ gamma matrix; the gammas anticommute to twice the metric.  A Vector6
 embeds as either the 2x2 combination X or the 4x4 combination P, and
 coordinates can be recovered from P through the trace inner product.
 
-Both directions read fixed tables built once from the gammas: the slot
-table (``_slots``, the 24 nonzero gamma coefficients) places each
-coordinate in P, and the gather table (``_gather``) lists, in the order
-``trace_product`` adds them, the coefficients of P whose signed sums are
-the components of trace(gamma P) + trace(P gamma), which keeps float
-results bit for bit those of the generic ``inner_product``.  Every gamma
-lives in the off-diagonal 2x2 blocks, so both are used as one reader
-table (``_rows``) over the 64 off-diagonal coefficients
-(``block_rows(False)``, the order of the step plans' outputs).
-``_spread_rows`` writes P's rows from it, and the float reader
-``_read_rows`` reads coordinates off the 64 outputs of ``plans.run``, or
-off a float P, whose diagonal blocks enter only its residual; an exact
-P is read over the integers.  ``batch`` builds its arrays from it too.
+Both directions read one reader table (``_rows``), built once from the
+gammas on the 64 coefficients of P's off-diagonal 2x2 blocks, where
+every gamma has its entries (``_block_rows(False)``, the order of the
+step plans' outputs): the 24 slots of the nonzero gamma coefficients,
+which place each coordinate in P, and, in the order ``trace_product``
+adds them, the signed rows whose sums are the components of
+trace(gamma P) + trace(P gamma), which keeps float results bit for bit
+those of the generic ``inner_product``.  ``_spread_rows`` writes P's
+rows from it, and the float reader ``_read_rows`` reads coordinates off
+the 64 outputs of ``plans.run``, or off a float P, whose diagonal
+blocks enter only its residual; an exact P is read from the same rows
+over the integers.  ``batch`` builds its arrays from it too.
 """
 
 import functools
@@ -45,7 +44,6 @@ __all__ = [
     "inner_product",
     "extract_coords",
     "metric_form",
-    "block_rows",
     "verify_clifford",
 ]
 
@@ -131,28 +129,9 @@ def build_X(v):
     return acc
 
 
-@functools.cache
-def _slots(m):
-    """The (flat index, sign) of each nonzero coefficient of gamma(m), in flat() order.
-
-    Every coefficient of a gamma is 0 or +-1, and no two gammas share a
-    nonzero slot, so the slots of the six coordinates together place
-    each coefficient of P exactly once.
-    """
-    return tuple((f, c) for f, c in enumerate(gamma(m).flat()) if c)
-
-
-def _spread(coords):
-    """The 128 flat coefficients of sum(c_m gamma(m)): +-c_m on the slots of
-    a nonzero c_m, and 0 everywhere else."""
-    flat = [0] * 128
-    for f, c in zip(block_rows(False), _spread_rows(coords)):
-        flat[f] = c
-    return flat
-
-
 def _spread_rows(coords):
-    """_spread's coefficients on the off-diagonal rows (see _rows)."""
+    """The off-diagonal rows (see _rows) of sum(c_m gamma(m)): +-c_m on the
+    slots of a nonzero c_m, and 0 everywhere else."""
     signed = [c or 0 for c in coords]
     signed += [-c for c in signed]
     rows = [0] * 64
@@ -164,13 +143,15 @@ def _spread_rows(coords):
 def build_P(v):
     """The 4x4 combination [[0, X], [tilde(X), 0]], i.e. sum of v_m gamma(m).
 
-    Written straight from the slot table (see _spread); an entry no
+    Written straight from the slot table (see _spread_rows); an entry no
     nonzero coordinate touches is ZERO, and P is exact when every
     nonzero coordinate is.  A NullVector is refused with TypeError: pass
     its .v.
     """
     coords = Vector6._expect(v).as_tuple()
-    flat = _spread(coords)
+    flat = [0] * 128
+    for f, c in zip(_block_rows(False), _spread_rows(coords)):
+        flat[f] = c
     cells = [flat[f:f + 8] for f in range(0, 128, 8)]
     entries = [TensorScalar(c) if any(c) else ZERO for c in cells]
     return TensorMatrix(
@@ -180,41 +161,7 @@ def build_P(v):
 
 
 @functools.cache
-def _gather(m):
-    """Per component t, the terms of trace(gamma(m) P) and trace(P gamma(m)).
-
-    Eight pairs (left, right), one per BASIS index t.  Each term is
-    (flat index 32*row + 8*col + basis of a coefficient c of P, sign),
-    and the component is the signed sum of those c.  Every gamma
-    coefficient is 0 or +-1, so the product trace_product forms for a
-    term is +-c exactly.  The terms are listed in the order
-    trace_product visits them, and the two traces are summed apart and
-    then added, as inner_product does, so float sums round the same way.
-    """
-    g = gamma(m).rows
-    left = [[] for _ in range(8)]
-    right = [[] for _ in range(8)]
-    for i in range(4):
-        for k in range(4):
-            # trace(gamma P): gamma[i][k] times P[k][i]
-            for a, x in enumerate(g[i][k].coeffs):
-                if x:
-                    for b in range(8):
-                        t, sgn = _MUL[a][b]
-                        left[t].append((32 * k + 8 * i + b, sgn * x))
-    for i in range(4):
-        for k in range(4):
-            # trace(P gamma): P[i][k] times gamma[k][i]
-            for a in range(8):
-                for b, y in enumerate(g[k][i].coeffs):
-                    if y:
-                        t, sgn = _MUL[a][b]
-                        right[t].append((32 * i + 8 * k + a, sgn * y))
-    return tuple(zip(map(tuple, left), map(tuple, right)))
-
-
-@functools.cache
-def block_rows(diagonal):
+def _block_rows(diagonal):
     """Flat indices 32*row + 8*col + basis of the diagonal (or off-diagonal) 2x2 blocks."""
     return tuple(
         32 * i + 8 * j + t
@@ -227,32 +174,36 @@ def block_rows(diagonal):
 
 @functools.cache
 def _rows():
-    """(terms, slots, gather): _gather and _slots re-indexed onto the 64
-    off-diagonal rows, row r holding flat coefficient block_rows(False)[r].
+    """(terms, slots, gather): the reader table over the 64 off-diagonal
+    rows of P, row 16 i + 8 (j % 2) + t holding coefficient t of P[i][j]
+    (flat index _block_rows(False)[r]), where every gamma has its entries.
 
-    terms (bytes) lists the four rows of each gather sum, per coordinate,
-    component and trace side, trace(gamma P) first, in trace_product's
-    order; a subtracted row r reads r + 64, the row of its negation.
-    slots holds (row, k) per gamma coefficient in _slots order, k the
-    coordinate index, + 6 for a -1.  gather is itemgetter(*terms).
-    Raises AssertionError when a gamma has an entry in a diagonal block
-    or a gather sum has not four terms.
+    Every nonzero gamma entry is a single unit +-1 and each row of _MUL
+    is a permutation, so trace(gamma(m) P) and trace(P gamma(m)) add,
+    into each component, one term +-c per nonzero entry of gamma(m), c a
+    coefficient of P.  terms (bytes) lists those rows per
+    coordinate, component and trace side, trace(gamma P) first, in the
+    order trace_product visits them; a subtracted row r reads r + 64,
+    the row of its negation.  slots holds (row, k) per nonzero gamma
+    coefficient in flat() order, k the coordinate index, + 6 for a -1.
+    gather is itemgetter(*terms).
     """
-    index = {f: r for r, f in enumerate(block_rows(False))}
-
-    def row(f, sign):
-        if f not in index:
-            raise AssertionError("gamma is not block off-diagonal")
-        return index[f] + 64 * (sign < 0)
-
-    sides = [side for m in COORDS for comp in _gather(m) for side in comp]
-    if {len(side) for side in sides} != {4}:
-        raise AssertionError("gather sums have not four terms")
-    terms = bytes(row(f, sign) for side in sides for f, sign in side)
-    slots = tuple(
-        (row(f, 1), k + 6 * (sign < 0)) for k, m in enumerate(COORDS) for f, sign in _slots(m)
-    )
-    return terms, slots, operator.itemgetter(*terms)
+    terms, slots = [], []
+    for k, m in enumerate(COORDS):
+        g = gamma(m).rows
+        units = [(i, j, a, x) for i in range(4) for j in range(4)
+                 for a, x in enumerate(g[i][j].coeffs) if x]
+        slots += [(16 * i + 8 * (j % 2) + a, k + 6 * (x < 0)) for i, j, a, x in units]
+        # Both traces pair gamma[i][j] with P[j][i]: trace(gamma P) visits
+        # gamma by rows, on the left, and trace(P gamma) by columns, on the right.
+        sides = [[[] for _ in range(8)] for _ in range(2)]
+        for side, visit in enumerate((units, sorted(units, key=lambda u: (u[1], u[0])))):
+            for i, j, a, x in visit:
+                for b in range(8):
+                    t, sign = _MUL[b][a] if side else _MUL[a][b]
+                    sides[side][t].append(16 * j + 8 * (i % 2) + b + 64 * (sign * x < 0))
+        terms += [r for t in range(8) for side in sides for r in side[t]]
+    return bytes(terms), tuple(slots), operator.itemgetter(*terms)
 
 
 def inner_product(a, b, tol=SPAN_TOL):
@@ -292,29 +243,35 @@ def extract_coords(p, tol=SPAN_TOL):
     bits.  An exact p is read over the integers c * d, d the lcm of the
     denominators of its coefficients c, with tol held to 0: the sums are
     d times the symmetric traces, the coordinates Fraction(sum, 8 d), and
-    the residual compares 8 c d with the _spread of the signed sums; its
-    errors divide back by d (or 8 d).  A symmetric trace that is not a
-    real scalar within tol (relative to its scale), or a residual
-    p - build_P(result) above tol (relative to the matrix scale), raises
-    ValueError because p lies outside the span of the gammas.  A float
+    the residual compares 8 c d, on the off-diagonal rows and the
+    diagonal blocks' largest value, with the _spread_rows of the signed
+    sums, 0 on the diagonal; its errors divide back by d (or 8 d).  A
+    symmetric trace that is not a real scalar within tol (relative to
+    its scale), or a residual p - build_P(result) above tol (relative to
+    the matrix scale), raises ValueError because p lies outside the span
+    of the gammas.  A float
     coefficient that is not finite, wherever it sits, or finite ones
     whose trace sums overflow (tested once a check has failed), raise a
     ValueError that names the overflow.  P is never built back.
     """
-    flat = p.flat()
-    if not p.is_exact():
+    flat, exact = p.flat(), p.is_exact()
+    if exact:
+        d = math.lcm(*(c.denominator for c in flat if c))
+        flat = [c.numerator * (d // c.denominator) if c else 0 for c in flat]
+    else:
         _refuse_overflow(flat)
-        diagonal = max(abs(flat[f]) for f in block_rows(True))
-        return _read_rows([flat[f] or 0 for f in block_rows(False)], tol, diagonal)
-    d = math.lcm(*(c.denominator for c in flat if c))
-    flat = [c.numerator * (d // c.denominator) if c else 0 for c in flat]
+    rows = [flat[f] or 0 for f in _block_rows(False)]
+    diagonal = max(abs(flat[f]) for f in _block_rows(True))
+    if not exact:
+        return _read_rows(rows, tol, diagonal)
     sums = []
-    for m, sym in zip(COORDS, _symmetric_traces([flat[f] for f in block_rows(False)])):
+    for m, sym in zip(COORDS, _symmetric_traces(rows)):
         if any(sym[1:]):
             raise ValueError("inner product is not real: %s"
                              % (TensorScalar([Fraction(c, d) for c in sym]),))
         sums.append(sym[0] if METRIC[m] > 0 else -sym[0])
-    residual = max(map(abs, map(operator.sub, [8 * c for c in flat], _spread(sums))))
+    got = [8 * diagonal, *(8 * c for c in rows)]
+    residual = max(map(abs, map(operator.sub, got, [0, *_spread_rows(sums)])))
     if residual:
         raise ValueError("matrix lies outside the span of the gammas (residual %s)"
                          % (Fraction(residual, 8 * d),))
@@ -337,7 +294,7 @@ def _symmetric_traces(rows):
 
 def _read_rows(rows, tol=SPAN_TOL, diagonal=0):
     """extract_coords of a float P from its 64 off-diagonal coefficients
-    rows, in block_rows(False) order: the outputs of plans.run.
+    rows, in _block_rows(False) order: the outputs of plans.run.
 
     diagonal is the largest absolute coefficient of P's diagonal blocks,
     0 for plans.run's outputs; it enters only the residual and its scale.

@@ -255,7 +255,7 @@ class TensorMatrix:
 def trace_product(a, b):
     """trace(a @ b) without forming the full product.
 
-    The reference for the order clifford's gather table copies: for
+    The reference for the order clifford's reader table copies: for
     each i, then each k, a[i][k] b[k][i] through the product kernel.
     """
     if a.n != b.n:

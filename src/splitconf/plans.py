@@ -2,7 +2,7 @@
 
 Every group element M = c I + s G is block diagonal and every P block
 off-diagonal, so M P M^-1 touches only the 64 off-diagonal coefficients
-of P (``block_rows(False)``, the order of a plan's outputs) and M's
+of P (``_block_rows(False)``, the order of a plan's outputs) and M's
 coefficients in its diagonal blocks.  Of those only c on the unit of
 each diagonal entry and G's own terms can be nonzero: 8 for a plane, 12
 for a nilpotent step, the generator's live coefficients.
@@ -34,7 +34,7 @@ import functools
 from itertools import repeat
 
 from .algebra import _MUL
-from .clifford import _spread_rows, block_rows
+from .clifford import _block_rows, _spread_rows
 
 __all__ = ["compact_plan", "run"]
 
@@ -45,15 +45,15 @@ def _contributions():
     (M @ P) or of M^-1 ((M P) @ M^-1): its terms, as the four bytes
     (outputs, places, rows, negatives)}.
 
-    output indexes block_rows(False); place orders the terms of one output
+    output indexes _block_rows(False); place orders the terms of one output
     as mul_terms adds them, ascending k, then the left basis index; row
     is the other factor's (P's, or M P's) output index; negative is 1 for
     a term mul_terms subtracts.  Bytes keep the 2,048 terms small.
     """
-    rows = {f: r for r, f in enumerate(block_rows(False))}
+    rows = {f: r for r, f in enumerate(_block_rows(False))}
     inverse = [{t: (b, sign) for b, (t, sign) in enumerate(row)} for row in _MUL]
     left, right = {}, {}
-    for o, f in enumerate(block_rows(False)):
+    for o, f in enumerate(_block_rows(False)):
         i, j, t = f // 32, f // 8 % 4, f % 8
         place = 0
         for k in range(4):
@@ -100,10 +100,10 @@ def compact_plan(gen):
 def _build(gen):
     """compact_plan(gen), not cached."""
     flat = gen.flat()
-    if any(flat[f] for f in block_rows(False)):
+    if any(flat[f] for f in _block_rows(False)):
         raise AssertionError("generator is not block diagonal")
     # 0, 40, 80, 120: the unit coefficient of diagonal entry (i, i).
-    live = [f for f in block_rows(True) if f % 40 == 0 or flat[f]]
+    live = [f for f in _block_rows(True) if f % 40 == 0 or flat[f]]
     pairs = tuple((float(f % 40 == 0), float(flat[f])) for f in live)
     sides = []
     for table in _contributions():
@@ -133,7 +133,7 @@ def _rounds(rounds, m, b):
 
 def _step(plan, c, s, p):
     """The off-diagonal coefficients of M P M^-1 from those of P, p, both
-    in block_rows(False) order, on plan = compact_plan(G): M = c I + s G
+    in _block_rows(False) order, on plan = compact_plan(G): M = c I + s G
     and M^-1 = c I - s G, coefficient by coefficient as exp_pair forms
     them."""
     pairs, left, right = plan
@@ -143,7 +143,7 @@ def _step(plan, c, s, p):
 
 
 def run(steps, coords):
-    """The 64 off-diagonal coefficients of M P M^-1, in block_rows(False)
+    """The 64 off-diagonal coefficients of M P M^-1, in _block_rows(False)
     order, for P = sum(coords[m] gamma(m)), M each (G, c, s) of steps in
     turn: bit for bit those of the TensorMatrix conjugation."""
     p = _spread_rows(coords)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from splitconf import batch, group, plans
 from splitconf.algebra import ZERO, TensorScalar
 from splitconf.batch import _product, build_P_batch, extract_coords_batch
-from splitconf.clifford import COORDS, Vector6, block_rows, build_P, extract_coords
+from splitconf.clifford import COORDS, Vector6, _block_rows, build_P, extract_coords
 from splitconf.conformal import (
     MinkowskiPoint,
     embed_point,
@@ -464,13 +464,13 @@ def random_blocks(rng):
                 )
     mat = TensorMatrix(rows)
     flat = [c for r in mat.rows for e in r for c in e.coeffs]
-    return mat, np.array([[flat[f]] for f in block_rows(False)])
+    return mat, np.array([[flat[f]] for f in _block_rows(False)])
 
 
 def off_diagonal_reprs(mat):
     flat = [c for r in mat.rows for e in r for c in e.coeffs]
-    assert not any(flat[f] for f in block_rows(True))
-    return [repr(flat[f]) for f in block_rows(False)]
+    assert not any(flat[f] for f in _block_rows(True))
+    return [repr(flat[f]) for f in _block_rows(False)]
 
 
 class TestDenseSweep:
@@ -513,7 +513,7 @@ class TestDenseSweep:
             v = Vector6(*(rng.uniform(-2, 2) for _ in range(6)))
             p = build_P_batch(np.array([v.as_tuple()]).T)
             flat = [c for r in build_P(v).rows for e in r for c in e.coeffs]
-            assert p[:, 0].tolist() == [float(flat[f]) for f in block_rows(False)]
+            assert p[:, 0].tolist() == [float(flat[f]) for f in _block_rows(False)]
 
 
 class TestNonFiniteAngles:

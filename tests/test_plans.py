@@ -29,7 +29,7 @@ import splitconf
 from splitconf import group, plans
 from splitconf.algebra import SPAN_TOL, ZERO, TensorScalar, within
 from splitconf.clifford import (
-    COORDS, METRIC, Vector6, _read_rows, _rows, block_rows, build_P, extract_coords, gamma,
+    COORDS, METRIC, Vector6, _block_rows, _read_rows, _rows, build_P, extract_coords, gamma,
     inner_product,
 )
 from splitconf.conformal import step_vector
@@ -164,7 +164,7 @@ class TestRoutingOfHostileInput:
 
 def random_blocks(rng):
     """A 4x4 matrix with random coefficients of mixed magnitude on its
-    off-diagonal 2x2 blocks, and those coefficients in block_rows(False) order."""
+    off-diagonal 2x2 blocks, and those coefficients in _block_rows(False) order."""
     rows = [[ZERO] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(4):
@@ -173,7 +173,7 @@ def random_blocks(rng):
                     [rng.uniform(-1, 1) * 10 ** rng.uniform(-8, 8) for _ in range(8)]
                 )
     mat = TensorMatrix(rows)
-    return mat, [mat.flat()[f] for f in block_rows(False)]
+    return mat, [mat.flat()[f] for f in _block_rows(False)]
 
 
 class TestPlans:
@@ -188,7 +188,7 @@ class TestPlans:
             p, p_values = random_blocks(rng)
             want = ((m @ p) @ m_inv).flat()
             got = plans._step(compact_plan(gen), c, s, p_values)
-            assert [repr(x) for x in got] == [repr(want[f]) for f in block_rows(False)]
+            assert [repr(x) for x in got] == [repr(want[f]) for f in _block_rows(False)]
 
     @pytest.mark.parametrize("name", NAMES + REVERSED)
     def test_rounds_per_output(self, name):
@@ -235,9 +235,9 @@ class TestPlans:
 
 def rows_matrix(rows):
     """The float P whose off-diagonal coefficients are rows, in
-    block_rows(False) order, and whose diagonal blocks are 0."""
+    _block_rows(False) order, and whose diagonal blocks are 0."""
     flat = [0] * 128
-    for f, c in zip(block_rows(False), rows):
+    for f, c in zip(_block_rows(False), rows):
         flat[f] = c
     cells = [TensorScalar(flat[i:i + 8]) for i in range(0, 128, 8)]
     return TensorMatrix([cells[i:i + 4] for i in (0, 4, 8, 12)])

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 import splitconf
 from splitconf.algebra import CHART_TOL, CHECK_TOL, SPAN_TOL, within
-from splitconf.batch import _batch_tables, build_P_batch, extract_coords_batch
-from splitconf.clifford import Vector6, metric_form
+from splitconf.batch import build_P_batch, extract_coords_batch
+from splitconf.clifford import COORDS, METRIC, Vector6, _rows, metric_form
 from splitconf.conformal import _null_rows
 
 SRC = Path(splitconf.__file__).parent
@@ -88,19 +88,18 @@ def test_no_match_verdict_outside_report():
 
 
 def batch_ok_reference(p, tol=SPAN_TOL):
-    """extract_coords_batch's ok mask, written with np.maximum(1.0, scale)."""
-    _, (idx_both, sgn_both), metric = _batch_tables()
-    traces = []
-    for side in (slice(None, 48), slice(48, None)):
-        idx, sgn = idx_both[:, side], sgn_both[:, side]
-        acc = np.zeros((idx.shape[1], p.shape[1]))
-        for r in range(len(idx)):
-            acc += sgn[r] * p[idx[r]]
-        traces.append(acc)
-    sym = (traces[0] + traces[1]).reshape(6, 8, p.shape[1])
+    """extract_coords_batch's ok mask, written with np.maximum(1.0, scale),
+    from the reader table's own terms: row r % 64, negated when r >= 64."""
+    terms = np.array(list(_rows()[0])).reshape(6, 8, 2, 4)
+    acc = np.zeros((6, 8, 2, p.shape[1]))
+    for r in range(4):
+        term = terms[..., r]
+        acc += np.where(term < 64, 1.0, -1.0)[..., None] * p[term % 64]
+    sym = acc[:, :, 0] + acc[:, :, 1]
     mag = np.abs(sym)
     use_tol = tol * np.maximum(1.0, mag.max(axis=1))
     real = (mag[:, 1:] <= use_tol[:, None]).all(axis=(0, 1))
+    metric = np.array([[METRIC[m]] for m in COORDS], float)
     coords = metric * sym[:, 0] / 8 + 0.0
     residual = np.abs(p - build_P_batch(coords)).max(axis=0)
     limit = tol * np.maximum(1.0, np.abs(p).max(axis=0))
@@ -113,7 +112,7 @@ def hostile_columns():
     hostile value, at a slot and off the slots, and columns whose gather
     sums overflow (so that a scale is inf, or nan from inf - inf)."""
     base = build_P_batch(np.array([[0.5, -0.25, 0.0, 1.0, 2.0, -1.5]]).T)
-    slot_rows = set(_batch_tables()[0][0].tolist())
+    slot_rows = {r for r, _ in _rows()[1]}
     rows = [min(slot_rows), min(set(range(64)) - slot_rows), 63]
     cols = []
     for r, value in itertools.product(rows, HOSTILE):

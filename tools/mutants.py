@@ -14,7 +14,9 @@ command line are kept.  A survivor either gets a test that
 kills it or its ``why`` says why it is equivalent.  About 30 s per
 mutant on a 2-CPU machine; it is not a test and pytest does not
 collect it.  ``tests/test_mutants.py`` checks that every old text
-still occurs exactly once in ``src/``.
+still occurs exactly once in ``src/``, and that ``MUTANTS.json`` holds
+one record per listed mutant, each survivor's ``why`` starting with
+"equivalent".
 """
 
 import json
@@ -70,10 +72,15 @@ MUTANTS = (
      "m_inv = [u * c + g * s for u, g in pairs]",
      "the scalar kernel conjugates by M and M^-1 = c I - s G"),
     ("spread-scatters-diagonal", "clifford.py",
-     "    for f, c in zip(block_rows(False), _spread_rows(coords)):\n",
-     "    for f, c in zip(block_rows(True), _spread_rows(coords)):\n",
-     "_spread writes the off-diagonal rows, the plans' outputs and the"
+     "    for f, c in zip(_block_rows(False), _spread_rows(coords)):\n",
+     "    for f, c in zip(_block_rows(True), _spread_rows(coords)):\n",
+     "build_P writes the off-diagonal rows, the plans' outputs and the"
      " reader's inputs, back onto the blocks where the gammas have them"),
+    ("exact-residual-skips-diagonal", "clifford.py",
+     "got = [8 * diagonal, *(8 * c for c in rows)]",
+     "got = [0, *(8 * c for c in rows)]",
+     "the exact residual covers the diagonal blocks, where no gamma has an"
+     " entry, so an exact P with a nonzero diagonal coefficient is refused"),
     ("read-drops-realness", "clifford.py",
      "        if not all(within(c, tol, scale) for c in sym[1:]):\n",
      "        if not all(within(c, tol, scale) for c in sym[:1]):\n",
@@ -92,6 +99,12 @@ MUTANTS = (
     ("batch-negation-dropped", "batch.py",
      "np.concatenate((m, -m))", "np.concatenate((m, m))",
      "the batch's subtracted terms read the negated coefficients"),
+    ("batch-gather-negation-dropped", "batch.py",
+     "np.concatenate((p, -p))", "np.concatenate((p, p))",
+     "the batch reader's subtracted rows read the negated coefficients of P"),
+    ("batch-slot-negation-dropped", "batch.py",
+     "np.concatenate((coords, -coords))", "np.concatenate((coords, coords))",
+     "build_P_batch places a coordinate with gamma(m)'s sign, -c on a -1 slot"),
     ("sparse-product-k-reversed", "matrices.py",
      "            for k, a in arow:\n", "            for k, a in reversed(arow):\n",
      "each output entry adds its terms in ascending k, so float sums round"
@@ -104,8 +117,7 @@ MUTANTS = (
      "each appendix cell is eight flat coefficients; a wrong stride"
      " reports the wrong cells"),
     ("gamma-slots-sign", "clifford.py",
-     "return tuple((f, c) for f, c in enumerate(gamma(m).flat()) if c)",
-     "return tuple((f, -c) for f, c in enumerate(gamma(m).flat()) if c)",
+     "k + 6 * (x < 0)", "k + 6 * (x > 0)",
      "the slot table places every coefficient of P with gamma(m)'s sign"),
     ("resolve-kind-swap", "group.py",
      "kind = _plane_data(name)[1]",
