@@ -12,8 +12,13 @@ maps, a dilation, translations, and conformal translations.  A real
 Bundled reference tables (matrix transcriptions, coefficient tables)
 are diffed against recomputation by the verification suites; the
 recomputed values are always the ground truth, and table mismatches
-are documented in reports rather than failing them.
+are documented in reports rather than failing them.  The suites live
+in ``checks`` and the real representation in ``realrep``; the package
+serves their names on first read, so importing it loads neither them
+nor numpy.
 """
+
+import sys
 
 from .algebra import BASIS, H_UNITS, TensorScalar
 from .clifford import (
@@ -27,7 +32,6 @@ from .clifford import (
     inner_product,
     metric_form,
     sigma,
-    verify_clifford,
 )
 from .conformal import (
     AT_INFINITY,
@@ -35,27 +39,22 @@ from .conformal import (
     NullVector,
     PointAtInfinity,
     apply_conformal_translation,
-    classify_generators,
     conformal_translation_generator,
     embed_point,
     mobius_oracle,
     q_from_p,
     translation_generator,
-    verify_conformal,
 )
 from .group import (
     PLANES,
     act_on_P,
     act_on_X,
     act_on_vector,
-    appendix_check,
     canonical_plane,
     generator,
     plane_kind,
     so6_matrix,
     so6_step,
-    verify_group,
-    verify_properties,
 )
 from .matrices import (
     TensorMatrix,
@@ -66,23 +65,30 @@ from .report import Check, Report
 
 __version__ = "1.0.0"
 
-# Served by __getattr__, so that importing the package loads neither
-# realrep nor numpy.
-_REALREP_NAMES = (
-    "real_gamma", "realify_matrix", "realify_scalar",
-    "restrict_so31_second", "verify_realrep",
-)
+# Names served by __getattr__, by the module that holds them, so that
+# importing the package loads neither the suites nor realrep and numpy.
+_LAZY = {
+    **dict.fromkeys((
+        "verify_clifford", "verify_properties", "verify_group", "appendix_check",
+        "classify_generators", "verify_conformal",
+    ), "checks"),
+    **dict.fromkeys((
+        "real_gamma", "realify_matrix", "realify_scalar",
+        "restrict_so31_second", "verify_realrep",
+    ), "realrep"),
+}
 
 
 def __getattr__(name):
-    if name in _REALREP_NAMES:
-        from . import realrep
-        return getattr(realrep, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = "%s.%s" % (__name__, _LAZY[name])
+    __import__(module)  # the import statement's route, which -X importtime lists
+    return getattr(sys.modules[module], name)
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_REALREP_NAMES))
+    return sorted(set(globals()) | set(_LAZY))
 
 
 __all__ = [

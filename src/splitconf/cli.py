@@ -10,9 +10,11 @@ angles are refused by ``group``'s step table, with its message: per step
 for ``transform``, and for the one step of ``show generator`` and
 ``show real-generator`` (which first refuses a name that is not a plane).
 The json format is deterministic: the same configuration produces
-byte-identical output.  numpy loads when ``verify`` or a ``show real-*``
-command runs, ``realrep`` only for its suite and ``show real-*``;
-``transform`` loads neither.
+byte-identical output.  Each verify suite is imported on its first
+call: ``checks`` holds five of them and ``realrep`` the sixth.  numpy
+loads when ``verify`` or a ``show real-*`` command runs, ``realrep``
+only for its suite and ``show real-*``; ``transform`` and ``show``
+load neither numpy nor ``checks``.
 """
 
 import argparse
@@ -25,7 +27,7 @@ import sys
 from operator import attrgetter
 
 from .algebra import BASIS
-from .clifford import COORDS, Vector6, sigma, gamma, verify_clifford
+from .clifford import COORDS, Vector6, sigma, gamma
 from .conformal import (
     AT_INFINITY,
     MinkowskiPoint,
@@ -33,15 +35,8 @@ from .conformal import (
     embed_point,
     q_or_infinity,
     step_vector,
-    verify_conformal,
 )
-from .group import (
-    appendix_check,
-    canonical_plane,
-    generator,
-    verify_group,
-    verify_properties,
-)
+from .group import canonical_plane, generator
 from .report import SUITE_DEFAULTS, Check
 
 __all__ = ["RunConfig", "UsageError", "SUITES", "MAX_SAMPLES", "main"]
@@ -52,19 +47,22 @@ _FORMATS = ("json", "text", "csv")
 MAX_SAMPLES = 1_000_000
 
 
-def _verify_realrep(config=None):
-    """realrep.verify_realrep, imported on first use."""
-    from .realrep import verify_realrep
-    return verify_realrep(config)
+def _suite(name):
+    """A SUITES entry that calls the suite the package serves as name,
+    looked up per call, so that its module (checks or realrep) loads on
+    the first call (see splitconf.__getattr__)."""
+    def run(config=None):
+        return getattr(sys.modules[__package__], name)(config)
+    return run
 
 
 SUITES = (
-    ("clifford", verify_clifford),
-    ("properties", verify_properties),
-    ("group", verify_group),
-    ("conformal", verify_conformal),
-    ("realrep", _verify_realrep),
-    ("appendix", appendix_check),
+    ("clifford", _suite("verify_clifford")),
+    ("properties", _suite("verify_properties")),
+    ("group", _suite("verify_group")),
+    ("conformal", _suite("verify_conformal")),
+    ("realrep", _suite("verify_realrep")),
+    ("appendix", _suite("appendix_check")),
 )
 
 

@@ -31,7 +31,7 @@ from .algebra import (
     is_exact, within,
 )
 from .matrices import TensorMatrix, _refuse_overflow, trace_product
-from .report import Report, Value
+from .report import Value
 
 __all__ = [
     "COORDS",
@@ -44,7 +44,6 @@ __all__ = [
     "inner_product",
     "extract_coords",
     "metric_form",
-    "verify_clifford",
 ]
 
 COORDS = ("x", "y", "z", "t", "p", "q")
@@ -172,11 +171,17 @@ def _block_rows(diagonal):
     )
 
 
+def _row(i, j, t):
+    """The row of coefficient t of P[i][j], (i, j) in an off-diagonal 2x2
+    block: the place of that coefficient in _block_rows(False)."""
+    return 16 * i + 8 * (j % 2) + t
+
+
 @functools.cache
 def _rows():
     """(terms, slots, gather): the reader table over the 64 off-diagonal
-    rows of P, row 16 i + 8 (j % 2) + t holding coefficient t of P[i][j]
-    (flat index _block_rows(False)[r]), where every gamma has its entries.
+    rows of P, row _row(i, j, t) holding coefficient t of P[i][j] (flat
+    index _block_rows(False)[r]), where every gamma has its entries.
 
     Every nonzero gamma entry is a single unit +-1 and each row of _MUL
     is a permutation, so trace(gamma(m) P) and trace(P gamma(m)) add,
@@ -193,7 +198,7 @@ def _rows():
         g = gamma(m).rows
         units = [(i, j, a, x) for i in range(4) for j in range(4)
                  for a, x in enumerate(g[i][j].coeffs) if x]
-        slots += [(16 * i + 8 * (j % 2) + a, k + 6 * (x < 0)) for i, j, a, x in units]
+        slots += [(_row(i, j, a), k + 6 * (x < 0)) for i, j, a, x in units]
         # Both traces pair gamma[i][j] with P[j][i]: trace(gamma P) visits
         # gamma by rows, on the left, and trace(P gamma) by columns, on the right.
         sides = [[[] for _ in range(8)] for _ in range(2)]
@@ -201,7 +206,7 @@ def _rows():
             for i, j, a, x in visit:
                 for b in range(8):
                     t, sign = _MUL[b][a] if side else _MUL[a][b]
-                    sides[side][t].append(16 * j + 8 * (i % 2) + b + 64 * (sign * x < 0))
+                    sides[side][t].append(_row(j, i, b) + 64 * (sign * x < 0))
         terms += [r for t in range(8) for side in sides for r in side[t]]
     return bytes(terms), tuple(slots), operator.itemgetter(*terms)
 
@@ -317,20 +322,3 @@ def _read_rows(rows, tol=SPAN_TOL, diagonal=0):
         raise ValueError(
             "matrix lies outside the span of the gammas (residual %s)" % (residual,))
     return Vector6(*coords)
-
-
-def verify_clifford(config=None):
-    """Check the anticommutators of all 21 unordered gamma pairs exactly."""
-    report, _ = Report.for_suite("clifford", config)
-    for i, m in enumerate(COORDS):
-        for n in COORDS[i:]:
-            g = METRIC[m] if m == n else 0
-            expected = TensorMatrix.identity(4).scale(2 * g)
-            actual = gamma(m) @ gamma(n) + gamma(n) @ gamma(m)
-            report.add(
-                "anticommutator[%s,%s]" % (m, n),
-                actual == expected,
-                "2*(%+d)*I" % g,
-                "match" if actual == expected else "entry mismatch",
-            )
-    return report

@@ -18,16 +18,12 @@ Both walks (``_conjugate``, under ``act_on_P`` and ``act_on_vector``, and
 scalar route names a bad step the same way.  ``act_on_vector`` runs a
 float word on a float vector through ``plans.run`` instead (bit for bit
 ``_conjugate``'s products) and reads its 64 outputs with
-``clifford._read_rows``, the float reader on the one reader table;
-what the plans cannot run, or a result the reader refuses, takes
-``_conjugate``, which raises with its own message.
+``clifford._read_rows``, the float reader on the one reader table,
+whose refusal of finite outputs is the step's (``_conjugate``'s products
+would give the same message); what the plans cannot run, an all-zero
+result and refused outputs that are not all finite take ``_conjugate``.
 Exact words, ``act_on_P`` and ``act_on_X`` stay on the ``TensorMatrix``
 route, the reference for both plan kernels.
-
-The module also carries a bundled reference transcription of all
-fifteen matrices in closed form.  ``appendix_check`` diffs that table
-against recomputation and documents any transcription discrepancy
-instead of failing, so the recomputed matrices stay the ground truth.
 
 ``act_on_coords`` is the one batched entry point: it conjugates the
 rows of an (n, 6) float array through ``batch.conjugate``, the
@@ -35,7 +31,7 @@ order-preserving numpy kernel, bit for bit as ``act_on_vector`` does
 one at a time.  It owns the routing: which rows go on the kernel, cut
 into chunks of ``batch.BATCH_SIZE`` whatever their word lengths, and
 ``act_on_vector`` for the rest.  Each row may carry its own word,
-so the sampled words of ``verify_group``, ``verify_conformal`` and
+so the sampled words of the verify suites (``checks``) and
 ``so6_matrix`` run as a few batches.  ``compose_so6`` is the one-word
 case of ``_compose_so6``, the stacked (n, 6, 6) product the 6x6
 invariance checks form.  numpy, ``batch`` and ``plans`` are imported by
@@ -44,23 +40,12 @@ the functions that use them, so the scalar step route loads no numpy.
 
 import functools
 import math
-import random
 import sys
 from contextlib import suppress
 
-from .algebra import ONE, SPAN_TOL, UNIT, ZERO, exact_div, is_number
-from .clifford import (
-    COORDS,
-    METRIC,
-    Vector6,
-    _read_rows,
-    build_P,
-    extract_coords,
-    gamma,
-    metric_form,
-)
+from .algebra import SPAN_TOL, exact_div, is_number
+from .clifford import COORDS, METRIC, Vector6, _read_rows, build_P, extract_coords, gamma
 from .matrices import TensorMatrix, _refuse_overflow, _sincosh, exp_pair
-from .report import Report
 
 __all__ = [
     "PLANES",
@@ -80,14 +65,10 @@ __all__ = [
     "metric6",
     "project_vector",
     "pi_project",
-    "verify_properties",
-    "verify_group",
-    "REFERENCE_GENERATOR_TABLE",
-    "build_reference",
-    "appendix_check",
 ]
 
-# Canonical plane names, in the order of the bundled reference table.
+# Canonical plane names, in the order of the bundled reference table
+# (checks.REFERENCE_GENERATOR_TABLE).
 PLANES = (
     "xy",
     "yz",
@@ -304,9 +285,11 @@ def act_on_vector(word, v):
 
     A float word (see _plan) on a Vector6 of floats and int zeros runs on
     plans.run instead, with the same bits, its 64 outputs read by
-    _read_rows, the reader under extract_coords; an all-zero result
-    (exact zeros on _conjugate's route), any other input and any result
-    the reader refuses take _conjugate, which raises with its own message.
+    _read_rows, the reader under extract_coords.  Its refusal of finite
+    rows is the one extract_coords raises on _conjugate's result; an
+    all-zero result (exact zeros on _conjugate's route), refused rows
+    that are not all finite (the overflow _conjugate names) and any
+    other input take _conjugate.
     """
     floats = isinstance(v, Vector6) and all(
         type(c) is float or type(c) is int and not c for c in v.as_tuple())
@@ -318,7 +301,11 @@ def act_on_vector(word, v):
             try:
                 return _read_rows(rows)
             except ValueError:
-                pass
+                # Finite rows are _conjugate's bits, so this is its refusal.
+                # Non-finite ones may not be: the plans add inf * 0.0 = nan
+                # where the products skip a zero coefficient.
+                if math.isfinite(sum(rows)):
+                    raise
     return extract_coords(_conjugate(word, build_P(v)))
 
 
@@ -462,372 +449,6 @@ def pi_project(p):
     return build_P(project_vector(extract_coords(p)))
 
 
-def verify_properties(config=None):
-    """Exact checks of the five structural identities of the gamma products."""
-    report, _ = Report.for_suite("properties", config)
-    ident = TensorMatrix.identity(4)
-    for a in COORDS:
-        ok = gamma(a) @ gamma(a) == ident.scale(METRIC[a])
-        report.match("prop1[%s]" % a, ok, "(%+d)*I" % METRIC[a])
-        for b in COORDS:
-            if b == a:
-                continue
-            ab = gamma(a) @ gamma(b)
-            for c in COORDS:
-                if c != a and c != b:
-                    ok = ab @ gamma(c) == gamma(c) @ ab
-                    report.match("prop2[%s,%s,%s]" % (a, b, c), ok, "commute")
-            report.match(
-                "prop3[%s,%s]" % (a, b),
-                ab @ gamma(b) == gamma(a).scale(METRIC[b]),
-                "(%+d)*gamma(%s)" % (METRIC[b], a),
-            )
-            report.match(
-                "prop4[%s,%s]" % (a, b),
-                ab @ gamma(a) == gamma(b).scale(-METRIC[a]),
-                "(%+d)*gamma(%s)" % (-METRIC[a], b),
-            )
-            sign5 = -METRIC[a] * METRIC[b]
-            ok = ab @ ab == ident.scale(sign5)
-            report.match("prop5[%s,%s]" % (a, b), ok, "(%+d)*I" % sign5)
-    return report
-
-
-def _random_word(rng, max_len, angle_span):
-    length = rng.randint(0, max_len)
-    return [
-        (rng.choice(PLANES), rng.uniform(-angle_span, angle_span))
-        for _ in range(length)
-    ]
-
-
 def compose_so6(word):
     """Product of single-step 6x6 matrices, later steps applied on the left."""
     return _compose_so6([list(word)])[0]
-
-
-def _invariance_devs(words):
-    """(max |R^T G R - G|, det R) for R = compose_so6(word), one row of an
-    (n, 2) array per word, all formed at once by _compose_so6."""
-    import numpy as np
-    g6 = metric6()
-    r = _compose_so6(words)
-    gram = np.abs(r.transpose(0, 2, 1) @ g6 @ r - g6).max(axis=(1, 2))
-    return np.column_stack((gram, np.linalg.det(r)))
-
-
-def verify_group(config=None):
-    """Structural and seeded statistical checks of the group actions."""
-    import numpy as np
-    from .batch import BATCH_SIZE
-    report, (tol, seed, samples) = Report.for_suite("group", config)
-    rng = random.Random(seed)
-    ident4 = TensorMatrix.identity(4)
-
-    for name in PLANES:
-        a, b = name[0], name[1]
-        expected_kind = "boost" if -METRIC[a] * METRIC[b] > 0 else "rotation"
-        actual_kind = plane_kind(name)
-        report.add(
-            "kind[%s]" % name,
-            actual_kind == expected_kind,
-            expected_kind,
-            actual_kind,
-            "sign of the exact gamma-product square",
-        )
-
-    for name in PLANES:
-        prod = generator(name, 0.77) @ generator(name, -0.77)
-        dev = (prod - ident4).max_abs()
-        report.bound(
-            "inverse[%s]" % name,
-            dev,
-            tol,
-            "generator(theta) @ generator(-theta) vs identity",
-        )
-
-    defined = _so6_matrices([[(name, 0.37)] for name in PLANES])
-    for name, r in zip(PLANES, defined):
-        dev = float(np.max(np.abs(so6_step(name, 0.37) - r)))
-        report.bound(
-            "step-vs-definition[%s]" % name,
-            dev,
-            tol,
-            "closed-form 6x6 step vs action on basis vectors",
-        )
-
-    pairs = [(_random_word(rng, 3, 1.0), _random_word(rng, 3, 1.0)) for _ in range(12)]
-    so6 = _so6_matrices([w for w1, w2 in pairs for w in (w1 + w2, w2, w1)])
-    gaps = [lhs - r2 @ r1 for lhs, r2, r1 in zip(so6[0::3], so6[1::3], so6[2::3])]
-    report.bound(
-        "composition",
-        float(np.max(np.abs(gaps))),
-        tol,
-        "so6(w1 then w2) vs so6(w2) @ so6(w1), 12 seeded word pairs",
-    )
-
-    # Both sampled checks draw each chunk's inputs inside the chunk loop, in
-    # the seed's order, so memory stays flat as samples grow.
-    n_heavy = max(1, samples // 20)
-    gaps = []
-    for start in range(0, n_heavy, BATCH_SIZE):
-        heavy = [
-            ([rng.uniform(-1.0, 1.0) for _ in COORDS], _random_word(rng, 5, 0.6))
-            for _ in range(min(BATCH_SIZE, n_heavy - start))
-        ]
-        vs = np.array([v for v, _ in heavy])
-        imgs = act_on_coords([w for _, w in heavy], vs)
-        gaps.append(metric_form(Vector6(*imgs.T)) - metric_form(Vector6(*vs.T)))
-    report.bound(
-        "invariance[qform]",
-        float(np.max(np.abs(np.concatenate(gaps)))),
-        SPAN_TOL,
-        "metric square preserved along %d seeded conjugation words" % n_heavy,
-    )
-
-    # One (gram, det) row per word; initial=0.0 is the bound of no words.
-    devs = np.empty((samples, 2))
-    for start in range(0, samples, BATCH_SIZE):
-        n = min(BATCH_SIZE, samples - start)
-        devs[start:start + n] = _invariance_devs([_random_word(rng, 5, 0.6) for _ in range(n)])
-    gram, det = devs.T
-    report.bound(
-        "invariance[metric]",
-        float(np.max(gram, initial=0.0)),
-        tol,
-        "R^T G R vs G over %d seeded words" % samples,
-    )
-    report.bound(
-        "invariance[det]",
-        float(np.max(np.abs(det - 1.0), initial=0.0)),
-        tol,
-        "det R vs 1 over %d seeded words" % samples,
-    )
-
-    for m in ("p", "q"):
-        proj = pi_project(gamma(m))
-        report.add(
-            "pi[gamma_%s]" % m,
-            proj.is_zero(),
-            "0",
-            "0" if proj.is_zero() else "nonzero",
-            "projection drops the %s component" % m,
-        )
-
-    eta = np.diag([1.0, 1.0, 1.0, -1.0])
-    idx4 = [COORDS.index(m) for m in ("x", "y", "z", "t")]
-    for name in LORENTZ_PLANES:
-        r6 = so6_step(name, 0.83)
-        r4 = r6[np.ix_(idx4, idx4)]
-        dev = float(np.max(np.abs(r4.T @ eta @ r4 - eta)))
-        report.bound(
-            "lorentz[%s]" % name,
-            dev,
-            tol,
-            "restricted 4x4 block preserves the (+,+,+,-) form",
-        )
-
-    m_pq = generator("pq", 0.6)
-    for name in LORENTZ_PLANES:
-        m_ab = generator(name, 0.9)
-        dev = ((m_pq @ m_ab) - (m_ab @ m_pq)).max_abs()
-        report.bound(
-            "pq-commutes[%s]" % name,
-            dev,
-            tol,
-            "dilation generator commutes with the Lorentz planes",
-        )
-
-    return report
-
-
-# Reference transcription of the fifteen matrices in closed form.
-# Each cell is (i, j, c, s, unit): the entry c*c(phi/2) + s*s(phi/2)*unit
-# with (c, s) = (cos, sin) for rotation planes and (cosh, sinh) for
-# boost planes.  Unlisted cells are zero.  Kept as data, not code, so a
-# transcription can be diffed against recomputation.
-REFERENCE_GENERATOR_TABLE = {
-    "xy": (
-        (0, 0, 1, 1, "l"),
-        (1, 1, 1, -1, "l"),
-        (2, 2, 1, 1, "l"),
-        (3, 3, 1, -1, "l"),
-    ),
-    "yz": (
-        (0, 0, 1, 0, "1"),
-        (1, 1, 1, 0, "1"),
-        (2, 2, 1, 0, "1"),
-        (3, 3, 1, 0, "1"),
-        (0, 1, 0, 1, "l"),
-        (1, 0, 0, 1, "l"),
-        (2, 3, 0, 1, "l"),
-        (3, 2, 0, 1, "l"),
-    ),
-    "zx": (
-        (0, 0, 1, 0, "1"),
-        (1, 1, 1, 0, "1"),
-        (2, 2, 1, 0, "1"),
-        (3, 3, 1, 0, "1"),
-        (0, 1, 0, 1, "1"),
-        (1, 0, 0, -1, "1"),
-        (2, 3, 0, 1, "1"),
-        (3, 2, 0, -1, "1"),
-    ),
-    "qx": (
-        (0, 0, 1, 0, "1"),
-        (1, 1, 1, 0, "1"),
-        (2, 2, 1, 0, "1"),
-        (3, 3, 1, 0, "1"),
-        (0, 1, 0, 1, "K"),
-        (1, 0, 0, 1, "K"),
-        (2, 3, 0, -1, "K"),
-        (3, 2, 0, -1, "K"),
-    ),
-    "qy": (
-        (0, 0, 1, 0, "1"),
-        (1, 1, 1, 0, "1"),
-        (2, 2, 1, 0, "1"),
-        (3, 3, 1, 0, "1"),
-        (0, 1, 0, -1, "Kl"),
-        (1, 0, 0, 1, "Kl"),
-        (2, 3, 0, 1, "Kl"),
-        (3, 2, 0, -1, "Kl"),
-    ),
-    "qz": (
-        (0, 0, 1, 1, "K"),
-        (1, 1, 1, -1, "K"),
-        (2, 2, 1, -1, "K"),
-        (3, 3, 1, 1, "K"),
-    ),
-    "tp": (
-        (0, 0, 1, 1, "K"),
-        (1, 1, 1, 1, "K"),
-        (2, 2, 1, 1, "K"),
-        (3, 3, 1, 1, "K"),
-    ),
-    "tx": (
-        (0, 0, 1, 0, "1"),
-        (1, 1, 1, 0, "1"),
-        (2, 2, 1, 0, "1"),
-        (3, 3, 1, 0, "1"),
-        (0, 1, 0, 1, "L"),
-        (1, 0, 0, 1, "L"),
-        (2, 3, 0, -1, "L"),
-        (3, 2, 0, -1, "L"),
-    ),
-    "ty": (
-        (0, 0, 1, 0, "1"),
-        (1, 1, 1, 0, "1"),
-        (2, 2, 1, 0, "1"),
-        (3, 3, 1, 0, "1"),
-        (0, 1, 0, -1, "Ll"),
-        (1, 0, 0, 1, "Ll"),
-        (2, 3, 0, -1, "Ll"),
-        (3, 2, 0, 1, "Ll"),
-    ),
-    "tz": (
-        (0, 0, 1, 1, "L"),
-        (1, 1, 1, -1, "L"),
-        (2, 2, 1, -1, "L"),
-        (3, 3, 1, 1, "L"),
-    ),
-    "tq": (
-        (0, 0, 1, 1, "KL"),
-        (1, 1, 1, 1, "KL"),
-        (2, 2, 1, 1, "KL"),
-        (3, 3, 1, 1, "KL"),
-    ),
-    "px": (
-        (0, 0, 1, 0, "1"),
-        (1, 1, 1, 0, "1"),
-        (2, 2, 1, 0, "1"),
-        (3, 3, 1, 0, "1"),
-        (0, 1, 0, 1, "KL"),
-        (1, 0, 0, 1, "KL"),
-        (2, 3, 0, -1, "KL"),
-        (3, 2, 0, -1, "KL"),
-    ),
-    "py": (
-        (0, 0, 1, 0, "1"),
-        (1, 1, 1, 0, "1"),
-        (2, 2, 1, 0, "1"),
-        (3, 3, 1, 0, "1"),
-        (0, 1, 0, -1, "KLl"),
-        (1, 0, 0, 1, "KLl"),
-        (2, 3, 0, 1, "KLl"),
-        (3, 2, 0, -1, "KLl"),
-    ),
-    "pz": (
-        (0, 0, 1, 1, "KL"),
-        (1, 1, 1, -1, "KL"),
-        (2, 2, 1, -1, "KL"),
-        (3, 3, 1, 1, "KL"),
-    ),
-    "pq": (
-        (0, 0, 1, -1, "L"),
-        (1, 1, 1, -1, "L"),
-        (2, 2, 1, -1, "L"),
-        (3, 3, 1, -1, "L"),
-    ),
-}
-
-
-def build_reference(name, phi):
-    """Evaluate the reference transcription of one matrix at angle phi."""
-    c_val, s_val = _sincosh(phi / 2, plane_kind(name) == "boost")
-    rows = [[ZERO] * 4 for _ in range(4)]
-    for i, j, c, s, unit in REFERENCE_GENERATOR_TABLE[name]:
-        cell = ONE * (c * c_val)
-        if s:
-            cell = cell + UNIT[unit] * (s * s_val)
-        rows[i][j] = cell
-    return TensorMatrix(rows)
-
-
-# The angles at which appendix_check compares the table with recomputation.
-_APPENDIX_ANGLES = (0.3, 1.0, -0.7)
-
-
-def appendix_check(config=None):
-    """Diff the bundled reference table against recomputation.
-
-    One entry per plane.  Transcription mismatches are documented
-    (with the differing cells), never reported as failures; the
-    recomputed matrix is the ground truth.
-    """
-    report, (tol, _, _) = Report.for_suite("appendix", config)
-    for name in PLANES:
-        bad_cells = {}
-        for phi in _APPENDIX_ANGLES:
-            recomputed = generator(name, phi)
-            reference = build_reference(name, phi)
-            diff = [abs(a - b) for a, b in zip(recomputed.flat(), reference.flat())]
-            for cell in range(16):
-                if not all(d <= tol for d in diff[8 * cell:8 * cell + 8]):
-                    i, j = divmod(cell, 4)
-                    bad_cells.setdefault((i, j), (
-                        reference.rows[i][j],
-                        recomputed.rows[i][j],
-                    ))
-        if not bad_cells:
-            report.add_comparison(
-                "appendix[%s]" % name,
-                True,
-                "reference transcription",
-                "match at angles %s" % (_APPENDIX_ANGLES,),
-            )
-        else:
-            details = "; ".join(
-                "(%d,%d) reference=%s recomputed=%s"
-                % (i, j, ref, rec)
-                for (i, j), (ref, rec) in sorted(bad_cells.items())
-            )
-            report.add_comparison(
-                "appendix[%s]" % name,
-                False,
-                "reference transcription",
-                "differs at cells %s" % sorted(bad_cells),
-                "recomputed matrix is ground truth; at angle %s: %s"
-                % (_APPENDIX_ANGLES[0], details),
-            )
-    return report

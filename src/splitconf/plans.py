@@ -34,7 +34,7 @@ import functools
 from itertools import repeat
 
 from .algebra import _MUL
-from .clifford import _block_rows, _spread_rows
+from .clifford import _block_rows, _row, _spread_rows
 
 __all__ = ["compact_plan", "run"]
 
@@ -45,25 +45,26 @@ def _contributions():
     (M @ P) or of M^-1 ((M P) @ M^-1): its terms, as the four bytes
     (outputs, places, rows, negatives)}.
 
-    output indexes _block_rows(False); place orders the terms of one output
-    as mul_terms adds them, ascending k, then the left basis index; row
-    is the other factor's (P's, or M P's) output index; negative is 1 for
-    a term mul_terms subtracts.  Bytes keep the 2,048 terms small.
+    output is the row (clifford._row) of an off-diagonal coefficient of the
+    product; place orders the terms of one output as mul_terms adds them,
+    ascending k, then the left basis index; row is the other factor's (P's,
+    or M P's) row; negative is 1 for a term mul_terms subtracts.  Bytes
+    keep the 2,048 terms small.
     """
-    rows = {f: r for r, f in enumerate(_block_rows(False))}
     inverse = [{t: (b, sign) for b, (t, sign) in enumerate(row)} for row in _MUL]
     left, right = {}, {}
-    for o, f in enumerate(_block_rows(False)):
-        i, j, t = f // 32, f // 8 % 4, f % 8
-        place = 0
+    outputs = [(i, j, t) for i in range(4) for j in range(4) if i // 2 != j // 2
+               for t in range(8)]
+    for i, j, t in outputs:
+        o, place = _row(i, j, t), 0
         for k in range(4):
             for a in range(8):
                 b, sign = inverse[a][t]
                 if k // 2 == i // 2:  # M[i][k] P[k][j]
-                    term = (o, place, rows[32 * k + 8 * j + b], sign < 0)
+                    term = (o, place, _row(k, j, b), sign < 0)
                     left.setdefault(32 * i + 8 * k + a, []).append(term)
                 if k // 2 == j // 2:  # (M P)[i][k] M^-1[k][j]
-                    term = (o, place, rows[32 * i + 8 * k + a], sign < 0)
+                    term = (o, place, _row(i, k, a), sign < 0)
                     right.setdefault(32 * k + 8 * j + b, []).append(term)
                 place += 1
     return tuple(

@@ -20,12 +20,11 @@ from splitconf.clifford import (
     extract_coords,
     gamma,
     metric_form,
-    verify_clifford,
 )
+from splitconf.checks import appendix_check, classify_generators, verify_clifford, verify_properties
 from splitconf.conformal import (
     AT_INFINITY,
     MinkowskiPoint,
-    classify_generators,
     conformal_translation_generator,
     embed_point,
     minkowski_inner,
@@ -39,13 +38,11 @@ from splitconf.group import (
     PLANES,
     act_on_P,
     act_on_X,
-    appendix_check,
     compose_so6,
     metric6,
     pi_project,
     so6_matrix,
     so6_step,
-    verify_properties,
 )
 from splitconf.matrices import TensorMatrix
 from splitconf.realrep import (

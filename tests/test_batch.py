@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 from splitconf import batch, group, plans
 from splitconf.algebra import ZERO, TensorScalar
 from splitconf.batch import _product, build_P_batch, extract_coords_batch
+from splitconf.checks import verify_conformal
 from splitconf.clifford import COORDS, Vector6, _block_rows, build_P, extract_coords
 from splitconf.conformal import (
     MinkowskiPoint,
     embed_point,
     step_vector,
-    verify_conformal,
 )
 from splitconf.group import (
     PLANES,

@@ -843,6 +843,42 @@ class TestEntryPoint:
         ) % (argv, self.LAZY[::2])
         assert self.run_script(script) == "0 True [True, True]\n"
 
+    # The verify suites and what only they need stay off the step path.
+    CHECKS = ("splitconf.checks", "splitconf.realrep", "numpy")
+
+    @pytest.mark.parametrize("argv, want", [
+        (["transform", "--point", "0.1,0.2,0.3,0.4", "--word", "xy:0.3,ax:0.2"], []),
+        (["show", "gamma", "t"], []),
+        (["verify", "--suites", "clifford"], ["splitconf.checks"]),
+    ], ids=["transform", "show", "verify-clifford"])
+    def test_python_dash_m_loads_the_suites_for_verify_only(self, argv, want):
+        # runpy is what -m runs; the names are read once the command ended.
+        script = (
+            "import contextlib, io, runpy, sys\n"
+            "sys.argv = ['splitconf', *%r]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        runpy.run_module('splitconf', run_name='__main__', alter_sys=True)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, exc.code\n"
+            "print([m for m in %r if m in sys.modules])\n"
+        ) % (argv, self.CHECKS)
+        assert self.run_script(script) == "%r\n" % (want,)
+
+    def test_the_package_serves_the_suites_on_first_read(self):
+        script = (
+            "import sys, splitconf\n"
+            "names = {'verify_group', 'classify_generators', 'verify_realrep'}\n"
+            "listed = names <= set(dir(splitconf))\n"
+            "before = [m for m in %r if m in sys.modules]\n"
+            "from splitconf import verify_group, classify_generators, verify_realrep\n"
+            "from splitconf import checks, realrep\n"
+            "print(listed, before, verify_group is checks.verify_group,\n"
+            "      classify_generators is checks.classify_generators,\n"
+            "      verify_realrep is realrep.verify_realrep)\n"
+        ) % (self.CHECKS,)
+        assert self.run_script(script) == "True [] True True True\n"
+
     def test_every_public_name_resolves_in_a_fresh_process(self):
         script = (
             "import splitconf\n"

@@ -18,9 +18,9 @@ from splitconf.clifford import (
     inner_product,
     metric_form,
     sigma,
-    verify_clifford,
 )
-from splitconf.conformal import PRINTED_IMAGE_TABLE, NullVector
+from splitconf.checks import PRINTED_IMAGE_TABLE, verify_clifford
+from splitconf.conformal import NullVector
 from splitconf.group import PLANES, TRANSLATION_NAMES, _conjugate, act_on_vector
 from splitconf.matrices import TensorMatrix, quadratic_form
 

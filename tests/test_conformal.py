@@ -7,16 +7,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from splitconf import algebra, clifford, conformal, group, matrices
+from splitconf import algebra, checks, clifford, conformal, group, matrices
 from splitconf.algebra import is_exact
+from splitconf.checks import CLASSIFY_BASIS, classify_generators, verify_conformal
 from splitconf.clifford import Vector6, gamma
 from splitconf.conformal import (
     AT_INFINITY,
-    CLASSIFY_BASIS,
     MinkowskiPoint,
     NullVector,
     apply_conformal_translation,
-    classify_generators,
     conformal_translation_generator,
     embed_point,
     minkowski_inner,
@@ -26,7 +25,6 @@ from splitconf.conformal import (
     q_or_infinity,
     step_vector,
     translation_generator,
-    verify_conformal,
 )
 from splitconf.group import (
     TRANSLATION_NAMES,
@@ -223,9 +221,9 @@ class TestChartTest:
             NullVector(far)
         assert q_or_infinity(far) is AT_INFINITY
         rows = np.array([finite.as_tuple()])
-        assert conformal._null_rows(rows).tolist() == rows.tolist()
+        assert checks._null_rows(rows).tolist() == rows.tolist()
         with pytest.raises(ValueError, match="p \\+ q = 0"):
-            conformal._null_rows(np.array([finite.as_tuple(), far.as_tuple()]))
+            checks._null_rows(np.array([finite.as_tuple(), far.as_tuple()]))
 
 
 class TestTranslations:
@@ -490,14 +488,14 @@ def _plant_point_law(law, field, row):
 
 def _plant_so6_step(monkeypatch):
     # The y row of the yz Lorentz matrix, the second plane of lorentz-on-q.
-    real = conformal.so6_step
+    real = group.so6_step
 
     def planted(name, theta):
         out = real(name, theta).copy()
         if (name, theta) == ("yz", 0.7):
             out[clifford.COORDS.index("y"), clifford.COORDS.index("z")] = math.nan
         return out
-    monkeypatch.setattr(conformal, "so6_step", planted)
+    monkeypatch.setattr(group, "so6_step", planted)
 
 
 def _plant_mobius(monkeypatch):
@@ -514,13 +512,13 @@ def _plant_mobius(monkeypatch):
 
 def _plant_image_rows(monkeypatch):
     # The y coordinate of image 1 of every second step.
-    real = conformal._image_rows
+    real = checks._image_rows
 
     def planted(names, thetas, coords):
         out = real(names, thetas, coords).copy()
         out[1, clifford.COORDS.index("y")] = math.nan
         return out
-    monkeypatch.setattr(conformal, "_image_rows", planted)
+    monkeypatch.setattr(checks, "_image_rows", planted)
 
 
 _NAN_SITES = {

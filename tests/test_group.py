@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitconf import group
+from splitconf import checks, group
 from splitconf.algebra import L, ONE, TensorScalar, is_exact, within
+from splitconf.checks import (
+    _invariance_devs,
+    appendix_check,
+    build_reference,
+    verify_group,
+    verify_properties,
+)
 from splitconf.clifford import COORDS, METRIC, Vector6, build_P, build_X, metric_form
 from splitconf.conformal import step_vector
 from splitconf.group import (
@@ -19,7 +26,6 @@ from splitconf.group import (
     _adjoint,
     _conjugate,
     _half_angle,
-    _invariance_devs,
     _resolve,
     _so6_slots,
     _so6_stack,
@@ -27,8 +33,6 @@ from splitconf.group import (
     act_on_X,
     act_on_coords,
     act_on_vector,
-    appendix_check,
-    build_reference,
     canonical_plane,
     compose_so6,
     generator,
@@ -37,8 +41,6 @@ from splitconf.group import (
     plane_kind,
     so6_matrix,
     so6_step,
-    verify_group,
-    verify_properties,
 )
 from splitconf.matrices import TensorMatrix, _sincosh, exp_pair, quadratic_form
 from splitconf.realrep import exp_real_generator
@@ -614,9 +616,9 @@ class TestAppendixTable:
         # entries, and no other plane moves.
         planted = tuple(
             (i, j, c, -s if (i, j) == (2, 3) else s, unit)
-            for i, j, c, s, unit in group.REFERENCE_GENERATOR_TABLE["tx"]
+            for i, j, c, s, unit in checks.REFERENCE_GENERATOR_TABLE["tx"]
         )
-        monkeypatch.setitem(group.REFERENCE_GENERATOR_TABLE, "tx", planted)
+        monkeypatch.setitem(checks.REFERENCE_GENERATOR_TABLE, "tx", planted)
         rep = appendix_check()
         flagged = {c.check_id: c for c in rep.checks if c.status != "pass"}
         assert sorted(flagged) == ["appendix[tx]", "appendix[ty]"]
@@ -685,8 +687,8 @@ def _plant_generator(step):
 
 def _plant_reference(monkeypatch):
     # Coefficient 3 of cell (1, 2) of xy, a plane that matches its table.
-    real = group.build_reference
-    monkeypatch.setattr(group, "build_reference", lambda name, phi: (
+    real = checks.build_reference
+    monkeypatch.setattr(checks, "build_reference", lambda name, phi: (
         _nan_cell(real(name, phi)) if name == "xy" else real(name, phi)
     ))
 

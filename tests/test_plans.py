@@ -162,6 +162,55 @@ class TestRoutingOfHostileInput:
             assert outcome(act_on_vector, word, v) == outcome(reference_route, word, v)
 
 
+def conjugation_outcome(word, v):
+    """The outcome of extract_coords on _conjugate's result: the TensorMatrix route."""
+    return outcome(lambda: extract_coords(group._conjugate(word, build_P(v))))
+
+
+class TestTheReadersRefusalIsTheSteps:
+    # act_on_vector raises _read_rows' refusal of finite plan outputs as
+    # it is, without running _conjugate: finite outputs are _conjugate's
+    # bits, so the refusal must be extract_coords' refusal of its result.
+    @given(st.integers(0, 2 ** 32))
+    def test_a_refusal_is_extract_coords_refusal_of_the_conjugation(self, seed):
+        # Words to angle 40 on coordinates 40 decades apart: about a third
+        # of the plans' outputs are finite and refused (a sum that is not
+        # real, or a residual outside the span).
+        rng = random.Random(seed)
+        for _ in range(10):
+            word = [(rng.choice(NAMES + REVERSED), rng.uniform(-40, 40))
+                    for _ in range(rng.randint(1, 3))]
+            v = Vector6(*(rng.choice((-1, 1)) * 10 ** rng.uniform(-20, 20) for _ in COORDS))
+            assert outcome(act_on_vector, word, v) == conjugation_outcome(word, v)
+
+    @pytest.mark.parametrize("word, v, message", [
+        ([("bt", 23.0)], Vector6(-1e7, 1e12, 1e-3, 1e10, 1e-3, -1e3),
+         "inner product is not real: 0.00878906 + 0.000976562 L"),
+        ([("ty", 27.0)], Vector6(100.0, 1e-10, -0.01, 1e-8, -1e-9, 1e-7),
+         "matrix lies outside the span of the gammas (residual 0.001953125)"),
+    ], ids=["not-real", "outside-the-span"])
+    def test_a_refused_step_runs_no_conjugation(self, monkeypatch, word, v, message):
+        want = conjugation_outcome(word, v)
+        assert want == ("error", ValueError, message)
+
+        def gone(word, p):
+            raise AssertionError("_conjugate called")
+
+        monkeypatch.setattr(group, "_conjugate", gone)
+        assert outcome(act_on_vector, word, v) == want
+
+    def test_outputs_that_are_not_finite_take_the_conjugation(self):
+        # At angle 0.0, s = 0.0: the plans add 0.0 * inf = nan where the
+        # products skip the zero coefficient, so the reader names nan where
+        # the TensorMatrix route names inf.
+        word, v = [("xy", 0.0)], Vector6(q=math.inf)
+        rows = plans.run(group._plan(word), v.as_tuple())
+        assert "coefficient nan" in outcome(_read_rows, rows)[2]
+        assert outcome(act_on_vector, word, v) == conjugation_outcome(word, v) == (
+            "error", ValueError, "matrix coefficient inf is not finite: the step"
+            " overflowed or its input was not finite")
+
+
 def random_blocks(rng):
     """A 4x4 matrix with random coefficients of mixed magnitude on its
     off-diagonal 2x2 blocks, and those coefficients in _block_rows(False) order."""

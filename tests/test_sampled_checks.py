@@ -16,7 +16,8 @@ import random
 import numpy as np
 import pytest
 
-from splitconf import batch, conformal, group
+from splitconf import batch, checks, conformal, group
+from splitconf.checks import verify_conformal
 from splitconf.clifford import Vector6, metric_form
 from splitconf.conformal import (
     AT_INFINITY,
@@ -28,7 +29,6 @@ from splitconf.conformal import (
     minkowski_norm2,
     mobius_oracle,
     q_from_p,
-    verify_conformal,
 )
 from strategies import reference_route
 
@@ -167,7 +167,7 @@ class TestAgainstTheScalarLoop:
         # to at least 0.2, so an image at infinity can only come from a
         # wrong route.  One conformal translation is forced onto p + q = 0
         # on both routes, and both refuse it instead of skipping it.
-        act_on_coords, chosen = conformal.act_on_coords, []
+        act_on_coords, chosen = group.act_on_coords, []
         at_infinity = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
 
         def forcing(words, coords):
@@ -182,7 +182,7 @@ class TestAgainstTheScalarLoop:
                 return Vector6(*at_infinity.tolist())
             return reference_step(name, theta, v)
 
-        monkeypatch.setattr(conformal, "act_on_coords", forcing)
+        monkeypatch.setattr(group, "act_on_coords", forcing)
         with pytest.raises(ValueError, match="p \\+ q = 0"):
             array_route(42, 200)
         assert len(chosen) == 1
@@ -213,7 +213,7 @@ class TestRowChecks:
     def test_a_bad_row_raises_the_null_vector_message(self, kind):
         rows = np.array([self.GOOD, self.BAD[kind], self.BAD["non-null"]])
         want = self.message(NullVector, Vector6(*self.BAD[kind]))
-        assert self.message(conformal._null_rows, rows) == want
+        assert self.message(checks._null_rows, rows) == want
 
     # apply_conformal_translation reads one image through _chart, which
     # refuses a bad image with NullVector's message, or with the chart
@@ -237,13 +237,13 @@ class TestRowChecks:
         bad = self.BAD["p + q = 0"]
         assert conformal._chart(Vector6(*bad)) is AT_INFINITY
         rows = np.array([self.GOOD, bad, self.GOOD])
-        assert self.message(conformal._null_rows, rows) == (
+        assert self.message(checks._null_rows, rows) == (
             "p + q = 0: no finite point coordinates"
         )
 
     def test_good_rows_pass_unchanged(self):
         rows = np.array([self.GOOD] * 3)
-        assert conformal._null_rows(rows).tolist() == rows.tolist()
+        assert checks._null_rows(rows).tolist() == rows.tolist()
 
 
 def test_a_default_pass_builds_few_null_vectors(monkeypatch):

@@ -21,7 +21,7 @@ import splitconf
 from splitconf.algebra import CHART_TOL, CHECK_TOL, SPAN_TOL, within
 from splitconf.batch import build_P_batch, extract_coords_batch
 from splitconf.clifford import COORDS, METRIC, Vector6, _rows, metric_form
-from splitconf.conformal import _null_rows
+from splitconf.checks import _null_rows
 
 SRC = Path(splitconf.__file__).parent
 

@@ -54,7 +54,7 @@ MUTANTS = (
     ("resolve-drops-orientation", "group.py",
      "return name, kind, theta if orient > 0 else -theta", "return name, kind, theta",
      "a reversed plane name negates the angle"),
-    ("appendix-tol-loose", "group.py",
+    ("appendix-tol-loose", "checks.py",
      "if not all(d <= tol for d in diff[8 * cell:8 * cell + 8]):",
      "if not all(d < 10 * tol for d in diff[8 * cell:8 * cell + 8]):",
      "equivalent: the bundled table's discrepancies are of order 1, far"
@@ -112,7 +112,7 @@ MUTANTS = (
     ("so6-slots-signs-swapped", "group.py",
      "(METRIC[name[1]], METRIC[name[0]])", "(METRIC[name[0]], METRIC[name[1]])",
      "a boost's 6x6 step carries the metric sign of the other coordinate"),
-    ("appendix-cell-stride-4", "group.py",
+    ("appendix-cell-stride-4", "checks.py",
      "diff[8 * cell:8 * cell + 8]", "diff[4 * cell:4 * cell + 8]",
      "each appendix cell is eight flat coefficients; a wrong stride"
      " reports the wrong cells"),
@@ -152,7 +152,7 @@ MUTANTS = (
      "m_inv.blocks()[3]", "m.blocks()[3]",
      "the 2x2 action multiplies on the right by a block of the inverse"
      " element c I - s G"),
-    ("classify-dilation-sign", "conformal.py",
+    ("classify-dilation-sign", "checks.py",
      "pt.scaled(math.exp(-theta))", "pt.scaled(math.exp(theta))",
      "the dilation law pq:theta scales a point by exp(-theta)"),
     ("conjugate-resolves-lazily", "group.py",
@@ -160,10 +160,26 @@ MUTANTS = (
      "pairs = (exp_pair(*_half_angle(step, theta)) for step, theta in word)",
      "a step's own error comes before any product, so every scalar route"
      " names the same bad step the same way"),
-    ("dev-fold-drops-nan", "conformal.py",
+    ("dev-fold-drops-nan", "checks.py",
      "np.max(np.abs(np.subtract(a.as_tuple(), b.as_tuple())))",
      "np.nanmax(np.abs(np.subtract(a.as_tuple(), b.as_tuple())))",
      "a nan deviation must fail its check, not vanish from the maximum"),
+    ("read-refusal-swallowed", "group.py",
+     "                if math.isfinite(sum(rows)):\n                    raise\n",
+     "                return Vector6(*[0.0] * 6)\n",
+     "a float step the reader refuses raises; it never reads as the origin"),
+    ("read-refusal-skips-nonfinite-rerun", "group.py",
+     "                if math.isfinite(sum(rows)):\n", "                if True:\n",
+     "outputs that are not finite may hold a nan where _conjugate's products,"
+     " which skip zero coefficients, hold an inf; _conjugate names the overflow"),
+    ("package-imports-checks", "__init__.py",
+     "from .report import Check, Report\n",
+     "from .report import Check, Report\nfrom . import checks  # noqa: F401\n",
+     "importing the package compiles none of the verify suites"),
+    ("cli-imports-checks", "cli.py",
+     "from .report import SUITE_DEFAULTS, Check\n",
+     "from .report import SUITE_DEFAULTS, Check\nfrom . import checks  # noqa: F401\n",
+     "transform and show load no verify suite"),
 )
 
 _IGNORE = shutil.ignore_patterns(

@@ -11,16 +11,25 @@ module of ``src/splitconf`` it prints the executable lines, as ranges
 with the function they sit in and their first source line, that
 
 * nothing reached ("never"), and
-* only the tests reached ("tests only").
+* only the tests reached ("tests only");
+
+and, one line per function, the span of the lines that among the
+program's calls only ``verify`` reached ("verify only"): what
+``transform``, ``show`` and the import never need.
 
 Executable lines are those the compiler attributes bytecode to, found
 by walking the code objects of each module's source.  A function's
 ``def`` line counts as reached when the function is called or defined.
-The tool uses the standard library only; the tests need pytest, as
-they do without it.  It is not a test and pytest does not collect it.
+The listing maps line numbers onto the sources as they are after the
+run, so the tool takes a digest of every module before and after it,
+and when one changed in between it exits 2 naming the changed files
+instead of listing.  The tool uses the standard library only; the tests
+need pytest, as they do without it.  It is not a test and pytest does
+not collect it.
 """
 
 import contextlib
+import hashlib
 import io
 import sys
 import threading
@@ -97,11 +106,15 @@ class Recorder:
             threading.settrace(None)
 
 
-def run_program(recorder, hits):
-    with recorder.tracing(hits):
+def run_program(recorder, verify, steps):
+    """Trace the program calls: verify's hits into verify, the import's
+    and the other calls' into steps.  The other calls run first, so the
+    caches they fill (gammas, planes, generators) count as theirs."""
+    with recorder.tracing(steps):
         from splitconf.cli import main
 
-        for argv in PROGRAM_CALLS:
+    for argv in sorted(PROGRAM_CALLS, key=lambda argv: argv[0] == "verify"):
+        with recorder.tracing(verify if argv[0] == "verify" else steps):
             with contextlib.redirect_stdout(io.StringIO()):
                 with contextlib.redirect_stderr(io.StringIO()):
                     main(list(argv))
@@ -125,35 +138,53 @@ def ranges(lines):
     return out
 
 
-def report(path, owner, program, tests):
+def report(path, owner, verify, steps, tests):
     source = path.read_text().splitlines()
+    program = verify | steps
     never = [n for n in owner if n not in program and n not in tests]
     only = [n for n in owner if n not in program and n in tests]
-    print("%s: %d executable, %d never run, %d run only by tests"
-          % (path.name, len(owner), len(never), len(only)))
+    verify_only = sorted(n for n in owner if n in verify and n not in steps)
+    print("%s: %d executable, %d never run, %d run only by tests, %d only by verify"
+          % (path.name, len(owner), len(never), len(only), len(verify_only)))
     for label, lines in (("never", never), ("tests only", only)):
         for first, last in ranges(lines):
             span = "%d" % first if first == last else "%d-%d" % (first, last)
             print("  %-10s L%-9s %-32s %s"
                   % (label, span, owner[first], source[first - 1].strip()[:60]))
+    spans = {}
+    for n in verify_only:
+        spans.setdefault(owner[n], [n, n])[1] = n
+    for name, (first, last) in sorted(spans.items(), key=lambda item: item[1]):
+        print("  %-11s L%-8s %s" % ("verify only", "%d-%d" % (first, last), name))
+
+
+def digest(paths):
+    """{file name: sha256 of its bytes}."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
 
 
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     sys.path.insert(0, str(PACKAGE.parent))
     paths = sorted(PACKAGE.glob("*.py"))
+    before = digest(paths)
     recorder = Recorder({str(p) for p in paths})
-    program, tests = set(), set()
-    run_program(recorder, program)
+    verify, steps, tests = set(), set(), set()
+    run_program(recorder, verify, steps)
     status = run_tests(recorder, tests, args)
+    after = digest(sorted(PACKAGE.glob("*.py")))
+    if after != before:
+        changed = sorted(n for n in before.keys() | after.keys() if before.get(n) != after.get(n))
+        print("error: %s changed during the run; rerun on a settled tree"
+              % ", ".join(changed), file=sys.stderr)
+        return 2
     print()
     for path in paths:
         name = str(path)
         report(
             path,
             executable_lines(path),
-            {line for f, line in program if f == name},
-            {line for f, line in tests if f == name},
+            *({line for f, line in hits if f == name} for hits in (verify, steps, tests)),
         )
     return int(status)
 
